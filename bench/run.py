@@ -3,8 +3,19 @@
 One job is one CLI subcommand: ``fuzzykripke.cli.main(argv)`` runs in this
 process on generated model files, with stdout captured, and is timed from
 the call to its complete output.  One client runs the jobs of a workload
-as a closed loop, whole rounds at a time, until ``--seconds`` have passed
-and at least 100 jobs are done.  Outputs are checked after the loop.
+as a closed loop: one untimed warm-up round, whose outputs are checked
+after the loop, then timed rounds, each in a seeded shuffled order, until
+``--seconds`` have passed and every job has run MIN_REPEATS times.
+
+The host's speed drifts by up to a factor of two over seconds to minutes,
+so each job runs right after the fixed probe of ``speed.py`` and every
+time is reported in normalised seconds: scaled to a machine on which the
+probe takes a millisecond (see ``speed.normalise``).  ``job_p50_s`` and
+``job_p90_s`` are the median and 90th percentile of the normalised times
+of all timed runs, ``jobs_per_s`` is their number over their sum, and
+``setup_s`` is the normalised time to import ``fuzzykripke.cli`` in a
+fresh interpreter.  The report line gives the same figures in wall-clock
+seconds and the probe times, so that the drift can be seen.
 
 Run from the root of a checkout:
 
@@ -12,9 +23,10 @@ Run from the root of a checkout:
 
 ``--trace 0`` reports the end-to-end metrics; ``--trace 1`` runs the same
 loop, then one more round with every library layer wrapped (see
-``tracing.py``) and reports the per-layer totals of that round.  The last
-line of stdout is the result object; the line before it is a report with
-the environment, the input properties and any failures.
+``tracing.py``) and reports the per-layer totals of that round, in
+wall-clock seconds, and ``trace.overhead_ratio`` from normalised times.
+The last line of stdout is the result object; the line before it is a
+report with the environment, the input properties and any failures.
 
     python3 bench/run.py --record-reference
 
@@ -26,11 +38,13 @@ change of the answers is intended.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import io
 import json
 import os
 import platform
+import random
 import resource
 import shutil
 import statistics
@@ -40,6 +54,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from speed import normalise, probe
 from tracing import Tracer
 from workloads import (
     BUNDLED, DEFAULT_SEED, SIZES, WORKLOADS, JobFailure, build, output_properties,
@@ -49,12 +64,16 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 REFERENCE = BENCH / "reference.json"
-MIN_JOBS = 100
+MIN_JOBS = 100  # timed runs at least, so that ten lie beyond job_p90_s
+MIN_REPEATS = 2  # timed runs of every job
 MAX_LOOP_S = 100  # a slow build stops early instead of running for many minutes
 SETUP_REPEATS = 8
+# import time first, while the interpreter is fresh; then the probe, whose
+# median over a few runs gives the machine's speed at that moment
 _IMPORT_TIMER = (
-    "import sys, time; sys.path.insert(0, sys.argv[1]); t = time.perf_counter(); "
-    "import fuzzykripke.cli; print(time.perf_counter() - t)"
+    "import statistics, sys, time; sys.path[:0] = sys.argv[1:3]; t = time.perf_counter(); "
+    "import fuzzykripke.cli; t = time.perf_counter() - t; from speed import probe; "
+    "print(t, statistics.median(probe() for _ in range(15)))"
 )
 
 
@@ -85,29 +104,36 @@ def run_round(jobs, main, tracer=None) -> list[tuple[float, int | None, str]]:
     return results
 
 
-def timed_loop(jobs, main, seconds: float):
-    """Whole rounds until ``seconds`` and MIN_JOBS are reached.
+def timed_loop(jobs, main, seconds: float, seed: int):
+    """Timed runs of every job, in shuffled rounds, each right after a probe,
+    until ``seconds`` have passed and each job has MIN_REPEATS runs.
 
-    Returns the first round's results, the digests of every round, all job
-    times and the wall time of the loop.
+    Returns the job index, seconds and probe seconds of every run, each
+    job's output digests and the wall time of the loop.
     """
-    first, digests, times = None, [], []
+    runs, digests = [], [[] for _ in jobs]
+    order = list(range(len(jobs)))
+    shuffle = random.Random(f"order:{seed}").shuffle
     start = time.perf_counter()
     while True:
-        results = run_round(jobs, main)
-        if first is None:
-            first = results
-        digests.append([digest(code, out) for _, code, out in results])
-        times.extend(t for t, _, _ in results)
-        wall = time.perf_counter() - start
-        if (wall >= seconds and len(times) >= MIN_JOBS) or wall >= MAX_LOOP_S:
-            return first, digests, times, wall
+        shuffle(order)
+        for i in order:
+            probe_s = probe()
+            seconds_taken, code, out = run_job(main, jobs[i].argv)
+            runs.append((i, seconds_taken, probe_s))
+            digests[i].append(digest(code, out))
+            wall = time.perf_counter() - start
+            if wall >= MAX_LOOP_S or (
+                wall >= seconds and len(runs) >= MIN_JOBS
+                and min(map(len, digests)) >= MIN_REPEATS
+            ):
+                return runs, digests, wall
 
 
-def verify(workload, first, reference) -> dict[int, str]:
-    """Failure reasons of the jobs whose first-round output is wrong."""
+def verify(workload, outputs, reference) -> dict[int, str]:
+    """Failure reasons of the jobs whose output in ``outputs`` is wrong."""
     failures = {}
-    for i, (job, (_, code, out)) in enumerate(zip(workload.jobs, first)):
+    for i, (job, (_, code, out)) in enumerate(zip(workload.jobs, outputs)):
         if code is None:
             failures[i] = f"raised {out}"
             continue
@@ -122,22 +148,24 @@ def verify(workload, first, reference) -> dict[int, str]:
     return failures
 
 
-def count_failed(failures: dict[int, str], rounds: list[list[str]], expected: list[str]) -> int:
-    """Executions that failed a check or whose output differs from round one."""
+def count_failed(failures: dict[int, str], digests: list[list[str]], expected: list[str]) -> int:
+    """Runs that failed a check or whose output differs from the warm-up's."""
     return sum(
-        i in failures or d != expected[i] for digests in rounds for i, d in enumerate(digests)
+        i in failures or d != expected[i] for i, runs in enumerate(digests) for d in runs
     )
 
 
-def measure_setup(repeats: int) -> list[float]:
-    """Times to import fuzzykripke.cli, each in a fresh interpreter."""
+def measure_setup(repeats: int) -> list[tuple[float, float]]:
+    """Seconds to import fuzzykripke.cli, each in a fresh interpreter, with
+    the probe time measured in that interpreter right after."""
     samples = []
     for _ in range(repeats):
         done = subprocess.run(
-            [sys.executable, "-c", _IMPORT_TIMER, str(SRC)],
+            [sys.executable, "-c", _IMPORT_TIMER, str(SRC), str(BENCH)],
             capture_output=True, text=True, timeout=60, check=True,
         )
-        samples.append(float(done.stdout.strip().splitlines()[-1]))
+        seconds, probe_s = map(float, done.stdout.split()[-2:])
+        samples.append((seconds, probe_s))
     return samples
 
 
@@ -179,7 +207,7 @@ def git_commit() -> str:
     return "unknown"
 
 
-def input_properties(workload, first) -> dict:
+def input_properties(workload, outputs) -> dict:
     ns = [n for p in workload.pairs for n in p["n"]]
     universes = [p["universe"] for p in workload.pairs]
     return {
@@ -188,7 +216,7 @@ def input_properties(workload, first) -> dict:
         "universe_max": max(universes),
         "universe_mean": round(statistics.fmean(universes), 2),
         "density_mean": round(statistics.fmean(p["density"] for p in workload.pairs), 4),
-        **output_properties([(code, out) for _, code, out in first]),
+        **output_properties([(code, out) for _, code, out in outputs]),
     }
 
 
@@ -212,50 +240,72 @@ def run(name: str, seed: int, seconds: float, trace: bool, scale: str, workdir: 
     import fuzzykripke.cli as cli
 
     workload = build(name, seed, scale, workdir, SRC)
-    first, rounds, times, wall = timed_loop(workload.jobs, cli.main, seconds)
+    warmup = run_round(workload.jobs, cli.main)
+    expected = [digest(code, out) for _, code, out in warmup]
+    # the inputs and the warm-up outputs stay alive through the loop; a CLI
+    # process would not carry them, so the collector is kept off them
+    gc.collect()
+    gc.freeze()
+    runs, digests, wall = timed_loop(workload.jobs, cli.main, seconds, seed)
+    gc.unfreeze()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     if not trace:
         setup += measure_setup(SETUP_REPEATS - len(setup))
 
-    traced = tracer = None
+    seconds_taken = [t for _, t, _ in runs]
+    probes = [p for _, _, p in runs]
+    normalised = normalise(seconds_taken, probes)
+
     if trace:
-        tracer = Tracer()
+        tracer, traced = Tracer(), []
         with tracer.installed():
-            traced = run_round(workload.jobs, tracer.span("cli.main", cli.main), tracer)
-        rounds.append([digest(code, out) for _, code, out in traced])
-
-    failures = verify(workload, first, load_reference(name, scale, seed))
-    failed = count_failed(failures, rounds, rounds[0])
-    attempted = sum(len(r) for r in rounds)
-
-    if trace:
+            main = tracer.span("cli.main", cli.main)
+            for job in workload.jobs:
+                probe_s = probe()
+                traced.append((probe_s, *run_job(main, job.argv)))
+                tracer.end_job()
+        for i, (_, _, code, out) in enumerate(traced):
+            digests[i].append(digest(code, out))
         metrics, absent = tracer.metrics()
-        # against the last untraced round, the one next to it in time, so that
-        # a drift of the machine's speed during the loop does not enter the ratio
-        last_round = times[-len(workload.jobs):]
+        by_job = [[] for _ in workload.jobs]
+        for (i, _, _), t in zip(runs, normalised):
+            by_job[i].append(t)
+        traced_times = normalise([t for _, t, _, _ in traced], [p for p, _, _, _ in traced])
+        # per job, against its own untraced runs, so that neither the mix of
+        # jobs nor the machine's speed enters the ratio
         metrics["trace.overhead_ratio"] = {
-            "value": statistics.median(t for t, _, _ in traced) / statistics.median(last_round),
+            "value": statistics.median(t / statistics.median(ts) for t, ts in zip(traced_times, by_job)),
             "unit": "ratio",
         }
     else:
         absent = []
         metrics = {
-            "job_p50_s": {"value": statistics.median(times), "unit": "s"},
-            "job_p90_s": {"value": statistics.quantiles(times, n=10)[-1], "unit": "s"},
-            "jobs_per_s": {"value": len(times) / wall, "unit": "1/s"},
-            "setup_s": {"value": statistics.median(setup), "unit": "s"},
+            "job_p50_s": {"value": statistics.median(normalised), "unit": "s"},
+            "job_p90_s": {"value": statistics.quantiles(normalised, n=10)[-1], "unit": "s"},
+            "jobs_per_s": {"value": len(normalised) / sum(normalised), "unit": "1/s"},
+            "setup_s": {"value": statistics.median(normalise(*zip(*setup))), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
         }
+
+    failures = verify(workload, warmup, load_reference(name, scale, seed))
+    failed = count_failed(failures, digests, expected) + len(failures)
+    attempted = sum(map(len, digests)) + len(warmup)
     report = {
         "workload": name,
         "scale": scale,
         "trace": int(trace),
         "environment": environment(seed),
-        "inputs": input_properties(workload, first),
+        "inputs": input_properties(workload, warmup),
         "jobs_per_round": len(workload.jobs),
-        "timed_rounds": len(rounds) - bool(trace),
-        "samples": len(times),
+        "samples": len(runs),
         "loop_s": round(wall, 3),
+        "wall_clock": {
+            "job_p50_s": statistics.median(seconds_taken),
+            "job_p90_s": statistics.quantiles(seconds_taken, n=10)[-1],
+            "jobs_per_s": len(runs) / wall,
+            "setup_s": statistics.median(t for t, _ in setup) if setup else None,
+        },
+        "probe_s": {"median": statistics.median(probes), "min": min(probes), "max": max(probes)},
         "error_rate": failed / attempted,
         "failures": [
             {"job": workload.jobs[i].name, "reason": reason} for i, reason in sorted(failures.items())

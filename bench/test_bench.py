@@ -1,5 +1,6 @@
 """Self-check of the benchmark: tiny runs finish, report every metric with
-its unit, and wrong outputs are counted as failures.
+its unit, wrong outputs are counted as failures, and times are normalised
+by the speed probe.
 
 Run from the root of the repository:
 
@@ -81,11 +82,24 @@ def test_corrupted_output_counts_as_failure(tmp_path):
     assert set(bench.verify(workload, [wrong_sweeps] + first[1:], reference)) == {0}
     assert set(bench.verify(workload, [wrong_code] + first[1:], None)) == {0}
 
-    digests = [bench.digest(c, o) for _, c, o in first]
-    later = list(digests)
-    later[1] = bench.digest(code, out + " ")
-    assert bench.count_failed({}, [digests, later], digests) == 1
-    assert bench.count_failed({0: "wrong"}, [digests, digests], digests) == 2
+    expected = [bench.digest(c, o) for _, c, o in first]
+    runs = [[d, d] for d in expected]
+    assert bench.count_failed({}, runs, expected) == 0
+    runs[1][1] = bench.digest(code, out + " ")
+    assert bench.count_failed({}, runs, expected) == 1
+    assert bench.count_failed({0: "wrong"}, runs, expected) == 3
+
+
+def test_times_are_normalised_by_the_nearby_probes():
+    from speed import NOMINAL_PROBE_S, WINDOW, normalise
+
+    n = 4 * WINDOW
+    # the machine runs at half speed for the second half: job and probe alike
+    probes = [NOMINAL_PROBE_S] * n + [2 * NOMINAL_PROBE_S] * n
+    seconds = [0.01] * n + [0.02] * n
+    normalised = normalise(seconds, probes)
+    assert normalised[:WINDOW] == pytest.approx([0.01] * WINDOW)
+    assert normalised[-WINDOW:] == pytest.approx([0.01] * WINDOW)
 
 
 def test_other_seeds_check_only_the_bundled_pairs_against_the_reference():
