@@ -30,16 +30,33 @@ update value stays inside the finite set of input values plus {0, 1} and
 iterates strictly decrease until stable, so the loop terminates; a
 monotonicity induction shows every solution stays below every iterate,
 hence the limit is the greatest solution.
+
+All of it runs on level arrays (:mod:`.levels`).  The four directions
+are one residual update on reoriented arguments, and the conditions are
+checked through the same orientation table, so the seven kinds are data:
+the direction tuples of ``_THETA2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Optional
 
-from .algebra import ONE, format_value
-from .fuzzrel import FuzzyMat, FuzzyVec, RESIDUAL_UPDATES
+import numpy as np
+
+from .algebra import format_value
+from .fuzzrel import FuzzyMat, RESIDUAL_UPDATES
+from .levels import (
+    DIRECTIONS,
+    Universe,
+    biimplication_fold,
+    compose,
+    first_violation,
+    orient,
+    residual_fold,
+)
 from .model import KripkeModel, check_comparable
 
 
@@ -60,19 +77,9 @@ class SimType(str, Enum):
         return self in (SimType.FS, SimType.BS)
 
 
-# relational (-2) directions per kind
+# directions per kind: the relational (-2) conditions, and the vector atoms
+# shared by the -1 and -3 families
 _THETA2 = {
-    SimType.FS: ("fwd",),
-    SimType.BS: ("bwd",),
-    SimType.FB: ("fwd", "fwd_inv"),
-    SimType.BB: ("bwd", "bwd_inv"),
-    SimType.FBB: ("fwd", "bwd_inv"),
-    SimType.BFB: ("bwd", "fwd_inv"),
-    SimType.RB: ("fwd", "fwd_inv", "bwd", "bwd_inv"),
-}
-
-# vector condition atoms, shared by the -1 and -3 families
-_THETA_VEC = {
     SimType.FS: ("fwd",),
     SimType.BS: ("bwd",),
     SimType.FB: ("fwd", "fwd_inv"),
@@ -120,49 +127,18 @@ class ConditionCheck:
         return out
 
 
-def _vec_condition(tag: str, m1, m2, phi: FuzzyMat, name: str) -> tuple[FuzzyVec, FuzzyVec]:
-    """The (lhs, rhs) vectors of one vector condition atom for variable ``name``."""
-    vp = m1.valuation[name]
-    vpp = m2.valuation[name]
-    if tag == "fwd":
-        return vp, vpp.compose_mat(phi.inverse())
-    if tag == "fwd_inv":
-        return vpp, vp.compose_mat(phi)
-    if tag == "bwd":
-        return vp, phi.compose_vec(vpp)
-    if tag == "bwd_inv":
-        return vpp, phi.inverse().compose_vec(vp)
-    raise ValueError(tag)
-
-
-def _vec_condition3(tag: str, m1, m2, phi: FuzzyMat, name: str) -> tuple[FuzzyVec, FuzzyVec]:
-    vp = m1.valuation[name]
-    vpp = m2.valuation[name]
-    if tag == "fwd":
-        return phi.inverse().compose_vec(vp), vpp
-    if tag == "fwd_inv":
-        return phi.compose_vec(vpp), vp
-    if tag == "bwd":
-        return vp.compose_mat(phi), vpp
-    if tag == "bwd_inv":
-        return vpp.compose_mat(phi.inverse()), vp
-    raise ValueError(tag)
-
-
-def _vec_violation(lhs: FuzzyVec, rhs: FuzzyVec, worlds) -> Optional[dict]:
-    bad = lhs.first_violation(rhs)
-    if bad is None:
-        return None
-    i, a, b = bad
-    return {"world": worlds[i], "lhs": format_value(a), "rhs": format_value(b)}
-
-
-def _mat_violation(lhs: FuzzyMat, rhs: FuzzyMat, rows, cols) -> Optional[dict]:
-    bad = lhs.first_violation(rhs)
-    if bad is None:
-        return None
-    (i, j), a, b = bad
-    return {"pair": [rows[i], cols[j]], "lhs": format_value(a), "rhs": format_value(b)}
+def _check(name: str, statement: str, lhs, rhs, worlds, values) -> ConditionCheck:
+    """The verdict on ``lhs <= rhs`` for two level arrays, with the first
+    violating entry in row-major order named by ``worlds``, the world
+    names of each axis."""
+    bad = first_violation(lhs, rhs)
+    violation = None
+    if bad is not None:
+        names = [side[i] for side, i in zip(worlds, bad)]
+        violation = {"world": names[0]} if len(names) == 1 else {"pair": names}
+        violation["lhs"] = format_value(values[lhs[bad]])
+        violation["rhs"] = format_value(values[rhs[bad]])
+    return ConditionCheck(name, statement, bad is None, violation)
 
 
 def check_conditions(
@@ -182,61 +158,54 @@ def check_conditions(
             f"relation shape {phi.shape} does not match world counts "
             f"{(len(m1.worlds), len(m2.worlds))}"
         )
-    checks = []
+    universe = Universe(chain(m1.entries(), m2.entries(), chain.from_iterable(phi.rows)))
+    values = universe.values
+    rels1, vals1 = m1.encoded(universe)
+    rels2, vals2 = m2.encoded(universe)
+    p = universe.encode(phi.rows)
     variables = sorted(m1.valuation)
-    vec_tags = _THETA_VEC[sim_type]
+    tags = _THETA2[sim_type]
+    kind = sim_type.value
 
-    for tag in vec_tags:
-        for p in variables:
-            lhs, rhs = _vec_condition(tag, m1, m2, phi, p)
-            side1 = m1.worlds if tag in ("fwd", "bwd") else m2.worlds
-            checks.append(
-                ConditionCheck(
-                    name=f"{sim_type.value}-1[{tag}, p={p}]",
-                    statement=_COND1_TEXT[tag].format(p=p),
-                    holds=lhs.leq(rhs),
-                    violation=_vec_violation(lhs, rhs, side1),
-                )
-            )
+    def sides(tag):
+        return (m2.worlds, m1.worlds) if DIRECTIONS[tag][1] else (m1.worlds, m2.worlds)
 
-    for tag in _THETA2[sim_type]:
+    # With sides (a, b) and q the relation from a to b (phi, or phi^-1 when
+    # the direction swaps sides), the -1 atom is V_a <= q o V_b over the
+    # a-worlds and the -3 atom q^-1 o V_a <= V_b over the b-worlds.  On
+    # valuations fwd and bwd give the same atoms, and so do fwd_inv and
+    # bwd_inv, so each is computed once per side swap.
+    atoms = {}
+    for tag in tags:
+        swap = DIRECTIONS[tag][1]
+        va, vb, q = (vals2, vals1, p.T) if swap else (vals1, vals2, p)
+        wa, wb = sides(tag)
+        for var in variables:
+            if (1, swap, var) not in atoms:
+                atoms[1, swap, var] = (va[var], compose(q, vb[var][:, None])[:, 0], (wa,))
+                atoms[3, swap, var] = (compose(q.T, va[var][:, None])[:, 0], vb[var], (wb,))
+
+    def vector_checks(family: int, texts: dict) -> list[ConditionCheck]:
+        return [
+            _check(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
+                   *atoms[family, DIRECTIONS[tag][1], var], values)
+            for tag in tags
+            for var in variables
+        ]
+
+    checks = vector_checks(1, _COND1_TEXT)
+    for tag in tags:
+        wa, wb = sides(tag)
         for i in m1.indices:
-            r, rp = m1.relations[i], m2.relations[i]
-            inv = phi.inverse()
-            if tag == "fwd":
-                lhs, rhs = inv.compose(r), rp.compose(inv)
-                rows, cols = m2.worlds, m1.worlds
-            elif tag == "fwd_inv":
-                lhs, rhs = phi.compose(rp), r.compose(phi)
-                rows, cols = m1.worlds, m2.worlds
-            elif tag == "bwd":
-                lhs, rhs = r.compose(phi), phi.compose(rp)
-                rows, cols = m1.worlds, m2.worlds
-            else:
-                lhs, rhs = rp.compose(inv), inv.compose(r)
-                rows, cols = m2.worlds, m1.worlds
-            checks.append(
-                ConditionCheck(
-                    name=f"{sim_type.value}-2[{tag}, i={i}]",
-                    statement=_COND2_TEXT[tag].format(i=i),
-                    holds=lhs.leq(rhs),
-                    violation=_mat_violation(lhs, rhs, rows, cols),
-                )
-            )
-
-    for tag in vec_tags:
-        for p in variables:
-            lhs, rhs = _vec_condition3(tag, m1, m2, phi, p)
-            side3 = m2.worlds if tag in ("fwd", "bwd") else m1.worlds
-            checks.append(
-                ConditionCheck(
-                    name=f"{sim_type.value}-3[{tag}, p={p}]",
-                    statement=_COND3_TEXT[tag].format(p=p),
-                    holds=lhs.leq(rhs),
-                    violation=_vec_violation(lhs, rhs, side3),
-                )
-            )
-    return checks
+            # the forward condition  q^-1 o r <= rp o q^-1, transposed back
+            # to the orientation of the statement
+            r, rp, q = orient(tag, rels1[i], rels2[i], p)
+            lhs, rhs, worlds = compose(q.T, r), compose(rp, q.T), (wb, wa)
+            if DIRECTIONS[tag][0]:
+                lhs, rhs, worlds = lhs.T, rhs.T, worlds[::-1]
+            checks.append(_check(f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i),
+                                 lhs, rhs, worlds, values))
+    return checks + vector_checks(3, _COND3_TEXT)
 
 
 @dataclass
@@ -267,33 +236,21 @@ class SimReport:
         }
 
 
-def _initial_relation(m1: KripkeModel, m2: KripkeModel, sim_type: SimType) -> FuzzyMat:
-    """Entrywise greatest solution of the -3 conditions (by adjunction)."""
-    alg = m1.algebra
-    op = alg.residuum if sim_type.is_simulation else alg.biimplication
-    n1, n2 = len(m1.worlds), len(m2.worlds)
-    variables = sorted(m1.valuation)
-    rows = []
-    for w in range(n1):
-        row = []
-        for wp in range(n2):
-            value = ONE
-            for p in variables:
-                value = alg.meet(value, op(m1.valuation[p][w], m2.valuation[p][wp]))
-            row.append(value)
-        rows.append(row)
-    return FuzzyMat(alg, rows)
+def _initial_relation(v1: np.ndarray, v2: np.ndarray, top, sim_type: SimType) -> np.ndarray:
+    """Entrywise greatest solution of the -3 conditions (by adjunction).
+
+    That is the weak closed form over the variables, whose level vectors
+    are the rows of ``v1`` and ``v2``: a meet of residua for the
+    simulations, of biimplications for the bisimulations.
+    """
+    fold = residual_fold if sim_type.is_simulation else biimplication_fold
+    return fold(v1.T, v2.T, top)
 
 
 def iteration_cap(m1: KripkeModel, m2: KripkeModel) -> int:
     """Default sweep cap: generous, and only reachable on an internal error."""
-    values = {0, 1}
-    for m in (m1, m2):
-        for rel in m.relations.values():
-            values |= rel.values_used()
-        for vec in m.valuation.values():
-            values |= set(vec.values)
-    return 10 * len(m1.worlds) * len(m2.worlds) * len(values) + 10
+    universe = Universe(chain(m1.entries(), m2.entries()))
+    return 10 * len(m1.worlds) * len(m2.worlds) * len(universe) + 10
 
 
 def greatest_pre(
@@ -313,12 +270,18 @@ def greatest_pre(
     if max_iterations is None:
         max_iterations = iteration_cap(m1, m2)
 
-    phi = _initial_relation(m1, m2, sim_type)
-    updates = [
-        (RESIDUAL_UPDATES[tag], m1.relations[i], m2.relations[i])
-        for tag in _THETA2[sim_type]
-        for i in m1.indices
-    ]
+    universe = Universe(chain(m1.entries(), m2.entries()))
+    top = universe.top
+    rels1, vals1 = m1.encoded(universe)
+    rels2, vals2 = m2.encoded(universe)
+    variables = sorted(m1.valuation)
+    phi = _initial_relation(
+        np.array([vals1[v] for v in variables], universe.dtype).reshape(-1, len(m1.worlds)),
+        np.array([vals2[v] for v in variables], universe.dtype).reshape(-1, len(m2.worlds)),
+        top,
+        sim_type,
+    )
+    updates = [(tag, rels1[i], rels2[i]) for tag in _THETA2[sim_type] for i in m1.indices]
     iterations = 0
     while True:
         if iterations > max_iterations:
@@ -327,19 +290,20 @@ def greatest_pre(
                 "this indicates an internal error"
             )
         new = phi
-        for update, r, rp in updates:
-            new = new.meet(update(r, rp, phi))
+        for tag, r, rp in updates:
+            new = np.minimum(new, RESIDUAL_UPDATES[tag](r, rp, phi, top))
         iterations += 1
-        if new == phi:
+        if np.array_equal(new, phi):
             break
         phi = new
 
-    conditions = check_conditions(m1, m2, phi, sim_type)
+    matrix = FuzzyMat(m1.algebra, universe.decode(phi))
+    conditions = check_conditions(m1, m2, matrix, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
-    nonempty = not phi.is_zero()
+    nonempty = bool(phi.any())
     return SimReport(
         sim_type=sim_type,
-        matrix=phi,
+        matrix=matrix,
         row_worlds=m1.worlds,
         col_worlds=m2.worlds,
         iterations=iterations,

@@ -21,17 +21,13 @@ import argparse
 import json
 import sys
 
-from .algebra import AlgebraError, format_value, parse_value
+from .algebra import AlgebraError, format_value
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
-from .model import KripkeModel, ModelError
-from .syntax import Fragment, ParseError, parse, parse_corpus
-from .weak import greatest_weak
-
-
-def _load_model(path: str) -> KripkeModel:
-    return KripkeModel.load(path)
+from .model import KripkeModel, ModelError, parse_rows
+from .syntax import Fragment, ParseError, enumerate_formulas, parse, parse_corpus
+from .weak import enumerated_weak, greatest_weak
 
 
 def _load_relation(path: str, algebra, shape) -> FuzzyMat:
@@ -42,9 +38,7 @@ def _load_relation(path: str, algebra, shape) -> FuzzyMat:
             raise ModelError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict) or "relation" not in data:
         raise ModelError(f"{path} must be a JSON object with a 'relation' key")
-    mat = FuzzyMat(
-        algebra, ((parse_value(str(v)) for v in row) for row in data["relation"])
-    )
+    mat = FuzzyMat(algebra, parse_rows(data["relation"], f"{path}: relation"))
     if mat.shape != shape:
         raise ModelError(f"relation shape {mat.shape} does not match models {shape}")
     return mat
@@ -72,7 +66,7 @@ def _emit(args, payload: dict, human_lines) -> None:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args.model)
+    model = KripkeModel.load(args.model)
     formula = parse(args.formula)
     vec = model.eval_vec(formula)
     if args.world is not None:
@@ -96,8 +90,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    m1 = _load_model(args.model_a)
-    m2 = _load_model(args.model_b)
+    m1 = KripkeModel.load(args.model_a)
+    m2 = KripkeModel.load(args.model_b)
     report = greatest_pre(m1, m2, SimType(args.type))
 
     def human(out):
@@ -113,21 +107,19 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_weak(args) -> int:
-    m1 = _load_model(args.model_a)
-    m2 = _load_model(args.model_b)
+    m1 = KripkeModel.load(args.model_a)
+    m2 = KripkeModel.load(args.model_b)
     if args.corpus is not None:
         with open(args.corpus, encoding="utf-8") as fh:
             formulas = parse_corpus(fh.read())
         if not formulas:
             raise ModelError(f"corpus {args.corpus} contains no formulae")
+        report = greatest_weak(m1, m2, formulas)
     else:
-        from .syntax import enumerate_formulas
-
         enum = enumerate_formulas(
             m1, m2, Fragment(args.fragment), args.depth, budget=args.budget
         )
-        formulas = enum.formulas()
-    report = greatest_weak(m1, m2, formulas)
+        report = enumerated_weak(m1, m2, enum)
 
     def human(out):
         out.write(f"formulas: {report.formula_count}\n")
@@ -144,8 +136,8 @@ def cmd_weak(args) -> int:
 
 
 def cmd_hm(args) -> int:
-    m1 = _load_model(args.model_a)
-    m2 = _load_model(args.model_b)
+    m1 = KripkeModel.load(args.model_a)
+    m2 = KripkeModel.load(args.model_b)
     report = hm_check(
         m1, m2, Fragment(args.fragment),
         max_depth=args.depth_cap, budget=args.budget,
@@ -181,8 +173,8 @@ def cmd_hm(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m1 = _load_model(args.model_a)
-    m2 = _load_model(args.model_b)
+    m1 = KripkeModel.load(args.model_a)
+    m2 = KripkeModel.load(args.model_b)
     sim_type = SimType(args.type)
     phi = _load_relation(
         args.relation, m1.algebra, (len(m1.worlds), len(m2.worlds))
@@ -213,7 +205,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reverse(args) -> int:
-    model = _load_model(args.model)
+    model = KripkeModel.load(args.model)
     text = model.reverse().to_json()
     if args.output is None:
         sys.stdout.write(text)

@@ -19,14 +19,19 @@ is a meet of residua, e.g. for phi^-1 o R <= R' o phi^-1:
     chi(u, u') = meet_v  R(u, v) -> (R' o phi^-1)(u', v)
 
 All entries stay inside the (finite) set of input values plus {0, 1}, which
-is what makes the downstream fixpoint iterations terminate.
+is what makes the downstream fixpoint iterations terminate.  The vectors
+and matrices here are the exact boundary type: every composition and
+update encodes its operands into levels and runs in :mod:`.levels`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable
 
+from . import levels
 from .algebra import Algebra, ONE, ZERO
 
 
@@ -57,18 +62,6 @@ class FuzzyVec:
     def __setattr__(self, name, value):
         raise AttributeError("FuzzyVec is immutable")
 
-    @classmethod
-    def constant(cls, algebra: Algebra, size: int, value: Fraction) -> "FuzzyVec":
-        return cls(algebra, (value,) * size)
-
-    @classmethod
-    def zeros(cls, algebra: Algebra, size: int) -> "FuzzyVec":
-        return cls.constant(algebra, size, ZERO)
-
-    @classmethod
-    def ones(cls, algebra: Algebra, size: int) -> "FuzzyVec":
-        return cls.constant(algebra, size, ONE)
-
     def __len__(self):
         return len(self.values)
 
@@ -94,42 +87,17 @@ class FuzzyVec:
         if len(self) != len(other):
             raise ValueError(f"vector length mismatch: {len(self)} vs {len(other)}")
 
-    def meet(self, other: "FuzzyVec") -> "FuzzyVec":
-        self._check_compatible(other)
-        return FuzzyVec(self.algebra, (min(a, b) for a, b in zip(self.values, other.values)))
-
-    def join(self, other: "FuzzyVec") -> "FuzzyVec":
-        self._check_compatible(other)
-        return FuzzyVec(self.algebra, (max(a, b) for a, b in zip(self.values, other.values)))
-
-    def leq(self, other: "FuzzyVec") -> bool:
-        self._check_compatible(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
-
-    def first_violation(self, other: "FuzzyVec"):
-        """First index where self > other, as (index, lhs, rhs), or None."""
-        self._check_compatible(other)
-        for i, (a, b) in enumerate(zip(self.values, other.values)):
-            if a > b:
-                return (i, a, b)
-        return None
-
     def compose_mat(self, phi: "FuzzyMat") -> "FuzzyVec":
         """(self o phi)(b) = join_a self(a) /\\ phi(a, b)."""
         self.algebra.check_same(phi.algebra)
-        k, m = phi.shape
-        if len(self) != k:
+        if len(self) != phi.shape[0]:
             raise ValueError(f"dimension mismatch: vector {len(self)} vs matrix {phi.shape}")
-        f = self.values
-        return FuzzyVec(
-            self.algebra,
-            (max(min(f[a], phi.rows[a][b]) for a in range(k)) for b in range(m)),
-        )
+        return FuzzyVec(self.algebra, _compose((self.values,), phi.rows)[0])
 
     def compose_vec(self, other: "FuzzyVec") -> Fraction:
         """self o other = join_a self(a) /\\ other(a)."""
         self._check_compatible(other)
-        return max(min(a, b) for a, b in zip(self.values, other.values))
+        return _compose((self.values,), tuple(zip(other.values)))[0][0]
 
 
 class FuzzyMat:
@@ -214,15 +182,6 @@ class FuzzyMat:
             a <= b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    def first_violation(self, other: "FuzzyMat"):
-        """First entry where self > other, as ((i, j), lhs, rhs), or None."""
-        self._check_compatible(other)
-        for i, (ra, rb) in enumerate(zip(self.rows, other.rows)):
-            for j, (a, b) in enumerate(zip(ra, rb)):
-                if a > b:
-                    return ((i, j), a, b)
-        return None
-
     def inverse(self) -> "FuzzyMat":
         """The inverse relation: the transpose."""
         return FuzzyMat(self.algebra, zip(*self.rows))
@@ -230,29 +189,17 @@ class FuzzyMat:
     def compose(self, other: "FuzzyMat") -> "FuzzyMat":
         """(self o other)(a, c) = join_b self(a, b) /\\ other(b, c)."""
         self.algebra.check_same(other.algebra)
-        k, n = self.shape
-        n2, m = other.shape
-        if n != n2:
+        if self.shape[1] != other.shape[0]:
             raise ValueError(f"dimension mismatch: {self.shape} o {other.shape}")
-        cols = other.inverse().rows
-        return FuzzyMat(
-            self.algebra,
-            (
-                (max(min(row[b], col[b]) for b in range(n)) for col in cols)
-                for row in self.rows
-            ),
-        )
+        return FuzzyMat(self.algebra, _compose(self.rows, other.rows))
 
     def compose_vec(self, g: FuzzyVec) -> FuzzyVec:
         """(self o g)(a) = join_b self(a, b) /\\ g(b)."""
         self.algebra.check_same(g.algebra)
-        k, m = self.shape
-        if len(g) != m:
+        if len(g) != self.shape[1]:
             raise ValueError(f"dimension mismatch: matrix {self.shape} vs vector {len(g)}")
-        return FuzzyVec(
-            self.algebra,
-            (max(min(row[b], g.values[b]) for b in range(m)) for row in self.rows),
-        )
+        column = _compose(self.rows, tuple(zip(g.values)))
+        return FuzzyVec(self.algebra, (row[0] for row in column))
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
@@ -279,15 +226,27 @@ def nonzero_profile(phi: FuzzyMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return rows, cols
 
 
+def _compose(a_rows, b_rows) -> list:
+    """Max-min product of two row-major value matrices, through the kernel."""
+    universe = levels.Universe(chain(chain.from_iterable(a_rows), chain.from_iterable(b_rows)))
+    return universe.decode(levels.compose(universe.encode(a_rows), universe.encode(b_rows)))
+
+
 # -- residual updates ------------------------------------------------------
 #
 # Each update takes the two endo-relations R (on the left-hand worlds) and
 # Rp (on the right-hand worlds) plus the current iterate phi, and returns
 # the greatest chi making the indicated inequality hold for phi /\ chi
-# against compositions of the current phi.
+# against compositions of the current phi.  The table holds the level
+# updates the fixpoint calls each sweep; the public functions below take
+# and return exact matrices and go through it.
+
+RESIDUAL_UPDATES: dict[str, Callable] = {
+    tag: partial(levels.residual_update, tag) for tag in levels.DIRECTIONS
+}
 
 
-def _check_update_args(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> tuple[int, int]:
+def _update(tag: str, r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
     r.algebra.check_same(rp.algebra)
     r.algebra.check_same(phi.algebra)
     k, k2 = r.shape
@@ -296,80 +255,27 @@ def _check_update_args(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> tuple[int, i
         raise ValueError("relation matrices must be square")
     if phi.shape != (k, m):
         raise ValueError(f"phi shape {phi.shape} does not match relations {(k, m)}")
-    return k, m
+    universe = levels.Universe(chain.from_iterable(r.rows + rp.rows + phi.rows))
+    encode = universe.encode
+    chi = RESIDUAL_UPDATES[tag](encode(r.rows), encode(rp.rows), encode(phi.rows), universe.top)
+    return FuzzyMat(phi.algebra, universe.decode(chi))
 
 
 def update_forward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
     """Greatest chi for:  (phi /\\ chi)^-1 o R  <=  R' o phi^-1."""
-    k, m = _check_update_args(r, rp, phi)
-    res = phi.algebra.residuum
-    bound = rp.compose(phi.inverse())  # m x k, entry (u', v)
-    return FuzzyMat(
-        phi.algebra,
-        (
-            (
-                min(res(r.rows[u][v], bound.rows[up][v]) for v in range(k))
-                for up in range(m)
-            )
-            for u in range(k)
-        ),
-    )
+    return _update("fwd", r, rp, phi)
 
 
 def update_forward_inv(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
     """Greatest chi for:  (phi /\\ chi) o R'  <=  R o phi."""
-    k, m = _check_update_args(r, rp, phi)
-    res = phi.algebra.residuum
-    bound = r.compose(phi)  # k x m, entry (u, v')
-    return FuzzyMat(
-        phi.algebra,
-        (
-            (
-                min(res(rp.rows[up][vp], bound.rows[u][vp]) for vp in range(m))
-                for up in range(m)
-            )
-            for u in range(k)
-        ),
-    )
+    return _update("fwd_inv", r, rp, phi)
 
 
 def update_backward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
     """Greatest chi for:  R o (phi /\\ chi)  <=  phi o R'."""
-    k, m = _check_update_args(r, rp, phi)
-    res = phi.algebra.residuum
-    bound = phi.compose(rp)  # k x m, entry (v, u')
-    return FuzzyMat(
-        phi.algebra,
-        (
-            (
-                min(res(r.rows[v][u], bound.rows[v][up]) for v in range(k))
-                for up in range(m)
-            )
-            for u in range(k)
-        ),
-    )
+    return _update("bwd", r, rp, phi)
 
 
 def update_backward_inv(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
     """Greatest chi for:  R' o (phi /\\ chi)^-1  <=  phi^-1 o R."""
-    k, m = _check_update_args(r, rp, phi)
-    res = phi.algebra.residuum
-    bound = phi.inverse().compose(r)  # m x k, entry (v', u)
-    return FuzzyMat(
-        phi.algebra,
-        (
-            (
-                min(res(rp.rows[vp][up], bound.rows[vp][u]) for vp in range(m))
-                for up in range(m)
-            )
-            for u in range(k)
-        ),
-    )
-
-
-RESIDUAL_UPDATES: dict[str, Callable[[FuzzyMat, FuzzyMat, FuzzyMat], FuzzyMat]] = {
-    "fwd": update_forward,
-    "fwd_inv": update_forward_inv,
-    "bwd": update_backward,
-    "bwd_inv": update_backward_inv,
-}
+    return _update("bwd_inv", r, rp, phi)

@@ -34,6 +34,7 @@ import numpy as np
 from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
+from .levels import biimplication, biimplication_fold, first_violation
 from .model import KripkeModel, check_comparable
 from .syntax import (
     Const,
@@ -52,43 +53,15 @@ THETA_FOR_FRAGMENT = {
 }
 
 
-def _require_linear(algebra: Algebra) -> None:
-    # Every supported algebra is a chain; the guard documents the theorem
-    # hypothesis and protects future non-linear carriers.
-    if algebra.kind not in ("boolean", "chain", "godel"):
-        raise ValueError(f"{algebra.spec()} is not linearly ordered")
+def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
+    """The weak prebisimulation of the enumerated formulae, folded on levels.
 
-
-def _weak_matrix_from_classes(
-    enum: FormulaEnumeration,
-    n1: int,
-    n2: int,
-    bisim: bool = True,
-    generators_only: bool = False,
-) -> FuzzyMat:
-    """Fold the enumerated classes into the weak closed form, on levels.
-
-    With ``generators_only`` the fold skips the binary-connective rows,
-    which never lower a biimplication fold (see
-    :meth:`FormulaEnumeration.generator_indices`); that shortcut is not
-    sound for the residuum fold, hence the guard.
+    The fold skips the binary-connective rows, which never lower a
+    biimplication fold (see :meth:`FormulaEnumeration.generator_indices`).
     """
-    if generators_only:
-        if not bisim:
-            raise ValueError("generators_only applies to biimplication folds only")
-        lv1, lv2 = enum.generator_vectors()
-    else:
-        lv1, lv2 = enum.level_vectors()
-    top = lv1.dtype.type(len(enum.values) - 1)
-    a = lv1[:, :, None]
-    b = lv2[:, None, :]
-    if bisim:
-        pointwise = np.where(a == b, top, np.minimum(a, b))
-    else:
-        pointwise = np.where(a <= b, top, b)
-    levels = pointwise.min(axis=0) if pointwise.shape[0] else np.full((n1, n2), top)
-    values = enum.values
-    return FuzzyMat(enum.algebra, ((values[int(v)] for v in row) for row in levels))
+    lv1, lv2 = enum.generator_vectors()
+    levels = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
+    return FuzzyMat(enum.algebra, enum.universe.decode(levels))
 
 
 def weak_by_depth(
@@ -112,9 +85,7 @@ def weak_by_depth(
         budget=budget, include_boxes=include_boxes,
     )
     enum.extend_generators(depth)
-    return _weak_matrix_from_classes(
-        enum, len(m1.worlds), len(m2.worlds), generators_only=True
-    )
+    return _ladder_matrix(enum)
 
 
 @dataclass
@@ -193,7 +164,6 @@ def hm_check(
             "use plus, minus or full"
         )
     check_comparable(m1, m2)
-    _require_linear(m1.algebra)
     sim_type = THETA_FOR_FRAGMENT[fragment]
     strong = greatest_pre(m1, m2, sim_type)
 
@@ -208,7 +178,7 @@ def hm_check(
     previous = None
     for depth in range(max_depth + 1):
         enum.extend_generators(depth)
-        matrix = _weak_matrix_from_classes(enum, n1, n2, generators_only=True)
+        matrix = _ladder_matrix(enum)
         steps.append(DepthStep(depth, matrix, len(enum), enum.truncated))
         if matrix == strong.matrix:
             converged_at = depth
@@ -285,19 +255,14 @@ def invariance_check(
         )
     strong = greatest_pre(m1, m2, sim_type).matrix
     enum = FormulaEnumeration(m1, m2, fragment, budget=budget).extend_generators(depth)
-    level = {v: i for i, v in enumerate(enum.values)}
-    strong_lv = np.array(
-        [[level[v] for v in row] for row in strong.rows], dtype=np.int64
-    )
+    universe = enum.universe
     lv1, lv2 = enum.generator_vectors()
-    a = lv1[:, :, None].astype(np.int64)
-    b = lv2[:, None, :].astype(np.int64)
-    top = np.int64(len(enum.values) - 1)
-    bounds = np.where(a == b, top, np.minimum(a, b))
+    bounds = biimplication(lv1[:, :, None], lv2[:, None, :], universe.top)
     checked = len(enum.generator_indices())
-    broken = bounds < strong_lv[None, :, :]
-    if broken.any():
-        k, w, wp = np.unravel_index(int(np.argmax(broken)), broken.shape)
+    strong_lv = np.broadcast_to(universe.encode(strong.rows), bounds.shape)
+    broken = first_violation(strong_lv, bounds)
+    if broken is not None:
+        k, w, wp = broken
         idx = enum.generator_indices()[k]
         return InvarianceReport(
             sim_type, fragment, checked, False,
@@ -305,7 +270,7 @@ def invariance_check(
                 "formula": to_text(enum.formula(idx)),
                 "pair": [m1.worlds[w], m2.worlds[wp]],
                 "relation": format_value(strong.rows[w][wp]),
-                "bound": format_value(enum.values[int(bounds[k, w, wp])]),
+                "bound": format_value(universe.values[bounds[k, w, wp]]),
             },
         )
     return InvarianceReport(sim_type, fragment, checked, True, None)
@@ -354,7 +319,6 @@ def noninvariance_demo(algebra: Optional[Algebra] = None) -> DemoReport:
     """
     if algebra is None:
         algebra = Algebra.godel()
-    _require_linear(algebra)
 
     if algebra.kind == "boolean" or (algebra.kind == "chain" and algebra.levels < 3):
         carrier = algebra.carrier()

@@ -21,8 +21,10 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 ``worlds`` (list of names), ``indices`` (list of integers), ``relations``
 (map from index to a row-major matrix of decimal strings) and
 ``valuation`` (map from variable to a vector of decimal strings).  Values
-are parsed exactly; everything is validated eagerly on load so that
-evaluation never revalidates.
+are parsed exactly (JSON integers are exact too; JSON floats and booleans
+are rejected); everything is validated eagerly on load so that
+evaluation never revalidates.  Evaluation runs on level arrays
+(:mod:`.levels`) and decodes once.
 """
 
 from __future__ import annotations
@@ -30,21 +32,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Optional
+
+import numpy as np
 
 from .algebra import Algebra, format_value, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec
-from .syntax import (
-    And,
-    Box,
-    BoxInv,
-    Const,
-    Diamond,
-    DiamondInv,
-    Formula,
-    Implies,
-    Var,
-)
+from .levels import Universe, modal, residuum
+from .syntax import _NODE_FOR_OP, And, Const, Formula, Implies, Var
+
+_OP_FOR_NODE = {node: op for op, node in _NODE_FOR_OP.items()}
 
 
 class ModelError(ValueError):
@@ -130,48 +128,59 @@ class KripkeModel:
             self.valuation,
         )
 
+    def entries(self) -> Iterator[Fraction]:
+        """Every relation and valuation entry, repeats included: the values a
+        level universe of the model must hold."""
+        return chain(
+            chain.from_iterable(row for rel in self.relations.values() for row in rel.rows),
+            chain.from_iterable(vec.values for vec in self.valuation.values()),
+        )
+
+    def encoded(self, universe: Universe) -> tuple[dict, dict]:
+        """The relations (by index) and the valuation (by variable) as level
+        arrays of ``universe``, which must hold every value of the model."""
+        return (
+            {i: universe.encode(rel.rows) for i, rel in self.relations.items()},
+            {p: universe.encode(vec.values) for p, vec in self.valuation.items()},
+        )
+
     # -- evaluation ----------------------------------------------------------
+
+    def eval_levels(self, formulas: Iterable[Formula], universe: Universe) -> np.ndarray:
+        """Level vectors of ``formulas``, one row each, over all worlds.
+
+        ``universe`` must hold every value of the model and every constant
+        of the formulae (see :func:`formula_constants`).
+        """
+        rels, vals = self.encoded(universe)
+        n = len(self.worlds)
+        top = universe.top
+
+        def value(f: Formula) -> np.ndarray:
+            if isinstance(f, Const):
+                return universe.encode((f.value,) * n)
+            if isinstance(f, Var):
+                try:
+                    return vals[f.name]
+                except KeyError:
+                    raise ModelError(f"undeclared variable {f.name!r}") from None
+            if isinstance(f, And):
+                return np.minimum(value(f.left), value(f.right))
+            if isinstance(f, Implies):
+                return residuum(value(f.left), value(f.right), top)
+            try:
+                rel = rels[f.index]
+            except KeyError:
+                raise ModelError(f"undeclared relation index {f.index}") from None
+            return modal(_OP_FOR_NODE[type(f)], rel, value(f.child)[None, :], top)[0]
+
+        rows = [value(f) for f in formulas]
+        return np.array(rows, dtype=universe.dtype).reshape(len(rows), n)
 
     def eval_vec(self, f: Formula) -> FuzzyVec:
         """The value vector of ``f`` over all worlds."""
-        alg = self.algebra
-        n = len(self.worlds)
-        if isinstance(f, Const):
-            alg.check_value(f.value)
-            return FuzzyVec.constant(alg, n, f.value)
-        if isinstance(f, Var):
-            try:
-                return self.valuation[f.name]
-            except KeyError:
-                raise ModelError(f"undeclared variable {f.name!r}") from None
-        if isinstance(f, And):
-            return self.eval_vec(f.left).meet(self.eval_vec(f.right))
-        if isinstance(f, Implies):
-            left = self.eval_vec(f.left)
-            right = self.eval_vec(f.right)
-            res = alg.residuum
-            return FuzzyVec(alg, (res(a, b) for a, b in zip(left, right)))
-        try:
-            rel = self.relations[f.index]
-        except KeyError:
-            raise ModelError(f"undeclared relation index {f.index}") from None
-        child = self.eval_vec(f.child)
-        rows = rel.rows
-        rng = range(n)
-        res = alg.residuum
-        if isinstance(f, Diamond):
-            return rel.compose_vec(child)
-        if isinstance(f, Box):
-            return FuzzyVec(
-                alg, (min(res(rows[w][u], child[u]) for u in rng) for w in rng)
-            )
-        if isinstance(f, DiamondInv):
-            return FuzzyVec(
-                alg, (max(min(rows[u][w], child[u]) for u in rng) for w in rng)
-            )
-        return FuzzyVec(
-            alg, (min(res(rows[u][w], child[u]) for u in rng) for w in rng)
-        )
+        universe = Universe(chain(self.entries(), formula_constants(self.algebra, [f])))
+        return FuzzyVec(self.algebra, universe.decode(self.eval_levels([f], universe)[0]))
 
     def eval(self, world: str, f: Formula) -> Fraction:
         """The value of ``f`` at one world."""
@@ -187,25 +196,25 @@ class KripkeModel:
             if key not in data:
                 raise ModelError(f"model document is missing {key!r}")
         algebra = Algebra.from_spec(str(data["algebra"]))
-        worlds = [str(w) for w in data["worlds"]]
+        worlds = _require(data["worlds"], list, "'worlds' must be a list of names")
+        for w in worlds:
+            _require(w, str, f"world name {json.dumps(w)} is not a string")
         declared = []
-        for i in data["indices"]:
+        for i in _require(data["indices"], list, "'indices' must be a list of integers"):
             if not isinstance(i, int) or isinstance(i, bool):
                 raise ModelError(f"relation index {i!r} is not an integer")
             declared.append(i)
-        raw_relations = data["relations"]
+        raw_relations = _require(data["relations"], dict, "'relations' must be an object")
         if set(map(str, declared)) != set(map(str, raw_relations)):
             raise ModelError("declared indices and relation keys do not match")
         relations = {}
         for key, rows in raw_relations.items():
-            i = int(key)
-            relations[i] = FuzzyMat(
-                algebra, ((parse_value(str(v)) for v in row) for row in rows)
-            )
+            relations[int(key)] = FuzzyMat(algebra, parse_rows(rows, f"relation {key}"))
         valuation = {}
-        for name, entries in data["valuation"].items():
-            valuation[str(name)] = FuzzyVec(
-                algebra, (parse_value(str(v)) for v in entries)
+        raw_valuation = _require(data["valuation"], dict, "'valuation' must be an object")
+        for name, entries in raw_valuation.items():
+            valuation[name] = FuzzyVec(
+                algebra, _parse_entries(entries, f"valuation of {name!r}")
             )
         try:
             return cls(algebra, worlds, relations, valuation)
@@ -246,6 +255,62 @@ class KripkeModel:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def _require(value, kind: type, message: str):
+    if not isinstance(value, kind):
+        raise ModelError(message)
+    return value
+
+
+def _parse_entries(entries, where: str) -> list[Fraction]:
+    """Exact values of a JSON list of decimal strings (or integers)."""
+    _require(entries, list, f"{where} must be a list of values")
+    out = []
+    for k, v in enumerate(entries):
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            raise ModelError(
+                f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
+                'write it as a string such as "0.3"'
+            )
+        out.append(parse_value(str(v)))
+    return out
+
+
+def parse_rows(rows, where: str) -> list[list[Fraction]]:
+    """Exact values of a JSON matrix: a list of rows of decimal strings.
+
+    Anything else, a string where a list belongs or a JSON float among the
+    values, raises :class:`ModelError` naming the entry.
+    """
+    _require(rows, list, f"{where} must be a list of rows")
+    return [_parse_entries(row, f"{where}, row {r}") for r, row in enumerate(rows)]
+
+
+def formula_constants(algebra: Algebra, formulas: Iterable[Formula]) -> set[Fraction]:
+    """The truth constants occurring in ``formulas``, checked against ``algebra``."""
+    found = set()
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Const):
+            found.add(algebra.check_value(node.value))
+        elif isinstance(node, (And, Implies)):
+            stack += (node.left, node.right)
+        elif not isinstance(node, Var):
+            stack.append(node.child)
+    return found
+
+
+def formula_levels(m1: KripkeModel, m2: KripkeModel, formulas: list, *extra: FuzzyMat):
+    """The value universe of a model pair, the constants of ``formulas``
+    and the entries of the ``extra`` matrices, with the level vectors of
+    ``formulas`` on each model (one row per formula)."""
+    universe = Universe(chain(
+        m1.entries(), m2.entries(), formula_constants(m1.algebra, formulas),
+        *(chain.from_iterable(mat.rows) for mat in extra),
+    ))
+    return universe, m1.eval_levels(formulas, universe), m2.eval_levels(formulas, universe)
 
 
 def _render_json(node, indent: str = "") -> str:
@@ -308,8 +373,8 @@ def phi_equivalent(
     formulas = list(formulas)
     if not formulas:
         raise ModelError("equivalence over an empty formula set is undefined")
-    profile1 = [tuple(m1.eval_vec(f)[i] for f in formulas) for i in range(len(m1.worlds))]
-    profile2 = [tuple(m2.eval_vec(f)[j] for f in formulas) for j in range(len(m2.worlds))]
+    _, lv1, lv2 = formula_levels(m1, m2, formulas)
+    profile1, profile2 = lv1.T.tolist(), lv2.T.tolist()
     pairing_left = {}
     pairing_right = {}
     for i, w in enumerate(m1.worlds):

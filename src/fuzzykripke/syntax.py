@@ -25,11 +25,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
 
-from .algebra import ONE, ZERO, format_value
+from . import levels
+from .algebra import ZERO, format_value
 
 if TYPE_CHECKING:
     from .model import KripkeModel
@@ -358,10 +360,10 @@ def parse_corpus(text: str) -> list[Formula]:
 #
 # Formulae are enumerated up to semantic equivalence ON A GIVEN PAIR of
 # models: the key of a formula is the pair of its value vectors over the two
-# world sets.  Values are interned into integer levels (the occurring values
-# plus 0 and 1, which is closed under every connective on a chain), so all
-# the saturation work runs on small-integer numpy arrays; exact Fractions
-# are recovered at the boundary.
+# world sets.  Values are interned into the levels of the pair's value
+# universe (the occurring values plus 0 and 1, which is closed under every
+# connective on a chain), so all the saturation work runs on the level
+# kernel of :mod:`.levels`; exact Fractions are recovered at the boundary.
 #
 # The class store is one growing (count, n1 + n2) level matrix.  Closing it
 # under the binary connectives pairs every new row against every known row
@@ -439,16 +441,11 @@ class FormulaEnumeration:
         self.indices = tuple(idx)
 
         if constants is None:
-            used = {ZERO, ONE}
-            for m in (m1, m2):
-                for rel in m.relations.values():
-                    used |= rel.values_used()
-                for vec in m.valuation.values():
-                    used |= set(vec.values)
-            consts = sorted(used)
+            self.universe = levels.Universe(chain(m1.entries(), m2.entries()))
+            self.constants = self.universe.values
         else:
-            consts = sorted({self.algebra.check_value(c) for c in constants})
-        self.constants = tuple(consts)
+            self.constants = tuple(sorted({self.algebra.check_value(c) for c in constants}))
+            self.universe = levels.Universe(chain(m1.entries(), m2.entries(), self.constants))
         if not self.variables and not self.constants:
             raise ValueError("enumeration needs at least one variable or constant")
 
@@ -457,37 +454,12 @@ class FormulaEnumeration:
             ops = tuple(op for op in ops if not op.startswith("box"))
         self._unary_ops = ops
 
-        # value universe: everything that can ever appear, interned to levels
-        universe = {ZERO, ONE}
-        universe.update(self.constants)
-        for m in (m1, m2):
-            for rel in m.relations.values():
-                universe |= rel.values_used()
-            for name in self.variables:
-                universe |= set(m.valuation[name].values)
-        self.values: tuple[Fraction, ...] = tuple(sorted(universe))
-        self._level = {v: i for i, v in enumerate(self.values)}
-        self._top = len(self.values) - 1
-
-        if len(self.values) > 65535:
-            raise ValueError("value universe too large to enumerate over")
-        self._dt = np.uint8 if len(self.values) <= 255 else np.uint16
+        self.values: tuple[Fraction, ...] = self.universe.values
+        self._dt = self.universe.dtype
         self._n1 = len(m1.worlds)
         self._n2 = len(m2.worlds)
-        self._rel1 = {
-            i: np.array(
-                [[self._level[v] for v in row] for row in m1.relations[i].rows],
-                dtype=self._dt,
-            )
-            for i in self.indices
-        }
-        self._rel2 = {
-            i: np.array(
-                [[self._level[v] for v in row] for row in m2.relations[i].rows],
-                dtype=self._dt,
-            )
-            for i in self.indices
-        }
+        self._rel1, self._val1 = m1.encoded(self.universe)
+        self._rel2, self._val2 = m2.encoded(self.universe)
 
         # one level row per class; op/args/depth run parallel for rebuilding
         width = self._n1 + self._n2
@@ -505,15 +477,13 @@ class FormulaEnumeration:
         )
         self._formula_cache: dict[int, Formula] = {}
 
-        self._seed_atoms(m1, m2)
+        self._seed_atoms()
         self._saturate(0)
         self.depth = 0
         self._modal_depth = 0
         self._sat_base = self._count
 
     # -- construction internals -------------------------------------------
-
-    _BATCH = 1 << 23  # elements per candidate block during saturation
 
     def _grow(self, need: int) -> None:
         cap = self._rows.shape[0]
@@ -593,18 +563,15 @@ class FormulaEnumeration:
             self._keys_sorted = np.sort(np.concatenate([self._keys_sorted, new_words]))
         return not self.truncated
 
-    def _seed_atoms(self, m1: "KripkeModel", m2: "KripkeModel") -> None:
+    def _seed_atoms(self) -> None:
         width = self._n1 + self._n2
         if self.constants:
-            block = np.empty((len(self.constants), width), dtype=self._dt)
-            for r, c in enumerate(self.constants):
-                block[r, :] = self._level[c]
+            block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
             self._absorb(block, "const", lambda f: self.constants[f], lambda f: 0)
         if self.variables and not self.truncated:
-            block = np.empty((len(self.variables), width), dtype=self._dt)
-            for r, p in enumerate(self.variables):
-                block[r, : self._n1] = [self._level[v] for v in m1.valuation[p].values]
-                block[r, self._n1 :] = [self._level[v] for v in m2.valuation[p].values]
+            block = np.array(
+                [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
+            )
             self._absorb(block, "var", lambda f: self.variables[f], lambda f: 0)
 
     def _saturate(self, start: int) -> None:
@@ -615,13 +582,13 @@ class FormulaEnumeration:
         is eventually combined.  Candidates are produced in fixed-size
         batches to bound peak memory.
         """
-        top = self._dt(self._top)
+        top = self.universe.top
         while start < self._count and not self.truncated:
             n_all = self._count
             all_rows = self._rows[:n_all].copy()
             all_depth = self._class_depth[:n_all]
             rhs = all_rows[None, :, :]
-            chunk = max(1, self._BATCH // max(1, n_all * all_rows.shape[1]))
+            chunk = max(1, levels.BATCH // max(1, n_all * all_rows.shape[1]))
             base = start
             while base < n_all and not self.truncated:
                 hi = min(base + chunk, n_all)
@@ -650,10 +617,9 @@ class FormulaEnumeration:
 
                 produced = (
                     ("and", args_sym, lambda: np.minimum(lhs, rhs)),
-                    ("implies", args_fwd, lambda: np.where(lhs <= rhs, top, rhs)),
-                    ("implies", args_rev, lambda: np.where(rhs <= lhs, top, lhs)),
-                    ("iff", args_sym,
-                     lambda: np.where(lhs == rhs, top, np.minimum(lhs, rhs))),
+                    ("implies", args_fwd, lambda: levels.residuum(lhs, rhs, top)),
+                    ("implies", args_rev, lambda: levels.residuum(rhs, lhs, top)),
+                    ("iff", args_sym, lambda: levels.biimplication(lhs, rhs, top)),
                 )
                 for op, args_for, make in produced:
                     cand = make().reshape(f * n_all, -1)
@@ -661,28 +627,6 @@ class FormulaEnumeration:
                         return
                 base = hi
             start = n_all
-
-    def _modal_block(self, op: str, rel: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        """Apply one modality with level matrix ``rel`` to class rows ``vecs``."""
-        top = self._dt(self._top)
-        if op.endswith("inv"):
-            rel = rel.T
-        r = rel[None, :, :]
-        v = vecs[:, None, :]
-        if op.startswith("diamond"):
-            return np.minimum(r, v).max(axis=2)
-        return np.where(r <= v, top, v).min(axis=2)
-
-    def _modal_rows(self, op: str, rel: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-        n = max(1, rel.shape[0])
-        step = max(1, self._BATCH // (n * n))
-        if vecs.shape[0] <= step:
-            return self._modal_block(op, rel, vecs)
-        parts = [
-            self._modal_block(op, rel, vecs[i : i + step])
-            for i in range(0, vecs.shape[0], step)
-        ]
-        return np.concatenate(parts, axis=0)
 
     def _modal_step(self) -> None:
         """Generate the modal classes of depth ``self.depth + 1``.
@@ -698,10 +642,11 @@ class FormulaEnumeration:
         def depth_for(flat: int) -> int:
             return child_depth[flat] + 1
 
+        top = self.universe.top
         for idx in self.indices:
             for op in self._unary_ops:
-                out1 = self._modal_rows(op, self._rel1[idx], vec1)
-                out2 = self._modal_rows(op, self._rel2[idx], vec2)
+                out1 = levels.modal(op, self._rel1[idx], vec1, top)
+                out2 = levels.modal(op, self._rel2[idx], vec2, top)
                 block = np.concatenate([out1, out2], axis=1)
 
                 def args_for(flat: int, idx=idx) -> tuple[int, int]:
@@ -792,12 +737,9 @@ class FormulaEnumeration:
 
     def vectors(self, index: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
         """The exact value vectors of class ``index`` on the two models."""
+        decode = self.universe.decode
         row = self._rows[index]
-        values = self.values
-        return (
-            tuple(values[int(l)] for l in row[: self._n1]),
-            tuple(values[int(l)] for l in row[self._n1 :]),
-        )
+        return tuple(decode(row[: self._n1])), tuple(decode(row[self._n1 :]))
 
     def level_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Level-index vectors of every class, as two aligned array views.

@@ -20,38 +20,30 @@ while dualizing Psi leaves the closed forms unchanged, which
 
 A prebisimulation matrix also reads off formula-set equivalence of the two
 models: they agree exactly when every row and every column contains 1.
+
+The closed forms are folds over the level vectors of the formulae
+(:mod:`.levels`); a set enumerated by :class:`FormulaEnumeration` is folded
+from its class vectors directly, without rebuilding any formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import ONE, format_value
-from .bisim import ConditionCheck, _mat_violation, _vec_violation
+from .algebra import format_value
+from .bisim import ConditionCheck, _check
 from .fuzzrel import FuzzyMat
-from .model import KripkeModel, check_comparable
-from .syntax import Formula, Fragment, dual, enumerate_formulas, to_text
-
-
-def _formula_vectors(m1: KripkeModel, m2: KripkeModel, formulas):
-    pairs = []
-    for f in formulas:
-        pairs.append((m1.eval_vec(f), m2.eval_vec(f)))
-    return pairs
-
-
-def _closed_form(m1, m2, vector_pairs, op) -> FuzzyMat:
-    alg = m1.algebra
-    n1, n2 = len(m1.worlds), len(m2.worlds)
-    rows = [[ONE] * n2 for _ in range(n1)]
-    for va, vap in vector_pairs:
-        for w in range(n1):
-            row = rows[w]
-            x = va[w]
-            for wp in range(n2):
-                row[wp] = alg.meet(row[wp], op(x, vap[wp]))
-    return FuzzyMat(alg, rows)
+from .levels import Universe, biimplication_fold, compose, residual_fold
+from .model import KripkeModel, check_comparable, formula_levels
+from .syntax import (
+    Formula,
+    FormulaEnumeration,
+    Fragment,
+    dual,
+    enumerate_formulas,
+    to_text,
+)
 
 
 def psi_equivalent(prebisim: FuzzyMat) -> bool:
@@ -79,7 +71,6 @@ class WeakReport:
     presim_nonempty: bool
     prebisim_nonempty: bool
     equivalent: bool
-    formulas: list[Formula] = field(default_factory=list, repr=False)
 
     @property
     def simulation_exists(self) -> bool:
@@ -108,6 +99,39 @@ class WeakReport:
         }
 
 
+def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
+    """The report for a formula set given by its level vectors: row A of
+    ``lv1`` (``lv2``) is the vector of formula A over the worlds of ``m1``
+    (``m2``)."""
+    top = universe.top
+    x1, x2 = lv1.T, lv2.T
+    presim = residual_fold(x1, x2, top)
+    prebisim = biimplication_fold(x1, x2, top)
+
+    def cond1(phi, both_sides: bool) -> bool:
+        # V_A <= V'_A o phi^-1, and V'_A <= V_A o phi, for every A at once
+        if not (x1 <= compose(phi, x2)).all():
+            return False
+        return not both_sides or bool((x2 <= compose(phi.T, x1)).all())
+
+    def matrix(levels) -> FuzzyMat:
+        return FuzzyMat(m1.algebra, universe.decode(levels))
+
+    prebisim_matrix = matrix(prebisim)
+    return WeakReport(
+        formula_count=lv1.shape[0],
+        row_worlds=m1.worlds,
+        col_worlds=m2.worlds,
+        presimulation=matrix(presim),
+        prebisimulation=prebisim_matrix,
+        presim_satisfies_condition1=cond1(presim, False),
+        prebisim_satisfies_condition1=cond1(prebisim, True),
+        presim_nonempty=bool(presim.any()),
+        prebisim_nonempty=bool(prebisim.any()),
+        equivalent=psi_equivalent(prebisim_matrix),
+    )
+
+
 def greatest_weak(
     m1: KripkeModel, m2: KripkeModel, formulas: Iterable[Formula]
 ) -> WeakReport:
@@ -116,33 +140,20 @@ def greatest_weak(
     formulas = list(formulas)
     if not formulas:
         raise ValueError("a weak relation needs a nonempty formula set")
-    alg = m1.algebra
-    pairs = _formula_vectors(m1, m2, formulas)
-    presim = _closed_form(m1, m2, pairs, alg.residuum)
-    prebisim = _closed_form(m1, m2, pairs, alg.biimplication)
+    return _weak_report(m1, m2, *formula_levels(m1, m2, formulas))
 
-    def cond1(phi: FuzzyMat, both_sides: bool) -> bool:
-        inv = phi.inverse()
-        for va, vap in pairs:
-            if not va.leq(vap.compose_mat(inv)):
-                return False
-            if both_sides and not vap.leq(va.compose_mat(phi)):
-                return False
-        return True
 
-    return WeakReport(
-        formula_count=len(formulas),
-        row_worlds=m1.worlds,
-        col_worlds=m2.worlds,
-        presimulation=presim,
-        prebisimulation=prebisim,
-        presim_satisfies_condition1=cond1(presim, False),
-        prebisim_satisfies_condition1=cond1(prebisim, True),
-        presim_nonempty=not presim.is_zero(),
-        prebisim_nonempty=not prebisim.is_zero(),
-        equivalent=psi_equivalent(prebisim),
-        formulas=formulas,
-    )
+def enumerated_weak(
+    m1: KripkeModel, m2: KripkeModel, enum: FormulaEnumeration
+) -> WeakReport:
+    """:func:`greatest_weak` for every formula class of an enumeration over
+    ``(m1, m2)``, folded from the class vectors.
+
+    One representative per class gives the same folds as the whole class,
+    because the formulae of a class have equal vectors on both models.
+    """
+    check_comparable(m1, m2)
+    return _weak_report(m1, m2, enum.universe, *enum.level_vectors())
 
 
 def check_weak(
@@ -169,53 +180,25 @@ def check_weak(
     if not formulas:
         raise ValueError("a weak relation needs a nonempty formula set")
     kind = "wb" if bisimulation else "ws"
-    inv = phi.inverse()
-    checks = []
-    for f in formulas:
-        label = to_text(f)
-        va = m1.eval_vec(f)
-        vap = m2.eval_vec(f)
-
-        lhs, rhs = va, vap.compose_mat(inv)
-        checks.append(
-            ConditionCheck(
-                name=f"{kind}-1[fwd, A={label}]",
-                statement="V_A <= V'_A o phi^-1",
-                holds=lhs.leq(rhs),
-                violation=_vec_violation(lhs, rhs, m1.worlds),
-            )
-        )
-        if bisimulation:
-            lhs, rhs = vap, va.compose_mat(phi)
-            checks.append(
-                ConditionCheck(
-                    name=f"{kind}-1[fwd_inv, A={label}]",
-                    statement="V'_A <= V_A o phi",
-                    holds=lhs.leq(rhs),
-                    violation=_vec_violation(lhs, rhs, m2.worlds),
-                )
-            )
-
-        lhs, rhs = inv.compose_vec(va), vap
-        checks.append(
-            ConditionCheck(
-                name=f"{kind}-2[fwd, A={label}]",
-                statement="phi^-1 o V_A <= V'_A",
-                holds=lhs.leq(rhs),
-                violation=_vec_violation(lhs, rhs, m2.worlds),
-            )
-        )
-        if bisimulation:
-            lhs, rhs = phi.compose_vec(vap), va
-            checks.append(
-                ConditionCheck(
-                    name=f"{kind}-2[fwd_inv, A={label}]",
-                    statement="phi o V'_A <= V_A",
-                    holds=lhs.leq(rhs),
-                    violation=_vec_violation(lhs, rhs, m1.worlds),
-                )
-            )
-    return checks
+    universe, lv1, lv2 = formula_levels(m1, m2, formulas, phi)
+    p = universe.encode(phi.rows)
+    # row A: V'_A o phi^-1 = phi o V'_A over the left worlds, and
+    # V_A o phi = phi^-1 o V_A over the right worlds
+    left_image = compose(p, lv2.T).T
+    right_image = compose(p.T, lv1.T).T
+    conditions = [
+        ("-1[fwd", "V_A <= V'_A o phi^-1", lv1, left_image, m1.worlds),
+        ("-1[fwd_inv", "V'_A <= V_A o phi", lv2, right_image, m2.worlds),
+        ("-2[fwd", "phi^-1 o V_A <= V'_A", right_image, lv2, m2.worlds),
+        ("-2[fwd_inv", "phi o V'_A <= V_A", left_image, lv1, m1.worlds),
+    ]
+    if not bisimulation:
+        conditions = conditions[::2]
+    return [
+        _check(f"{kind}{name}, A={label}]", statement, lhs[k], rhs[k], (worlds,), universe.values)
+        for k, label in enumerate(map(to_text, formulas))
+        for name, statement, lhs, rhs, worlds in conditions
+    ]
 
 
 def _require_weak(m1, m2, phi, formulas, bisimulation, who: str) -> None:

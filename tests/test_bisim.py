@@ -1,6 +1,7 @@
 """Greatest (pre)simulations and (pre)bisimulations of all seven kinds."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -214,3 +215,99 @@ def test_incomparable_models_are_rejected():
     c, _ = load_pair("crisp_pair")
     with pytest.raises(Exception):
         greatest_pre(a, c, SimType("fs"))
+
+
+# -- differential test against a reference Jacobi fixpoint ------------------------
+#
+# The reference spells the iteration out with Fraction loops: the greatest
+# solution of the -3 conditions as the start, then sweeps that meet the
+# iterate with every residual update of the kind, each taken against the
+# previous iterate, until a sweep changes nothing.  Matrix and sweep count
+# must both agree, so a Gauss-Seidel slip (updates reading the partly
+# updated iterate) or a missed stop is caught.
+
+REFERENCE_DIRECTIONS = {
+    "fs": ("fwd",),
+    "bs": ("bwd",),
+    "fb": ("fwd", "fwd_inv"),
+    "bb": ("bwd", "bwd_inv"),
+    "fbb": ("fwd", "bwd_inv"),
+    "bfb": ("bwd", "fwd_inv"),
+    "rb": ("fwd", "fwd_inv", "bwd", "bwd_inv"),
+}
+
+
+def _ref_compose(a, b):
+    return [
+        [max(min(a[i][t], b[t][j]) for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _ref_transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _ref_update(tag, res, r, rp, phi):
+    k, m = len(r), len(rp)
+    if tag == "fwd":
+        bound = _ref_compose(rp, _ref_transpose(phi))
+        return [[min(res(r[u][v], bound[up][v]) for v in range(k)) for up in range(m)]
+                for u in range(k)]
+    if tag == "fwd_inv":
+        bound = _ref_compose(r, phi)
+        return [[min(res(rp[up][vp], bound[u][vp]) for vp in range(m)) for up in range(m)]
+                for u in range(k)]
+    if tag == "bwd":
+        bound = _ref_compose(phi, rp)
+        return [[min(res(r[v][u], bound[v][up]) for v in range(k)) for up in range(m)]
+                for u in range(k)]
+    bound = _ref_compose(_ref_transpose(phi), r)
+    return [[min(res(rp[vp][up], bound[vp][u]) for vp in range(m)) for up in range(m)]
+            for u in range(k)]
+
+
+def reference_greatest_pre(m1, m2, kind):
+    """(matrix rows, sweeps) of the greatest pre-relation, by Fraction loops."""
+    alg = m1.algebra
+    op = alg.residuum if kind in ("fs", "bs") else alg.biimplication
+    variables = sorted(m1.valuation)
+    phi = [
+        [
+            min((op(m1.valuation[p][w], m2.valuation[p][wp]) for p in variables),
+                default=Fraction(1))
+            for wp in range(len(m2.worlds))
+        ]
+        for w in range(len(m1.worlds))
+    ]
+    sweeps = 0
+    while True:
+        new = [row[:] for row in phi]
+        for tag in REFERENCE_DIRECTIONS[kind]:
+            for i in m1.indices:
+                chi = _ref_update(tag, alg.residuum, m1.relations[i].rows,
+                                  m2.relations[i].rows, phi)
+                new = [[min(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(new, chi)]
+        sweeps += 1
+        if new == phi:
+            return phi, sweeps
+        phi = new
+
+
+def test_fixpoint_matches_reference_jacobi_iteration():
+    rng = random.Random(9061)
+    algebras = (Algebra.boolean(), Algebra.chain(3), Algebra.chain(5), Algebra.godel())
+    runs = 0
+    for algebra in algebras:
+        for _ in range(12):
+            indices = (1,) if rng.random() < 0.5 else (1, 2)
+            variables = ("p",) if rng.random() < 0.5 else ("p", "q")
+            a, b = random_pair(rng, algebra, max_worlds=4, variables=variables,
+                               indices=indices)
+            for kind in REFERENCE_DIRECTIONS:
+                rep = greatest_pre(a, b, SimType(kind))
+                want, sweeps = reference_greatest_pre(a, b, kind)
+                assert [list(row) for row in rep.matrix.rows] == want, (algebra, kind)
+                assert rep.iterations == sweeps, (algebra, kind)
+                runs += 1
+    assert runs == 4 * 12 * 7

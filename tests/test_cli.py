@@ -200,6 +200,15 @@ def test_check_bad_relation_shape_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_check_float_in_relation_exits_2(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rows = [["0.3", "0.3", "0.3"], ["0.3", 0.1 + 0.2, "0.3"], ["0.3", "0.3", "0.3"]]
+    rel.write_text(json.dumps({"relation": rows}))
+    code, out, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
+    assert code == 2 and out == ""
+    assert "row 1, entry 1" in err and "0.30000000000000004" in err
+
+
 # -- reverse ---------------------------------------------------------------------
 
 

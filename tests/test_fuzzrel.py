@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import grid, random_values
@@ -18,6 +19,7 @@ from fuzzykripke.fuzzrel import (
     update_forward,
     update_forward_inv,
 )
+from fuzzykripke.levels import Universe, first_violation
 
 GODEL = Algebra.godel()
 
@@ -236,10 +238,16 @@ def test_identity_is_a_unit(rng):
 
 
 def test_first_violation_reports_entry():
-    a = FuzzyMat(GODEL, [[Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(1)]])
-    b = FuzzyMat(GODEL, [[Fraction(1, 2), Fraction(1)], [Fraction(1, 4), Fraction(1)]])
-    assert a.first_violation(b) == ((1, 0), Fraction(1), Fraction(1, 4))
-    assert b.first_violation(b) is None
+    # the kernel's search, which condition checks report violations from
+    u = Universe([Fraction(1, 2), Fraction(1, 4)])
+    a = u.encode([[Fraction(1, 2), Fraction(0)], [Fraction(1), Fraction(1)]])
+    b = u.encode([[Fraction(1, 2), Fraction(1)], [Fraction(1, 4), Fraction(1)]])
+    assert first_violation(a, b) == (1, 0)
+    assert (u.values[a[1, 0]], u.values[b[1, 0]]) == (Fraction(1), Fraction(1, 4))
+    assert first_violation(b, b) is None
+    # row-major order, on vectors and on stacks alike
+    assert first_violation(a[1], b[1]) == (0,)
+    assert first_violation(np.stack([b, a, a.T]), np.stack([b, b, b])) == (1, 1, 0)
 
 
 def test_dimension_mismatches_raise():
@@ -272,3 +280,22 @@ def test_off_carrier_entries_rejected():
         FuzzyMat(Algebra.chain(3), [[Fraction(1, 3)]])
     with pytest.raises(AlgebraError):
         FuzzyVec(Algebra.boolean(), [Fraction(1, 2)])
+
+
+def test_one_element_blocks_give_the_same_answers(monkeypatch):
+    # every (k, n, m) broadcast of the kernel is cut into blocks of at most
+    # BATCH elements along its contracted axis; the smallest blocks must
+    # give the answers of whole-array blocks
+    from fuzzykripke import SimType, greatest_pre, hm_check, levels
+
+    a, b = load_pair("sim_showcase")
+
+    def answers():
+        return (
+            [greatest_pre(a, b, t).to_dict() for t in SimType],
+            hm_check(a, b, "plus", max_depth=1).to_dict(),
+        )
+
+    whole = answers()
+    monkeypatch.setattr(levels, "BATCH", 1)
+    assert answers() == whole

@@ -212,6 +212,32 @@ def test_document_validation_errors():
     with pytest.raises(ModelError):
         KripkeModel.from_json("{not json")
 
+    # strings where lists belong are not split into characters
+    with pytest.raises(ModelError, match="'worlds' must be a list"):
+        KripkeModel.from_dict(variant(lambda d: d.update(worlds="uvw")))
+    with pytest.raises(ModelError, match="relation 1, row 0 must be a list"):
+        KripkeModel.from_dict(variant(lambda d: d["relations"]["1"].__setitem__(0, "100")))
+    with pytest.raises(ModelError, match="relation 1 must be a list"):
+        KripkeModel.from_dict(variant(lambda d: d["relations"].update({"1": "100"})))
+    with pytest.raises(ModelError, match="valuation of 'p' must be a list"):
+        KripkeModel.from_dict(variant(lambda d: d["valuation"].update(p="010")))
+    with pytest.raises(ModelError, match="'relations' must be an object"):
+        KripkeModel.from_dict(variant(lambda d: d.update(relations=[])))
+    with pytest.raises(ModelError, match="'indices' must be a list"):
+        KripkeModel.from_dict(variant(lambda d: d.update(indices=1)))
+    with pytest.raises(ModelError, match="world name 3 is not a string"):
+        KripkeModel.from_dict(variant(lambda d: d["worlds"].__setitem__(0, 3)))
+    # JSON floats and booleans are not exact values; the entry is named
+    with pytest.raises(ModelError, match=r"relation 1, row 2, entry 1: 0\.30000000000000004"):
+        KripkeModel.from_dict(
+            variant(lambda d: d["relations"]["1"][2].__setitem__(1, 0.1 + 0.2))
+        )
+    with pytest.raises(ModelError, match="valuation of 'p', entry 0: true"):
+        KripkeModel.from_dict(variant(lambda d: d["valuation"]["p"].__setitem__(0, True)))
+    # JSON integers are exact and load as values
+    ints = KripkeModel.from_dict(variant(lambda d: d["valuation"].update(p=[1, 0, "0"])))
+    assert vec_strs(ints.valuation["p"]) == ["1", "0", "0"]
+
 
 def test_constructor_validates_dimensions():
     alg = GODEL

@@ -8,12 +8,13 @@ from conftest import grid, random_model, random_pair
 from fuzzykripke.algebra import Algebra
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat
-from fuzzykripke.syntax import Fragment, parse
+from fuzzykripke.syntax import Fragment, enumerate_formulas, parse
 from fuzzykripke.weak import (
     check_composition_closed,
     check_union_closed,
     check_weak,
     duality_transfer,
+    enumerated_weak,
     greatest_weak,
     psi_equivalent,
 )
@@ -174,3 +175,16 @@ def test_duality_transfer_on_random_pairs(rng):
         a, b = random_pair(rng, Algebra.chain(3))
         verdict = duality_transfer(a, b, Fragment.PLUS, depth=1)
         assert verdict.holds
+
+
+def test_enumerated_weak_matches_evaluating_every_representative(rng):
+    # folding the class vectors must give the report that rebuilding and
+    # evaluating one representative formula per class gives
+    pairs = [load_pair(name) for name in ("sim_showcase", "backward_only", "crisp_pair")]
+    pairs += [random_pair(rng, Algebra.chain(3), variables=("p", "q"), indices=(1, 2))
+              for _ in range(6)]
+    for a, b in pairs:
+        for fragment in (Fragment.PLUS, Fragment.MINUS, Fragment.FULL):
+            enum = enumerate_formulas(a, b, fragment, 1, budget=4000)
+            folded = enumerated_weak(a, b, enum)
+            assert folded.to_dict() == greatest_weak(a, b, enum.formulas()).to_dict()
