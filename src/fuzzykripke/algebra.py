@@ -118,12 +118,15 @@ class Algebra:
     def contains(self, value: Fraction) -> bool:
         if not isinstance(value, Fraction):
             return False
-        if value < 0 or value > 1:
+        # tested on the reduced integer pair (den > 0): Fraction arithmetic
+        # and comparisons cost several times more
+        num, den = value.as_integer_ratio()
+        if num < 0 or num > den:
             return False
         if self.kind == "boolean":
-            return value == 0 or value == 1
+            return num == 0 or num == den
         if self.kind == "chain":
-            return (value * (self.levels - 1)).denominator == 1
+            return num * (self.levels - 1) % den == 0
         return True
 
     def check_value(self, value: Fraction) -> Fraction:
@@ -170,7 +173,8 @@ def parse_value(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise AlgebraError(f"malformed truth value {text!r}") from None
-    if value < 0 or value > 1:
+    num, den = value.as_integer_ratio()
+    if num < 0 or num > den:
         raise AlgebraError(f"truth value {text!r} is outside [0, 1]")
     return value
 

@@ -249,7 +249,10 @@ def _initial_relation(v1: np.ndarray, v2: np.ndarray, top, sim_type: SimType) ->
 
 def iteration_cap(m1: KripkeModel, m2: KripkeModel) -> int:
     """Default sweep cap: generous, and only reachable on an internal error."""
-    universe = Universe(chain(m1.entries(), m2.entries()))
+    return _sweep_cap(m1, m2, Universe(chain(m1.entries(), m2.entries())))
+
+
+def _sweep_cap(m1: KripkeModel, m2: KripkeModel, universe: Universe) -> int:
     return 10 * len(m1.worlds) * len(m2.worlds) * len(universe) + 10
 
 
@@ -267,10 +270,9 @@ def greatest_pre(
     """
     sim_type = SimType(sim_type)
     check_comparable(m1, m2)
-    if max_iterations is None:
-        max_iterations = iteration_cap(m1, m2)
-
     universe = Universe(chain(m1.entries(), m2.entries()))
+    if max_iterations is None:
+        max_iterations = _sweep_cap(m1, m2, universe)
     top = universe.top
     rels1, vals1 = m1.encoded(universe)
     rels2, vals2 = m2.encoded(universe)

@@ -18,6 +18,7 @@ validation errors.  All numeric output is exact decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -45,16 +46,17 @@ def _load_relation(path: str, algebra, shape) -> FuzzyMat:
 
 
 def _print_matrix(matrix: FuzzyMat, rows, cols, out) -> None:
+    cells = [[format_value(v) for v in row] for row in matrix.rows]
     width = max(
         [len(w) for w in rows]
-        + [len(format_value(v)) for row in matrix.rows for v in row]
+        + [len(cell) for row in cells for cell in row]
         + [len(c) for c in cols]
     )
     header = " ".join(c.rjust(width) for c in cols)
     out.write(" " * (width + 2) + header + "\n")
-    for name, row in zip(rows, matrix.rows):
-        cells = " ".join(format_value(v).rjust(width) for v in row)
-        out.write(f"{name.ljust(width)}  {cells}\n")
+    for name, row in zip(rows, cells):
+        line = " ".join(cell.rjust(width) for cell in row)
+        out.write(f"{name.ljust(width)}  {line}\n")
 
 
 def _emit(args, payload: dict, human_lines) -> None:
@@ -277,9 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ModelError, AlgebraError, ParseError) as exc:

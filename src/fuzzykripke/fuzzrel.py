@@ -35,16 +35,29 @@ from . import levels
 from .algebra import Algebra, ONE, ZERO
 
 
-def _check_fractions(algebra: Algebra, values: Iterable[Fraction]) -> tuple[Fraction, ...]:
+def _checked_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple:
+    """The rows as tuples of ``Fraction``, each distinct value checked once.
+
+    Every entry is type-checked (integers become ``Fraction``), but
+    ``algebra.check_value`` runs once per distinct value of the whole
+    matrix, keyed by ``as_integer_ratio()`` as in :class:`levels.Universe`;
+    the first bad entry in row-major order is still the one reported.
+    """
+    seen = set()
     out = []
-    for v in values:
-        if not isinstance(v, Fraction):
-            if isinstance(v, int):
+    for row in rows:
+        checked = []
+        for v in row:
+            if not isinstance(v, Fraction):
+                if not isinstance(v, int):
+                    raise TypeError(f"truth values must be Fraction, got {type(v).__name__}")
                 v = Fraction(v)
-            else:
-                raise TypeError(f"truth values must be Fraction, got {type(v).__name__}")
-        algebra.check_value(v)
-        out.append(v)
+            key = v.as_integer_ratio()
+            if key not in seen:
+                algebra.check_value(v)
+                seen.add(key)
+            checked.append(v)
+        out.append(tuple(checked))
     return tuple(out)
 
 
@@ -55,7 +68,7 @@ class FuzzyVec:
 
     def __init__(self, algebra: Algebra, values: Iterable[Fraction]):
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "values", _check_fractions(algebra, values))
+        object.__setattr__(self, "values", _checked_rows(algebra, (values,))[0])
         if len(self.values) == 0:
             raise ValueError("fuzzy vector must be nonempty")
 
@@ -106,7 +119,7 @@ class FuzzyMat:
     __slots__ = ("algebra", "rows")
 
     def __init__(self, algebra: Algebra, rows: Iterable[Iterable[Fraction]]):
-        checked = tuple(_check_fractions(algebra, row) for row in rows)
+        checked = _checked_rows(algebra, rows)
         if not checked:
             raise ValueError("fuzzy matrix must have at least one row")
         width = len(checked[0])

@@ -23,8 +23,13 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 ``valuation`` (map from variable to a vector of decimal strings).  Values
 are parsed exactly (JSON integers are exact too; JSON floats and booleans
 are rejected); everything is validated eagerly on load so that
-evaluation never revalidates.  Evaluation runs on level arrays
-(:mod:`.levels`) and decodes once.
+evaluation never revalidates.  The loader keeps one spelling-to-value
+map per document, so each distinct spelling is parsed once and every
+other entry costs a dict lookup; each matrix and vector checks each
+distinct value against the carrier once.  Every entry is still
+type-checked, and the first bad entry in document order is the one
+reported.  Evaluation runs on level arrays (:mod:`.levels`) and decodes
+once.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
-from .algebra import Algebra, format_value, parse_value
+from .algebra import Algebra, AlgebraError, format_value, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec
 from .levels import Universe, modal, residuum
 from .syntax import _NODE_FOR_OP, And, Const, Formula, Implies, Var
@@ -207,14 +212,15 @@ class KripkeModel:
         raw_relations = _require(data["relations"], dict, "'relations' must be an object")
         if set(map(str, declared)) != set(map(str, raw_relations)):
             raise ModelError("declared indices and relation keys do not match")
+        memo = {}  # spelling -> value, shared by the whole document
         relations = {}
         for key, rows in raw_relations.items():
-            relations[int(key)] = FuzzyMat(algebra, parse_rows(rows, f"relation {key}"))
+            relations[int(key)] = FuzzyMat(algebra, parse_rows(rows, f"relation {key}", memo))
         valuation = {}
         raw_valuation = _require(data["valuation"], dict, "'valuation' must be an object")
         for name, entries in raw_valuation.items():
             valuation[name] = FuzzyVec(
-                algebra, _parse_entries(entries, f"valuation of {name!r}")
+                algebra, _parse_entries(entries, f"valuation of {name!r}", memo)
             )
         try:
             return cls(algebra, worlds, relations, valuation)
@@ -263,9 +269,19 @@ def _require(value, kind: type, message: str):
     return value
 
 
-def _parse_entries(entries, where: str) -> list[Fraction]:
-    """Exact values of a JSON list of decimal strings (or integers)."""
+def _parse_entries(entries, where: str, memo: dict) -> list[Fraction]:
+    """Exact values of a JSON list of decimal strings (or integers).
+
+    ``memo`` maps each spelling already parsed in the document to its
+    value and holds nothing else, so a list of known strings is one lookup
+    per entry; any other entry takes the per-entry path, which rejects
+    non-strings and parses (and memoises) each new spelling.
+    """
     _require(entries, list, f"{where} must be a list of values")
+    try:
+        return [memo[v] for v in entries]
+    except (KeyError, TypeError):
+        pass
     out = []
     for k, v in enumerate(entries):
         if isinstance(v, bool) or not isinstance(v, (str, int)):
@@ -273,18 +289,29 @@ def _parse_entries(entries, where: str) -> list[Fraction]:
                 f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
                 'write it as a string such as "0.3"'
             )
-        out.append(parse_value(str(v)))
+        text = str(v)
+        value = memo.get(text)
+        if value is None:
+            try:
+                value = memo[text] = parse_value(text)
+            except AlgebraError as exc:
+                raise AlgebraError(f"{where}, entry {k}: {exc}") from None
+        out.append(value)
     return out
 
 
-def parse_rows(rows, where: str) -> list[list[Fraction]]:
+def parse_rows(rows, where: str, memo: Optional[dict] = None) -> list[list[Fraction]]:
     """Exact values of a JSON matrix: a list of rows of decimal strings.
 
     Anything else, a string where a list belongs or a JSON float among the
-    values, raises :class:`ModelError` naming the entry.
+    values, raises :class:`ModelError` naming the entry; a malformed or
+    out-of-range spelling raises :class:`AlgebraError` naming it.  ``memo``
+    is the document's spelling-to-value map (see :func:`_parse_entries`);
+    by default the matrix gets its own.
     """
     _require(rows, list, f"{where} must be a list of rows")
-    return [_parse_entries(row, f"{where}, row {r}") for r, row in enumerate(rows)]
+    memo = {} if memo is None else memo
+    return [_parse_entries(row, f"{where}, row {r}", memo) for r, row in enumerate(rows)]
 
 
 def formula_constants(algebra: Algebra, formulas: Iterable[Formula]) -> set[Fraction]:

@@ -12,6 +12,7 @@ import pytest
 
 import fuzzykripke
 from conftest import expected
+from fuzzykripke import cli
 from fuzzykripke.cli import main
 from fuzzykripke.fixtures import fixture_path
 
@@ -253,6 +254,39 @@ def test_malformed_model_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def checkout_env() -> dict:
+    """The environment with the imported ``fuzzykripke`` first on PYTHONPATH,
+    so that a child process runs this checkout's code."""
+    env = dict(os.environ)
+    package_root = Path(fuzzykripke.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package_root), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_repeated_main_calls_share_one_parser_and_leak_nothing(monkeypatch, capsys):
+    """In-process calls reuse the parser built by the first one, and each
+    answers exactly as the same command run in a fresh process."""
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for argv in (
+            ["eval", A, "<>_1 p", "--world", "v"],
+            ["bisim", A, B, "--type", "fs"],
+            ["eval", A, "<>_1 p"],
+        ):
+            code, out, _ = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fuzzykripke.cli", *argv],
+                capture_output=True, text=True, timeout=60, env=checkout_env(),
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -285,10 +319,6 @@ def test_console_script_runs_in_subprocess(tmp_path):
     assert target == "fuzzykripke.cli:main"
     module, func = target.split(":")
     package_dir = Path(fuzzykripke.__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(package_dir.parent), env.get("PYTHONPATH")])
-    )
     code = (
         "import sys, fuzzykripke\n"
         "print(fuzzykripke.__file__, file=sys.stderr)\n"
@@ -298,7 +328,7 @@ def test_console_script_runs_in_subprocess(tmp_path):
     )
     done = subprocess.run(
         [sys.executable, "-c", code, "eval", A, "p"],
-        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=checkout_env(),
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0.8 0.4 0.2"

@@ -282,6 +282,34 @@ def test_off_carrier_entries_rejected():
         FuzzyVec(Algebra.boolean(), [Fraction(1, 2)])
 
 
+def test_each_distinct_value_is_checked_once_per_matrix(monkeypatch):
+    checked = []
+    check = Algebra.check_value
+    monkeypatch.setattr(
+        Algebra, "check_value", lambda self, value: checked.append(value) or check(self, value)
+    )
+    chain3 = Algebra.chain(3)
+    # distinct but equal objects are one value: checked once, and still checked
+    halves = [[Fraction(1, 2) for _ in range(4)] for _ in range(4)]
+    assert FuzzyMat(chain3, halves).rows == ((Fraction(1, 2),) * 4,) * 4
+    assert checked == [Fraction(1, 2)]
+    with pytest.raises(AlgebraError, match="3/10"):
+        FuzzyMat(chain3, [[Fraction(3, 10) for _ in range(4)] for _ in range(4)])
+    # an off-carrier value after many valid copies, in the last row or entry
+    n = 40
+    half = Fraction(1, 2)
+    rows = [[half] * n for _ in range(n - 1)] + [[half] * (n - 1) + [Fraction(1, 4)]]
+    with pytest.raises(AlgebraError, match="1/4"):
+        FuzzyMat(chain3, rows)
+    with pytest.raises(AlgebraError, match="1/4"):
+        FuzzyVec(chain3, rows[-1])
+    # the library's own matrices are checked once per value too
+    checked.clear()
+    mat = FuzzyMat(chain3, [[Fraction(0), half], [Fraction(1), half]])
+    mat.inverse()
+    assert len(checked) == 2 * 3
+
+
 def test_one_element_blocks_give_the_same_answers(monkeypatch):
     # every (k, n, m) broadcast of the kernel is cut into blocks of at most
     # BATCH elements along its contracted axis; the smallest blocks must

@@ -2,12 +2,15 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
 from conftest import random_model, vec_strs
-from fuzzykripke.algebra import Algebra, AlgebraError
+from fuzzykripke import model as model_module
+from fuzzykripke.algebra import Algebra, AlgebraError, format_value, parse_value
 from fuzzykripke.fixtures import PAIRS, fixture_path, load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel, ModelError, check_comparable, phi_equivalent
@@ -237,6 +240,143 @@ def test_document_validation_errors():
     # JSON integers are exact and load as values
     ints = KripkeModel.from_dict(variant(lambda d: d["valuation"].update(p=[1, 0, "0"])))
     assert vec_strs(ints.valuation["p"]) == ["1", "0", "0"]
+
+
+# -- loading parses each spelling and checks each value once ---------------------
+
+
+def reference_from_dict(doc: dict) -> KripkeModel:
+    """The per-entry loader: ``parse_value`` on every entry, no memo."""
+    alg = Algebra.from_spec(doc["algebra"])
+
+    def values(entries):
+        return [parse_value(str(v)) for v in entries]
+
+    return KripkeModel(
+        alg,
+        doc["worlds"],
+        {
+            int(i): FuzzyMat(alg, [values(row) for row in rows])
+            for i, rows in doc["relations"].items()
+        },
+        {p: FuzzyVec(alg, values(vec)) for p, vec in doc["valuation"].items()},
+    )
+
+
+def spell(rng: random.Random, v: Fraction):
+    """One of several spellings of ``v``: shortest decimal, p/q, scaled p/q,
+    space-padded, a trailing zero, or a JSON integer for 0 and 1."""
+    text = format_value(v)
+    options = [
+        text,
+        f"{v.numerator}/{v.denominator}",
+        f"{3 * v.numerator}/{3 * v.denominator}",
+        f" {text}  ",
+    ]
+    if "." in text:
+        options.append(text + "0")
+    if v.denominator == 1:
+        options.append(int(v))
+    return rng.choice(options)
+
+
+def random_document(rng: random.Random, algebra: Algebra) -> dict:
+    if algebra.is_finite:
+        pool = list(algebra.carrier())
+    else:
+        pool = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 10), Fraction(5, 7)]
+    n = rng.randint(1, 6)
+    indices = rng.sample((1, 2, 3), rng.randint(1, 2))
+
+    def entries(count):
+        return [spell(rng, rng.choice(pool)) for _ in range(count)]
+
+    return {
+        "algebra": algebra.spec(),
+        "worlds": [f"w{k}" for k in range(n)],
+        "indices": indices,
+        "relations": {str(i): [entries(n) for _ in range(n)] for i in indices},
+        "valuation": {p: entries(n) for p in ("p", "q")},
+    }
+
+
+def test_loader_matches_per_entry_parsing(rng):
+    for algebra in (Algebra.boolean(), Algebra.chain(3), Algebra.chain(5), GODEL):
+        for _ in range(30):
+            doc = random_document(rng, algebra)
+            got = KripkeModel.from_dict(json.loads(json.dumps(doc)))
+            want = reference_from_dict(doc)
+            assert got == want
+            assert got.to_json() == want.to_json()
+
+
+def test_loader_parses_each_spelling_once_and_checks_each_value_once(monkeypatch):
+    parsed = Counter()
+    checks = []
+    parse = model_module.parse_value
+    check = Algebra.check_value
+    monkeypatch.setattr(
+        model_module, "parse_value", lambda text: parsed.update([text]) or parse(text)
+    )
+    monkeypatch.setattr(
+        Algebra, "check_value", lambda self, value: checks.append(value) or check(self, value)
+    )
+    rng = random.Random(4)
+    spellings = ["0", "0.25", "0.5", "0.75", "1"]
+    n = 12
+
+    def entries():
+        return [rng.choice(spellings) for _ in range(n)]
+
+    doc = {
+        "algebra": "chain:5",
+        "worlds": [f"w{k}" for k in range(n)],
+        "indices": [1, 2],
+        "relations": {i: [entries() for _ in range(n)] for i in ("1", "2")},
+        "valuation": {p: entries() for p in ("p", "q")},
+    }
+    KripkeModel.from_dict(doc)
+    parts = [list(chain.from_iterable(rows)) for rows in doc["relations"].values()]
+    parts += doc["valuation"].values()
+    assert parsed == Counter(set(chain.from_iterable(parts)))
+    assert 0 < len(checks) <= sum(len(set(part)) for part in parts)
+
+
+def test_repeated_bad_spelling_is_reported_at_its_first_entry():
+    def doc(relation, valuation):
+        return {
+            "algebra": "godel", "worlds": ["a", "b"], "indices": [1],
+            "relations": {"1": relation}, "valuation": {"p": valuation},
+        }
+
+    first = r"^relation 1, row 0, entry 1: malformed truth value '0\.x'$"
+    with pytest.raises(AlgebraError, match=first):
+        KripkeModel.from_dict(doc([["0.5", "0.x"], ["0.x", "0.x"]], ["0.x", "1"]))
+    # a later bad entry of another kind does not overtake it
+    with pytest.raises(AlgebraError, match=first):
+        KripkeModel.from_dict(doc([["0.5", "0.x"], [0.5, "0.x"]], ["1", "1"]))
+    outside = r"^valuation of 'p', entry 1: truth value '2' is outside"
+    with pytest.raises(AlgebraError, match=outside):
+        KripkeModel.from_dict(doc([["0.5", "1"], ["1", "0.5"]], ["0.5", "2"]))
+    # a JSON float equal to a spelling already parsed is still rejected
+    inexact = r"^relation 1, row 1, entry 0: 0\.5 is not an exact value"
+    with pytest.raises(ModelError, match=inexact):
+        KripkeModel.from_dict(doc([["0.5", "1"], [0.5, "1"]], ["1", "1"]))
+
+
+def test_off_carrier_value_after_many_valid_copies_is_caught():
+    n = 30
+    rows = [["0.5"] * n for _ in range(n - 1)] + [["0.5"] * (n - 1) + ["0.25"]]
+    doc = {
+        "algebra": "chain:3", "worlds": [f"w{k}" for k in range(n)], "indices": [1],
+        "relations": {"1": rows}, "valuation": {"p": ["1"] * n},
+    }
+    with pytest.raises(AlgebraError, match="1/4 is not in the chain:3 carrier"):
+        KripkeModel.from_dict(doc)
+    doc["relations"]["1"][-1][-1] = "0.5"
+    doc["valuation"]["p"][-1] = "0.75"
+    with pytest.raises(AlgebraError, match="3/4 is not in the chain:3 carrier"):
+        KripkeModel.from_dict(doc)
 
 
 def test_constructor_validates_dimensions():
