@@ -159,10 +159,21 @@ def check_conditions(
             f"{(len(m1.worlds), len(m2.worlds))}"
         )
     universe = Universe(chain(m1.entries(), m2.entries(), chain.from_iterable(phi.rows)))
-    values = universe.values
-    rels1, vals1 = m1.encoded(universe)
-    rels2, vals2 = m2.encoded(universe)
-    p = universe.encode(phi.rows)
+    return _level_conditions(
+        m1, m2, universe.values, m1.encoded(universe), m2.encoded(universe),
+        universe.encode(phi.rows), sim_type,
+    )
+
+
+def _level_conditions(
+    m1: KripkeModel, m2: KripkeModel, values: tuple, enc1: tuple, enc2: tuple,
+    p: np.ndarray, sim_type: SimType,
+) -> list[ConditionCheck]:
+    """:func:`check_conditions` on levels: ``enc1`` and ``enc2`` are the
+    models encoded (:meth:`KripkeModel.encoded`) in the universe of
+    ``values``, and ``p`` is the level matrix of the relation."""
+    rels1, vals1 = enc1
+    rels2, vals2 = enc2
     variables = sorted(m1.valuation)
     tags = _THETA2[sim_type]
     kind = sim_type.value
@@ -274,8 +285,8 @@ def greatest_pre(
     if max_iterations is None:
         max_iterations = _sweep_cap(m1, m2, universe)
     top = universe.top
-    rels1, vals1 = m1.encoded(universe)
-    rels2, vals2 = m2.encoded(universe)
+    enc1, enc2 = m1.encoded(universe), m2.encoded(universe)
+    (rels1, vals1), (rels2, vals2) = enc1, enc2
     variables = sorted(m1.valuation)
     phi = _initial_relation(
         np.array([vals1[v] for v in variables], universe.dtype).reshape(-1, len(m1.worlds)),
@@ -300,7 +311,7 @@ def greatest_pre(
         phi = new
 
     matrix = FuzzyMat(m1.algebra, universe.decode(phi))
-    conditions = check_conditions(m1, m2, matrix, sim_type)
+    conditions = _level_conditions(m1, m2, universe.values, enc1, enc2, phi, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
     nonempty = bool(phi.any())
     return SimReport(

@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from . import levels
 from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
@@ -60,8 +61,8 @@ def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
     biimplication fold (see :meth:`FormulaEnumeration.generator_indices`).
     """
     lv1, lv2 = enum.generator_vectors()
-    levels = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
-    return FuzzyMat(enum.algebra, enum.universe.decode(levels))
+    fold = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
+    return FuzzyMat(enum.algebra, enum.universe.decode(fold))
 
 
 def weak_by_depth(
@@ -257,23 +258,28 @@ def invariance_check(
     enum = FormulaEnumeration(m1, m2, fragment, budget=budget).extend_generators(depth)
     universe = enum.universe
     lv1, lv2 = enum.generator_vectors()
-    bounds = biimplication(lv1[:, :, None], lv2[:, None, :], universe.top)
-    checked = len(enum.generator_indices())
-    strong_lv = np.broadcast_to(universe.encode(strong.rows), bounds.shape)
-    broken = first_violation(strong_lv, bounds)
-    if broken is not None:
-        k, w, wp = broken
-        idx = enum.generator_indices()[k]
-        return InvarianceReport(
-            sim_type, fragment, checked, False,
-            {
-                "formula": to_text(enum.formula(idx)),
-                "pair": [m1.worlds[w], m2.worlds[wp]],
-                "relation": format_value(strong.rows[w][wp]),
-                "bound": format_value(universe.values[bounds[k, w, wp]]),
-            },
+    gens = enum.generator_indices()
+    strong_lv = universe.encode(strong.rows)
+    # the (k, n1, n2) bounds in blocks of at most BATCH entries along k; the
+    # first block with a violation holds the first one in row-major order
+    step = max(1, levels.BATCH // max(1, strong_lv.size))
+    for lo in range(0, len(gens), step):
+        bounds = biimplication(
+            lv1[lo : lo + step, :, None], lv2[lo : lo + step, None, :], universe.top
         )
-    return InvarianceReport(sim_type, fragment, checked, True, None)
+        broken = first_violation(np.broadcast_to(strong_lv, bounds.shape), bounds)
+        if broken is not None:
+            k, w, wp = broken
+            return InvarianceReport(
+                sim_type, fragment, len(gens), False,
+                {
+                    "formula": to_text(enum.formula(gens[lo + k])),
+                    "pair": [m1.worlds[w], m2.worlds[wp]],
+                    "relation": format_value(strong.rows[w][wp]),
+                    "bound": format_value(universe.values[bounds[k, w, wp]]),
+                },
+            )
+    return InvarianceReport(sim_type, fragment, len(gens), True, None)
 
 
 @dataclass

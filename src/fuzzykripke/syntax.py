@@ -365,11 +365,24 @@ def parse_corpus(text: str) -> list[Formula]:
 # connective on a chain), so all the saturation work runs on the level
 # kernel of :mod:`.levels`; exact Fractions are recovered at the boundary.
 #
-# The class store is one growing (count, n1 + n2) level matrix.  Closing it
-# under the binary connectives pairs every new row against every known row
-# in batched array operations; candidate rows are packed into fixed-width
-# uint64 words for duplicate detection, so only genuinely new classes ever
-# touch Python-level code.
+# The class store is one growing (count, width) level matrix, width =
+# n1 + n2, and closing it under the binary connectives pairs every new row
+# against every known row.  Duplicates are found by key.  With L levels a
+# row has the exact mixed-radix key  sum_c row[c] * L**(width-1-c).
+#
+# When L**width is at most levels.BATCH, a dense boolean table
+# indexed by key marks the known rows, so membership is one gather.  The
+# key of combining rows i and j under a connective is then summed over the
+# columns from the connective's L x L level table at (row_i[c], row_j[c]),
+# a few columns per gather (:meth:`FormulaEnumeration._pair_parts`), so the
+# (pairs, width) candidate block is not formed (except while the known rows
+# are few, see _SMALL): only the new rows are, from their pair.
+#
+# Above that bound the candidate rows are formed in blocks and keyed by
+# their radix integer (or by their raw bytes, when that would not fit in
+# an int64); the known keys are kept in a sorted array.  Either way only
+# genuinely new classes ever touch Python-level code, and both ways give
+# the same class list.
 
 _UNARY_OPS = {
     Fragment.PROPOSITIONAL: (),
@@ -381,17 +394,43 @@ _UNARY_OPS = {
 _NODE_FOR_OP = {"diamond": Diamond, "box": Box, "diamondinv": DiamondInv, "boxinv": BoxInv}
 
 
-class SemanticClass:
-    """One semantic equivalence class with its first-found representative."""
+def _meet(x, y, top):
+    return np.minimum(x, y)
 
-    __slots__ = ("op", "args", "vec1", "vec2", "depth")
 
-    def __init__(self, op, args, vec1, vec2, depth):
-        self.op = op
-        self.args = args
-        self.vec1 = vec1
-        self.vec2 = vec2
-        self.depth = depth
+def _converse_residuum(x, y, top):
+    return levels.residuum(y, x, top)
+
+
+# the binary closure, in generation order: the class op, whether the class
+# of the pair (i, j) has args (i, j), (j, i) or the sorted pair, and the
+# level function of the connective on (row i, row j)
+_CONNECTIVES = (
+    ("and", "sorted", _meet),
+    ("implies", "forward", levels.residuum),
+    ("implies", "converse", _converse_residuum),
+    ("iff", "sorted", levels.biimplication),
+)
+
+
+_SMALL = 256
+"""Arrays of at most this many entries cost less to compute outright than
+the numpy calls it takes to avoid them."""
+
+
+def _row_keys(size: int, width: int) -> tuple[Optional[np.ndarray], bool]:
+    """How rows of ``width`` levels below ``size`` are keyed.
+
+    Returns the mixed-radix weights of the columns, or None when a key
+    would not fit in an int64 (rows are then keyed by their bytes), and
+    whether the known keys go into a dense table: only when that table has
+    at most :data:`levels.BATCH` entries.  (Every model has a world, so
+    width >= 2 and the L x L connective tables are no larger.)
+    """
+    if size ** width >= 1 << 63:
+        return None, False
+    dtype = np.int32 if size ** width < 1 << 31 else np.int64
+    return size ** np.arange(width - 1, -1, -1, dtype=dtype), size ** width <= levels.BATCH
 
 
 class FormulaEnumeration:
@@ -403,6 +442,7 @@ class FormulaEnumeration:
     the depth is extended, and the generation order is deterministic, so a
     lower depth is always a prefix of a higher one.  When the class budget
     is exhausted, ``truncated`` flips to True and generation stops.
+    ``dense`` tells whether known rows are marked in a dense key table.
     """
 
     def __init__(
@@ -461,21 +501,26 @@ class FormulaEnumeration:
         self._rel1, self._val1 = m1.encoded(self.universe)
         self._rel2, self._val2 = m2.encoded(self.universe)
 
-        # one level row per class; op/args/depth run parallel for rebuilding
+        # one level row per class; op/args run parallel for rebuilding
         width = self._n1 + self._n2
-        self._row_bytes = width * np.dtype(self._dt).itemsize
-        self._pad_bytes = ((self._row_bytes + 7) // 8) * 8
         self._rows = np.zeros((256, width), dtype=self._dt)
         self._count = 0
         self._ops: list[str] = []
         self._args: list = []
-        self._class_depth: list[int] = []
         self._gen_rows: list[int] = []
-        self._by_key: dict[bytes, int] = {}
-        self._keys_sorted: Optional[np.ndarray] = (
-            np.empty(0, dtype=np.uint64) if self._pad_bytes == 8 else None
-        )
         self._formula_cache: dict[int, Formula] = {}
+
+        # the known rows: a dense table of radix keys, or a sorted key array
+        self._radix, self.dense = _row_keys(len(self.universe), width)
+        if self.dense:
+            self._seen = np.zeros(len(self.universe) ** width, dtype=bool)
+            lv = np.arange(len(self.universe), dtype=self._dt)
+            self._tables = np.stack(
+                [fn(lv[:, None], lv[None, :], self.universe.top) for _, _, fn in _CONNECTIVES]
+            )
+        else:
+            self._row_bytes = np.dtype((np.void, width * self._dt.itemsize))
+            self._known = self._keys(self._rows[:0])
 
         self._seed_atoms()
         self._saturate(0)
@@ -495,84 +540,138 @@ class FormulaEnumeration:
         rows[: self._count] = self._rows[: self._count]
         self._rows = rows
 
-    def _pack(self, block: np.ndarray) -> np.ndarray:
-        """Pack level rows (m, width) into fixed-width uint64 keys (m, w)."""
-        m = block.shape[0]
-        raw = np.ascontiguousarray(block).view(np.uint8).reshape(m, self._row_bytes)
-        if self._pad_bytes != self._row_bytes:
-            padded = np.zeros((m, self._pad_bytes), dtype=np.uint8)
-            padded[:, : self._row_bytes] = raw
-            raw = padded
-        return raw.view(np.uint64)
+    def _keys(self, block: np.ndarray) -> np.ndarray:
+        """The key of every level row of ``block`` (m, width), shape (m,)."""
+        if self._radix is not None:
+            return block.astype(self._radix.dtype) @ self._radix
+        return np.ascontiguousarray(block).view(self._row_bytes).reshape(-1)
 
-    def _known_mask(self, words: np.ndarray) -> np.ndarray:
-        """Which single-word keys already name a class (sorted-array lookup)."""
-        keys = self._keys_sorted
-        if keys.size == 0:
-            return np.zeros(words.shape, dtype=bool)
-        pos = np.searchsorted(keys, words)
-        pos[pos == keys.size] = 0  # out of range: comparison below rejects it
-        return keys[pos] == words
+    def _pair_keys(self, lhs: np.ndarray, rows: np.ndarray):
+        """Per connective, in order, the flat keys (a * len(rows) + b) of
+        combining row ``lhs[a]`` with row ``rows[b]``.
+
+        The sorted-key fallback forms each candidate block.  The dense path
+        forms one only when ``rows`` is small; otherwise it sums the keys
+        from the parts of :meth:`_pair_parts`.
+        """
+        if not self.dense:
+            top, width = self.universe.top, rows.shape[1]
+            for _, _, fn in _CONNECTIVES:
+                yield self._keys(fn(lhs[:, None, :], rows[None, :, :], top).reshape(-1, width))
+        elif rows.size <= _SMALL:
+            keys = self._tables[:, lhs[:, None, :], rows[None, :, :]] @ self._radix
+            yield from keys.reshape(len(keys), -1)
+        else:
+            groups, digits = self._digit_groups(rows)
+            parts = self._pair_parts(lhs, groups)
+            for c in range(len(self._tables)):
+                keys = np.take(parts[0][c], digits[0], axis=1)
+                for group, group_digits in zip(parts[1:], digits[1:]):
+                    keys += np.take(group[c], group_digits, axis=1)
+                yield keys.reshape(-1)
+
+    def _digit_groups(self, rows: np.ndarray) -> tuple[list, np.ndarray]:
+        """The column groups of :meth:`_pair_parts` for pairing with ``rows``,
+        and the digits every row spells on each group, shape (groups, rows).
+
+        A group has g columns, g as large as keeps L**g within a quarter of
+        len(rows), so building a group's parts costs less than gathering
+        from them, or within :data:`_SMALL`.
+        """
+        size, width = len(self.universe), rows.shape[1]
+        g = 1
+        while g < width and size ** (g + 1) <= max(len(rows) // 4, _SMALL):
+            g += 1
+        groups = [range(lo, min(lo + g, width)) for lo in range(0, width, g)]
+        place = np.zeros((len(groups), width), dtype=np.intp)
+        for k, cols in enumerate(groups):
+            place[k, cols] = size ** np.arange(len(cols) - 1, -1, -1)
+        return groups, place @ rows.T.astype(np.intp)
+
+    def _pair_parts(self, lhs: np.ndarray, groups: list) -> list:
+        """Per column group, the key parts of combining ``lhs`` rows with rows
+        that spell each digit string on the group's columns.
+
+        Entry (connective, a, s) of a group's parts is the part of the radix
+        key of ``tables[connective][lhs[a], row]`` that the group's columns
+        contribute, for any row spelling s there.  The key of ``lhs[a]``
+        with row b is the sum over groups of the entry at b's digits, so the
+        (a, b, width) candidate block is never formed.
+        """
+        # (connective, a, column, level): each column's weighted table row
+        weighted = self._tables[:, lhs] * self._radix[:, None]
+        out = []
+        for cols in groups:
+            parts = weighted[:, :, cols[0]]
+            for c in cols[1:]:
+                parts = (parts[..., None] + weighted[:, :, c, None, :]).reshape(
+                    len(self._tables), len(lhs), -1
+                )
+            out.append(parts)
+        return out
+
+    def _absorb(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of the keys that name new classes, in order; marks them known.
+
+        Only the first occurrence of a repeated key counts, and the positions
+        are cut at the budget (setting ``truncated``).
+        """
+        if self.dense:
+            new = np.flatnonzero(~np.take(self._seen, keys))
+        elif self._known.size:
+            pos = np.searchsorted(self._known, keys)
+            pos[pos == self._known.size] = 0  # out of range: the comparison rejects it
+            new = np.flatnonzero(self._known[pos] != keys)
+        else:
+            new = np.arange(keys.size)
+        if new.size == 0:
+            return new
+        _, first = np.unique(keys[new], return_index=True)
+        new = new[np.sort(first)]
+        room = max(0, self.budget - self._count)
+        if new.size > room:
+            new = new[:room]
+            self.truncated = True
+        if self.dense:
+            self._seen[keys[new]] = True
+        else:
+            self._known = np.sort(np.concatenate([self._known, keys[new]]))
+        return new
 
     _BINARY_OPS = ("and", "implies", "iff")
 
-    def _append(self, row: np.ndarray, key: bytes, op: str, args, depth: int) -> None:
-        self._grow(self._count + 1)
-        self._rows[self._count] = row
-        self._by_key[key] = self._count
-        self._ops.append(op)
-        self._args.append(args)
-        self._class_depth.append(depth)
+    def _append(self, rows: np.ndarray, op: str, args: list) -> None:
+        """Add one class of operator ``op`` per level row of ``rows``."""
+        k = rows.shape[0]
+        self._grow(self._count + k)
+        self._rows[self._count : self._count + k] = rows
+        self._ops.extend([op] * k)
+        self._args.extend(args)
         if op not in self._BINARY_OPS:
-            self._gen_rows.append(self._count)
-        self._count += 1
+            self._gen_rows.extend(range(self._count, self._count + k))
+        self._count += k
 
-    def _absorb(self, block: np.ndarray, op: str, args_for, depth_for) -> bool:
+    def _absorb_block(self, block: np.ndarray, op: str, args_for) -> bool:
         """Turn every new level row of ``block`` into a class of operator ``op``.
 
-        ``args_for`` and ``depth_for`` map a row position in ``block`` to the
-        metadata of the class it creates; they are called only for rows that
-        are genuinely new.  Returns False once the budget is exhausted.
+        ``args_for`` maps a row position in ``block`` to the ``args`` of the
+        class it creates; it is called only for rows that are genuinely new.
+        Returns False once the budget is exhausted.
         """
-        if block.shape[0] == 0:
-            return True
-        packed = self._pack(block)
-        if packed.shape[1] == 1:
-            words = packed[:, 0]
-            candidates = np.nonzero(~self._known_mask(words))[0]
-            if candidates.size == 0:
-                return True
-            _, first = np.unique(words[candidates], return_index=True)
-            order = candidates[np.sort(first)]
-        else:
-            _, first = np.unique(packed, axis=0, return_index=True)
-            order = np.sort(first)
-        fresh: list[int] = []
-        for flat in order:
-            flat = int(flat)
-            key = packed[flat].tobytes()
-            if key in self._by_key:
-                continue
-            if self._count >= self.budget:
-                self.truncated = True
-                break
-            self._append(block[flat], key, op, args_for(flat), depth_for(flat))
-            fresh.append(flat)
-        if self._keys_sorted is not None and fresh:
-            new_words = packed[np.asarray(fresh, dtype=np.intp), 0]
-            self._keys_sorted = np.sort(np.concatenate([self._keys_sorted, new_words]))
+        fresh = self._absorb(self._keys(block)).tolist()
+        self._append(block[fresh], op, list(map(args_for, fresh)))
         return not self.truncated
 
     def _seed_atoms(self) -> None:
         width = self._n1 + self._n2
         if self.constants:
             block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
-            self._absorb(block, "const", lambda f: self.constants[f], lambda f: 0)
+            self._absorb_block(block, "const", self.constants.__getitem__)
         if self.variables and not self.truncated:
             block = np.array(
                 [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
             )
-            self._absorb(block, "var", lambda f: self.variables[f], lambda f: 0)
+            self._absorb_block(block, "var", self.variables.__getitem__)
 
     def _saturate(self, start: int) -> None:
         """Close rows[start:] under the binary connectives against everything.
@@ -583,49 +682,26 @@ class FormulaEnumeration:
         batches to bound peak memory.
         """
         top = self.universe.top
+        width = self._rows.shape[1]
         while start < self._count and not self.truncated:
             n_all = self._count
             all_rows = self._rows[:n_all].copy()
-            all_depth = self._class_depth[:n_all]
-            rhs = all_rows[None, :, :]
-            chunk = max(1, levels.BATCH // max(1, n_all * all_rows.shape[1]))
-            base = start
-            while base < n_all and not self.truncated:
-                hi = min(base + chunk, n_all)
-                f = hi - base
-                lhs = all_rows[base:hi, None, :]
-
-                def pair(flat: int, base=base) -> tuple[int, int]:
-                    return base + flat // n_all, flat % n_all
-
-                def depth_for(flat: int) -> int:
-                    i, j = pair(flat)
-                    di, dj = all_depth[i], all_depth[j]
-                    return di if di >= dj else dj
-
-                def args_sym(flat: int) -> tuple[int, int]:
-                    i, j = pair(flat)
-                    return (j, i) if j <= i else (i, j)
-
-                def args_fwd(flat: int) -> tuple[int, int]:
-                    i, j = pair(flat)
-                    return (i, j)
-
-                def args_rev(flat: int) -> tuple[int, int]:
-                    i, j = pair(flat)
-                    return (j, i)
-
-                produced = (
-                    ("and", args_sym, lambda: np.minimum(lhs, rhs)),
-                    ("implies", args_fwd, lambda: levels.residuum(lhs, rhs, top)),
-                    ("implies", args_rev, lambda: levels.residuum(rhs, lhs, top)),
-                    ("iff", args_sym, lambda: levels.biimplication(lhs, rhs, top)),
-                )
-                for op, args_for, make in produced:
-                    cand = make().reshape(f * n_all, -1)
-                    if not self._absorb(cand, op, args_for, depth_for):
+            chunk = max(1, levels.BATCH // max(1, n_all * width))
+            for base in range(start, n_all, chunk):
+                lhs = all_rows[base : base + chunk]
+                pair_keys = self._pair_keys(lhs, all_rows)
+                for (op, order, fn), keys in zip(_CONNECTIVES, pair_keys):
+                    fresh = self._absorb(keys)
+                    if fresh.size:
+                        i, j = base + fresh // n_all, fresh % n_all
+                        rows = fn(all_rows[i], all_rows[j], top)
+                        if order == "sorted":
+                            i, j = np.minimum(i, j), np.maximum(i, j)
+                        elif order == "converse":
+                            i, j = j, i
+                        self._append(rows, op, list(zip(i.tolist(), j.tolist())))
+                    if self.truncated:
                         return
-                base = hi
             start = n_all
 
     def _modal_step(self) -> None:
@@ -637,11 +713,6 @@ class FormulaEnumeration:
         snap = self._count
         vec1 = self._rows[:snap, : self._n1].copy()
         vec2 = self._rows[:snap, self._n1 :].copy()
-        child_depth = self._class_depth[:snap]
-
-        def depth_for(flat: int) -> int:
-            return child_depth[flat] + 1
-
         top = self.universe.top
         for idx in self.indices:
             for op in self._unary_ops:
@@ -652,7 +723,7 @@ class FormulaEnumeration:
                 def args_for(flat: int, idx=idx) -> tuple[int, int]:
                     return (idx, flat)
 
-                if not self._absorb(block, op, args_for, depth_for):
+                if not self._absorb_block(block, op, args_for):
                     break
             if self.truncated:
                 break
@@ -723,23 +794,6 @@ class FormulaEnumeration:
 
     def formulas(self) -> list[Formula]:
         return [self.formula(i) for i in range(self._count)]
-
-    def class_at(self, index: int) -> SemanticClass:
-        """Metadata record of class ``index`` (vectors as level indices)."""
-        row = self._rows[index]
-        return SemanticClass(
-            self._ops[index],
-            self._args[index],
-            tuple(int(l) for l in row[: self._n1]),
-            tuple(int(l) for l in row[self._n1 :]),
-            self._class_depth[index],
-        )
-
-    def vectors(self, index: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """The exact value vectors of class ``index`` on the two models."""
-        decode = self.universe.decode
-        row = self._rows[index]
-        return tuple(decode(row[: self._n1])), tuple(decode(row[self._n1 :]))
 
     def level_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Level-index vectors of every class, as two aligned array views.

@@ -151,6 +151,24 @@ def test_greatest_matrix_satisfies_its_conditions(rng):
                     assert check.holds, (t.value, check.name)
 
 
+def test_report_conditions_equal_checking_the_matrix(rng, monkeypatch):
+    # greatest_pre checks its own level matrix in the value universe it
+    # already built; the verdicts must be those of the public check
+    import fuzzykripke.bisim as bisim
+
+    built = []
+    universe = bisim.Universe
+    monkeypatch.setattr(bisim, "Universe", lambda values: built.append(1) or universe(values))
+    for _ in range(20):
+        a, b = random_pair(rng, Algebra.godel())
+        for t in ALL_TYPES:
+            built.clear()
+            rep = greatest_pre(a, b, t)
+            assert len(built) == 1
+            direct = check_conditions(a, b, rep.matrix, t)
+            assert [c.to_dict() for c in rep.conditions] == [c.to_dict() for c in direct]
+
+
 def test_check_conditions_reports_first_violation():
     a, b = load_pair("sim_showcase")
     ones = FuzzyMat.ones(a.algebra, (len(a.worlds), len(b.worlds)))

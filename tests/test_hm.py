@@ -1,5 +1,6 @@
 """Depth-bounded expressivity harness: ladders, invariance, the counterexample."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,43 @@ def test_invariance_on_random_pairs(rng):
         for fragment in FRAGMENTS:
             rep = invariance_check(a, b, THETA_FOR_FRAGMENT[fragment], fragment, depth=2)
             assert rep.holds, rep.violation
+
+
+def test_invariance_blocks_report_the_first_violation(monkeypatch):
+    # the full relation breaks the bound wherever a generator tells two
+    # worlds apart; blocks of generators must report the first such
+    # (generator, world, world) in row-major order, as one block does
+    import fuzzykripke.hm as hm
+    from fuzzykripke import levels
+    from fuzzykripke.algebra import ONE
+    from fuzzykripke.fuzzrel import FuzzyMat
+    from fuzzykripke.syntax import FormulaEnumeration, to_text
+
+    a, b = load_pair("sim_showcase")
+    full = FuzzyMat(a.algebra, [[ONE] * len(b.worlds) for _ in a.worlds])
+    real = hm.greatest_pre
+    monkeypatch.setattr(
+        hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(real(m1, m2, t), matrix=full)
+    )
+    enum = FormulaEnumeration(a, b, Fragment.PLUS).extend_generators(1)
+    k, w, wp = next(
+        (k, w, wp)
+        for k in enum.generator_indices()
+        for w in range(len(a.worlds))
+        for wp in range(len(b.worlds))
+        if a.eval_vec(enum.formula(k)).values[w] != b.eval_vec(enum.formula(k)).values[wp]
+    )
+    assert k > 2  # the first blocks of three generators hold no violation
+    reports = []
+    for batch in (levels.BATCH, 3 * len(full.rows) * len(b.worlds), 1):
+        monkeypatch.setattr(levels, "BATCH", batch)
+        rep = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=1)
+        assert not rep.holds
+        reports.append((rep.formulas_checked, rep.violation))
+    assert reports[0] == reports[1] == reports[2]
+    violation = reports[0][1]
+    assert violation["formula"] == to_text(enum.formula(k))
+    assert violation["pair"] == [a.worlds[w], b.worlds[wp]]
 
 
 def test_invariance_rejects_mismatched_pairing():

@@ -2,11 +2,17 @@
 
 from fractions import Fraction
 
+import random
+
+import numpy as np
 import pytest
+from conftest import GODEL_ENUM_POOL, random_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzykripke.syntax as sx
+from fuzzykripke import levels
+from fuzzykripke.algebra import Algebra
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.syntax import (
     And,
@@ -173,6 +179,17 @@ def showcase():
     return load_pair("sim_showcase")
 
 
+def class_list(e):
+    """Everything an enumeration reports per class, in order: the level
+    rows, the representative and its modal depth, and the budget flag."""
+    lv1, lv2 = e.level_vectors()
+    classes = [
+        (lv1[i].tolist(), lv2[i].tolist(), e.formula(i), modal_depth(e.formula(i)))
+        for i in range(len(e))
+    ]
+    return classes, e.truncated
+
+
 def test_enumeration_seeds_and_values():
     a, b = showcase()
     e = FormulaEnumeration(a, b, Fragment.FULL)
@@ -187,37 +204,42 @@ def test_enumeration_seeds_and_values():
 def test_enumeration_deduplicates_by_both_vectors():
     a, b = showcase()
     e = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    lv1, lv2 = e.level_vectors()
     seen = set()
     for i in range(len(e)):
-        v1, v2 = e.vectors(i)
-        assert (v1, v2) not in seen
-        seen.add((v1, v2))
+        key = (tuple(e.universe.decode(lv1[i])), tuple(e.universe.decode(lv2[i])))
+        assert key not in seen
+        seen.add(key)
 
 
 def test_enumeration_is_sound_for_its_models():
     a, b = showcase()
     e = FormulaEnumeration(a, b, Fragment.FULL).extend_to_depth(1)
     step = max(1, len(e) // 40)
+    lv1, lv2 = e.level_vectors()
     for i in range(0, len(e), step):
         f = e.formula(i)
-        v1, v2 = e.vectors(i)
-        assert tuple(a.eval_vec(f).values) == v1
-        assert tuple(b.eval_vec(f).values) == v2
-        assert e.class_at(i).depth == modal_depth(f)
+        assert list(a.eval_vec(f).values) == e.universe.decode(lv1[i])
+        assert list(b.eval_vec(f).values) == e.universe.decode(lv2[i])
+        assert modal_depth(f) <= 1
+
+
+def top_nodes(e):
+    """The node types at the root of every class representative."""
+    return {type(f) for f in e.formulas()}
 
 
 def test_enumeration_respects_fragment_and_boxes():
     a, b = showcase()
-    ops_prop = {c.op for c in map(FormulaEnumeration(a, b, Fragment.PROPOSITIONAL).class_at, range(190))}
-    assert ops_prop <= {"const", "var", "and", "implies", "iff"}
-    e_minus = FormulaEnumeration(a, b, Fragment.MINUS).extend_to_depth(1)
-    ops_minus = {e_minus.class_at(i).op for i in range(len(e_minus))}
-    assert "diamond" not in ops_minus and "box" not in ops_minus
-    assert "diamondinv" in ops_minus and "boxinv" in ops_minus
+    nodes_prop = top_nodes(FormulaEnumeration(a, b, Fragment.PROPOSITIONAL))
+    assert nodes_prop <= {Const, Var, And, Implies}
+    nodes_minus = top_nodes(FormulaEnumeration(a, b, Fragment.MINUS).extend_to_depth(1))
+    assert Diamond not in nodes_minus and Box not in nodes_minus
+    assert DiamondInv in nodes_minus and BoxInv in nodes_minus
     e_nobox = FormulaEnumeration(a, b, Fragment.FULL, include_boxes=False).extend_to_depth(1)
-    ops_nobox = {e_nobox.class_at(i).op for i in range(len(e_nobox))}
-    assert "box" not in ops_nobox and "boxinv" not in ops_nobox
-    assert "diamond" in ops_nobox and "diamondinv" in ops_nobox
+    nodes_nobox = top_nodes(e_nobox)
+    assert Box not in nodes_nobox and BoxInv not in nodes_nobox
+    assert Diamond in nodes_nobox and DiamondInv in nodes_nobox
 
 
 def test_staged_extension_equals_direct():
@@ -226,37 +248,176 @@ def test_staged_extension_equals_direct():
     staged = FormulaEnumeration(a, b, Fragment.PLUS)
     staged.extend_generators(1)
     staged.extend_to_depth(1)
-    assert len(direct) == len(staged)
-    for i in range(len(direct)):
-        cd, cs = direct.class_at(i), staged.class_at(i)
-        assert (cd.op, cd.args, cd.vec1, cd.vec2, cd.depth) == (
-            cs.op,
-            cs.args,
-            cs.vec1,
-            cs.vec2,
-            cs.depth,
-        )
+    assert class_list(direct) == class_list(staged)
 
 
 def test_extension_preserves_prefix():
     a, b = showcase()
     e = FormulaEnumeration(a, b, Fragment.PLUS)
-    before = [(e.class_at(i).op, e.vectors(i)) for i in range(len(e))]
+    before, _ = class_list(e)
     e.extend_to_depth(1)
-    after = [(e.class_at(i).op, e.vectors(i)) for i in range(len(before))]
-    assert before == after
+    assert class_list(e)[0][: len(before)] == before
 
 
 def test_generator_rows_are_exactly_the_non_binary_classes():
     a, b = showcase()
     e = FormulaEnumeration(a, b, Fragment.FULL).extend_to_depth(1)
     gens = set(e.generator_indices())
-    for i in range(len(e)):
-        op = e.class_at(i).op
-        if op in ("and", "implies", "iff"):
-            assert i not in gens
-        else:
-            assert i in gens
+    for i, f in enumerate(e.formulas()):
+        assert (i in gens) == (not isinstance(f, (And, Implies)))
+
+
+# The known rows are kept either in a dense table of mixed-radix keys, with
+# candidate keys summed from the connective tables, or in a sorted array of
+# keys (radix integers, or row bytes when a key would not fit in an int64).
+# The class list may not depend on which.
+
+
+def fallback_keys(kind):
+    """A replacement for ``syntax._row_keys`` that never takes the dense table."""
+    row_keys = sx._row_keys
+
+    def layout(size, width):
+        radix, _ = row_keys(size, width)
+        return (radix if kind == "radix" else None), False
+
+    return layout
+
+
+@pytest.mark.parametrize("algebra", ["boolean", "chain:3", "chain:5", "godel"])
+def test_dense_and_fallback_keys_give_the_same_class_list(monkeypatch, algebra):
+    alg = Algebra.from_spec(algebra)
+    rng = random.Random(f"dense-{algebra}")
+    pool = GODEL_ENUM_POOL if algebra == "godel" else None
+    variables = ("p", "q") if algebra == "boolean" else ("p",)
+    pairs = [random_pair(rng, alg, 3, variables, pool=pool) for _ in range(4)]
+
+    def lists():
+        out, dense = [], []
+        for a, b in pairs:
+            for fragment in ("plus", "minus", "full"):
+                e = FormulaEnumeration(a, b, Fragment(fragment), budget=1500)
+                dense.append(e.dense)
+                out.append(class_list(e))
+                for depth in (1, 2):
+                    out.append(class_list(e.extend_to_depth(depth)))
+                    if not e.truncated:
+                        # a cut within the last block of the full run
+                        out.append(class_list(
+                            FormulaEnumeration(a, b, Fragment(fragment), budget=len(e) // 2 + 1)
+                            .extend_to_depth(depth)
+                        ))
+                    else:
+                        out.append(out[-1])
+        return out, dense
+
+    want, dense = lists()
+    assert all(dense)
+    assert any(truncated for _, truncated in want)
+    for kind in ("radix", "bytes"):
+        monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+        got, dense = lists()
+        assert not any(dense)
+        assert got == want
+        monkeypatch.undo()
+
+
+class _Full(Exception):
+    pass
+
+
+def reference_class_list(a, b, fragment, depth, budget):
+    """The enumeration spelled out with Python loops and a set of rows.
+
+    Atoms (constants, then variables); then per pass, per block of new rows
+    (blocks as large as levels.BATCH allows), per connective, every pair
+    (new row i, known row j) in row-major order; then per depth the modal
+    rows of every class, index by index, and their closure.  A row joins
+    the first time it occurs, while the budget lasts.
+    """
+    e = FormulaEnumeration(a, b, fragment)
+    top = int(e.universe.top)
+    rows, formulas, seen = [], [], set()
+
+    def add(row, formula):
+        if row not in seen:
+            if len(rows) >= budget:
+                raise _Full
+            seen.add(row)
+            rows.append(row)
+            formulas.append(formula)
+
+    connectives = (
+        (lambda x, y: min(x, y), lambda i, j: And(formulas[min(i, j)], formulas[max(i, j)])),
+        (lambda x, y: top if x <= y else y, lambda i, j: Implies(formulas[i], formulas[j])),
+        (lambda x, y: top if y <= x else x, lambda i, j: Implies(formulas[j], formulas[i])),
+        (lambda x, y: top if x == y else min(x, y),
+         lambda i, j: sx.iff(formulas[min(i, j)], formulas[max(i, j)])),
+    )
+
+    def saturate(start):
+        while start < len(rows):
+            n_all, width = len(rows), len(rows[0])
+            chunk = max(1, levels.BATCH // max(1, n_all * width))
+            for base in range(start, n_all, chunk):
+                for op, node in connectives:
+                    for i in range(base, min(base + chunk, n_all)):
+                        for j in range(n_all):
+                            add(tuple(map(op, rows[i], rows[j])), node(i, j))
+            start = n_all
+
+    encode = e.universe.encode
+    rel1, val1 = a.encoded(e.universe)
+    rel2, val2 = b.encoded(e.universe)
+    try:
+        for c in e.constants:
+            add((int(encode([c])[0]),) * (len(a.worlds) + len(b.worlds)), Const(c))
+        for p in e.variables:
+            add(tuple(val1[p].tolist() + val2[p].tolist()), Var(p))
+        saturate(0)
+        for _ in range(depth):
+            snap = len(rows)
+            lv = np.array(rows, dtype=e.universe.dtype)
+            for idx in e.indices:
+                for op in e._unary_ops:
+                    out1 = levels.modal(op, rel1[idx], lv[:, : len(a.worlds)], e.universe.top)
+                    out2 = levels.modal(op, rel2[idx], lv[:, len(a.worlds) :], e.universe.top)
+                    for k, row in enumerate(np.hstack([out1, out2]).tolist()):
+                        add(tuple(row), sx._NODE_FOR_OP[op](idx, formulas[k]))
+            saturate(snap)
+    except _Full:
+        return rows, formulas, True
+    return rows, formulas, False
+
+
+@pytest.mark.parametrize("algebra", ["boolean", "chain:3", "chain:5", "godel"])
+def test_enumeration_matches_the_loop_reference(monkeypatch, algebra):
+    alg = Algebra.from_spec(algebra)
+    rng = random.Random(f"loops-{algebra}")
+    pool = GODEL_ENUM_POOL if algebra == "godel" else None
+    for _ in range(3):
+        a, b = random_pair(rng, alg, 3, pool=pool)
+        for fragment, depth, budget in (("plus", 1, 300), ("full", 1, 100), ("minus", 2, 200)):
+            want = reference_class_list(a, b, Fragment(fragment), depth, budget)
+            for row_keys in (sx._row_keys, fallback_keys("radix"), fallback_keys("bytes")):
+                monkeypatch.setattr(sx, "_row_keys", row_keys)
+                e = FormulaEnumeration(a, b, Fragment(fragment), budget=budget)
+                e.extend_to_depth(depth)
+                got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
+                assert (got, e.formulas(), e.truncated) == want
+
+
+def test_showcase_takes_the_dense_path_below_the_batch_bound(monkeypatch):
+    a, b = showcase()
+    dense = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    assert dense.dense
+    # with a key table larger than BATCH the sorted-key fallback runs; its
+    # blocks are smaller, so the order may differ, but not the classes
+    monkeypatch.setattr(levels, "BATCH", len(dense.values) ** 5)
+    small = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    assert not small.dense
+    rows = sorted(map(tuple, np.hstack(dense.level_vectors()).tolist()))
+    assert sorted(map(tuple, np.hstack(small.level_vectors()).tolist())) == rows
 
 
 def test_budget_truncation_sets_flag():
