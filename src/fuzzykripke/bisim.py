@@ -41,12 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .algebra import format_value
 from .fuzzrel import FuzzyMat, RESIDUAL_UPDATES
 from .levels import (
     DIRECTIONS,
@@ -56,6 +54,7 @@ from .levels import (
     first_violation,
     orient,
     residual_fold,
+    union,
 )
 from .model import KripkeModel, check_comparable
 
@@ -127,17 +126,16 @@ class ConditionCheck:
         return out
 
 
-def _check(name: str, statement: str, lhs, rhs, worlds, values) -> ConditionCheck:
-    """The verdict on ``lhs <= rhs`` for two level arrays, with the first
-    violating entry in row-major order named by ``worlds``, the world
-    names of each axis."""
+def _check(name: str, statement: str, lhs, rhs, worlds, universe: Universe) -> ConditionCheck:
+    """The verdict on ``lhs <= rhs`` for two level arrays of ``universe``,
+    with the first violating entry in row-major order named by ``worlds``,
+    the world names of each axis."""
     bad = first_violation(lhs, rhs)
     violation = None
     if bad is not None:
         names = [side[i] for side, i in zip(worlds, bad)]
         violation = {"world": names[0]} if len(names) == 1 else {"pair": names}
-        violation["lhs"] = format_value(values[lhs[bad]])
-        violation["rhs"] = format_value(values[rhs[bad]])
+        violation["lhs"], violation["rhs"] = universe.format(np.array([lhs[bad], rhs[bad]]))
     return ConditionCheck(name, statement, bad is None, violation)
 
 
@@ -158,20 +156,20 @@ def check_conditions(
             f"relation shape {phi.shape} does not match world counts "
             f"{(len(m1.worlds), len(m2.worlds))}"
         )
-    universe = Universe(chain(m1.entries(), m2.entries(), chain.from_iterable(phi.rows)))
+    universe = union([m1.universe, m2.universe, phi.universe])
     return _level_conditions(
-        m1, m2, universe.values, m1.encoded(universe), m2.encoded(universe),
-        universe.encode(phi.rows), sim_type,
+        m1, m2, universe, m1.encoded(universe), m2.encoded(universe),
+        universe.recode(phi.universe, phi.levels), sim_type,
     )
 
 
 def _level_conditions(
-    m1: KripkeModel, m2: KripkeModel, values: tuple, enc1: tuple, enc2: tuple,
+    m1: KripkeModel, m2: KripkeModel, universe: Universe, enc1: tuple, enc2: tuple,
     p: np.ndarray, sim_type: SimType,
 ) -> list[ConditionCheck]:
     """:func:`check_conditions` on levels: ``enc1`` and ``enc2`` are the
-    models encoded (:meth:`KripkeModel.encoded`) in the universe of
-    ``values``, and ``p`` is the level matrix of the relation."""
+    models encoded (:meth:`KripkeModel.encoded`) in ``universe``, and ``p``
+    is the level matrix of the relation."""
     rels1, vals1 = enc1
     rels2, vals2 = enc2
     variables = sorted(m1.valuation)
@@ -199,7 +197,7 @@ def _level_conditions(
     def vector_checks(family: int, texts: dict) -> list[ConditionCheck]:
         return [
             _check(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
-                   *atoms[family, DIRECTIONS[tag][1], var], values)
+                   *atoms[family, DIRECTIONS[tag][1], var], universe)
             for tag in tags
             for var in variables
         ]
@@ -215,7 +213,7 @@ def _level_conditions(
             if DIRECTIONS[tag][0]:
                 lhs, rhs, worlds = lhs.T, rhs.T, worlds[::-1]
             checks.append(_check(f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i),
-                                 lhs, rhs, worlds, values))
+                                 lhs, rhs, worlds, universe))
     return checks + vector_checks(3, _COND3_TEXT)
 
 
@@ -238,7 +236,7 @@ class SimReport:
             "type": self.sim_type.value,
             "row_worlds": list(self.row_worlds),
             "col_worlds": list(self.col_worlds),
-            "matrix": [[format_value(v) for v in row] for row in self.matrix.rows],
+            "matrix": self.matrix.format(),
             "iterations": self.iterations,
             "satisfies_condition1": self.satisfies_condition1,
             "nonempty": self.nonempty,
@@ -260,7 +258,7 @@ def _initial_relation(v1: np.ndarray, v2: np.ndarray, top, sim_type: SimType) ->
 
 def iteration_cap(m1: KripkeModel, m2: KripkeModel) -> int:
     """Default sweep cap: generous, and only reachable on an internal error."""
-    return _sweep_cap(m1, m2, Universe(chain(m1.entries(), m2.entries())))
+    return _sweep_cap(m1, m2, union([m1.universe, m2.universe]))
 
 
 def _sweep_cap(m1: KripkeModel, m2: KripkeModel, universe: Universe) -> int:
@@ -281,7 +279,7 @@ def greatest_pre(
     """
     sim_type = SimType(sim_type)
     check_comparable(m1, m2)
-    universe = Universe(chain(m1.entries(), m2.entries()))
+    universe = union([m1.universe, m2.universe])
     if max_iterations is None:
         max_iterations = _sweep_cap(m1, m2, universe)
     top = universe.top
@@ -310,8 +308,8 @@ def greatest_pre(
             break
         phi = new
 
-    matrix = FuzzyMat(m1.algebra, universe.decode(phi))
-    conditions = _level_conditions(m1, m2, universe.values, enc1, enc2, phi, sim_type)
+    matrix = FuzzyMat.from_levels(m1.algebra, phi, universe)
+    conditions = _level_conditions(m1, m2, universe, enc1, enc2, phi, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
     nonempty = bool(phi.any())
     return SimReport(

@@ -22,11 +22,11 @@ import functools
 import json
 import sys
 
-from .algebra import AlgebraError, format_value
+from .algebra import AlgebraError
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
-from .model import KripkeModel, ModelError, parse_rows
+from .model import KripkeModel, ModelError, parse_matrix
 from .syntax import Fragment, ParseError, enumerate_formulas, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
@@ -39,14 +39,14 @@ def _load_relation(path: str, algebra, shape) -> FuzzyMat:
             raise ModelError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict) or "relation" not in data:
         raise ModelError(f"{path} must be a JSON object with a 'relation' key")
-    mat = FuzzyMat(algebra, parse_rows(data["relation"], f"{path}: relation"))
+    mat = parse_matrix(algebra, data["relation"], f"{path}: relation")
     if mat.shape != shape:
         raise ModelError(f"relation shape {mat.shape} does not match models {shape}")
     return mat
 
 
 def _print_matrix(matrix: FuzzyMat, rows, cols, out) -> None:
-    cells = [[format_value(v) for v in row] for row in matrix.rows]
+    cells = matrix.format()
     width = max(
         [len(w) for w in rows]
         + [len(cell) for row in cells for cell in row]
@@ -70,22 +70,19 @@ def _emit(args, payload: dict, human_lines) -> None:
 def cmd_eval(args) -> int:
     model = KripkeModel.load(args.model)
     formula = parse(args.formula)
-    vec = model.eval_vec(formula)
+    values = model.eval_vec(formula).format()
     if args.world is not None:
-        value = vec[model.world_index(args.world)]
-        payload = {"world": args.world, "value": format_value(value)}
+        value = values[model.world_index(args.world)]
+        payload = {"world": args.world, "value": value}
 
         def human(out):
-            out.write(format_value(value) + "\n")
+            out.write(value + "\n")
 
     else:
-        payload = {
-            "worlds": list(model.worlds),
-            "values": [format_value(v) for v in vec],
-        }
+        payload = {"worlds": list(model.worlds), "values": values}
 
         def human(out):
-            out.write(" ".join(format_value(v) for v in vec) + "\n")
+            out.write(" ".join(values) + "\n")
 
     _emit(args, payload, human)
     return 0

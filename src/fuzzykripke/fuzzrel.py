@@ -19,9 +19,16 @@ is a meet of residua, e.g. for phi^-1 o R <= R' o phi^-1:
     chi(u, u') = meet_v  R(u, v) -> (R' o phi^-1)(u', v)
 
 All entries stay inside the (finite) set of input values plus {0, 1}, which
-is what makes the downstream fixpoint iterations terminate.  The vectors
-and matrices here are the exact boundary type: every composition and
-update encodes its operands into levels and runs in :mod:`.levels`.
+is what makes the downstream fixpoint iterations terminate.
+
+A vector or matrix stores a ``uint8``/``uint16`` level array over a sorted
+value table, a :class:`levels.Universe` that may hold values the entries do
+not use.  ``values`` and ``rows`` decode to ``Fraction`` lazily, and
+equality and hashing are by value.  Built from values, each entry is
+type-checked and each distinct value is checked against the carrier once;
+the library builds them from levels (:meth:`FuzzyMat.from_levels`) with no
+pass over the entries.  Every operation runs in :mod:`.levels` on the
+operands' levels in the union of their tables.
 """
 
 from __future__ import annotations
@@ -31,66 +38,135 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable
 
+import numpy as np
+
 from . import levels
 from .algebra import Algebra, ONE, ZERO
 
 
-def _checked_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple:
-    """The rows as tuples of ``Fraction``, each distinct value checked once.
+def _encode_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple[list, list]:
+    """The rows as lists of value indices, with the distinct values in order
+    of first occurrence.
 
     Every entry is type-checked (integers become ``Fraction``), but
-    ``algebra.check_value`` runs once per distinct value of the whole
-    matrix, keyed by ``as_integer_ratio()`` as in :class:`levels.Universe`;
-    the first bad entry in row-major order is still the one reported.
+    ``algebra.check_value`` runs once per distinct value, keyed by
+    ``as_integer_ratio()`` as in :class:`levels.Universe`; the first bad
+    entry in row-major order is still the one reported.
     """
-    seen = set()
+    index = {}
+    values = []
     out = []
     for row in rows:
-        checked = []
+        ids = []
         for v in row:
             if not isinstance(v, Fraction):
                 if not isinstance(v, int):
                     raise TypeError(f"truth values must be Fraction, got {type(v).__name__}")
                 v = Fraction(v)
             key = v.as_integer_ratio()
-            if key not in seen:
+            i = index.get(key)
+            if i is None:
                 algebra.check_value(v)
-                seen.add(key)
-            checked.append(v)
-        out.append(tuple(checked))
-    return tuple(out)
+                i = index[key] = len(values)
+                values.append(v)
+            ids.append(i)
+        out.append(ids)
+    return out, values
 
 
-class FuzzyVec:
-    """A fuzzy set over a finite world set: an immutable value vector."""
+def _matrix_ids(rows: list) -> np.ndarray:
+    """Rows of value indices as one array, once they are known to be a
+    nonempty matrix."""
+    if not rows:
+        raise ValueError("fuzzy matrix must have at least one row")
+    width = len(rows[0])
+    if width == 0 or any(len(r) != width for r in rows):
+        raise ValueError("fuzzy matrix rows must be nonempty and equally long")
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(rows) * width)
+    return flat.reshape(len(rows), width)
 
-    __slots__ = ("algebra", "values")
 
-    def __init__(self, algebra: Algebra, values: Iterable[Fraction]):
+def _common(*operands) -> tuple:
+    """The union universe of the operands and their levels in it."""
+    universe = levels.union(x.universe for x in operands)
+    return universe, [universe.recode(x.universe, x.levels) for x in operands]
+
+
+class _Leveled:
+    """A read-only level array over a value table: what vectors and
+    matrices share."""
+
+    __slots__ = ("algebra", "levels", "universe", "_decoded")
+
+    def _init(self, algebra: Algebra, lv: np.ndarray, universe: levels.Universe) -> None:
+        lv.flags.writeable = False
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "values", _checked_rows(algebra, (values,))[0])
-        if len(self.values) == 0:
-            raise ValueError("fuzzy vector must be nonempty")
+        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "_decoded", None)
+
+    def _init_from_ids(self, algebra: Algebra, ids, table: list) -> None:
+        universe = levels.Universe(table)
+        self._init(algebra, universe.encode(table)[ids], universe)
+
+    @classmethod
+    def from_levels(cls, algebra: Algebra, lv: np.ndarray, universe: levels.Universe):
+        """The vector or matrix of the nonempty level array ``lv`` of
+        ``universe``, whose values the caller has checked against ``algebra``."""
+        new = object.__new__(cls)
+        new._init(algebra, lv, universe)
+        return new
 
     def __setattr__(self, name, value):
-        raise AttributeError("FuzzyVec is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _decode(self) -> tuple:
+        if self._decoded is None:
+            decoded = self.universe.decode(self.levels)
+            if self.levels.ndim == 2:
+                decoded = map(tuple, decoded)
+            object.__setattr__(self, "_decoded", tuple(decoded))
+        return self._decoded
+
+    def format(self) -> list:
+        """The entries as exact decimal strings, nested like ``levels``."""
+        return self.universe.format(self.levels)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.algebra != other.algebra or self.levels.shape != other.levels.shape:
+            return False
+        _, (a, b) = _common(self, other)
+        return bool(np.array_equal(a, b))
+
+    def __hash__(self):
+        return hash((self.algebra, self._decode()))
+
+
+class FuzzyVec(_Leveled):
+    """A fuzzy set over a finite world set: an immutable value vector."""
+
+    __slots__ = ()
+
+    def __init__(self, algebra: Algebra, values: Iterable[Fraction]):
+        (ids,), table = _encode_rows(algebra, (values,))
+        if not ids:
+            raise ValueError("fuzzy vector must be nonempty")
+        self._init_from_ids(algebra, ids, table)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return self._decode()
 
     def __len__(self):
-        return len(self.values)
+        return len(self.levels)
 
     def __getitem__(self, i) -> Fraction:
         return self.values[i]
 
     def __iter__(self):
         return iter(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyVec):
-            return NotImplemented
-        return self.algebra == other.algebra and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.algebra, self.values))
 
     def __repr__(self):
         return f"FuzzyVec({[str(v) for v in self.values]})"
@@ -105,31 +181,24 @@ class FuzzyVec:
         self.algebra.check_same(phi.algebra)
         if len(self) != phi.shape[0]:
             raise ValueError(f"dimension mismatch: vector {len(self)} vs matrix {phi.shape}")
-        return FuzzyVec(self.algebra, _compose((self.values,), phi.rows)[0])
+        universe, (f, m) = _common(self, phi)
+        return FuzzyVec.from_levels(self.algebra, levels.compose(f[None, :], m)[0], universe)
 
     def compose_vec(self, other: "FuzzyVec") -> Fraction:
         """self o other = join_a self(a) /\\ other(a)."""
         self._check_compatible(other)
-        return _compose((self.values,), tuple(zip(other.values)))[0][0]
+        universe, (f, g) = _common(self, other)
+        return universe.values[levels.compose(f[None, :], g[:, None])[0, 0]]
 
 
-class FuzzyMat:
+class FuzzyMat(_Leveled):
     """A fuzzy relation between two finite world sets: an immutable matrix."""
 
-    __slots__ = ("algebra", "rows")
+    __slots__ = ()
 
     def __init__(self, algebra: Algebra, rows: Iterable[Iterable[Fraction]]):
-        checked = _checked_rows(algebra, rows)
-        if not checked:
-            raise ValueError("fuzzy matrix must have at least one row")
-        width = len(checked[0])
-        if width == 0 or any(len(r) != width for r in checked):
-            raise ValueError("fuzzy matrix rows must be nonempty and equally long")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "rows", checked)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuzzyMat is immutable")
+        ids, table = _encode_rows(algebra, rows)
+        self._init_from_ids(algebra, _matrix_ids(ids), table)
 
     @classmethod
     def constant(cls, algebra: Algebra, shape: tuple[int, int], value: Fraction) -> "FuzzyMat":
@@ -152,20 +221,16 @@ class FuzzyMat:
         )
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._decode()
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
+        return self.levels.shape
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, FuzzyMat):
-            return NotImplemented
-        return self.algebra == other.algebra and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.algebra, self.rows))
+        return self.universe.values[self.levels[i, j]]
 
     def __repr__(self):
         return f"FuzzyMat({[[str(v) for v in row] for row in self.rows]})"
@@ -177,51 +242,41 @@ class FuzzyMat:
 
     def meet(self, other: "FuzzyMat") -> "FuzzyMat":
         self._check_compatible(other)
-        return FuzzyMat(
-            self.algebra,
-            ((min(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        universe, (a, b) = _common(self, other)
+        return FuzzyMat.from_levels(self.algebra, np.minimum(a, b), universe)
 
     def join(self, other: "FuzzyMat") -> "FuzzyMat":
         self._check_compatible(other)
-        return FuzzyMat(
-            self.algebra,
-            ((max(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)),
-        )
+        universe, (a, b) = _common(self, other)
+        return FuzzyMat.from_levels(self.algebra, np.maximum(a, b), universe)
 
     def leq(self, other: "FuzzyMat") -> bool:
         self._check_compatible(other)
-        return all(
-            a <= b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        _, (a, b) = _common(self, other)
+        return bool((a <= b).all())
 
     def inverse(self) -> "FuzzyMat":
         """The inverse relation: the transpose."""
-        return FuzzyMat(self.algebra, zip(*self.rows))
+        return FuzzyMat.from_levels(self.algebra, self.levels.T, self.universe)
 
     def compose(self, other: "FuzzyMat") -> "FuzzyMat":
         """(self o other)(a, c) = join_b self(a, b) /\\ other(b, c)."""
         self.algebra.check_same(other.algebra)
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"dimension mismatch: {self.shape} o {other.shape}")
-        return FuzzyMat(self.algebra, _compose(self.rows, other.rows))
+        universe, (a, b) = _common(self, other)
+        return FuzzyMat.from_levels(self.algebra, levels.compose(a, b), universe)
 
     def compose_vec(self, g: FuzzyVec) -> FuzzyVec:
         """(self o g)(a) = join_b self(a, b) /\\ g(b)."""
         self.algebra.check_same(g.algebra)
         if len(g) != self.shape[1]:
             raise ValueError(f"dimension mismatch: matrix {self.shape} vs vector {len(g)}")
-        column = _compose(self.rows, tuple(zip(g.values)))
-        return FuzzyVec(self.algebra, (row[0] for row in column))
+        universe, (m, v) = _common(self, g)
+        return FuzzyVec.from_levels(self.algebra, levels.compose(m, v[:, None])[:, 0], universe)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
-
-    def min_value(self) -> Fraction:
-        return min(v for row in self.rows for v in row)
-
-    def values_used(self) -> set[Fraction]:
-        return {v for row in self.rows for v in row}
+        return not self.levels.any()
 
 
 def nonzero_profile(phi: FuzzyMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -231,18 +286,8 @@ def nonzero_profile(phi: FuzzyMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     when every column count is, and degree-finite when both are; for the
     dense matrices here all counts are finite, and the profile reports them.
     """
-    rows = tuple(sum(1 for v in row if v != 0) for row in phi.rows)
-    cols = tuple(
-        sum(1 for i in range(len(phi.rows)) if phi.rows[i][j] != 0)
-        for j in range(len(phi.rows[0]))
-    )
-    return rows, cols
-
-
-def _compose(a_rows, b_rows) -> list:
-    """Max-min product of two row-major value matrices, through the kernel."""
-    universe = levels.Universe(chain(chain.from_iterable(a_rows), chain.from_iterable(b_rows)))
-    return universe.decode(levels.compose(universe.encode(a_rows), universe.encode(b_rows)))
+    nonzero = phi.levels != 0
+    return tuple(nonzero.sum(axis=1).tolist()), tuple(nonzero.sum(axis=0).tolist())
 
 
 # -- residual updates ------------------------------------------------------
@@ -268,10 +313,9 @@ def _update(tag: str, r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
         raise ValueError("relation matrices must be square")
     if phi.shape != (k, m):
         raise ValueError(f"phi shape {phi.shape} does not match relations {(k, m)}")
-    universe = levels.Universe(chain.from_iterable(r.rows + rp.rows + phi.rows))
-    encode = universe.encode
-    chi = RESIDUAL_UPDATES[tag](encode(r.rows), encode(rp.rows), encode(phi.rows), universe.top)
-    return FuzzyMat(phi.algebra, universe.decode(chi))
+    universe, (a, b, p) = _common(r, rp, phi)
+    chi = RESIDUAL_UPDATES[tag](a, b, p, universe.top)
+    return FuzzyMat.from_levels(phi.algebra, chi, universe)
 
 
 def update_forward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:

@@ -62,7 +62,7 @@ def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
     """
     lv1, lv2 = enum.generator_vectors()
     fold = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
-    return FuzzyMat(enum.algebra, enum.universe.decode(fold))
+    return FuzzyMat.from_levels(enum.algebra, fold, enum.universe)
 
 
 def weak_by_depth(
@@ -99,7 +99,7 @@ class DepthStep:
     def to_dict(self) -> dict:
         return {
             "depth": self.depth,
-            "matrix": [[format_value(v) for v in row] for row in self.matrix.rows],
+            "matrix": self.matrix.format(),
             "class_count": self.class_count,
             "truncated": self.truncated,
         }
@@ -164,6 +164,8 @@ def hm_check(
             f"no expressivity pairing for fragment {fragment.value!r}; "
             "use plus, minus or full"
         )
+    if max_depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {max_depth}")
     check_comparable(m1, m2)
     sim_type = THETA_FOR_FRAGMENT[fragment]
     strong = greatest_pre(m1, m2, sim_type)
@@ -259,7 +261,7 @@ def invariance_check(
     universe = enum.universe
     lv1, lv2 = enum.generator_vectors()
     gens = enum.generator_indices()
-    strong_lv = universe.encode(strong.rows)
+    strong_lv = universe.recode(strong.universe, strong.levels)
     # the (k, n1, n2) bounds in blocks of at most BATCH entries along k; the
     # first block with a violation holds the first one in row-major order
     step = max(1, levels.BATCH // max(1, strong_lv.size))

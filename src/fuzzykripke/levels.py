@@ -5,8 +5,11 @@ composition only compare and select values; they never make a new one.
 So every computation over a model pair can run on *levels*: the ranks of
 the values in the sorted set of values that occur (the value universe,
 always holding 0 and 1).  Level arrays are small unsigned numpy integers;
-:class:`Universe` encodes exact ``Fraction`` values into levels and
-decodes them back, once, at the boundary.
+:class:`Universe` maps exact ``Fraction`` values to levels and back, and
+every vector, matrix and model carries its levels over a universe.  The
+universe of several operands is the :func:`union` of theirs, built from a
+few dozen table values, and :meth:`Universe.recode` moves a level array
+into it with one take; values are formatted once per universe.
 
 On levels the residuum is ``where(x <= z, top, z)`` (``top`` is the level
 of 1), composition is ``max`` over ``min``, and the greatest solutions of
@@ -18,11 +21,12 @@ shape (k, n, m) is cut along the contracted axis so that it holds at most
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .algebra import ONE, ZERO
+from .algebra import ONE, ZERO, format_value
 
 BATCH = 1 << 23
 """Elements per broadcast block: bounds the memory of every (k, n, m) temporary."""
@@ -31,37 +35,86 @@ BATCH = 1 << 23
 class Universe:
     """A sorted value universe with level encoding and decoding."""
 
-    __slots__ = ("values", "dtype", "top", "_level", "_objects")
+    __slots__ = ("values", "dtype", "top", "_level", "_objects", "_texts")
 
     def __init__(self, values: Iterable[Fraction]):
         # values are keyed by (numerator, denominator): hashing a Fraction
         # costs several times more than hashing that pair
-        keys = {v.as_integer_ratio() for v in values}
-        ordered = sorted({ZERO, ONE}.union(Fraction(*k) for k in keys))
-        if len(ordered) > 1 << 16:
-            raise ValueError(f"value universe of {len(ordered)} values is too large")
-        self.values: tuple[Fraction, ...] = tuple(ordered)
-        self.dtype = np.dtype(np.uint8 if len(ordered) <= 1 << 8 else np.uint16)
-        self.top = self.dtype.type(len(ordered) - 1)
-        self._level = {v.as_integer_ratio(): i for i, v in enumerate(ordered)}
-        self._objects = np.array(ordered, dtype=object)
+        by_key = {v.as_integer_ratio(): v for v in values}
+        by_key.setdefault((0, 1), ZERO)
+        by_key.setdefault((1, 1), ONE)
+        # rounding is monotone, so distinct floats order their values
+        # exactly; only values that round to one float need Fraction order
+        approx = {key: key[0] / key[1] for key in by_key}
+        if len(set(approx.values())) == len(approx):
+            keys = sorted(approx, key=approx.__getitem__)
+        else:
+            keys = sorted(by_key, key=by_key.__getitem__)
+        if len(keys) > 1 << 16:
+            raise ValueError(f"value universe of {len(keys)} values is too large")
+        self.values: tuple[Fraction, ...] = tuple(map(by_key.__getitem__, keys))
+        self.dtype = np.dtype(np.uint8 if len(keys) <= 1 << 8 else np.uint16)
+        self.top = self.dtype.type(len(keys) - 1)
+        self._level = {key: i for i, key in enumerate(keys)}
+        self._objects = np.array(self.values, dtype=object)
+        self._texts = None
 
     def __len__(self):
         return len(self.values)
 
-    def encode(self, rows) -> np.ndarray:
-        """The level array of a value vector, or of a matrix given as rows."""
+    def encode(self, values: Iterable[Fraction]) -> np.ndarray:
+        """The level vector of ``values``, which must all be in the universe."""
         level = self._level
-        rows = list(rows)
-        if rows and not isinstance(rows[0], Fraction):
-            return np.array(
-                [[level[v.as_integer_ratio()] for v in row] for row in rows], dtype=self.dtype
-            )
-        return np.array([level[v.as_integer_ratio()] for v in rows], dtype=self.dtype)
+        return np.array([level[v.as_integer_ratio()] for v in values], dtype=self.dtype)
 
     def decode(self, levels: np.ndarray) -> list:
         """The values of a level array, as nested lists of the same shape."""
         return self._objects[levels].tolist()
+
+    def format(self, levels: np.ndarray) -> list:
+        """The values of a level array as exact decimal strings, in nested
+        lists of the same shape; each value is formatted once per universe."""
+        if self._texts is None:
+            self._texts = np.array([format_value(v) for v in self.values], dtype=object)
+        return self._texts[levels].tolist()
+
+    def recode(self, source: "Universe", levels: np.ndarray) -> np.ndarray:
+        """A level array of ``source`` as levels of this universe, which must
+        hold every value of ``source``: one take through a table remap."""
+        if source is self:
+            return levels
+        return self.encode(source.values)[levels]
+
+
+def union(universes: Iterable[Universe], values: Iterable[Fraction] = ()) -> Universe:
+    """The universe of every value of ``universes`` and of ``values``.
+
+    When the first universe already holds them all it is returned itself,
+    so that its level arrays need no remapping.
+    """
+    first, *rest = universes
+    values = tuple(values)
+    level = first._level
+    if all(
+        key in level for u in rest if u is not first for key in u._level
+    ) and all(v.as_integer_ratio() in level for v in values):
+        return first
+    return Universe(chain(first.values, *(u.values for u in rest), values))
+
+
+def used(universe: Universe, arrays: list) -> tuple[Universe, list]:
+    """The universe of the values that ``arrays`` (levels of ``universe``)
+    use, with the arrays in its levels; ``universe`` itself if they use
+    every one of its values."""
+    seen = np.zeros(len(universe), dtype=bool)
+    seen[0] = seen[-1] = True  # 0 and 1 belong to every universe
+    for levels in arrays:
+        seen[levels] = True
+    if seen.all():
+        return universe, arrays
+    smaller = Universe(v for v, s in zip(universe.values, seen) if s)
+    remap = (np.cumsum(seen) - 1).astype(smaller.dtype)
+    return smaller, [remap[levels] for levels in arrays]
 
 
 def residuum(x: np.ndarray, z: np.ndarray, top) -> np.ndarray:

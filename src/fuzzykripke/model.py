@@ -23,13 +23,16 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 ``valuation`` (map from variable to a vector of decimal strings).  Values
 are parsed exactly (JSON integers are exact too; JSON floats and booleans
 are rejected); everything is validated eagerly on load so that
-evaluation never revalidates.  The loader keeps one spelling-to-value
-map per document, so each distinct spelling is parsed once and every
-other entry costs a dict lookup; each matrix and vector checks each
-distinct value against the carrier once.  Every entry is still
+evaluation never revalidates.  The loader keeps one spelling table per
+document: each distinct spelling is parsed once and mapped straight to a
+table index, every other entry costs a dict lookup, and each distinct
+value is checked against the carrier once.  Every entry is still
 type-checked, and the first bad entry in document order is the one
-reported.  Evaluation runs on level arrays (:mod:`.levels`) and decodes
-once.
+reported.  The table becomes the document's value universe, so every
+relation and valuation is a level array over it (one take through a
+table-to-level remap), and the model keeps that universe.  Evaluation
+runs on those level arrays (:mod:`.levels`), and output formats each
+universe value once.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraError, format_value, parse_value
-from .fuzzrel import FuzzyMat, FuzzyVec
-from .levels import Universe, modal, residuum
+from .algebra import Algebra, AlgebraError, parse_value
+from .fuzzrel import FuzzyMat, FuzzyVec, _matrix_ids
+from .levels import Universe, modal, residuum, union, used
 from .syntax import _NODE_FOR_OP, And, Const, Formula, Implies, Var
 
 _OP_FOR_NODE = {node: op for op, node in _NODE_FOR_OP.items()}
@@ -57,7 +61,10 @@ class ModelError(ValueError):
 class KripkeModel:
     """An immutable fuzzy multimodal Kripke model."""
 
-    __slots__ = ("algebra", "worlds", "indices", "relations", "valuation", "_index_of")
+    __slots__ = (
+        "algebra", "worlds", "indices", "relations", "valuation", "universe", "_levels",
+        "_index_of",
+    )
 
     def __init__(
         self,
@@ -90,11 +97,20 @@ class KripkeModel:
                     f"valuation of {name!r} has length {len(vec)}, expected {n}"
                 )
             vals[name] = vec
+        # the universe of exactly the values the model uses, 0 and 1, with
+        # every relation and valuation as a level array of it
+        parts = [*rels.values(), *vals.values()]
+        universe = union([x.universe for x in parts] or [Universe(())])
+        universe, arrays = used(universe, [universe.recode(x.universe, x.levels) for x in parts])
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "indices", tuple(sorted(rels)))
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "valuation", vals)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "_levels", (
+            dict(zip(rels, arrays)), dict(zip(vals, arrays[len(rels):]))
+        ))
         object.__setattr__(self, "_index_of", {w: i for i, w in enumerate(worlds)})
 
     def __setattr__(self, name, value):
@@ -133,21 +149,15 @@ class KripkeModel:
             self.valuation,
         )
 
-    def entries(self) -> Iterator[Fraction]:
-        """Every relation and valuation entry, repeats included: the values a
-        level universe of the model must hold."""
-        return chain(
-            chain.from_iterable(row for rel in self.relations.values() for row in rel.rows),
-            chain.from_iterable(vec.values for vec in self.valuation.values()),
-        )
-
     def encoded(self, universe: Universe) -> tuple[dict, dict]:
         """The relations (by index) and the valuation (by variable) as level
         arrays of ``universe``, which must hold every value of the model."""
-        return (
-            {i: universe.encode(rel.rows) for i, rel in self.relations.items()},
-            {p: universe.encode(vec.values) for p, vec in self.valuation.items()},
-        )
+        rels, vals = self._levels
+        if universe is not self.universe:
+            remap = universe.encode(self.universe.values)
+            rels = {i: remap[lv] for i, lv in rels.items()}
+            vals = {p: remap[lv] for p, lv in vals.items()}
+        return dict(rels), dict(vals)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -163,7 +173,7 @@ class KripkeModel:
 
         def value(f: Formula) -> np.ndarray:
             if isinstance(f, Const):
-                return universe.encode((f.value,) * n)
+                return np.repeat(universe.encode((f.value,)), n)
             if isinstance(f, Var):
                 try:
                     return vals[f.name]
@@ -184,8 +194,8 @@ class KripkeModel:
 
     def eval_vec(self, f: Formula) -> FuzzyVec:
         """The value vector of ``f`` over all worlds."""
-        universe = Universe(chain(self.entries(), formula_constants(self.algebra, [f])))
-        return FuzzyVec(self.algebra, universe.decode(self.eval_levels([f], universe)[0]))
+        universe = union([self.universe], formula_constants(self.algebra, [f]))
+        return FuzzyVec.from_levels(self.algebra, self.eval_levels([f], universe)[0], universe)
 
     def eval(self, world: str, f: Formula) -> Fraction:
         """The value of ``f`` at one world."""
@@ -203,7 +213,8 @@ class KripkeModel:
         algebra = Algebra.from_spec(str(data["algebra"]))
         worlds = _require(data["worlds"], list, "'worlds' must be a list of names")
         for w in worlds:
-            _require(w, str, f"world name {json.dumps(w)} is not a string")
+            if not isinstance(w, str):
+                raise ModelError(f"world name {json.dumps(w)} is not a string")
         declared = []
         for i in _require(data["indices"], list, "'indices' must be a list of integers"):
             if not isinstance(i, int) or isinstance(i, bool):
@@ -212,16 +223,15 @@ class KripkeModel:
         raw_relations = _require(data["relations"], dict, "'relations' must be an object")
         if set(map(str, declared)) != set(map(str, raw_relations)):
             raise ModelError("declared indices and relation keys do not match")
-        memo = {}  # spelling -> value, shared by the whole document
+        table = _ValueTable(algebra)
         relations = {}
         for key, rows in raw_relations.items():
-            relations[int(key)] = FuzzyMat(algebra, parse_rows(rows, f"relation {key}", memo))
+            relations[int(key)] = table.matrix(rows, f"relation {key}")
         valuation = {}
         raw_valuation = _require(data["valuation"], dict, "'valuation' must be an object")
         for name, entries in raw_valuation.items():
-            valuation[name] = FuzzyVec(
-                algebra, _parse_entries(entries, f"valuation of {name!r}", memo)
-            )
+            valuation[name] = table.vector(entries, f"valuation of {name!r}")
+        relations, valuation = table.containers(relations, valuation)
         try:
             return cls(algebra, worlds, relations, valuation)
         except ValueError as exc:
@@ -232,14 +242,8 @@ class KripkeModel:
             "algebra": self.algebra.spec(),
             "worlds": list(self.worlds),
             "indices": list(self.indices),
-            "relations": {
-                str(i): [[format_value(v) for v in row] for row in rel.rows]
-                for i, rel in sorted(self.relations.items())
-            },
-            "valuation": {
-                name: [format_value(v) for v in vec]
-                for name, vec in sorted(self.valuation.items())
-            },
+            "relations": {str(i): rel.format() for i, rel in sorted(self.relations.items())},
+            "valuation": {name: vec.format() for name, vec in sorted(self.valuation.items())},
         }
 
     @classmethod
@@ -269,49 +273,106 @@ def _require(value, kind: type, message: str):
     return value
 
 
-def _parse_entries(entries, where: str, memo: dict) -> list[Fraction]:
-    """Exact values of a JSON list of decimal strings (or integers).
+class _ValueTable:
+    """The distinct values of one document, with every spelling parsed once.
 
-    ``memo`` maps each spelling already parsed in the document to its
-    value and holds nothing else, so a list of known strings is one lookup
-    per entry; any other entry takes the per-entry path, which rejects
-    non-strings and parses (and memoises) each new spelling.
+    ``index`` maps each spelling seen to the table index of its value;
+    ``values`` lists the distinct values by table index, in order of first
+    occurrence, and equal values spelled differently share an index.  A
+    matrix or vector is read as table indices and checked against the
+    carrier as a whole, before the next one is read, so errors come in
+    the order of a per-entry loader.
     """
-    _require(entries, list, f"{where} must be a list of values")
-    try:
-        return [memo[v] for v in entries]
-    except (KeyError, TypeError):
-        pass
-    out = []
-    for k, v in enumerate(entries):
-        if isinstance(v, bool) or not isinstance(v, (str, int)):
-            raise ModelError(
-                f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
-                'write it as a string such as "0.3"'
-            )
-        text = str(v)
-        value = memo.get(text)
-        if value is None:
+
+    def __init__(self, algebra: Algebra):
+        self.algebra = algebra
+        self.index: dict = {}
+        self.values: list[Fraction] = []
+        self._by_value: dict = {}
+        self._checked = 0
+
+    def entries(self, entries, where: str, row: Optional[int] = None) -> list[int]:
+        """Table indices of a JSON list of decimal strings (or integers):
+        the values of ``where``, or of its row ``row``.
+
+        ``index`` holds spellings only, so a list of known strings is one
+        lookup per entry; any other list takes the per-entry path, which
+        rejects non-strings and parses (and indexes) each new spelling.
+        """
+        index = self.index
+        if isinstance(entries, list):
             try:
-                value = memo[text] = parse_value(text)
-            except AlgebraError as exc:
-                raise AlgebraError(f"{where}, entry {k}: {exc}") from None
-        out.append(value)
-    return out
+                return list(map(index.__getitem__, entries))
+            except (KeyError, TypeError):
+                pass
+        if row is not None:
+            where = f"{where}, row {row}"
+        _require(entries, list, f"{where} must be a list of values")
+        out = []
+        for k, v in enumerate(entries):
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ModelError(
+                    f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
+                    'write it as a string such as "0.3"'
+                )
+            text = str(v)
+            i = index.get(text)
+            if i is None:
+                try:
+                    value = parse_value(text)
+                except AlgebraError as exc:
+                    raise AlgebraError(f"{where}, entry {k}: {exc}") from None
+                i = index[text] = self._by_value.setdefault(
+                    value.as_integer_ratio(), len(self.values)
+                )
+                if i == len(self.values):
+                    self.values.append(value)
+            out.append(i)
+        return out
+
+    def _check(self) -> None:
+        """Check the values first seen since the last call, in order."""
+        for value in self.values[self._checked:]:
+            self.algebra.check_value(value)
+        self._checked = len(self.values)
+
+    def matrix(self, rows, where: str) -> np.ndarray:
+        """Table indices of a JSON matrix: a list of rows of decimal strings.
+
+        Anything else, a string where a list belongs or a JSON float among
+        the values, raises :class:`ModelError` naming the entry; a malformed
+        or out-of-range spelling raises :class:`AlgebraError` naming it.
+        """
+        _require(rows, list, f"{where} must be a list of rows")
+        ids = [self.entries(row, where, r) for r, row in enumerate(rows)]
+        self._check()
+        return _matrix_ids(ids)
+
+    def vector(self, entries, where: str) -> np.ndarray:
+        ids = self.entries(entries, where)
+        self._check()
+        if not ids:
+            raise ValueError("fuzzy vector must be nonempty")
+        return np.array(ids, dtype=np.intp)
+
+    def containers(self, matrices: dict, vectors: dict) -> tuple[dict, dict]:
+        """The index arrays of :meth:`matrix` and :meth:`vector` as fuzzy
+        matrices and vectors over the table's universe."""
+        universe = Universe(self.values)
+        remap = universe.encode(self.values)
+        return (
+            {k: FuzzyMat.from_levels(self.algebra, remap[ids], universe)
+             for k, ids in matrices.items()},
+            {k: FuzzyVec.from_levels(self.algebra, remap[ids], universe)
+             for k, ids in vectors.items()},
+        )
 
 
-def parse_rows(rows, where: str, memo: Optional[dict] = None) -> list[list[Fraction]]:
-    """Exact values of a JSON matrix: a list of rows of decimal strings.
-
-    Anything else, a string where a list belongs or a JSON float among the
-    values, raises :class:`ModelError` naming the entry; a malformed or
-    out-of-range spelling raises :class:`AlgebraError` naming it.  ``memo``
-    is the document's spelling-to-value map (see :func:`_parse_entries`);
-    by default the matrix gets its own.
-    """
-    _require(rows, list, f"{where} must be a list of rows")
-    memo = {} if memo is None else memo
-    return [_parse_entries(row, f"{where}, row {r}", memo) for r, row in enumerate(rows)]
+def parse_matrix(algebra: Algebra, rows, where: str) -> FuzzyMat:
+    """A fuzzy matrix from a JSON matrix of decimal strings, read and
+    checked as a model's relations are (see :meth:`_ValueTable.matrix`)."""
+    table = _ValueTable(algebra)
+    return table.containers({0: table.matrix(rows, where)}, {})[0][0]
 
 
 def formula_constants(algebra: Algebra, formulas: Iterable[Formula]) -> set[Fraction]:
@@ -333,10 +394,10 @@ def formula_levels(m1: KripkeModel, m2: KripkeModel, formulas: list, *extra: Fuz
     """The value universe of a model pair, the constants of ``formulas``
     and the entries of the ``extra`` matrices, with the level vectors of
     ``formulas`` on each model (one row per formula)."""
-    universe = Universe(chain(
-        m1.entries(), m2.entries(), formula_constants(m1.algebra, formulas),
-        *(chain.from_iterable(mat.rows) for mat in extra),
-    ))
+    universe = union(
+        [m1.universe, m2.universe, *(mat.universe for mat in extra)],
+        formula_constants(m1.algebra, formulas),
+    )
     return universe, m1.eval_levels(formulas, universe), m2.eval_levels(formulas, universe)
 
 
@@ -352,7 +413,11 @@ def _render_json(node, indent: str = "") -> str:
         ]
         return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
     if isinstance(node, list):
-        if all(not isinstance(item, (dict, list)) for item in node):
+        if all(map(isinstance, node, repeat(str))):
+            # what json.dumps makes of a list of strings, without its
+            # per-call set-up: this is every row of a model file
+            return "[" + ", ".join(map(encode_basestring_ascii, node)) + "]"
+        if not any(map(isinstance, node, repeat((dict, list)))):
             return json.dumps(node)
         inner = indent + "  "
         parts = [f"{inner}{_render_json(item, inner)}" for item in node]

@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
@@ -456,6 +455,8 @@ class FormulaEnumeration:
         budget: int = 200_000,
         include_boxes: bool = True,
     ):
+        if budget < 1:
+            raise ValueError(f"budget must be positive, got {budget}")
         m1.algebra.check_same(m2.algebra)
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)
@@ -481,11 +482,11 @@ class FormulaEnumeration:
         self.indices = tuple(idx)
 
         if constants is None:
-            self.universe = levels.Universe(chain(m1.entries(), m2.entries()))
+            self.universe = levels.union([m1.universe, m2.universe])
             self.constants = self.universe.values
         else:
             self.constants = tuple(sorted({self.algebra.check_value(c) for c in constants}))
-            self.universe = levels.Universe(chain(m1.entries(), m2.entries(), self.constants))
+            self.universe = levels.union([m1.universe, m2.universe], self.constants)
         if not self.variables and not self.constants:
             raise ValueError("enumeration needs at least one variable or constant")
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .algebra import format_value
 from .bisim import ConditionCheck, _check
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
@@ -49,12 +48,8 @@ from .syntax import (
 def psi_equivalent(prebisim: FuzzyMat) -> bool:
     """Formula-set equivalence read off a weak prebisimulation matrix:
     every row and every column must contain 1."""
-    rows_ok = all(any(v == 1 for v in row) for row in prebisim.rows)
-    cols_ok = all(
-        any(prebisim.rows[i][j] == 1 for i in range(len(prebisim.rows)))
-        for j in range(len(prebisim.rows[0]))
-    )
-    return rows_ok and cols_ok
+    one = prebisim.levels == prebisim.universe.top
+    return bool(one.any(axis=1).all() and one.any(axis=0).all())
 
 
 @dataclass
@@ -85,12 +80,8 @@ class WeakReport:
             "formula_count": self.formula_count,
             "row_worlds": list(self.row_worlds),
             "col_worlds": list(self.col_worlds),
-            "presimulation": [
-                [format_value(v) for v in row] for row in self.presimulation.rows
-            ],
-            "prebisimulation": [
-                [format_value(v) for v in row] for row in self.prebisimulation.rows
-            ],
+            "presimulation": self.presimulation.format(),
+            "prebisimulation": self.prebisimulation.format(),
             "presim_satisfies_condition1": self.presim_satisfies_condition1,
             "prebisim_satisfies_condition1": self.prebisim_satisfies_condition1,
             "simulation_exists": self.simulation_exists,
@@ -115,7 +106,7 @@ def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
         return not both_sides or bool((x2 <= compose(phi.T, x1)).all())
 
     def matrix(levels) -> FuzzyMat:
-        return FuzzyMat(m1.algebra, universe.decode(levels))
+        return FuzzyMat.from_levels(m1.algebra, levels, universe)
 
     prebisim_matrix = matrix(prebisim)
     return WeakReport(
@@ -153,6 +144,8 @@ def enumerated_weak(
     because the formulae of a class have equal vectors on both models.
     """
     check_comparable(m1, m2)
+    if not len(enum):
+        raise ValueError("a weak relation needs a nonempty formula set")
     return _weak_report(m1, m2, enum.universe, *enum.level_vectors())
 
 
@@ -181,7 +174,7 @@ def check_weak(
         raise ValueError("a weak relation needs a nonempty formula set")
     kind = "wb" if bisimulation else "ws"
     universe, lv1, lv2 = formula_levels(m1, m2, formulas, phi)
-    p = universe.encode(phi.rows)
+    p = universe.recode(phi.universe, phi.levels)
     # row A: V'_A o phi^-1 = phi o V'_A over the left worlds, and
     # V_A o phi = phi^-1 o V_A over the right worlds
     left_image = compose(p, lv2.T).T
@@ -195,7 +188,7 @@ def check_weak(
     if not bisimulation:
         conditions = conditions[::2]
     return [
-        _check(f"{kind}{name}, A={label}]", statement, lhs[k], rhs[k], (worlds,), universe.values)
+        _check(f"{kind}{name}, A={label}]", statement, lhs[k], rhs[k], (worlds,), universe)
         for k, label in enumerate(map(to_text, formulas))
         for name, statement, lhs, rhs, worlds in conditions
     ]

@@ -143,6 +143,13 @@ def test_weak_empty_corpus_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_weak_fragment_budget_below_one_exits_2(capsys):
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "weak", "--fragment", "plus", "--budget", budget, FA, FB)
+        assert (code, out) == (2, "")
+        assert err == f"error: budget must be positive, got {budget}\n"
+
+
 # -- hm --------------------------------------------------------------------------
 
 
@@ -169,6 +176,13 @@ def test_hm_truncation_is_inconclusive_and_exits_1(capsys):
     code, out, _ = run(capsys, "hm", "--fragment", "full", "--depth-cap", "2", "--budget", "40", A, B)
     assert code == 1
     assert "match: no" in out
+
+
+def test_hm_negative_depth_cap_and_budget_exit_2(capsys):
+    code, out, err = run(capsys, "hm", "--fragment", "plus", "--depth-cap", "-1", A, B)
+    assert (code, out, err) == (2, "", "error: depth must be nonnegative, got -1\n")
+    code, out, err = run(capsys, "hm", "--fragment", "plus", "--budget", "-1", A, B)
+    assert (code, out, err) == (2, "", "error: budget must be positive, got -1\n")
 
 
 # -- check -----------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_small_budget_reports_truncation():
     assert rep.finiteness["right"]["1"] == {"rows": [3, 2, 3], "cols": [2, 3, 3]}
 
 
+def test_negative_depth_cap_and_empty_budget_are_rejected():
+    a, b = load_pair("sim_showcase")
+    with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+        hm_check(a, b, Fragment.PLUS, max_depth=-1)
+    with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        hm_check(a, b, Fragment.PLUS, budget=0)
+
+
 def test_random_pairs_match_across_linear_algebras(rng):
     # the depth-bounded ladder reaches the strong relation on every tried pair;
     # dense-carrier models share a small constant pool to keep the class space

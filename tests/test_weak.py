@@ -155,6 +155,20 @@ def test_empty_formula_set_is_rejected():
         check_weak(a, b, FuzzyMat.ones(a.algebra, (3, 2)), [])
 
 
+def test_enumerated_weak_rejects_an_empty_enumeration():
+    a, b = load_pair("fully_equivalent")
+
+    class Empty:
+        def __len__(self):
+            return 0
+
+    with pytest.raises(ValueError, match="^a weak relation needs a nonempty formula set$"):
+        enumerated_weak(a, b, Empty())
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=f"^budget must be positive, got {budget}$"):
+            enumerate_formulas(a, b, Fragment.PLUS, 1, budget=budget)
+
+
 def test_check_weak_validates_shape():
     a, b = load_pair("fully_equivalent")
     with pytest.raises(ValueError):
