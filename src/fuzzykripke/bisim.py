@@ -308,7 +308,7 @@ def greatest_pre(
             break
         phi = new
 
-    matrix = FuzzyMat.from_levels(m1.algebra, phi, universe)
+    matrix = FuzzyMat._from_levels(m1.algebra, phi, universe)
     conditions = _level_conditions(m1, m2, universe, enc1, enc2, phi, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
     nonempty = bool(phi.any())

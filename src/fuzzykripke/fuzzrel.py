@@ -26,9 +26,9 @@ value table, a :class:`levels.Universe` that may hold values the entries do
 not use.  ``values`` and ``rows`` decode to ``Fraction`` lazily, and
 equality and hashing are by value.  Built from values, each entry is
 type-checked and each distinct value is checked against the carrier once;
-the library builds them from levels (:meth:`FuzzyMat.from_levels`) with no
-pass over the entries.  Every operation runs in :mod:`.levels` on the
-operands' levels in the union of their tables.
+inside the library they are built from levels whose values are already
+checked, with no pass over the entries.  Every operation runs in
+:mod:`.levels` on the operands' levels in the union of their tables.
 """
 
 from __future__ import annotations
@@ -110,9 +110,12 @@ class _Leveled:
         self._init(algebra, universe.encode(table)[ids], universe)
 
     @classmethod
-    def from_levels(cls, algebra: Algebra, lv: np.ndarray, universe: levels.Universe):
+    def _from_levels(cls, algebra: Algebra, lv: np.ndarray, universe: levels.Universe):
         """The vector or matrix of the nonempty level array ``lv`` of
-        ``universe``, whose values the caller has checked against ``algebra``."""
+        ``universe``, whose values the caller has checked against ``algebra``.
+
+        Library use only: nothing here is checked, and ``lv`` is made
+        read-only in place."""
         new = object.__new__(cls)
         new._init(algebra, lv, universe)
         return new
@@ -182,7 +185,7 @@ class FuzzyVec(_Leveled):
         if len(self) != phi.shape[0]:
             raise ValueError(f"dimension mismatch: vector {len(self)} vs matrix {phi.shape}")
         universe, (f, m) = _common(self, phi)
-        return FuzzyVec.from_levels(self.algebra, levels.compose(f[None, :], m)[0], universe)
+        return FuzzyVec._from_levels(self.algebra, levels.compose(f[None, :], m)[0], universe)
 
     def compose_vec(self, other: "FuzzyVec") -> Fraction:
         """self o other = join_a self(a) /\\ other(a)."""
@@ -243,12 +246,12 @@ class FuzzyMat(_Leveled):
     def meet(self, other: "FuzzyMat") -> "FuzzyMat":
         self._check_compatible(other)
         universe, (a, b) = _common(self, other)
-        return FuzzyMat.from_levels(self.algebra, np.minimum(a, b), universe)
+        return FuzzyMat._from_levels(self.algebra, np.minimum(a, b), universe)
 
     def join(self, other: "FuzzyMat") -> "FuzzyMat":
         self._check_compatible(other)
         universe, (a, b) = _common(self, other)
-        return FuzzyMat.from_levels(self.algebra, np.maximum(a, b), universe)
+        return FuzzyMat._from_levels(self.algebra, np.maximum(a, b), universe)
 
     def leq(self, other: "FuzzyMat") -> bool:
         self._check_compatible(other)
@@ -257,7 +260,7 @@ class FuzzyMat(_Leveled):
 
     def inverse(self) -> "FuzzyMat":
         """The inverse relation: the transpose."""
-        return FuzzyMat.from_levels(self.algebra, self.levels.T, self.universe)
+        return FuzzyMat._from_levels(self.algebra, self.levels.T, self.universe)
 
     def compose(self, other: "FuzzyMat") -> "FuzzyMat":
         """(self o other)(a, c) = join_b self(a, b) /\\ other(b, c)."""
@@ -265,7 +268,7 @@ class FuzzyMat(_Leveled):
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"dimension mismatch: {self.shape} o {other.shape}")
         universe, (a, b) = _common(self, other)
-        return FuzzyMat.from_levels(self.algebra, levels.compose(a, b), universe)
+        return FuzzyMat._from_levels(self.algebra, levels.compose(a, b), universe)
 
     def compose_vec(self, g: FuzzyVec) -> FuzzyVec:
         """(self o g)(a) = join_b self(a, b) /\\ g(b)."""
@@ -273,7 +276,7 @@ class FuzzyMat(_Leveled):
         if len(g) != self.shape[1]:
             raise ValueError(f"dimension mismatch: matrix {self.shape} vs vector {len(g)}")
         universe, (m, v) = _common(self, g)
-        return FuzzyVec.from_levels(self.algebra, levels.compose(m, v[:, None])[:, 0], universe)
+        return FuzzyVec._from_levels(self.algebra, levels.compose(m, v[:, None])[:, 0], universe)
 
     def is_zero(self) -> bool:
         return not self.levels.any()
@@ -315,7 +318,7 @@ def _update(tag: str, r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
         raise ValueError(f"phi shape {phi.shape} does not match relations {(k, m)}")
     universe, (a, b, p) = _common(r, rp, phi)
     chi = RESIDUAL_UPDATES[tag](a, b, p, universe.top)
-    return FuzzyMat.from_levels(phi.algebra, chi, universe)
+    return FuzzyMat._from_levels(phi.algebra, chi, universe)
 
 
 def update_forward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:

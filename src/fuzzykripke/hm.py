@@ -62,7 +62,7 @@ def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
     """
     lv1, lv2 = enum.generator_vectors()
     fold = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
-    return FuzzyMat.from_levels(enum.algebra, fold, enum.universe)
+    return FuzzyMat._from_levels(enum.algebra, fold, enum.universe)
 
 
 def weak_by_depth(

@@ -6,7 +6,7 @@ So every computation over a model pair can run on *levels*: the ranks of
 the values in the sorted set of values that occur (the value universe,
 always holding 0 and 1).  Level arrays are small unsigned numpy integers;
 :class:`Universe` maps exact ``Fraction`` values to levels and back, and
-every vector, matrix and model carries its levels over a universe.  The
+every vector and matrix carries its levels over a universe.  The
 universe of several operands is the :func:`union` of theirs, built from a
 few dozen table values, and :meth:`Universe.recode` moves a level array
 into it with one take; values are formatted once per universe.
@@ -43,13 +43,7 @@ class Universe:
         by_key = {v.as_integer_ratio(): v for v in values}
         by_key.setdefault((0, 1), ZERO)
         by_key.setdefault((1, 1), ONE)
-        # rounding is monotone, so distinct floats order their values
-        # exactly; only values that round to one float need Fraction order
-        approx = {key: key[0] / key[1] for key in by_key}
-        if len(set(approx.values())) == len(approx):
-            keys = sorted(approx, key=approx.__getitem__)
-        else:
-            keys = sorted(by_key, key=by_key.__getitem__)
+        keys = sorted(by_key, key=by_key.__getitem__)
         if len(keys) > 1 << 16:
             raise ValueError(f"value universe of {len(keys)} values is too large")
         self.values: tuple[Fraction, ...] = tuple(map(by_key.__getitem__, keys))
@@ -100,21 +94,6 @@ def union(universes: Iterable[Universe], values: Iterable[Fraction] = ()) -> Uni
     ) and all(v.as_integer_ratio() in level for v in values):
         return first
     return Universe(chain(first.values, *(u.values for u in rest), values))
-
-
-def used(universe: Universe, arrays: list) -> tuple[Universe, list]:
-    """The universe of the values that ``arrays`` (levels of ``universe``)
-    use, with the arrays in its levels; ``universe`` itself if they use
-    every one of its values."""
-    seen = np.zeros(len(universe), dtype=bool)
-    seen[0] = seen[-1] = True  # 0 and 1 belong to every universe
-    for levels in arrays:
-        seen[levels] = True
-    if seen.all():
-        return universe, arrays
-    smaller = Universe(v for v, s in zip(universe.values, seen) if s)
-    remap = (np.cumsum(seen) - 1).astype(smaller.dtype)
-    return smaller, [remap[levels] for levels in arrays]
 
 
 def residuum(x: np.ndarray, z: np.ndarray, top) -> np.ndarray:

@@ -40,15 +40,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
 from .algebra import Algebra, AlgebraError, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec, _matrix_ids
-from .levels import Universe, modal, residuum, union, used
+from .levels import Universe, modal, residuum, union
 from .syntax import _NODE_FOR_OP, And, Const, Formula, Implies, Var
 
 _OP_FOR_NODE = {node: op for op, node in _NODE_FOR_OP.items()}
@@ -62,8 +60,7 @@ class KripkeModel:
     """An immutable fuzzy multimodal Kripke model."""
 
     __slots__ = (
-        "algebra", "worlds", "indices", "relations", "valuation", "universe", "_levels",
-        "_index_of",
+        "algebra", "worlds", "indices", "relations", "valuation", "universe", "_index_of",
     )
 
     def __init__(
@@ -97,20 +94,15 @@ class KripkeModel:
                     f"valuation of {name!r} has length {len(vec)}, expected {n}"
                 )
             vals[name] = vec
-        # the universe of exactly the values the model uses, 0 and 1, with
-        # every relation and valuation as a level array of it
-        parts = [*rels.values(), *vals.values()]
-        universe = union([x.universe for x in parts] or [Universe(())])
-        universe, arrays = used(universe, [universe.recode(x.universe, x.levels) for x in parts])
+        # the union of the value tables: for a loaded document, its table
+        tables = [x.universe for x in (*rels.values(), *vals.values())]
+        universe = union(tables or [Universe(())])
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "worlds", worlds)
         object.__setattr__(self, "indices", tuple(sorted(rels)))
         object.__setattr__(self, "relations", rels)
         object.__setattr__(self, "valuation", vals)
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "_levels", (
-            dict(zip(rels, arrays)), dict(zip(vals, arrays[len(rels):]))
-        ))
         object.__setattr__(self, "_index_of", {w: i for i, w in enumerate(worlds)})
 
     def __setattr__(self, name, value):
@@ -152,12 +144,17 @@ class KripkeModel:
     def encoded(self, universe: Universe) -> tuple[dict, dict]:
         """The relations (by index) and the valuation (by variable) as level
         arrays of ``universe``, which must hold every value of the model."""
-        rels, vals = self._levels
-        if universe is not self.universe:
-            remap = universe.encode(self.universe.values)
-            rels = {i: remap[lv] for i, lv in rels.items()}
-            vals = {p: remap[lv] for p, lv in vals.items()}
-        return dict(rels), dict(vals)
+        return (
+            {i: universe.recode(rel.universe, rel.levels) for i, rel in self.relations.items()},
+            {p: universe.recode(vec.universe, vec.levels) for p, vec in self.valuation.items()},
+        )
+
+    def used_values(self) -> Iterator[Fraction]:
+        """The values the relations and the valuation hold, each at least
+        once: the tables may hold values no entry uses."""
+        for x in (*self.relations.values(), *self.valuation.values()):
+            values = x.universe.values
+            yield from (values[i] for i in np.unique(x.levels).tolist())
 
     # -- evaluation ----------------------------------------------------------
 
@@ -195,7 +192,7 @@ class KripkeModel:
     def eval_vec(self, f: Formula) -> FuzzyVec:
         """The value vector of ``f`` over all worlds."""
         universe = union([self.universe], formula_constants(self.algebra, [f]))
-        return FuzzyVec.from_levels(self.algebra, self.eval_levels([f], universe)[0], universe)
+        return FuzzyVec._from_levels(self.algebra, self.eval_levels([f], universe)[0], universe)
 
     def eval(self, world: str, f: Formula) -> Fraction:
         """The value of ``f`` at one world."""
@@ -361,9 +358,9 @@ class _ValueTable:
         universe = Universe(self.values)
         remap = universe.encode(self.values)
         return (
-            {k: FuzzyMat.from_levels(self.algebra, remap[ids], universe)
+            {k: FuzzyMat._from_levels(self.algebra, remap[ids], universe)
              for k, ids in matrices.items()},
-            {k: FuzzyVec.from_levels(self.algebra, remap[ids], universe)
+            {k: FuzzyVec._from_levels(self.algebra, remap[ids], universe)
              for k, ids in vectors.items()},
         )
 
@@ -413,11 +410,7 @@ def _render_json(node, indent: str = "") -> str:
         ]
         return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
     if isinstance(node, list):
-        if all(map(isinstance, node, repeat(str))):
-            # what json.dumps makes of a list of strings, without its
-            # per-call set-up: this is every row of a model file
-            return "[" + ", ".join(map(encode_basestring_ascii, node)) + "]"
-        if not any(map(isinstance, node, repeat((dict, list)))):
+        if all(not isinstance(item, (dict, list)) for item in node):
             return json.dumps(node)
         inner = indent + "  "
         parts = [f"{inner}{_render_json(item, inner)}" for item in node]

@@ -25,12 +25,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 import numpy as np
 
 from . import levels
-from .algebra import ZERO, format_value
+from .algebra import ONE, ZERO, format_value
 
 if TYPE_CHECKING:
     from .model import KripkeModel
@@ -482,11 +483,9 @@ class FormulaEnumeration:
         self.indices = tuple(idx)
 
         if constants is None:
-            self.universe = levels.union([m1.universe, m2.universe])
-            self.constants = self.universe.values
-        else:
-            self.constants = tuple(sorted({self.algebra.check_value(c) for c in constants}))
-            self.universe = levels.union([m1.universe, m2.universe], self.constants)
+            constants = chain((ZERO, ONE), m1.used_values(), m2.used_values())
+        self.constants = tuple(sorted({self.algebra.check_value(c) for c in constants}))
+        self.universe = levels.union([m1.universe, m2.universe], self.constants)
         if not self.variables and not self.constants:
             raise ValueError("enumeration needs at least one variable or constant")
 

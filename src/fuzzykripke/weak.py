@@ -106,7 +106,7 @@ def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
         return not both_sides or bool((x2 <= compose(phi.T, x1)).all())
 
     def matrix(levels) -> FuzzyMat:
-        return FuzzyMat.from_levels(m1.algebra, levels, universe)
+        return FuzzyMat._from_levels(m1.algebra, levels, universe)
 
     prebisim_matrix = matrix(prebisim)
     return WeakReport(

@@ -23,7 +23,7 @@ from fuzzykripke.bisim import SimType, greatest_pre
 from fuzzykripke.cli import main
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel
-from fuzzykripke.syntax import parse
+from fuzzykripke.syntax import Fragment, FormulaEnumeration, parse
 
 GODEL = Algebra.godel()
 POOL = ("0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9", "1")
@@ -163,7 +163,7 @@ def test_cli_output_equals_per_entry_formatting(tmp_path):
 def test_table_with_values_the_matrix_does_not_use():
     wide = levels.Universe(Fraction(k, 10) for k in range(11))
     lv = np.array([[3, 0], [10, 7]], dtype=wide.dtype)
-    got = FuzzyMat.from_levels(GODEL, lv, wide)
+    got = FuzzyMat._from_levels(GODEL, lv, wide)
     want = FuzzyMat(GODEL, [[Fraction(3, 10), 0], [1, Fraction(7, 10)]])
     assert len(want.universe) == 4 < len(got.universe)
     assert_same_matrix(got, want)
@@ -171,12 +171,13 @@ def test_table_with_values_the_matrix_does_not_use():
     assert_same_matrix(got.join(want.inverse().inverse()), want)
     assert_same_matrix(got.compose(want), want.compose(got))
     assert got.leq(want) and want.leq(got)
-    vec = FuzzyVec.from_levels(GODEL, np.array([7, 3], dtype=wide.dtype), wide)
+    vec = FuzzyVec._from_levels(GODEL, np.array([7, 3], dtype=wide.dtype), wide)
     assert vec == FuzzyVec(GODEL, [Fraction(7, 10), Fraction(3, 10)])
     assert vec.format() == ["0.7", "0.3"]
     # a model over such tables uses, and enumerates, only its own values
     model = KripkeModel(GODEL, ["a", "b"], {1: got}, {"p": vec})
-    assert model.universe.values == (0, Fraction(3, 10), Fraction(7, 10), 1)
+    own = (0, Fraction(3, 10), Fraction(7, 10), 1)
+    assert FormulaEnumeration(model, model, Fragment.PLUS).constants == own
     assert model == KripkeModel(GODEL, ["a", "b"], {1: want}, {"p": FuzzyVec(GODEL, vec.values)})
 
 
