@@ -34,14 +34,17 @@ hence the limit is the greatest solution.
 All of it runs on level arrays (:mod:`.levels`).  The four directions
 are one residual update on reoriented arguments, and the conditions are
 checked through the same orientation table, so the seven kinds are data:
-the direction tuples of ``_THETA2``.
+the direction tuples of ``_THETA2``.  The directions that keep the sides
+(fwd, bwd) and those that swap them (fwd_inv, bwd_inv) form two stacks of
+relations, one slice per direction and index, so a sweep makes one update
+call per side, and each family of conditions is one comparison per side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,7 +54,6 @@ from .levels import (
     Universe,
     biimplication_fold,
     compose,
-    first_violation,
     orient,
     residual_fold,
     union,
@@ -126,17 +128,74 @@ class ConditionCheck:
         return out
 
 
-def _check(name: str, statement: str, lhs, rhs, worlds, universe: Universe) -> ConditionCheck:
-    """The verdict on ``lhs <= rhs`` for two level arrays of ``universe``,
-    with the first violating entry in row-major order named by ``worlds``,
-    the world names of each axis."""
-    bad = first_violation(lhs, rhs)
-    violation = None
-    if bad is not None:
-        names = [side[i] for side, i in zip(worlds, bad)]
-        violation = {"world": names[0]} if len(names) == 1 else {"pair": names}
-        violation["lhs"], violation["rhs"] = universe.format(np.array([lhs[bad], rhs[bad]]))
-    return ConditionCheck(name, statement, bad is None, violation)
+def _violations(lhs, rhs, worlds, universe: Universe, transposed=()) -> list[Optional[dict]]:
+    """For each slice j of two stacks of level arrays of ``universe``: None
+    when ``lhs[j] <= rhs[j]``, else its first violating entry in row-major
+    order, named by ``worlds`` (the world names of each axis of a slice).
+    The slices whose index is in ``transposed`` are read as their transposes.
+
+    The stacks are compared in one call; only violated slices are searched.
+    """
+    bad = lhs > rhs
+    out = []
+    for j, hit in enumerate(bad.reshape(len(bad), -1).any(axis=1).tolist()):
+        violation = None
+        if hit:
+            mask, left, right, names = bad[j], lhs[j], rhs[j], worlds
+            if j in transposed:
+                mask, left, right, names = mask.T, left.T, right.T, names[::-1]
+            at = np.unravel_index(int(mask.argmax()), mask.shape)
+            where = [side[i] for side, i in zip(names, at)]
+            violation = {"world": where[0]} if len(where) == 1 else {"pair": where}
+            violation["lhs"], violation["rhs"] = universe.format(np.array([left[at], right[at]]))
+        out.append(violation)
+    return out
+
+
+def _verdict(name: str, statement: str, violation: Optional[dict]) -> ConditionCheck:
+    # each check owns its violation: directions that share an atom share a search
+    return ConditionCheck(name, statement, violation is None, violation and dict(violation))
+
+
+# The -2 conditions and updates of a kind run side by side: a side is the
+# swap flag of DIRECTIONS, and the updates of one side are one residual
+# update, that of _SIDE_TAG, on stacks that hold the relations of every
+# (direction, index) pair of the side, transposed for the bwd directions
+# (bwd is fwd, and bwd_inv is fwd_inv, on transposed relations).
+_SIDE_TAG = {False: "fwd", True: "fwd_inv"}
+
+
+class _Side(NamedTuple):
+    pairs: list[tuple[str, int]]
+    r: np.ndarray
+    rp: np.ndarray
+
+
+def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type: SimType):
+    """The pair in levels of ``universe``: per model, the level vectors of
+    the variables in sorted order as the rows of one array; and the sides of
+    ``sim_type`` that have a -2 condition (a model with no relation index
+    has none), each with its (direction, index) pairs in condition order and
+    the stacks of their left and right relations."""
+    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
+    variables = sorted(m1.valuation)
+    valuations = tuple(
+        np.array([vals[v] for v in variables], universe.dtype).reshape(-1, len(m.worlds))
+        for m, vals in ((m1, vals1), (m2, vals2))
+    )
+    sides = {}
+    for swap in (False, True):
+        pairs = [
+            (tag, i) for tag in _THETA2[sim_type] if DIRECTIONS[tag][1] == swap
+            for i in m1.indices
+        ]
+        if pairs:
+            r, rp = (
+                np.array([rels[i].T if DIRECTIONS[tag][0] else rels[i] for tag, i in pairs])
+                for rels in (rels1, rels2)
+            )
+            sides[swap] = _Side(pairs, r, rp)
+    return valuations, sides
 
 
 def check_conditions(
@@ -158,63 +217,72 @@ def check_conditions(
         )
     universe = union([m1.universe, m2.universe, phi.universe])
     return _level_conditions(
-        m1, m2, universe, m1.encoded(universe), m2.encoded(universe),
+        m1, m2, universe, *_encode_pair(m1, m2, universe, sim_type),
         universe.recode(phi.universe, phi.levels), sim_type,
     )
 
 
 def _level_conditions(
-    m1: KripkeModel, m2: KripkeModel, universe: Universe, enc1: tuple, enc2: tuple,
-    p: np.ndarray, sim_type: SimType,
+    m1: KripkeModel, m2: KripkeModel, universe: Universe, valuations: tuple,
+    sides: dict[bool, _Side], p: np.ndarray, sim_type: SimType,
 ) -> list[ConditionCheck]:
-    """:func:`check_conditions` on levels: ``enc1`` and ``enc2`` are the
-    models encoded (:meth:`KripkeModel.encoded`) in ``universe``, and ``p``
-    is the level matrix of the relation."""
-    rels1, vals1 = enc1
-    rels2, vals2 = enc2
+    """:func:`check_conditions` on levels: ``valuations`` and ``sides`` are
+    the pair in levels of ``universe`` (:func:`_encode_pair`), and ``p`` is
+    the level matrix of the relation.
+
+    Each family of conditions is one comparison per side, of stacks; only
+    the violated conditions are searched for their first bad entry.
+    """
+    v1, v2 = valuations
     variables = sorted(m1.valuation)
     tags = _THETA2[sim_type]
     kind = sim_type.value
-
-    def sides(tag):
-        return (m2.worlds, m1.worlds) if DIRECTIONS[tag][1] else (m1.worlds, m2.worlds)
+    w1, w2 = m1.worlds, m2.worlds
 
     # With sides (a, b) and q the relation from a to b (phi, or phi^-1 when
     # the direction swaps sides), the -1 atom is V_a <= q o V_b over the
     # a-worlds and the -3 atom q^-1 o V_a <= V_b over the b-worlds.  On
     # valuations fwd and bwd give the same atoms, and so do fwd_inv and
-    # bwd_inv, so each is computed once per side swap.
-    atoms = {}
-    for tag in tags:
-        swap = DIRECTIONS[tag][1]
-        va, vb, q = (vals2, vals1, p.T) if swap else (vals1, vals2, p)
-        wa, wb = sides(tag)
-        for var in variables:
-            if (1, swap, var) not in atoms:
-                atoms[1, swap, var] = (va[var], compose(q, vb[var][:, None])[:, 0], (wa,))
-                atoms[3, swap, var] = (compose(q.T, va[var][:, None])[:, 0], vb[var], (wb,))
+    # bwd_inv, so each is checked once per side, for every variable at
+    # once; the two sides share their compositions.
+    found = {}
+    if variables:
+        image1, image2 = compose(v2, p.T), compose(v1, p)
+        atoms = {
+            (1, False): (v1, image1, (w1,)),
+            (3, False): (image2, v2, (w2,)),
+            (1, True): (v2, image2, (w2,)),
+            (3, True): (image1, v1, (w1,)),
+        }
+        for swap in {DIRECTIONS[tag][1] for tag in tags}:
+            for family in (1, 3):
+                found[family, swap] = _violations(*atoms[family, swap], universe)
 
     def vector_checks(family: int, texts: dict) -> list[ConditionCheck]:
         return [
-            _check(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
-                   *atoms[family, DIRECTIONS[tag][1], var], universe)
+            _verdict(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
+                     found[family, DIRECTIONS[tag][1]][j])
             for tag in tags
-            for var in variables
+            for j, var in enumerate(variables)
         ]
 
-    checks = vector_checks(1, _COND1_TEXT)
-    for tag in tags:
-        wa, wb = sides(tag)
-        for i in m1.indices:
-            # the forward condition  q^-1 o r <= rp o q^-1, transposed back
-            # to the orientation of the statement
-            r, rp, q = orient(tag, rels1[i], rels2[i], p)
-            lhs, rhs, worlds = compose(q.T, r), compose(rp, q.T), (wb, wa)
-            if DIRECTIONS[tag][0]:
-                lhs, rhs, worlds = lhs.T, rhs.T, worlds[::-1]
-            checks.append(_check(f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i),
-                                 lhs, rhs, worlds, universe))
-    return checks + vector_checks(3, _COND3_TEXT)
+    # the forward condition  q^-1 o r <= rp o q^-1  on each side's stacks,
+    # with each bwd slice read transposed, in the orientation of its statement
+    relational = {}
+    for swap, side in sides.items():
+        r, rp, q = orient(_SIDE_TAG[swap], side.r, side.rp, p)
+        worlds = (w1, w2) if swap else (w2, w1)
+        transposed = {j for j, (tag, _) in enumerate(side.pairs) if DIRECTIONS[tag][0]}
+        violations = _violations(compose(q.T, r), compose(rp, q.T), worlds, universe, transposed)
+        for (tag, i), violation in zip(side.pairs, violations):
+            relational[tag, i] = _verdict(
+                f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i), violation)
+
+    return (
+        vector_checks(1, _COND1_TEXT)
+        + [relational[tag, i] for tag in tags for i in m1.indices]
+        + vector_checks(3, _COND3_TEXT)
+    )
 
 
 @dataclass
@@ -283,16 +351,8 @@ def greatest_pre(
     if max_iterations is None:
         max_iterations = _sweep_cap(m1, m2, universe)
     top = universe.top
-    enc1, enc2 = m1.encoded(universe), m2.encoded(universe)
-    (rels1, vals1), (rels2, vals2) = enc1, enc2
-    variables = sorted(m1.valuation)
-    phi = _initial_relation(
-        np.array([vals1[v] for v in variables], universe.dtype).reshape(-1, len(m1.worlds)),
-        np.array([vals2[v] for v in variables], universe.dtype).reshape(-1, len(m2.worlds)),
-        top,
-        sim_type,
-    )
-    updates = [(tag, rels1[i], rels2[i]) for tag in _THETA2[sim_type] for i in m1.indices]
+    valuations, sides = _encode_pair(m1, m2, universe, sim_type)
+    phi = _initial_relation(*valuations, top, sim_type)
     iterations = 0
     while True:
         if iterations > max_iterations:
@@ -301,15 +361,15 @@ def greatest_pre(
                 "this indicates an internal error"
             )
         new = phi
-        for tag, r, rp in updates:
-            new = np.minimum(new, RESIDUAL_UPDATES[tag](r, rp, phi, top))
+        for swap, side in sides.items():
+            new = np.minimum(new, RESIDUAL_UPDATES[_SIDE_TAG[swap]](side.r, side.rp, phi, top))
         iterations += 1
         if np.array_equal(new, phi):
             break
         phi = new
 
     matrix = FuzzyMat._from_levels(m1.algebra, phi, universe)
-    conditions = _level_conditions(m1, m2, universe, enc1, enc2, phi, sim_type)
+    conditions = _level_conditions(m1, m2, universe, valuations, sides, phi, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
     nonempty = bool(phi.any())
     return SimReport(

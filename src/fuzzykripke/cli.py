@@ -37,6 +37,8 @@ def _load_relation(path: str, algebra, shape) -> FuzzyMat:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
     if not isinstance(data, dict) or "relation" not in data:
         raise ModelError(f"{path} must be a JSON object with a 'relation' key")
     mat = parse_matrix(algebra, data["relation"], f"{path}: relation")

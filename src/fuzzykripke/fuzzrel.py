@@ -9,12 +9,13 @@ four arities:
     (phi o g)(a)      = join_b  phi(a, b) /\\ g(b)
     f o g             = join_a  f(a) /\\ g(a)
 
-and the inverse of a relation is its transpose.  The module also provides
-the four residual updates used by the greatest-(pre)simulation fixpoint
-iteration: each returns the entrywise greatest matrix chi such that
-replacing phi by phi /\\ chi re-imposes one relational inequality with the
-current phi on the right-hand side.  By adjunction that greatest solution
-is a meet of residua, e.g. for phi^-1 o R <= R' o phi^-1:
+and the inverse of a relation is its transpose.  The module also holds
+the table of the four level residual updates used by the
+greatest-(pre)simulation fixpoint iteration: each returns the entrywise
+greatest matrix chi such that replacing phi by phi /\\ chi re-imposes one
+relational inequality with the current phi on the right-hand side, for a
+whole stack of relation pairs at once.  By adjunction that greatest
+solution is a meet of residua, e.g. for phi^-1 o R <= R' o phi^-1:
 
     chi(u, u') = meet_v  R(u, v) -> (R' o phi^-1)(u', v)
 
@@ -295,47 +296,13 @@ def nonzero_profile(phi: FuzzyMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 # -- residual updates ------------------------------------------------------
 #
-# Each update takes the two endo-relations R (on the left-hand worlds) and
-# Rp (on the right-hand worlds) plus the current iterate phi, and returns
-# the greatest chi making the indicated inequality hold for phi /\ chi
-# against compositions of the current phi.  The table holds the level
-# updates the fixpoint calls each sweep; the public functions below take
-# and return exact matrices and go through it.
+# Each update takes a stack of endo-relations R (on the left-hand worlds),
+# the matching stack of Rp (on the right-hand worlds) and the current
+# iterate phi, and returns the greatest chi making the indicated inequality
+# hold for phi /\ chi against compositions of the current phi, for every
+# slice of the stacks at once.  The fixpoint calls the table once per side
+# and sweep; the four keys are the four directions of levels.DIRECTIONS.
 
 RESIDUAL_UPDATES: dict[str, Callable] = {
     tag: partial(levels.residual_update, tag) for tag in levels.DIRECTIONS
 }
-
-
-def _update(tag: str, r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
-    r.algebra.check_same(rp.algebra)
-    r.algebra.check_same(phi.algebra)
-    k, k2 = r.shape
-    m, m2 = rp.shape
-    if k != k2 or m != m2:
-        raise ValueError("relation matrices must be square")
-    if phi.shape != (k, m):
-        raise ValueError(f"phi shape {phi.shape} does not match relations {(k, m)}")
-    universe, (a, b, p) = _common(r, rp, phi)
-    chi = RESIDUAL_UPDATES[tag](a, b, p, universe.top)
-    return FuzzyMat._from_levels(phi.algebra, chi, universe)
-
-
-def update_forward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
-    """Greatest chi for:  (phi /\\ chi)^-1 o R  <=  R' o phi^-1."""
-    return _update("fwd", r, rp, phi)
-
-
-def update_forward_inv(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
-    """Greatest chi for:  (phi /\\ chi) o R'  <=  R o phi."""
-    return _update("fwd_inv", r, rp, phi)
-
-
-def update_backward(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
-    """Greatest chi for:  R o (phi /\\ chi)  <=  phi o R'."""
-    return _update("bwd", r, rp, phi)
-
-
-def update_backward_inv(r: FuzzyMat, rp: FuzzyMat, phi: FuzzyMat) -> FuzzyMat:
-    """Greatest chi for:  R' o (phi /\\ chi)^-1  <=  phi^-1 o R."""
-    return _update("bwd_inv", r, rp, phi)

@@ -11,16 +11,22 @@ universe of several operands is the :func:`union` of theirs, built from a
 few dozen table values, and :meth:`Universe.recode` moves a level array
 into it with one take; values are formatted once per universe.
 
-On levels the residuum is ``where(x <= z, top, z)`` (``top`` is the level
-of 1), composition is ``max`` over ``min``, and the greatest solutions of
-relational inequalities are meets of residua.  Every broadcast block of
-shape (k, n, m) is cut along the contracted axis so that it holds at most
-:data:`BATCH` elements (more only when the result itself is larger).
+On levels the residuum is top where ``x <= z`` and z elsewhere (``top``
+is the level of 1), composition is ``max`` over ``min``, and the greatest
+solutions of relational inequalities are meets of residua.  Composition
+and the folds take an optional leading stack axis, so that one call serves
+every relation of a kind.  A broadcast of shape (s, k, m, n) that holds at
+most :data:`BATCH` elements is one block, reduced in one call; a larger
+one is cut along the contracted axis n into blocks of at most
+:data:`BATCH` elements (more only when the stacked result itself is
+larger).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -29,7 +35,7 @@ import numpy as np
 from .algebra import ONE, ZERO, format_value
 
 BATCH = 1 << 23
-"""Elements per broadcast block: bounds the memory of every (k, n, m) temporary."""
+"""Elements per broadcast block: bounds the memory of every (s, k, m, n) temporary."""
 
 
 class Universe:
@@ -96,50 +102,64 @@ def union(universes: Iterable[Universe], values: Iterable[Fraction] = ()) -> Uni
     return Universe(chain(first.values, *(u.values for u in rest), values))
 
 
+# Both select top where a comparison holds, written as a max with top times
+# the comparison: numpy runs that several times faster than ``where`` with
+# a scalar, on small broadcasts and on large arrays alike.
+
+
 def residuum(x: np.ndarray, z: np.ndarray, top) -> np.ndarray:
-    """Entrywise ``x -> z``: the greatest y with ``min(x, y) <= z``."""
-    return np.where(x <= z, top, z)
+    """Entrywise ``x -> z``: the greatest y with ``min(x, y) <= z``, that is
+    top where ``x <= z`` and z elsewhere."""
+    return np.maximum(z, np.multiply(x <= z, top, dtype=z.dtype))
 
 
 def biimplication(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
-    """Entrywise ``(x -> y) /\\ (y -> x)``."""
-    return np.where(x == y, top, np.minimum(x, y))
+    """Entrywise ``(x -> y) /\\ (y -> x)``: top where ``x == y``, the meet
+    elsewhere."""
+    return np.maximum(np.minimum(x, y), np.multiply(x == y, top, dtype=x.dtype))
 
 
-def _step(k: int, m: int) -> int:
-    return max(1, BATCH // max(1, k * m))
+def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``out(i, j) = reduce_v pair(x(i, v), y(j, v))``, and ``identity`` for
+    an empty v axis.  Either operand may carry a leading stack axis (both
+    the same one): the result is then the stack of the slices' results."""
+    *_, k, n = x.shape
+    m = y.shape[-2]
+    # elements of the broadcast per entry of the contracted axis
+    size = max(math.prod(x.shape[:-2]), math.prod(y.shape[:-2])) * k * m
+    if size * n <= BATCH:
+        return reduce.reduce(pair(x[..., None, :], y[..., None, :, :]), axis=-1, initial=identity)
+    step = max(1, BATCH // size)
+    out = None
+    for lo in range(0, n, step):
+        block = pair(x[..., None, lo : lo + step], y[..., None, :, lo : lo + step])
+        part = reduce.reduce(block, axis=-1)
+        out = part if out is None else reduce(out, part, out=out)
+    return out
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Max-min composition ``(a o b)(i, j) = max_t min(a(i, t), b(t, j))``."""
-    k, n = a.shape
-    m = b.shape[1]
-    out = np.zeros((k, m), dtype=a.dtype)
-    step = _step(k, m)
-    for lo in range(0, n, step):
-        block = np.minimum(a[:, lo : lo + step, None], b[None, lo : lo + step, :])
-        np.maximum(out, block.max(axis=1), out=out)
-    return out
+    """Max-min composition ``(a o b)(i, j) = max_t min(a(i, t), b(t, j))``.
+
+    Either operand may carry a leading stack axis (both the same one):
+    the result is then the stack of the compositions of the slices.
+    """
+    return _contract(np.minimum, np.maximum, 0, a, b.swapaxes(-1, -2))
 
 
 def residual_fold(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
-    """The meet of residua ``out(i, j) = min_v x(i, v) -> y(j, v)``.
+    """The meet of residua ``out(i, j) = min_v x(i, v) -> y(j, v)``,
+    stacked like :func:`compose`.
 
     An empty contracted axis gives ``top`` everywhere, the empty meet.
     """
-    k, n = x.shape
-    m = y.shape[0]
-    out = np.full((k, m), top, dtype=x.dtype)
-    step = _step(k, m)
-    for lo in range(0, n, step):
-        block = residuum(x[:, None, lo : lo + step], y[None, :, lo : lo + step], top)
-        np.minimum(out, block.min(axis=2), out=out)
-    return out
+    return _contract(partial(residuum, top=top), np.minimum, top, x, y)
 
 
 def biimplication_fold(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
-    """The meet of biimplications ``out(i, j) = min_v x(i, v) <-> y(j, v)``."""
-    return np.minimum(residual_fold(x, y, top), residual_fold(y, x, top).T)
+    """The meet of biimplications ``out(i, j) = min_v x(i, v) <-> y(j, v)``,
+    stacked like :func:`compose`."""
+    return _contract(partial(biimplication, top=top), np.minimum, top, x, y)
 
 
 def modal(op: str, rel: np.ndarray, vecs: np.ndarray, top) -> np.ndarray:
@@ -173,6 +193,9 @@ def first_violation(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple[int, ...
 #     fwd_inv(R, R', phi) = fwd(R', R, phi^T)^T
 #     bwd_inv(R, R', phi) = fwd(R'^T, R^T, phi^T)^T
 # so each direction is a row (transpose the relations, swap the sides).
+# The updates take stacks: slice s of ``r`` and of ``rp`` is one pair of
+# relations, and the result is the meet of the per-slice updates, the
+# greatest chi meeting every slice's inequality at once.
 
 DIRECTIONS = {
     "fwd": (False, False),
@@ -183,21 +206,24 @@ DIRECTIONS = {
 
 
 def orient(tag: str, r: np.ndarray, rp: np.ndarray, phi: np.ndarray):
-    """The arguments of direction ``tag`` rewritten for the forward form."""
+    """The arguments of direction ``tag`` rewritten for the forward form;
+    ``r`` and ``rp`` are relations or stacks of them."""
     transpose, swap = DIRECTIONS[tag]
     if transpose:
-        r, rp = r.T, rp.T
+        r, rp = r.swapaxes(-1, -2), rp.swapaxes(-1, -2)
     if swap:
         r, rp, phi = rp, r, phi.T
     return r, rp, phi
 
 
 def forward_update(r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.ndarray:
-    """Greatest chi with  ``(phi /\\ chi)^-1 o R  <=  R' o phi^-1``."""
-    return residual_fold(r, compose(rp, phi.T), top)
+    """Greatest chi with  ``(phi /\\ chi)^-1 o R_s  <=  R'_s o phi^-1``  for
+    every slice s of the stacks ``r`` and ``rp``."""
+    return residual_fold(r, compose(rp, phi.T), top).min(axis=0)
 
 
 def residual_update(tag: str, r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.ndarray:
-    """The residual update of direction ``tag``, in the orientation of ``phi``."""
+    """The residual update of direction ``tag`` for the stacks ``r`` and
+    ``rp``, in the orientation of ``phi``."""
     chi = forward_update(*orient(tag, r, rp, phi), top)
     return chi.T if DIRECTIONS[tag][1] else chi

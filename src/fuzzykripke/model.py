@@ -249,6 +249,8 @@ class KripkeModel:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ModelError("invalid JSON: nested too deeply") from None
         return cls.from_dict(data)
 
     def to_json(self) -> str:

@@ -9,7 +9,9 @@ Concrete syntax
     modalities   []_i A   <>_i A   []-_i A   <>-_i A     (integer index i)
 
 Precedence, tightest first: ! and modalities, &, |, ->, <->;  -> and <->
-associate to the right, & and | to the left.  Parentheses group.
+associate to the right, & and | to the left.  Parentheses group.  A
+formula nests at most ``MAX_NESTING`` levels deep; a deeper one is a
+:class:`ParseError`, not a recursion error.
 
 The core AST keeps only constants, variables, conjunction, implication and
 the four modalities; !A, A | B and A <-> B are abbreviations expanded at
@@ -247,11 +249,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_NESTING = 100
+"""The deepest formula the parser accepts: at most this many parentheses and
+operators open at once, and a syntax tree at most this high (the derived
+connectives count with their expansions).  Evaluation, printing and
+comparison recurse along the tree, so the bound keeps them far from
+Python's recursion limit."""
+
+
 class _Parser:
+    """Recursive descent; each method returns a formula and its height."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -267,58 +280,82 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
+    def _nested(self, parse, pos: int) -> tuple[Formula, int]:
+        """``parse()`` one level deeper, refused beyond :data:`MAX_NESTING`."""
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        out = parse()
+        self.open -= 1
+        return out
+
+    @staticmethod
+    def _node(f: Formula, height: int, pos: int) -> tuple[Formula, int]:
+        if height > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        return f, height
+
     def parse(self) -> Formula:
-        f = self._iff()
+        f, _ = self._iff()
         tok = self._peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
-    def _iff(self) -> Formula:
-        left = self._implies()
-        if self._peek()[0] == "iff":
+    def _iff(self) -> tuple[Formula, int]:
+        left, height = self._implies()
+        kind, _, pos = self._peek()
+        if kind == "iff":
             self._next()
-            return iff(left, self._iff())
-        return left
+            right, right_height = self._nested(self._iff, pos)
+            return self._node(iff(left, right), max(height, right_height) + 2, pos)
+        return left, height
 
-    def _implies(self) -> Formula:
-        left = self._disj()
-        if self._peek()[0] == "imp":
+    def _implies(self) -> tuple[Formula, int]:
+        left, height = self._disj()
+        kind, _, pos = self._peek()
+        if kind == "imp":
             self._next()
-            return Implies(left, self._implies())
-        return left
+            right, right_height = self._nested(self._implies, pos)
+            return self._node(Implies(left, right), max(height, right_height) + 1, pos)
+        return left, height
 
-    def _disj(self) -> Formula:
-        f = self._conj()
+    def _disj(self) -> tuple[Formula, int]:
+        f, height = self._conj()
         while self._peek()[0] == "or":
-            self._next()
-            f = disj(f, self._conj())
-        return f
+            pos = self._next()[2]
+            right, right_height = self._conj()
+            f, height = self._node(disj(f, right), max(height, right_height) + 3, pos)
+        return f, height
 
-    def _conj(self) -> Formula:
-        f = self._unary()
+    def _conj(self) -> tuple[Formula, int]:
+        f, height = self._unary()
         while self._peek()[0] == "and":
-            self._next()
-            f = And(f, self._unary())
-        return f
+            pos = self._next()[2]
+            right, right_height = self._unary()
+            f, height = self._node(And(f, right), max(height, right_height) + 1, pos)
+        return f, height
 
-    def _unary(self) -> Formula:
+    def _unary(self) -> tuple[Formula, int]:
         kind, text, pos = self._peek()
         if kind == "not":
             self._next()
-            return neg(self._unary())
+            child, height = self._nested(self._unary, pos)
+            return self._node(neg(child), height + 1, pos)
         if kind in ("box", "diamond"):
             self._next()
             head, index_text = text.split("_")
             index = int(index_text)
             inverse = head.endswith("-")
-            child = self._unary()
+            child, height = self._nested(self._unary, pos)
             if kind == "box":
-                return BoxInv(index, child) if inverse else Box(index, child)
-            return DiamondInv(index, child) if inverse else Diamond(index, child)
+                f = BoxInv(index, child) if inverse else Box(index, child)
+            else:
+                f = DiamondInv(index, child) if inverse else Diamond(index, child)
+            return self._node(f, height + 1, pos)
         return self._atom()
 
-    def _atom(self) -> Formula:
+    def _atom(self) -> tuple[Formula, int]:
         kind, text, pos = self._next()
         if kind == "const":
             try:
@@ -327,11 +364,11 @@ class _Parser:
                 raise ParseError(f"constant {text} has a zero denominator", pos) from None
             if value > 1:
                 raise ParseError(f"constant {text} is outside [0, 1]", pos)
-            return Const(value)
+            return Const(value), 0
         if kind == "var":
-            return Var(text)
+            return Var(text), 0
         if kind == "lp":
-            f = self._iff()
+            f = self._nested(self._iff, pos)
             self._expect("rp")
             return f
         raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)

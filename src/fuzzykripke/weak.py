@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bisim import ConditionCheck, _check
+from .bisim import ConditionCheck, _verdict, _violations
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
 from .model import KripkeModel, check_comparable, formula_levels
@@ -187,10 +187,11 @@ def check_weak(
     ]
     if not bisimulation:
         conditions = conditions[::2]
+    found = [_violations(lhs, rhs, (worlds,), universe) for *_, lhs, rhs, worlds in conditions]
     return [
-        _check(f"{kind}{name}, A={label}]", statement, lhs[k], rhs[k], (worlds,), universe)
+        _verdict(f"{kind}{name}, A={label}]", statement, violations[k])
         for k, label in enumerate(map(to_text, formulas))
-        for name, statement, lhs, rhs, worlds in conditions
+        for (name, statement, *_), violations in zip(conditions, found)
     ]
 
 

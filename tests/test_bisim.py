@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid, random_pair
-from fuzzykripke.algebra import Algebra
+from conftest import grid, random_pair, random_values
+from fuzzykripke.algebra import Algebra, format_value
 from fuzzykripke.bisim import (
     SimType,
     check_conditions,
@@ -16,7 +16,8 @@ from fuzzykripke.bisim import (
     iteration_cap,
 )
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.fuzzrel import FuzzyMat
+from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
+from fuzzykripke.model import KripkeModel
 
 ALL_TYPES = [SimType(t) for t in ("fs", "bs", "fb", "bb", "fbb", "bfb", "rb")]
 BISIM_TYPES = [SimType(t) for t in ("fb", "bb", "fbb", "bfb", "rb")]
@@ -315,6 +316,33 @@ def reference_greatest_pre(m1, m2, kind):
         phi = new
 
 
+def path_pair(rng, n):
+    """Path-shaped Godel models s0 -> s1 -> ... -> s(n-1) with the same random
+    edge weights, where ``p`` is 0 except at the last world (0.5 on the left,
+    0.3 on the right): the fixpoint needs about n sweeps to carry that
+    difference back along the path."""
+    weights = [Fraction(rng.randint(1, 10), 10) for _ in range(n - 1)]
+
+    def model(prefix, end):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for k, w in enumerate(weights):
+            rows[k][k + 1] = w
+        p = [Fraction(0)] * (n - 1) + [end]
+        godel = Algebra.godel()
+        return KripkeModel(godel, [f"{prefix}{k}" for k in range(n)],
+                           {1: FuzzyMat(godel, rows)}, {"p": FuzzyVec(godel, p)})
+
+    return model("s", Fraction(1, 2)), model("t", Fraction(3, 10))
+
+
+def assert_matches_reference(a, b):
+    for kind in REFERENCE_DIRECTIONS:
+        rep = greatest_pre(a, b, SimType(kind))
+        want, sweeps = reference_greatest_pre(a, b, kind)
+        assert [list(row) for row in rep.matrix.rows] == want, (a, b, kind)
+        assert rep.iterations == sweeps, (a, b, kind)
+
+
 def test_fixpoint_matches_reference_jacobi_iteration():
     rng = random.Random(9061)
     algebras = (Algebra.boolean(), Algebra.chain(3), Algebra.chain(5), Algebra.godel())
@@ -325,10 +353,171 @@ def test_fixpoint_matches_reference_jacobi_iteration():
             variables = ("p",) if rng.random() < 0.5 else ("p", "q")
             a, b = random_pair(rng, algebra, max_worlds=4, variables=variables,
                                indices=indices)
-            for kind in REFERENCE_DIRECTIONS:
-                rep = greatest_pre(a, b, SimType(kind))
-                want, sweeps = reference_greatest_pre(a, b, kind)
-                assert [list(row) for row in rep.matrix.rows] == want, (algebra, kind)
-                assert rep.iterations == sweeps, (algebra, kind)
-                runs += 1
-    assert runs == 4 * 12 * 7
+            assert_matches_reference(a, b)
+            runs += 1
+        # three indices (stacks of three and six relations a side), and none
+        # (no update at all: the start is the answer, after one sweep)
+        for indices in ((1, 2, 3), (1, 2, 3), ()):
+            a, b = random_pair(rng, algebra, max_worlds=4, variables=("p", "q"),
+                               indices=indices)
+            assert_matches_reference(a, b)
+            runs += 1
+    assert runs == 4 * 15
+    # pairs of different sizes, as a stack's slices are non-square
+    shapes = set()
+    while len(shapes) < 4:
+        a, b = random_pair(rng, Algebra.godel(), max_worlds=4, indices=(1, 2))
+        if len(a.worlds) != len(b.worlds) and (len(a.worlds), len(b.worlds)) not in shapes:
+            shapes.add((len(a.worlds), len(b.worlds)))
+            assert_matches_reference(a, b)
+    # path-shaped pairs, where the sweep count grows with the path
+    for n in (6, 8, 10):
+        a, b = path_pair(rng, n)
+        assert_matches_reference(a, b)
+        assert greatest_pre(a, b, SimType("fs")).iterations >= n - 1
+
+
+# -- models without relation indices ----------------------------------------------
+
+
+def test_models_without_relation_indices():
+    # no index means no -2 condition and no update: the greatest relation is
+    # the greatest solution of the -3 conditions, found in one sweep
+    def model(prefix, p):
+        return KripkeModel.from_dict({
+            "algebra": "godel", "worlds": [f"{prefix}0", f"{prefix}1"], "indices": [],
+            "relations": {}, "valuation": {"p": p},
+        })
+
+    a, b = model("w", ["0.3", "0.7"]), model("v", ["0.3", "1"])
+    fs = greatest_pre(a, b, SimType("fs"))
+    assert grid(fs.matrix) == [["1", "1"], ["0.3", "1"]] and fs.iterations == 1
+    rb = greatest_pre(a, b, SimType("rb"))
+    assert grid(rb.matrix) == [["1", "0.3"], ["0.3", "0.7"]] and rb.iterations == 1
+    assert [(c.name, c.holds) for c in rb.conditions] == [
+        ("rb-1[fwd, p=p]", True),
+        ("rb-1[fwd_inv, p=p]", False),
+        ("rb-1[bwd, p=p]", True),
+        ("rb-1[bwd_inv, p=p]", False),
+        ("rb-3[fwd, p=p]", True),
+        ("rb-3[fwd_inv, p=p]", True),
+        ("rb-3[bwd, p=p]", True),
+        ("rb-3[bwd_inv, p=p]", True),
+    ]
+    assert rb.conditions[1].violation == {"world": "v1", "lhs": "1", "rhs": "0.7"}
+    for t in ALL_TYPES:
+        rep = greatest_pre(a, b, t)
+        assert rep.iterations == 1
+        assert not any("-2[" in c.name for c in rep.conditions)
+        assert [c.to_dict() for c in check_conditions(a, b, rep.matrix, t)] == [
+            c.to_dict() for c in rep.conditions
+        ]
+        ones = FuzzyMat.ones(a.algebra, (2, 2))
+        assert [c.to_dict() for c in check_conditions(a, b, ones, t)] == (
+            reference_conditions(a, b, ones, t.value))
+
+
+# -- differential test of the condition checks against a per-condition loop -------
+#
+# The reference evaluates every condition on its own, literally as its
+# statement reads, with one composition pair and one row-major search for a
+# bad entry each; the library compares whole stacks of conditions at once.
+
+REFERENCE_STATEMENTS = {
+    1: {
+        "fwd": "V_{p} <= V'_{p} o phi^-1",
+        "fwd_inv": "V'_{p} <= V_{p} o phi",
+        "bwd": "V_{p} <= phi o V'_{p}",
+        "bwd_inv": "V'_{p} <= phi^-1 o V_{p}",
+    },
+    2: {
+        "fwd": "phi^-1 o R{i} <= R'{i} o phi^-1",
+        "fwd_inv": "phi o R'{i} <= R{i} o phi",
+        "bwd": "R{i} o phi <= phi o R'{i}",
+        "bwd_inv": "R'{i} o phi^-1 <= phi^-1 o R{i}",
+    },
+    3: {
+        "fwd": "phi^-1 o V_{p} <= V'_{p}",
+        "fwd_inv": "phi o V'_{p} <= V_{p}",
+        "bwd": "V_{p} o phi <= V'_{p}",
+        "bwd_inv": "V'_{p} o phi^-1 <= V_{p}",
+    },
+}
+
+
+def reference_conditions(m1, m2, phi, kind):
+    """The condition dicts of ``kind`` for ``phi``, one condition at a time."""
+    p = [list(row) for row in phi.rows]
+    pt = _ref_transpose(p)
+    w1, w2 = m1.worlds, m2.worlds
+
+    def column(values):
+        return [[v] for v in values]
+
+    def verdict(name, statement, lhs, rhs, rows, cols=None):
+        out = {"name": name, "statement": statement, "holds": True}
+        for i, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+            for j, (x, y) in enumerate(zip(lrow, rrow)):
+                if x > y:
+                    out["holds"] = False
+                    where = {"world": rows[i]} if cols is None else {"pair": [rows[i], cols[j]]}
+                    out["violation"] = {**where, "lhs": format_value(x), "rhs": format_value(y)}
+                    return out
+        return out
+
+    def vector(family, tag, var):
+        v1, v2 = column(m1.valuation[var].values), column(m2.valuation[var].values)
+        inv = tag.endswith("inv")
+        if family == 1:
+            # V_p <= phi o V'_p over the left worlds, or its mirror image
+            lhs, rhs, worlds = (v2, _ref_compose(pt, v1), w2) if inv else (
+                v1, _ref_compose(p, v2), w1)
+        else:
+            # phi^-1 o V_p <= V'_p over the right worlds, or its mirror image
+            lhs, rhs, worlds = (_ref_compose(p, v2), v1, w1) if inv else (
+                _ref_compose(pt, v1), v2, w2)
+        return verdict(f"{kind}-{family}[{tag}, p={var}]",
+                       REFERENCE_STATEMENTS[family][tag].format(p=var), lhs, rhs, worlds)
+
+    def relational(tag, i):
+        r = [list(row) for row in m1.relations[i].rows]
+        rp = [list(row) for row in m2.relations[i].rows]
+        lhs, rhs, rows, cols = {
+            "fwd": (_ref_compose(pt, r), _ref_compose(rp, pt), w2, w1),
+            "fwd_inv": (_ref_compose(p, rp), _ref_compose(r, p), w1, w2),
+            "bwd": (_ref_compose(r, p), _ref_compose(p, rp), w1, w2),
+            "bwd_inv": (_ref_compose(rp, pt), _ref_compose(pt, r), w2, w1),
+        }[tag]
+        return verdict(f"{kind}-2[{tag}, i={i}]",
+                       REFERENCE_STATEMENTS[2][tag].format(i=i), lhs, rhs, rows, cols)
+
+    tags = REFERENCE_DIRECTIONS[kind]
+    variables = sorted(m1.valuation)
+    return (
+        [vector(1, tag, var) for tag in tags for var in variables]
+        + [relational(tag, i) for tag in tags for i in m1.indices]
+        + [vector(3, tag, var) for tag in tags for var in variables]
+    )
+
+
+def test_check_conditions_match_the_per_condition_reference():
+    rng = random.Random(7193)
+    violated = 0
+    for algebra in (Algebra.chain(3), Algebra.godel()):
+        for _ in range(15):
+            indices = rng.choice(((1,), (1, 2), (1, 2, 3)))
+            variables = rng.choice((("p",), ("p", "q")))
+            a, b = random_pair(rng, algebra, max_worlds=4, variables=variables,
+                               indices=indices)
+            shape = (len(a.worlds), len(b.worlds))
+            # random relations violate many conditions, the greatest ones few
+            candidates = [FuzzyMat(algebra, [random_values(rng, algebra, shape[1])
+                                             for _ in range(shape[0])])
+                          for _ in range(2)]
+            candidates.append(FuzzyMat.ones(algebra, shape))
+            for t in ALL_TYPES:
+                for phi in (*candidates, greatest_pre(a, b, t).matrix):
+                    got = [c.to_dict() for c in check_conditions(a, b, phi, t)]
+                    assert got == reference_conditions(a, b, phi, t.value), (t, phi)
+                    violated += sum(not c["holds"] for c in got)
+    assert violated > 500

@@ -268,6 +268,25 @@ def test_malformed_model_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_deep_nesting_exits_2_with_one_error_line(tmp_path, capsys):
+    # too deep for a recursive descent: a formula in 3,000 parentheses, a
+    # model file and a relation file of 100,000 nested JSON arrays
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    relation = tmp_path / "relation.json"
+    relation.write_text('{"relation": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for argv in (
+        ("eval", A, "(" * 3000 + "p" + ")" * 3000),
+        ("eval", A, "<>_1 " * 3000 + "p"),
+        ("eval", str(deep), "p"),
+        ("check", A, B, "--type", "fs", "--relation", str(relation)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "nested" in err
+
+
 def checkout_env() -> dict:
     """The environment with the imported ``fuzzykripke`` first on PYTHONPATH,
     so that a child process runs this checkout's code."""

@@ -10,15 +10,8 @@ import pytest
 from conftest import grid, random_values
 from fuzzykripke.algebra import Algebra, AlgebraError
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.fuzzrel import (
-    FuzzyMat,
-    FuzzyVec,
-    nonzero_profile,
-    update_backward,
-    update_backward_inv,
-    update_forward,
-    update_forward_inv,
-)
+from fuzzykripke import levels
+from fuzzykripke.fuzzrel import RESIDUAL_UPDATES, FuzzyMat, FuzzyVec, nonzero_profile
 from fuzzykripke.levels import Universe, first_violation
 
 GODEL = Algebra.godel()
@@ -143,43 +136,74 @@ def all_small_mats(alg, k, m):
         yield FuzzyMat(alg, (combo[i * m : (i + 1) * m] for i in range(k)))
 
 
-def constraint_holders(update, r, rp, chi, phi):
+def constraint_holders(tag, r, rp, chi, phi):
     """The inequality each update is adjoint to, spelled out directly."""
-    if update is update_forward:
+    if tag == "fwd":
         return chi.inverse().compose(r).leq(rp.compose(phi.inverse()))
-    if update is update_backward:
+    if tag == "bwd":
         return r.compose(chi).leq(phi.compose(rp))
-    if update is update_forward_inv:
+    if tag == "fwd_inv":
         return chi.compose(rp).leq(r.compose(phi))
-    if update is update_backward_inv:
+    if tag == "bwd_inv":
         return rp.compose(chi.inverse()).leq(phi.inverse().compose(r))
-    raise AssertionError(update)
+    raise AssertionError(tag)
 
 
-@pytest.mark.parametrize(
-    "update", [update_forward, update_backward, update_forward_inv, update_backward_inv]
-)
+def level_update(tag, rs, rps, phi) -> FuzzyMat:
+    """The level update of direction ``tag`` for the stacks of the exact
+    relations ``rs`` and ``rps``, decoded to an exact matrix."""
+    universe = levels.union(x.universe for x in (*rs, *rps, phi))
+
+    def stack(mats):
+        return np.stack([universe.recode(x.universe, x.levels) for x in mats])
+
+    lv = universe.recode(phi.universe, phi.levels)
+    chi = RESIDUAL_UPDATES[tag](stack(rs), stack(rps), lv, universe.top)
+    return FuzzyMat(phi.algebra, universe.decode(chi))
+
+
+# the four directions, named as the updates they compute
+UPDATES = {
+    "update_forward": "fwd",
+    "update_backward": "bwd",
+    "update_forward_inv": "fwd_inv",
+    "update_backward_inv": "bwd_inv",
+}
+
+
+@pytest.mark.parametrize("update", UPDATES)
 def test_update_is_greatest_solution(update):
     # chi <= update(r, rp, phi)  iff  the associated inequality holds:
     # checked exhaustively over every candidate chi on a three-level chain
-    rng = random.Random(sum(map(ord, update.__name__)))
+    tag = UPDATES[update]
+    rng = random.Random(sum(map(ord, update)))
     for _ in range(25):
         r = rand_mat(rng, CHAIN3, 2, 2)
         rp = rand_mat(rng, CHAIN3, 2, 2)
         phi = rand_mat(rng, CHAIN3, 2, 2)
-        u = update(r, rp, phi)
-        assert constraint_holders(update, r, rp, u, phi)
+        u = level_update(tag, [r], [rp], phi)
+        assert constraint_holders(tag, r, rp, u, phi)
         for chi in all_small_mats(CHAIN3, 2, 2):
-            assert chi.leq(u) == constraint_holders(update, r, rp, chi, phi)
+            assert chi.leq(u) == constraint_holders(tag, r, rp, chi, phi)
 
 
-def test_updates_reject_bad_shapes(rng):
-    r = rand_mat(rng, GODEL, 2, 2)
-    rp = rand_mat(rng, GODEL, 3, 3)
-    with pytest.raises(ValueError):
-        update_forward(r, rp, rand_mat(rng, GODEL, 3, 2))
-    with pytest.raises(ValueError):
-        update_backward(r, rp, rand_mat(rng, GODEL, 2, 2))
+@pytest.mark.parametrize("tag", list(UPDATES.values()))
+def test_update_of_a_stack_is_the_meet_of_its_slices(tag, rng):
+    # one call on a stack of relation pairs gives the greatest chi meeting
+    # every slice's inequality: the meet of the one-slice updates
+    for _ in range(60):
+        k, m, s = rand_dims(rng, 1, 4), rand_dims(rng, 1, 4), rand_dims(rng, 1, 3)
+        rs = [rand_mat(rng, GODEL, k, k) for _ in range(s)]
+        rps = [rand_mat(rng, GODEL, m, m) for _ in range(s)]
+        phi = rand_mat(rng, GODEL, k, m)
+        whole = level_update(tag, rs, rps, phi)
+        meet = level_update(tag, rs[:1], rps[:1], phi)
+        for r, rp in zip(rs[1:], rps[1:]):
+            meet = meet.meet(level_update(tag, [r], [rp], phi))
+        assert whole == meet
+        for chi in (whole, whole.join(phi)):
+            holds = all(constraint_holders(tag, r, rp, chi, phi) for r, rp in zip(rs, rps))
+            assert holds == chi.leq(whole)
 
 
 # -- frozen worked results ------------------------------------------------------

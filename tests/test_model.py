@@ -379,6 +379,11 @@ def test_off_carrier_value_after_many_valid_copies_is_caught():
         KripkeModel.from_dict(doc)
 
 
+def test_too_deeply_nested_json_is_a_model_error():
+    with pytest.raises(ModelError, match="nested too deeply"):
+        KripkeModel.from_json("[" * 100_000 + "]" * 100_000)
+
+
 def test_constructor_validates_dimensions():
     alg = GODEL
     with pytest.raises(ModelError):

@@ -61,6 +61,30 @@ def test_derived_connectives_expand():
     )
 
 
+def test_nesting_beyond_the_limit_is_a_parse_error():
+    limit = sx.MAX_NESTING
+    p = Var("p")
+    # parentheses, prefix operators and right-nested implications recurse;
+    # left-nested conjunctions build a tree as high
+    deep = {
+        "(" * limit + "p" + ")" * limit: p,
+        "!" * limit + "p": None,
+        "[]_1 " * limit + "p": None,
+        "p -> " * limit + "p": None,
+        " & ".join(["p"] * (limit + 1)): None,
+    }
+    for text, want in deep.items():
+        f = parse(text)
+        assert want is None or f == want
+        assert parse(to_text(f)) == f
+    for text in ("(" * (limit + 1) + "p" + ")" * (limit + 1), "!" * (limit + 1) + "p",
+                 "<>-_2 " * (limit + 1) + "p", "p -> " * (limit + 1) + "p",
+                 "p <-> " * (limit // 2 + 1) + "p", " & ".join(["p"] * (limit + 2)),
+                 " | ".join(["p"] * (limit // 3 + 2)), "(" * 3000 + "p" + ")" * 3000):
+        with pytest.raises(ParseError, match=f"nested deeper than {limit} levels"):
+            parse(text)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("p & ")
