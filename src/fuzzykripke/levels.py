@@ -15,11 +15,10 @@ On levels the residuum is top where ``x <= z`` and z elsewhere (``top``
 is the level of 1), composition is ``max`` over ``min``, and the greatest
 solutions of relational inequalities are meets of residua.  Composition
 and the folds take an optional leading stack axis, so that one call serves
-every relation of a kind.  A broadcast of shape (s, k, m, n) that holds at
-most :data:`BATCH` elements is one block, reduced in one call; a larger
-one is cut along the contracted axis n into blocks of at most
-:data:`BATCH` elements (more only when the stacked result itself is
-larger).
+every relation of a kind.  A broadcast of shape (s, k, m, n) is cut
+along the contracted axis n into blocks of at most :data:`BATCH` elements
+(more only when the stacked result itself is larger), so one that fits
+in a block is reduced in one call.
 """
 
 from __future__ import annotations
@@ -127,13 +126,12 @@ def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarra
     m = y.shape[-2]
     # elements of the broadcast per entry of the contracted axis
     size = max(math.prod(x.shape[:-2]), math.prod(y.shape[:-2])) * k * m
-    if size * n <= BATCH:
-        return reduce.reduce(pair(x[..., None, :], y[..., None, :, :]), axis=-1, initial=identity)
-    step = max(1, BATCH // size)
+    step = max(1, BATCH // max(size, 1))
     out = None
-    for lo in range(0, n, step):
+    # one pass at least, so that an empty v axis still gives the identity
+    for lo in range(0, max(n, 1), step):
         block = pair(x[..., None, lo : lo + step], y[..., None, :, lo : lo + step])
-        part = reduce.reduce(block, axis=-1)
+        part = reduce.reduce(block, axis=-1, initial=identity)
         out = part if out is None else reduce(out, part, out=out)
     return out
 

@@ -1,4 +1,4 @@
-"""The level kernel: stacked calls, the one-block path and block sizes."""
+"""The level kernel: stacked calls and block sizes."""
 
 import tracemalloc
 
@@ -79,7 +79,7 @@ def test_empty_contracted_axis_gives_the_empty_join_and_meet():
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_one_block_equals_the_blocked_path(monkeypatch, size):
+def test_small_blocks_equal_the_default_blocks(monkeypatch, size):
     rng = np.random.default_rng(100 + size)
     cases = list(kernel_cases(rng, size))
     whole = [(compose(a, b), residual_fold(a, y, top), biimplication_fold(a, y, top))
