@@ -28,12 +28,7 @@ from .syntax import (
     to_text,
 )
 from .model import KripkeModel, ModelError, phi_equivalent
-from .bisim import (
-    SimType,
-    check_conditions,
-    exists_bisim,
-    greatest_pre,
-)
+from .bisim import SimType, check_conditions, greatest_pre
 from .weak import (
     check_composition_closed,
     check_union_closed,
@@ -80,7 +75,6 @@ __all__ = [
     "dual",
     "duality_transfer",
     "enumerate_formulas",
-    "exists_bisim",
     "format_value",
     "greatest_pre",
     "greatest_weak",

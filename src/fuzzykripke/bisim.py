@@ -31,13 +31,14 @@ iterates strictly decrease until stable, so the loop terminates; a
 monotonicity induction shows every solution stays below every iterate,
 hence the limit is the greatest solution.
 
-All of it runs on level arrays (:mod:`.levels`).  The four directions
-are one residual update on reoriented arguments, and the conditions are
-checked through the same orientation table, so the seven kinds are data:
-the direction tuples of ``_THETA2``.  The directions that keep the sides
-(fwd, bwd) and those that swap them (fwd_inv, bwd_inv) form two stacks of
-relations, one slice per direction and index, so a sweep makes one update
-call per side, and each family of conditions is one comparison per side.
+All of it runs on level arrays (:mod:`.levels`).  The orientation table
+``DIRECTIONS`` makes each direction the forward one on transposed or
+swapped arguments, so the four are one residual update and the seven
+kinds are data: the direction tuples of ``_THETA2``.  The directions that
+keep the sides (fwd, bwd) and those that swap them (fwd_inv, bwd_inv)
+form two stacks of relations in forward orientation, so a sweep makes one
+update call per side.  Every condition check, the weak ones and the
+invariance bound of :mod:`.hm` too, is one stacked :func:`_violations`.
 """
 
 from __future__ import annotations
@@ -49,15 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fuzzrel import FuzzyMat, RESIDUAL_UPDATES
-from .levels import (
-    DIRECTIONS,
-    Universe,
-    biimplication_fold,
-    compose,
-    orient,
-    residual_fold,
-    union,
-)
+from .levels import Universe, biimplication_fold, compose, residual_fold, union
 from .model import KripkeModel, check_comparable
 
 
@@ -77,6 +70,19 @@ class SimType(str, Enum):
     def is_simulation(self) -> bool:
         return self in (SimType.FS, SimType.BS)
 
+
+# The -2 directions as the forward one on reoriented arguments: with
+# fwd(R, R', phi) the greatest chi with (phi /\ chi)^-1 o R <= R' o phi^-1,
+#     bwd(R, R', phi)     = fwd(R^T, R'^T, phi)
+#     fwd_inv(R, R', phi) = fwd(R', R, phi^T)^T
+#     bwd_inv(R, R', phi) = fwd(R'^T, R^T, phi^T)^T
+# so each direction is a row (transpose the relations, swap the sides).
+DIRECTIONS = {
+    "fwd": (False, False),
+    "fwd_inv": (False, True),
+    "bwd": (True, False),
+    "bwd_inv": (True, True),
+}
 
 # directions per kind: the relational (-2) conditions, and the vector atoms
 # shared by the -1 and -3 families
@@ -157,12 +163,36 @@ def _verdict(name: str, statement: str, violation: Optional[dict]) -> ConditionC
     return ConditionCheck(name, statement, violation is None, violation and dict(violation))
 
 
+def _vector_violations(v1, v2, p, worlds, universe: Universe, tags) -> dict:
+    """The -1 and -3 vector atoms of the directions ``tags`` for each row
+    of the level arrays ``v1`` and ``v2`` (the vectors of one variable, or
+    one formula, on the two models) against the level matrix ``p`` of phi:
+    ``{(family, tag): the _violations of the rows}``.
+
+    With sides (a, b) and q the relation from a to b (phi, or phi^-1 when
+    the direction swaps sides), the -1 atom is V_a <= q o V_b over the
+    a-worlds and the -3 atom q^-1 o V_a <= V_b over the b-worlds.  fwd and
+    bwd give the same atoms, and so do fwd_inv and bwd_inv, so each is
+    searched once per side; the two sides share their compositions.
+    """
+    w1, w2 = worlds
+    image1, image2 = compose(v2, p.T), compose(v1, p)
+    atoms = {
+        (1, False): (v1, image1, (w1,)),
+        (3, False): (image2, v2, (w2,)),
+        (1, True): (v2, image2, (w2,)),
+        (3, True): (image1, v1, (w1,)),
+    }
+    swaps = {DIRECTIONS[tag][1] for tag in tags}
+    found = {key: _violations(*atom, universe) for key, atom in atoms.items() if key[1] in swaps}
+    return {(family, tag): found[family, DIRECTIONS[tag][1]] for tag in tags for family in (1, 3)}
+
+
 # The -2 conditions and updates of a kind run side by side: a side is the
-# swap flag of DIRECTIONS, and the updates of one side are one residual
-# update, that of _SIDE_TAG, on stacks that hold the relations of every
-# (direction, index) pair of the side, transposed for the bwd directions
-# (bwd is fwd, and bwd_inv is fwd_inv, on transposed relations).
-_SIDE_TAG = {False: "fwd", True: "fwd_inv"}
+# swap flag of DIRECTIONS.  Its stacks hold the relations of every
+# (direction, index) pair of the side in forward orientation, so the
+# updates of one side are one forward update, on phi or, on the swapped
+# side, on phi^T.
 
 
 class _Side(NamedTuple):
@@ -176,7 +206,8 @@ def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type:
     the variables in sorted order as the rows of one array; and the sides of
     ``sim_type`` that have a -2 condition (a model with no relation index
     has none), each with its (direction, index) pairs in condition order and
-    the stacks of their left and right relations."""
+    the stacks of their relations in forward orientation: transposed for
+    the bwd directions, and the right model's first on the swapped side."""
     (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
     variables = sorted(m1.valuation)
     valuations = tuple(
@@ -192,7 +223,7 @@ def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type:
         if pairs:
             r, rp = (
                 np.array([rels[i].T if DIRECTIONS[tag][0] else rels[i] for tag, i in pairs])
-                for rels in (rels1, rels2)
+                for rels in ((rels2, rels1) if swap else (rels1, rels2))
             )
             sides[swap] = _Side(pairs, r, rp)
     return valuations, sides
@@ -239,41 +270,27 @@ def _level_conditions(
     kind = sim_type.value
     w1, w2 = m1.worlds, m2.worlds
 
-    # With sides (a, b) and q the relation from a to b (phi, or phi^-1 when
-    # the direction swaps sides), the -1 atom is V_a <= q o V_b over the
-    # a-worlds and the -3 atom q^-1 o V_a <= V_b over the b-worlds.  On
-    # valuations fwd and bwd give the same atoms, and so do fwd_inv and
-    # bwd_inv, so each is checked once per side, for every variable at
-    # once; the two sides share their compositions.
-    found = {}
-    if variables:
-        image1, image2 = compose(v2, p.T), compose(v1, p)
-        atoms = {
-            (1, False): (v1, image1, (w1,)),
-            (3, False): (image2, v2, (w2,)),
-            (1, True): (v2, image2, (w2,)),
-            (3, True): (image1, v1, (w1,)),
-        }
-        for swap in {DIRECTIONS[tag][1] for tag in tags}:
-            for family in (1, 3):
-                found[family, swap] = _violations(*atoms[family, swap], universe)
+    # the vector atoms of every variable at once
+    found = _vector_violations(v1, v2, p, (w1, w2), universe, tags) if variables else {}
 
     def vector_checks(family: int, texts: dict) -> list[ConditionCheck]:
         return [
             _verdict(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
-                     found[family, DIRECTIONS[tag][1]][j])
+                     found[family, tag][j])
             for tag in tags
             for j, var in enumerate(variables)
         ]
 
     # the forward condition  q^-1 o r <= rp o q^-1  on each side's stacks,
-    # with each bwd slice read transposed, in the orientation of its statement
+    # with q = phi, or phi^T on the swapped side; each bwd slice is read
+    # transposed, in the orientation of its statement
     relational = {}
     for swap, side in sides.items():
-        r, rp, q = orient(_SIDE_TAG[swap], side.r, side.rp, p)
+        q_inv = p if swap else p.T
         worlds = (w1, w2) if swap else (w2, w1)
         transposed = {j for j, (tag, _) in enumerate(side.pairs) if DIRECTIONS[tag][0]}
-        violations = _violations(compose(q.T, r), compose(rp, q.T), worlds, universe, transposed)
+        violations = _violations(
+            compose(q_inv, side.r), compose(side.rp, q_inv), worlds, universe, transposed)
         for (tag, i), violation in zip(side.pairs, violations):
             relational[tag, i] = _verdict(
                 f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i), violation)
@@ -362,7 +379,8 @@ def greatest_pre(
             )
         new = phi
         for swap, side in sides.items():
-            new = np.minimum(new, RESIDUAL_UPDATES[_SIDE_TAG[swap]](side.r, side.rp, phi, top))
+            chi = RESIDUAL_UPDATES["fwd"](side.r, side.rp, phi.T if swap else phi, top)
+            new = np.minimum(new, chi.T if swap else chi)
         iterations += 1
         if np.array_equal(new, phi):
             break
@@ -383,11 +401,3 @@ def greatest_pre(
         exists=cond1 and nonempty,
         conditions=conditions,
     )
-
-
-def exists_bisim(
-    m1: KripkeModel, m2: KripkeModel, sim_type: SimType
-) -> tuple[bool, SimReport]:
-    """Whether a relation proper of this kind exists, with the full report."""
-    report = greatest_pre(m1, m2, sim_type)
-    return report.exists, report

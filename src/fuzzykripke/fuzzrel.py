@@ -10,12 +10,12 @@ four arities:
     f o g             = join_a  f(a) /\\ g(a)
 
 and the inverse of a relation is its transpose.  The module also holds
-the table of the four level residual updates used by the
-greatest-(pre)simulation fixpoint iteration: each returns the entrywise
-greatest matrix chi such that replacing phi by phi /\\ chi re-imposes one
-relational inequality with the current phi on the right-hand side, for a
-whole stack of relation pairs at once.  By adjunction that greatest
-solution is a meet of residua, e.g. for phi^-1 o R <= R' o phi^-1:
+``RESIDUAL_UPDATES``, whose one entry ``"fwd"`` is the level residual
+update of the greatest-(pre)simulation fixpoint (the other directions are
+the same update on arguments that :mod:`.bisim` transposes or swaps): the
+entrywise greatest chi such that phi /\\ chi satisfies the forward
+inequality phi^-1 o R <= R' o phi^-1 against the current phi, for a whole
+stack of relation pairs at once.  By adjunction it is a meet of residua:
 
     chi(u, u') = meet_v  R(u, v) -> (R' o phi^-1)(u', v)
 
@@ -35,7 +35,6 @@ checked, with no pass over the entries.  Every operation runs in
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -294,15 +293,9 @@ def nonzero_profile(phi: FuzzyMat) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(nonzero.sum(axis=1).tolist()), tuple(nonzero.sum(axis=0).tolist())
 
 
-# -- residual updates ------------------------------------------------------
+# -- the residual update ----------------------------------------------------
 #
-# Each update takes a stack of endo-relations R (on the left-hand worlds),
-# the matching stack of Rp (on the right-hand worlds) and the current
-# iterate phi, and returns the greatest chi making the indicated inequality
-# hold for phi /\ chi against compositions of the current phi, for every
-# slice of the stacks at once.  The fixpoint calls the table once per side
-# and sweep; the four keys are the four directions of levels.DIRECTIONS.
+# The fixpoint looks the update up in this table at call time, once per side
+# and sweep, so that a tracer can wrap the table's value.
 
-RESIDUAL_UPDATES: dict[str, Callable] = {
-    tag: partial(levels.residual_update, tag) for tag in levels.DIRECTIONS
-}
+RESIDUAL_UPDATES: dict[str, Callable] = {"fwd": levels.forward_update}

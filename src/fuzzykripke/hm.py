@@ -33,9 +33,9 @@ import numpy as np
 
 from . import levels
 from .algebra import Algebra, format_value
-from .bisim import SimReport, SimType, greatest_pre
-from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
-from .levels import biimplication, biimplication_fold, first_violation
+from .bisim import SimReport, SimType, _violations, greatest_pre
+from .fuzzrel import FuzzyMat, FuzzyVec, _common, nonzero_profile
+from .levels import biimplication, biimplication_fold
 from .model import KripkeModel, check_comparable
 from .syntax import (
     Const,
@@ -174,7 +174,6 @@ def hm_check(
         m1, m2, fragment, constants=constants,
         budget=budget, include_boxes=include_boxes,
     )
-    n1, n2 = len(m1.worlds), len(m2.worlds)
     steps: list[DepthStep] = []
     converged_at = None
     match = False
@@ -194,20 +193,14 @@ def hm_check(
             break
         previous = matrix
 
-    final = steps[-1].matrix
     mismatch = None
     if not match:
-        for w in range(n1):
-            for wp in range(n2):
-                if final.rows[w][wp] != strong.matrix.rows[w][wp]:
-                    mismatch = {
-                        "pair": [m1.worlds[w], m2.worlds[wp]],
-                        "weak": format_value(final.rows[w][wp]),
-                        "strong": format_value(strong.matrix.rows[w][wp]),
-                    }
-                    break
-            if mismatch:
-                break
+        # the first differing entry in row-major order, on levels of one universe
+        universe, (weak_lv, strong_lv) = _common(steps[-1].matrix, strong.matrix)
+        w, wp = np.unravel_index(int(np.argmax(weak_lv != strong_lv)), weak_lv.shape)
+        weak_text, strong_text = universe.format(np.array([weak_lv[w, wp], strong_lv[w, wp]]))
+        mismatch = {"pair": [m1.worlds[w], m2.worlds[wp]], "weak": weak_text,
+                    "strong": strong_text}
     return HMReport(
         fragment=fragment,
         sim_type=sim_type,
@@ -262,6 +255,7 @@ def invariance_check(
     lv1, lv2 = enum.generator_vectors()
     gens = enum.generator_indices()
     strong_lv = universe.recode(strong.universe, strong.levels)
+    worlds = (m1.worlds, m2.worlds)
     # the (k, n1, n2) bounds in blocks of at most BATCH entries along k; the
     # first block with a violation holds the first one in row-major order
     step = max(1, levels.BATCH // max(1, strong_lv.size))
@@ -269,18 +263,18 @@ def invariance_check(
         bounds = biimplication(
             lv1[lo : lo + step, :, None], lv2[lo : lo + step, None, :], universe.top
         )
-        broken = first_violation(np.broadcast_to(strong_lv, bounds.shape), bounds)
-        if broken is not None:
-            k, w, wp = broken
-            return InvarianceReport(
-                sim_type, fragment, len(gens), False,
-                {
-                    "formula": to_text(enum.formula(gens[lo + k])),
-                    "pair": [m1.worlds[w], m2.worlds[wp]],
-                    "relation": format_value(strong.rows[w][wp]),
-                    "bound": format_value(universe.values[bounds[k, w, wp]]),
-                },
-            )
+        found = _violations(np.broadcast_to(strong_lv, bounds.shape), bounds, worlds, universe)
+        for k, broken in enumerate(found):
+            if broken is not None:
+                return InvarianceReport(
+                    sim_type, fragment, len(gens), False,
+                    {
+                        "formula": to_text(enum.formula(gens[lo + k])),
+                        "pair": broken["pair"],
+                        "relation": broken["lhs"],
+                        "bound": broken["rhs"],
+                    },
+                )
     return InvarianceReport(sim_type, fragment, len(gens), True, None)
 
 

@@ -13,12 +13,14 @@ into it with one take; values are formatted once per universe.
 
 On levels the residuum is top where ``x <= z`` and z elsewhere (``top``
 is the level of 1), composition is ``max`` over ``min``, and the greatest
-solutions of relational inequalities are meets of residua.  Composition
-and the folds take an optional leading stack axis, so that one call serves
-every relation of a kind.  A broadcast of shape (s, k, m, n) is cut
-along the contracted axis n into blocks of at most :data:`BATCH` elements
-(more only when the stacked result itself is larger), so one that fits
-in a block is reduced in one call.
+solutions of relational inequalities are meets of residua: the one
+residual update here, :func:`forward_update`, serves every direction of
+the -2 condition once :mod:`.bisim` has oriented its arguments.
+Composition, the folds and the update take an optional leading stack
+axis, so that one call serves every relation of a kind.  A broadcast of
+shape (s, k, m, n) is cut along the contracted axis n into blocks of at
+most :data:`BATCH` elements (more only when the stacked result itself is
+larger), so one that fits in a block is reduced in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -173,55 +175,10 @@ def modal(op: str, rel: np.ndarray, vecs: np.ndarray, top) -> np.ndarray:
     return compose(vecs, rel.T)
 
 
-def first_violation(lhs: np.ndarray, rhs: np.ndarray) -> Optional[tuple[int, ...]]:
-    """The first index, in row-major order, where ``lhs > rhs``, or None."""
-    bad = lhs > rhs
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
-
-
-# -- residual updates ------------------------------------------------------
-#
-# The forward update is the greatest chi with
-#     (phi /\ chi)^-1 o R  <=  R' o phi^-1,
-# which by adjunction is  chi(u, u') = min_v R(u, v) -> (R' o phi^-1)(u', v).
-# The other three directions are the forward one on reoriented arguments:
-#     bwd(R, R', phi)     = fwd(R^T, R'^T, phi)
-#     fwd_inv(R, R', phi) = fwd(R', R, phi^T)^T
-#     bwd_inv(R, R', phi) = fwd(R'^T, R^T, phi^T)^T
-# so each direction is a row (transpose the relations, swap the sides).
-# The updates take stacks: slice s of ``r`` and of ``rp`` is one pair of
-# relations, and the result is the meet of the per-slice updates, the
-# greatest chi meeting every slice's inequality at once.
-
-DIRECTIONS = {
-    "fwd": (False, False),
-    "fwd_inv": (False, True),
-    "bwd": (True, False),
-    "bwd_inv": (True, True),
-}
-
-
-def orient(tag: str, r: np.ndarray, rp: np.ndarray, phi: np.ndarray):
-    """The arguments of direction ``tag`` rewritten for the forward form;
-    ``r`` and ``rp`` are relations or stacks of them."""
-    transpose, swap = DIRECTIONS[tag]
-    if transpose:
-        r, rp = r.swapaxes(-1, -2), rp.swapaxes(-1, -2)
-    if swap:
-        r, rp, phi = rp, r, phi.T
-    return r, rp, phi
-
-
 def forward_update(r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.ndarray:
     """Greatest chi with  ``(phi /\\ chi)^-1 o R_s  <=  R'_s o phi^-1``  for
-    every slice s of the stacks ``r`` and ``rp``."""
+    every slice s of the stacks ``r`` and ``rp``: the meet of the per-slice
+    updates, each by adjunction ``chi(u, u') = min_v R(u, v) -> (R' o
+    phi^-1)(u', v)``.  The other -2 directions are this one on the
+    arguments that :mod:`.bisim` orients."""
     return residual_fold(r, compose(rp, phi.T), top).min(axis=0)
-
-
-def residual_update(tag: str, r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.ndarray:
-    """The residual update of direction ``tag`` for the stacks ``r`` and
-    ``rp``, in the orientation of ``phi``."""
-    chi = forward_update(*orient(tag, r, rp, phi), top)
-    return chi.T if DIRECTIONS[tag][1] else chi

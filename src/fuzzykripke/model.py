@@ -167,8 +167,17 @@ class KripkeModel:
         rels, vals = self.encoded(universe)
         n = len(self.worlds)
         top = universe.top
+        # id(node) -> (node, levels), so that each node of the shared DAG that
+        # ``disj`` builds is evaluated once (its tree can be exponential);
+        # holding the node keeps its id unique for the whole call
+        memo = {}
 
         def value(f: Formula) -> np.ndarray:
+            if id(f) not in memo:
+                memo[id(f)] = f, node_value(f)
+            return memo[id(f)][1]
+
+        def node_value(f: Formula) -> np.ndarray:
             if isinstance(f, Const):
                 return np.repeat(universe.encode((f.value,)), n)
             if isinstance(f, Var):
@@ -378,8 +387,13 @@ def formula_constants(algebra: Algebra, formulas: Iterable[Formula]) -> set[Frac
     """The truth constants occurring in ``formulas``, checked against ``algebra``."""
     found = set()
     stack = list(formulas)
+    # each node once, by identity: the tree of a shared DAG can be exponential
+    seen = set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Const):
             found.add(algebra.check_value(node.value))
         elif isinstance(node, (And, Implies)):

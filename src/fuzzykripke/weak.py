@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .bisim import ConditionCheck, _verdict, _violations
+from .bisim import _COND1_TEXT, _COND3_TEXT, ConditionCheck, _vector_violations, _verdict
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
 from .model import KripkeModel, check_comparable, formula_levels
@@ -173,25 +173,18 @@ def check_weak(
     if not formulas:
         raise ValueError("a weak relation needs a nonempty formula set")
     kind = "wb" if bisimulation else "ws"
+    tags = ("fwd", "fwd_inv") if bisimulation else ("fwd",)
     universe, lv1, lv2 = formula_levels(m1, m2, formulas, phi)
     p = universe.recode(phi.universe, phi.levels)
-    # row A: V'_A o phi^-1 = phi o V'_A over the left worlds, and
-    # V_A o phi = phi^-1 o V_A over the right worlds
-    left_image = compose(p, lv2.T).T
-    right_image = compose(p.T, lv1.T).T
-    conditions = [
-        ("-1[fwd", "V_A <= V'_A o phi^-1", lv1, left_image, m1.worlds),
-        ("-1[fwd_inv", "V'_A <= V_A o phi", lv2, right_image, m2.worlds),
-        ("-2[fwd", "phi^-1 o V_A <= V'_A", right_image, lv2, m2.worlds),
-        ("-2[fwd_inv", "phi o V'_A <= V_A", left_image, lv1, m1.worlds),
-    ]
-    if not bisimulation:
-        conditions = conditions[::2]
-    found = [_violations(lhs, rhs, (worlds,), universe) for *_, lhs, rhs, worlds in conditions]
+    # the weak -1 and -2 conditions are the strong -1 and -3 vector atoms
+    # with the formulae in place of the variables
+    found = _vector_violations(lv1, lv2, p, (m1.worlds, m2.worlds), universe, tags)
     return [
-        _verdict(f"{kind}{name}, A={label}]", statement, violations[k])
+        _verdict(f"{kind}-{weak}[{tag}, A={label}]", texts[tag].format(p="A"),
+                 found[family, tag][k])
         for k, label in enumerate(map(to_text, formulas))
-        for (name, statement, *_), violations in zip(conditions, found)
+        for weak, family, texts in ((1, 1, _COND1_TEXT), (2, 3, _COND3_TEXT))
+        for tag in tags
     ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from conftest import GODEL_ENUM_POOL, grid, random_model, random_pair, vec_strs
 from fuzzykripke.algebra import ONE, Algebra
-from fuzzykripke.bisim import SimType, exists_bisim, greatest_pre
+from fuzzykripke.bisim import SimType, greatest_pre
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.hm import THETA_FOR_FRAGMENT, hm_check, invariance_check
@@ -79,10 +79,10 @@ def test_acceptance_2_backward_only_existence_pattern():
             rep = greatest_pre(a, b, SimType(t))
             assert grid(rep.matrix) == frozen and rep.exists, t
         for t in ("bfb", "rb"):
-            assert not exists_bisim(a, b, SimType(t))[0], t
+            assert not greatest_pre(a, b, SimType(t)).exists, t
         ra, rb_model = a.reverse(), b.reverse()
-        assert exists_bisim(ra, rb_model, SimType("fb"))[0]
-        assert not exists_bisim(ra, rb_model, SimType("bb"))[0]
+        assert greatest_pre(ra, rb_model, SimType("fb")).exists
+        assert not greatest_pre(ra, rb_model, SimType("bb")).exists
 
 
 # -- 3: the fully-equivalent pair -------------------------------------------------

@@ -4,19 +4,21 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import grid, random_pair, random_values
-from fuzzykripke.algebra import Algebra, format_value
+from fuzzykripke.algebra import ONE, ZERO, Algebra, format_value
 from fuzzykripke.bisim import (
     SimType,
+    _violations,
     check_conditions,
-    exists_bisim,
     greatest_pre,
     iteration_cap,
 )
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
+from fuzzykripke.levels import Universe
 from fuzzykripke.model import KripkeModel
 
 ALL_TYPES = [SimType(t) for t in ("fs", "bs", "fb", "bb", "fbb", "bfb", "rb")]
@@ -72,8 +74,8 @@ def test_showcase_report_serialization():
 
 def test_backward_only_pair_existence():
     a, b = load_pair("backward_only")
-    outcomes = {t.value: exists_bisim(a, b, t) for t in BISIM_TYPES}
-    assert {t: flag for t, (flag, _) in outcomes.items()} == {
+    outcomes = {t.value: greatest_pre(a, b, t) for t in BISIM_TYPES}
+    assert {t: rep.exists for t, rep in outcomes.items()} == {
         "fb": False,
         "bb": True,
         "fbb": True,
@@ -81,16 +83,16 @@ def test_backward_only_pair_existence():
         "rb": False,
     }
     bb_matrix = [["1", "0.3"], ["0.3", "1"], ["1", "0.3"]]
-    assert grid(outcomes["bb"][1].matrix) == bb_matrix
-    assert grid(outcomes["fbb"][1].matrix) == bb_matrix
+    assert grid(outcomes["bb"].matrix) == bb_matrix
+    assert grid(outcomes["fbb"].matrix) == bb_matrix
     # the failed kinds collapse to a constant matrix below every threshold
-    assert grid(outcomes["rb"][1].matrix) == [["0.3", "0.3"]] * 3
+    assert grid(outcomes["rb"].matrix) == [["0.3", "0.3"]] * 3
 
 
 def test_backward_only_pair_flips_under_reversal():
     a, b = load_pair("backward_only")
     ra, rb_model = a.reverse(), b.reverse()
-    flags = {t.value: exists_bisim(ra, rb_model, t)[0] for t in BISIM_TYPES}
+    flags = {t.value: greatest_pre(ra, rb_model, t).exists for t in BISIM_TYPES}
     assert flags == {"fb": True, "bb": False, "fbb": False, "bfb": True, "rb": False}
     rep = greatest_pre(ra, rb_model, SimType("fb"))
     assert grid(rep.matrix) == [["1", "0.3"], ["0.3", "1"], ["1", "0.3"]]
@@ -99,8 +101,7 @@ def test_backward_only_pair_flips_under_reversal():
 def test_fully_equivalent_pair_existence():
     a, b = load_pair("fully_equivalent")
     for t in BISIM_TYPES:
-        flag, rep = exists_bisim(a, b, t)
-        assert flag, t.value
+        assert greatest_pre(a, b, t).exists, t.value
     assert grid(greatest_pre(a, b, SimType("rb")).matrix) == [
         ["1", "0.2"],
         ["0.2", "1"],
@@ -184,6 +185,28 @@ def test_check_conditions_reports_first_violation():
     from fuzzykripke.algebra import parse_value
 
     assert parse_value(v["lhs"]) > parse_value(v["rhs"])
+
+
+def test_first_violation_reports_entry():
+    # the one stacked search that every condition check reports from
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    u = Universe([half, quarter])
+    a = np.array([u.encode([half, ZERO]), u.encode([ONE, ONE])])
+    b = np.array([u.encode([half, ONE]), u.encode([quarter, ONE])])
+    # vector slices name a world; a clean slice gives None
+    assert _violations(a, b, (("x", "y"),), u) == [
+        None, {"world": "x", "lhs": "1", "rhs": "0.25"}
+    ]
+    # matrix slices name a pair: the first bad entry in row-major order,
+    # also in a slice read transposed, which names (column, row) worlds
+    c = np.array([u.encode([ZERO, ONE]), u.encode([half, ZERO])])
+    zero = np.zeros_like(c)
+    worlds = (("u", "v"), ("x", "y"))
+    assert _violations(np.stack([b, c, c]), np.stack([b, zero, zero]), worlds, u, {2}) == [
+        None,
+        {"pair": ["u", "y"], "lhs": "1", "rhs": "0"},
+        {"pair": ["x", "v"], "lhs": "0.5", "rhs": "0"},
+    ]
 
 
 def test_greatest_is_an_upper_bound_exhaustively():

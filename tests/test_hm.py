@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GODEL_ENUM_POOL, expected, grid, random_pair
-from fuzzykripke.algebra import Algebra
+from fuzzykripke.algebra import Algebra, format_value
 from fuzzykripke.bisim import SimType, greatest_pre
 from fuzzykripke.fixtures import PAIRS, load_pair
 from fuzzykripke.hm import (
@@ -46,6 +46,32 @@ def test_ladder_steps_decrease_monotonically():
         # every step stays above the strong matrix it descends toward
         for step in rep.steps:
             assert rep.strong.matrix.leq(step.matrix)
+
+
+def test_first_mismatch_is_the_first_differing_entry():
+    # a ladder cut off at depth 0 ends above the strong matrix: the report
+    # names the first differing entry in row-major order
+    cut = 0
+    for name in PAIRS:
+        a, b = load_pair(name)
+        for fragment in FRAGMENTS:
+            rep = hm_check(a, b, fragment, max_depth=0)
+            if rep.match:
+                assert rep.first_mismatch is None
+                continue
+            cut += 1
+            weak, strong = rep.steps[-1].matrix, rep.strong.matrix
+            assert rep.first_mismatch == next(
+                {
+                    "pair": [a.worlds[w], b.worlds[wp]],
+                    "weak": format_value(weak.rows[w][wp]),
+                    "strong": format_value(strong.rows[w][wp]),
+                }
+                for w in range(len(a.worlds))
+                for wp in range(len(b.worlds))
+                if weak.rows[w][wp] != strong.rows[w][wp]
+            )
+    assert cut
 
 
 def test_depth_zero_equals_variable_fold():

@@ -114,6 +114,35 @@ def test_eval_constant_and_connective_clauses():
         assert imp[w] == a.algebra.residuum(p[w], Fraction(2, 5))
 
 
+def test_a_chain_of_disjunctions_is_evaluated_once_per_node(monkeypatch):
+    # ``disj`` puts each operand into its expansion twice, so the tree of
+    # a chain of | is exponential; evaluation and the constant scan must
+    # visit each node of the shared formula once
+    a, _ = load_pair("sim_showcase")
+    calls = Counter()
+    residuum, check_value = model_module.residuum, Algebra.check_value
+
+    def counted_residuum(*args):
+        calls["residuum"] += 1
+        return residuum(*args)
+
+    def counted_check_value(self, value):
+        calls["check_value"] += 1
+        return check_value(self, value)
+
+    monkeypatch.setattr(model_module, "residuum", counted_residuum)
+    monkeypatch.setattr(Algebra, "check_value", counted_check_value)
+    terms = 12
+    p = a.eval_vec(parse("p"))
+    calls.clear()
+    assert a.eval_vec(parse(" | ".join(["p"] * terms))) == p
+    assert calls["residuum"] <= 4 * (terms - 1)
+    halves = parse(" | ".join(["0.5"] * terms))
+    calls.clear()
+    assert model_module.formula_constants(a.algebra, [halves]) == {Fraction(1, 2)}
+    assert calls["check_value"] <= terms
+
+
 def test_world_lookup():
     a, _ = load_pair("sim_showcase")
     assert a.worlds == ("u", "v", "w")
