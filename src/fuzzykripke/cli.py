@@ -22,12 +22,11 @@ import functools
 import json
 import sys
 
-from .algebra import AlgebraError
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
 from .model import KripkeModel, ModelError, parse_matrix
-from .syntax import Fragment, ParseError, enumerate_formulas, parse, parse_corpus
+from .syntax import Fragment, enumerate_formulas, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
 
@@ -288,10 +287,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, AlgebraError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ModelError, AlgebraError, ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,7 +41,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import levels
-from .algebra import Algebra, ONE, ZERO
+from .algebra import Algebra, ZERO
 
 
 def _encode_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple[list, list]:
@@ -211,17 +211,6 @@ class FuzzyMat(_Leveled):
     @classmethod
     def zeros(cls, algebra: Algebra, shape: tuple[int, int]) -> "FuzzyMat":
         return cls.constant(algebra, shape, ZERO)
-
-    @classmethod
-    def ones(cls, algebra: Algebra, shape: tuple[int, int]) -> "FuzzyMat":
-        return cls.constant(algebra, shape, ONE)
-
-    @classmethod
-    def identity(cls, algebra: Algebra, size: int) -> "FuzzyMat":
-        return cls(
-            algebra,
-            ((ONE if i == j else ZERO for j in range(size)) for i in range(size)),
-        )
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:

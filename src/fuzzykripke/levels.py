@@ -162,15 +162,14 @@ def biimplication_fold(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
     return _contract(partial(biimplication, top=top), np.minimum, top, x, y)
 
 
-def modal(op: str, rel: np.ndarray, vecs: np.ndarray, top) -> np.ndarray:
-    """One modality with relation ``rel`` applied to every row of ``vecs``.
-
-    ``op`` is ``diamond``, ``box``, ``diamondinv`` or ``boxinv``; row f of
-    the result is the value vector of the operator applied to row f.
-    """
-    if op.endswith("inv"):
+def modal(rel: np.ndarray, vecs: np.ndarray, top, *, box: bool, inverse: bool) -> np.ndarray:
+    """One modality with relation ``rel`` applied to every row of ``vecs``:
+    a box (meet of residua) or a diamond (join of meets), along ``rel`` or,
+    when ``inverse``, along its converse.  Row f of the result is the value
+    vector of the modality applied to row f."""
+    if inverse:
         rel = rel.T
-    if op.startswith("box"):
+    if box:
         return residual_fold(rel, vecs, top).T
     return compose(vecs, rel.T)
 

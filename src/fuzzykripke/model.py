@@ -46,10 +46,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraError, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec, _matrix_ids
-from .levels import Universe, modal, residuum, union
-from .syntax import _NODE_FOR_OP, And, Const, Formula, Implies, Var
-
-_OP_FOR_NODE = {node: op for op, node in _NODE_FOR_OP.items()}
+from .levels import Universe, biimplication_fold, modal, residuum, union
+from .syntax import _MODALITIES, And, Const, Formula, Implies, Var, _fold
 
 
 class ModelError(ValueError):
@@ -167,35 +165,33 @@ class KripkeModel:
         rels, vals = self.encoded(universe)
         n = len(self.worlds)
         top = universe.top
-        # id(node) -> (node, levels), so that each node of the shared DAG that
-        # ``disj`` builds is evaluated once (its tree can be exponential);
-        # holding the node keeps its id unique for the whole call
-        memo = {}
 
-        def value(f: Formula) -> np.ndarray:
-            if id(f) not in memo:
-                memo[id(f)] = f, node_value(f)
-            return memo[id(f)][1]
-
-        def node_value(f: Formula) -> np.ndarray:
+        def visit(f: Formula, *args):
+            # an undeclared name is a value that propagates, so the error
+            # raised is the first one a recursive evaluation would meet: a
+            # node's own name before its operands', left before right
+            if isinstance(f, Var):
+                if f.name not in vals:
+                    return ModelError(f"undeclared variable {f.name!r}")
+                return vals[f.name]
+            if type(f) in _MODALITIES and f.index not in rels:
+                return ModelError(f"undeclared relation index {f.index}")
+            for arg in args:
+                if isinstance(arg, ModelError):
+                    return arg
             if isinstance(f, Const):
                 return np.repeat(universe.encode((f.value,)), n)
-            if isinstance(f, Var):
-                try:
-                    return vals[f.name]
-                except KeyError:
-                    raise ModelError(f"undeclared variable {f.name!r}") from None
             if isinstance(f, And):
-                return np.minimum(value(f.left), value(f.right))
+                return np.minimum(*args)
             if isinstance(f, Implies):
-                return residuum(value(f.left), value(f.right), top)
-            try:
-                rel = rels[f.index]
-            except KeyError:
-                raise ModelError(f"undeclared relation index {f.index}") from None
-            return modal(_OP_FOR_NODE[type(f)], rel, value(f.child)[None, :], top)[0]
+                return residuum(*args, top)
+            m = _MODALITIES[type(f)]
+            return modal(rels[f.index], args[0][None, :], top, box=m.box, inverse=m.inverse)[0]
 
-        rows = [value(f) for f in formulas]
+        rows = _fold(formulas, visit)
+        for row in rows:
+            if isinstance(row, ModelError):
+                raise row
         return np.array(rows, dtype=universe.dtype).reshape(len(rows), n)
 
     def eval_vec(self, f: Formula) -> FuzzyVec:
@@ -386,20 +382,12 @@ def parse_matrix(algebra: Algebra, rows, where: str) -> FuzzyMat:
 def formula_constants(algebra: Algebra, formulas: Iterable[Formula]) -> set[Fraction]:
     """The truth constants occurring in ``formulas``, checked against ``algebra``."""
     found = set()
-    stack = list(formulas)
-    # each node once, by identity: the tree of a shared DAG can be exponential
-    seen = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+
+    def visit(node, *_):
         if isinstance(node, Const):
             found.add(algebra.check_value(node.value))
-        elif isinstance(node, (And, Implies)):
-            stack += (node.left, node.right)
-        elif not isinstance(node, Var):
-            stack.append(node.child)
+
+    _fold(formulas, visit)
     return found
 
 
@@ -467,25 +455,23 @@ def phi_equivalent(
 
     Two models are equivalent for a formula set when each world of either
     model has a counterpart in the other agreeing on the value of every
-    formula in the set.  Returns the greedy pairing found, or the first
-    world with no counterpart.
+    formula in the set: where the meet of the formulas' biimplications is
+    1, as :func:`.weak.psi_equivalent` reads it.  Returns each world's
+    first counterpart, or the first world with none (left before right).
     """
     check_comparable(m1, m2)
     formulas = list(formulas)
     if not formulas:
         raise ModelError("equivalence over an empty formula set is undefined")
-    _, lv1, lv2 = formula_levels(m1, m2, formulas)
-    profile1, profile2 = lv1.T.tolist(), lv2.T.tolist()
-    pairing_left = {}
-    pairing_right = {}
-    for i, w in enumerate(m1.worlds):
-        match = next((j for j, p in enumerate(profile2) if p == profile1[i]), None)
-        if match is None:
-            return EquivalenceResult(False, {}, {}, ("left", w))
-        pairing_left[w] = m2.worlds[match]
-    for j, w in enumerate(m2.worlds):
-        match = next((i for i, p in enumerate(profile1) if p == profile2[j]), None)
-        if match is None:
-            return EquivalenceResult(False, {}, {}, ("right", w))
-        pairing_right[w] = m1.worlds[match]
-    return EquivalenceResult(True, pairing_left, pairing_right, None)
+    universe, lv1, lv2 = formula_levels(m1, m2, formulas)
+    agree = biimplication_fold(lv1.T, lv2.T, universe.top) == universe.top
+    for side, worlds, matched in (("left", m1.worlds, agree.any(axis=1)),
+                                  ("right", m2.worlds, agree.any(axis=0))):
+        if not matched.all():
+            return EquivalenceResult(False, {}, {}, (side, worlds[matched.argmin()]))
+    return EquivalenceResult(
+        True,
+        dict(zip(m1.worlds, (m2.worlds[j] for j in agree.argmax(axis=1).tolist()))),
+        dict(zip(m2.worlds, (m1.worlds[i] for i in agree.argmax(axis=0).tolist()))),
+        None,
+    )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -90,10 +90,58 @@ class DiamondInv:
 
 Formula = Union[Const, Var, And, Implies, Box, Diamond, BoxInv, DiamondInv]
 
-_FORWARD = (Box, Diamond)
-_INVERSE = (BoxInv, DiamondInv)
-_MODAL = _FORWARD + _INVERSE
-_BINARY = (And, Implies)
+
+class _Modality(NamedTuple):
+    head: str       # the printed head, as in ``<>-_1``
+    box: bool       # a meet of residua, else a join of meets
+    inverse: bool   # along the converse of the relation
+    dual: type      # the same modality in the other direction
+
+
+# every modality, in the order the enumerator generates them
+_MODALITIES = {
+    Diamond: _Modality("<>", False, False, DiamondInv),
+    Box: _Modality("[]", True, False, BoxInv),
+    DiamondInv: _Modality("<>-", False, True, Diamond),
+    BoxInv: _Modality("[]-", True, True, Box),
+}
+
+
+def _children(f: Formula) -> tuple:
+    if isinstance(f, (And, Implies)):
+        return f.left, f.right
+    if isinstance(f, (Const, Var)):
+        return ()
+    return (f.child,)
+
+
+def _fold(formulas: Iterable[Formula], visit: Callable) -> list:
+    """``visit(node, *values of its children)`` for each distinct node of
+    ``formulas``, children first and left before right; returns the values
+    of ``formulas``.
+
+    Nodes are told apart by identity, so the shared DAG that ``disj``
+    builds (each operand twice in its expansion, 3**k tree nodes for k
+    terms) costs its distinct nodes.  The walk keeps its own stack and
+    never recurses.
+    """
+    memo: dict = {}  # id(node) -> (node, value); holding the node keeps its id unique
+    out = []
+    for root in formulas:
+        stack = [(root, None)]  # (node, its children once they are on the stack)
+        while stack:
+            node, kids = stack.pop()
+            if kids is not None:
+                memo[id(node)] = node, visit(node, *[memo[id(k)][1] for k in kids])
+            elif id(node) not in memo:
+                kids = _children(node)
+                if kids:
+                    stack.append((node, kids))
+                    stack += [(k, None) for k in reversed(kids)]
+                else:
+                    memo[id(node)] = node, visit(node)
+        out.append(memo[id(root)][1])
+    return out
 
 
 class Fragment(str, Enum):
@@ -125,11 +173,7 @@ def iff(a: Formula, b: Formula) -> Formula:
 
 def modal_depth(f: Formula) -> int:
     """Deepest nesting of modal operators."""
-    if isinstance(f, (Const, Var)):
-        return 0
-    if isinstance(f, _BINARY):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 1 + modal_depth(f.child)
+    return _fold([f], lambda node, *kids: max(kids, default=0) + (type(node) in _MODALITIES))[0]
 
 
 def classify(f: Formula) -> Fragment:
@@ -138,43 +182,29 @@ def classify(f: Formula) -> Fragment:
     Propositional formulae belong to every fragment; a formula classified
     ``plus`` uses forward modalities only, ``minus`` inverse only.
     """
-    fwd = inv = False
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _BINARY):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, _MODAL):
-            if isinstance(node, _FORWARD):
-                fwd = True
-            else:
-                inv = True
-            stack.append(node.child)
-    if fwd and inv:
+    inverse = set()  # the direction of every modality used
+
+    def visit(node, *_):
+        if type(node) in _MODALITIES:
+            inverse.add(_MODALITIES[type(node)].inverse)
+
+    _fold([f], visit)
+    if len(inverse) == 2:
         return Fragment.FULL
-    if fwd:
-        return Fragment.PLUS
-    if inv:
-        return Fragment.MINUS
+    if inverse:
+        return Fragment.MINUS if True in inverse else Fragment.PLUS
     return Fragment.PROPOSITIONAL
 
 
 def dual(f: Formula) -> Formula:
     """Swap every modality with its inverse counterpart."""
-    if isinstance(f, (Const, Var)):
-        return f
-    if isinstance(f, And):
-        return And(dual(f.left), dual(f.right))
-    if isinstance(f, Implies):
-        return Implies(dual(f.left), dual(f.right))
-    if isinstance(f, Box):
-        return BoxInv(f.index, dual(f.child))
-    if isinstance(f, BoxInv):
-        return Box(f.index, dual(f.child))
-    if isinstance(f, Diamond):
-        return DiamondInv(f.index, dual(f.child))
-    return Diamond(f.index, dual(f.child))
+
+    def visit(node, *kids):
+        if type(node) in _MODALITIES:
+            return _MODALITIES[type(node)].dual(node.index, *kids)
+        return type(node)(*kids) if kids else node
+
+    return _fold([f], visit)[0]
 
 
 # -- printer ----------------------------------------------------------------
@@ -195,8 +225,7 @@ def _to_text(f: Formula, level: int) -> str:
     if isinstance(f, And):
         text = f"{_to_text(f.left, _LEVEL_AND)} & {_to_text(f.right, _LEVEL_UNARY)}"
         return f"({text})" if level > _LEVEL_AND else text
-    op = {Box: "[]", Diamond: "<>", BoxInv: "[]-", DiamondInv: "<>-"}[type(f)]
-    return f"{op}_{f.index} {_to_text(f.child, _LEVEL_UNARY)}"
+    return f"{_MODALITIES[type(f)].head}_{f.index} {_to_text(f.child, _LEVEL_UNARY)}"
 
 
 def to_text(f: Formula) -> str:
@@ -218,8 +247,7 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<diamond><>-?_\d+)
-  | (?P<box>\[\]-?_\d+)
+  | (?P<modal>(?:<>|\[\])-?_\d+)
   | (?P<iff><->)
   | (?P<imp>->)
   | (?P<and>&)
@@ -252,13 +280,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 100
 """The deepest formula the parser accepts: at most this many parentheses and
 operators open at once, and a syntax tree at most this high (the derived
-connectives count with their expansions).  Evaluation, printing and
-comparison recurse along the tree, so the bound keeps them far from
-Python's recursion limit."""
+connectives count with their expansions).  Printing, comparison and
+hashing recurse along the tree, so the bound keeps them far from Python's
+recursion limit."""
 
 
 class _Parser:
     """Recursive descent; each method returns a formula and its height."""
+
+    _BY_HEAD = {m.head: node for node, m in _MODALITIES.items()}
 
     def __init__(self, text: str):
         self.text = text
@@ -342,17 +372,11 @@ class _Parser:
             self._next()
             child, height = self._nested(self._unary, pos)
             return self._node(neg(child), height + 1, pos)
-        if kind in ("box", "diamond"):
+        if kind == "modal":
             self._next()
-            head, index_text = text.split("_")
-            index = int(index_text)
-            inverse = head.endswith("-")
+            head, index = text.split("_")
             child, height = self._nested(self._unary, pos)
-            if kind == "box":
-                f = BoxInv(index, child) if inverse else Box(index, child)
-            else:
-                f = DiamondInv(index, child) if inverse else Diamond(index, child)
-            return self._node(f, height + 1, pos)
+            return self._node(self._BY_HEAD[head](int(index), child), height + 1, pos)
         return self._atom()
 
     def _atom(self) -> tuple[Formula, int]:
@@ -421,16 +445,6 @@ def parse_corpus(text: str) -> list[Formula]:
 # genuinely new classes ever touch Python-level code, and both ways give
 # the same class list.
 
-_UNARY_OPS = {
-    Fragment.PROPOSITIONAL: (),
-    Fragment.PLUS: ("diamond", "box"),
-    Fragment.MINUS: ("diamondinv", "boxinv"),
-    Fragment.FULL: ("diamond", "box", "diamondinv", "boxinv"),
-}
-
-_NODE_FOR_OP = {"diamond": Diamond, "box": Box, "diamondinv": DiamondInv, "boxinv": BoxInv}
-
-
 def _meet(x, y, top):
     return np.minimum(x, y)
 
@@ -439,14 +453,14 @@ def _converse_residuum(x, y, top):
     return levels.residuum(y, x, top)
 
 
-# the binary closure, in generation order: the class op, whether the class
-# of the pair (i, j) has args (i, j), (j, i) or the sorted pair, and the
-# level function of the connective on (row i, row j)
+# the binary closure, in generation order: the constructor of the class,
+# whether the class of the pair (i, j) has args (i, j), (j, i) or the sorted
+# pair, and the level function of the connective on (row i, row j)
 _CONNECTIVES = (
-    ("and", "sorted", _meet),
-    ("implies", "forward", levels.residuum),
-    ("implies", "converse", _converse_residuum),
-    ("iff", "sorted", levels.biimplication),
+    (And, "sorted", _meet),
+    (Implies, "forward", levels.residuum),
+    (Implies, "converse", _converse_residuum),
+    (iff, "sorted", levels.biimplication),
 )
 
 
@@ -526,10 +540,12 @@ class FormulaEnumeration:
         if not self.variables and not self.constants:
             raise ValueError("enumeration needs at least one variable or constant")
 
-        ops = _UNARY_OPS[self.fragment]
-        if not include_boxes:
-            ops = tuple(op for op in ops if not op.startswith("box"))
-        self._unary_ops = ops
+        # a modality is admitted by FULL and by the fragment of its direction
+        self._modalities = tuple(
+            node for node, m in _MODALITIES.items()
+            if self.fragment in (Fragment.FULL, Fragment.MINUS if m.inverse else Fragment.PLUS)
+            and (include_boxes or not m.box)
+        )
 
         self.values: tuple[Fraction, ...] = self.universe.values
         self._dt = self.universe.dtype
@@ -538,11 +554,12 @@ class FormulaEnumeration:
         self._rel1, self._val1 = m1.encoded(self.universe)
         self._rel2, self._val2 = m2.encoded(self.universe)
 
-        # one level row per class; op/args run parallel for rebuilding
+        # one level row per class; the constructor of its representative
+        # and the constructor's args run parallel, for rebuilding
         width = self._n1 + self._n2
         self._rows = np.zeros((256, width), dtype=self._dt)
         self._count = 0
-        self._ops: list[str] = []
+        self._ops: list[Callable] = []
         self._args: list = []
         self._gen_rows: list[int] = []
         self._formula_cache: dict[int, Formula] = {}
@@ -675,21 +692,19 @@ class FormulaEnumeration:
             self._known = np.sort(np.concatenate([self._known, keys[new]]))
         return new
 
-    _BINARY_OPS = ("and", "implies", "iff")
-
-    def _append(self, rows: np.ndarray, op: str, args: list) -> None:
-        """Add one class of operator ``op`` per level row of ``rows``."""
+    def _append(self, rows: np.ndarray, op: Callable, args: list) -> None:
+        """Add one class of constructor ``op`` per level row of ``rows``."""
         k = rows.shape[0]
         self._grow(self._count + k)
         self._rows[self._count : self._count + k] = rows
         self._ops.extend([op] * k)
         self._args.extend(args)
-        if op not in self._BINARY_OPS:
+        if op not in (And, Implies, iff):
             self._gen_rows.extend(range(self._count, self._count + k))
         self._count += k
 
-    def _absorb_block(self, block: np.ndarray, op: str, args_for) -> bool:
-        """Turn every new level row of ``block`` into a class of operator ``op``.
+    def _absorb_block(self, block: np.ndarray, op: Callable, args_for) -> bool:
+        """Turn every new level row of ``block`` into a class of constructor ``op``.
 
         ``args_for`` maps a row position in ``block`` to the ``args`` of the
         class it creates; it is called only for rows that are genuinely new.
@@ -703,12 +718,12 @@ class FormulaEnumeration:
         width = self._n1 + self._n2
         if self.constants:
             block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
-            self._absorb_block(block, "const", self.constants.__getitem__)
+            self._absorb_block(block, Const, self.constants.__getitem__)
         if self.variables and not self.truncated:
             block = np.array(
                 [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
             )
-            self._absorb_block(block, "var", self.variables.__getitem__)
+            self._absorb_block(block, Var, self.variables.__getitem__)
 
     def _saturate(self, start: int) -> None:
         """Close rows[start:] under the binary connectives against everything.
@@ -752,15 +767,16 @@ class FormulaEnumeration:
         vec2 = self._rows[:snap, self._n1 :].copy()
         top = self.universe.top
         for idx in self.indices:
-            for op in self._unary_ops:
-                out1 = levels.modal(op, self._rel1[idx], vec1, top)
-                out2 = levels.modal(op, self._rel2[idx], vec2, top)
+            for node in self._modalities:
+                m = _MODALITIES[node]
+                out1 = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
+                out2 = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
                 block = np.concatenate([out1, out2], axis=1)
 
                 def args_for(flat: int, idx=idx) -> tuple[int, int]:
                     return (idx, flat)
 
-                if not self._absorb_block(block, op, args_for):
+                if not self._absorb_block(block, node, args_for):
                     break
             if self.truncated:
                 break
@@ -799,8 +815,6 @@ class FormulaEnumeration:
 
     # -- results ------------------------------------------------------------
 
-    _BINARY_NODE = {"and": And, "implies": Implies, "iff": iff}
-
     def formula(self, index: int) -> Formula:
         """Reconstruct the representative formula of class ``index``."""
         cache = self._formula_cache
@@ -811,22 +825,20 @@ class FormulaEnumeration:
                 continue
             op = self._ops[i]
             args = self._args[i]
-            if op == "const":
-                cache[i] = Const(args)
-            elif op == "var":
-                cache[i] = Var(args)
-            elif op in self._BINARY_NODE:
-                a, b = args
-                if a in cache and b in cache:
-                    cache[i] = self._BINARY_NODE[op](cache[a], cache[b])
-                else:
-                    stack.extend((i, a, b))
-            else:
+            if op in (Const, Var):
+                cache[i] = op(args)
+            elif op in _MODALITIES:
                 child = args[1]
                 if child in cache:
-                    cache[i] = _NODE_FOR_OP[op](args[0], cache[child])
+                    cache[i] = op(args[0], cache[child])
                 else:
                     stack.extend((i, child))
+            else:
+                a, b = args
+                if a in cache and b in cache:
+                    cache[i] = op(cache[a], cache[b])
+                else:
+                    stack.extend((i, a, b))
         return cache[index]
 
     def formulas(self) -> list[Formula]:

@@ -32,6 +32,16 @@ def fr(text: str) -> Fraction:
     return Fraction(text)
 
 
+def ones(algebra: Algebra, shape: tuple) -> FuzzyMat:
+    """The full relation: 1 everywhere."""
+    return FuzzyMat.constant(algebra, shape, Fraction(1))
+
+
+def identity(algebra: Algebra, size: int) -> FuzzyMat:
+    """The identity relation on ``size`` worlds."""
+    return FuzzyMat(algebra, [[Fraction(int(i == j)) for j in range(size)] for i in range(size)])
+
+
 # dense-carrier sampling pool for tests that enumerate formula classes: the
 # class space grows with the number of distinct values, so those tests share
 # one small set of constants instead of drawing fresh ones per model

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import grid, random_pair, random_values
+from conftest import grid, ones, random_pair, random_values
 from fuzzykripke.algebra import ONE, ZERO, Algebra, format_value
 from fuzzykripke.bisim import (
     SimType,
@@ -176,8 +176,7 @@ def test_report_conditions_equal_checking_the_matrix(rng, monkeypatch):
 
 def test_check_conditions_reports_first_violation():
     a, b = load_pair("sim_showcase")
-    ones = FuzzyMat.ones(a.algebra, (len(a.worlds), len(b.worlds)))
-    checks = check_conditions(a, b, ones, SimType("rb"))
+    checks = check_conditions(a, b, ones(a.algebra, (len(a.worlds), len(b.worlds))), SimType("rb"))
     failed = [c for c in checks if not c.holds]
     assert failed, "the all-ones relation cannot satisfy every condition"
     v = failed[0].violation
@@ -435,9 +434,9 @@ def test_models_without_relation_indices():
         assert [c.to_dict() for c in check_conditions(a, b, rep.matrix, t)] == [
             c.to_dict() for c in rep.conditions
         ]
-        ones = FuzzyMat.ones(a.algebra, (2, 2))
-        assert [c.to_dict() for c in check_conditions(a, b, ones, t)] == (
-            reference_conditions(a, b, ones, t.value))
+        full = ones(a.algebra, (2, 2))
+        assert [c.to_dict() for c in check_conditions(a, b, full, t)] == (
+            reference_conditions(a, b, full, t.value))
 
 
 # -- differential test of the condition checks against a per-condition loop -------
@@ -537,7 +536,7 @@ def test_check_conditions_match_the_per_condition_reference():
             candidates = [FuzzyMat(algebra, [random_values(rng, algebra, shape[1])
                                              for _ in range(shape[0])])
                           for _ in range(2)]
-            candidates.append(FuzzyMat.ones(algebra, shape))
+            candidates.append(ones(algebra, shape))
             for t in ALL_TYPES:
                 for phi in (*candidates, greatest_pre(a, b, t).matrix):
                     got = [c.to_dict() for c in check_conditions(a, b, phi, t)]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import grid, random_values
+from conftest import grid, identity, ones, random_values
 from fuzzykripke.algebra import Algebra, AlgebraError
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke import levels
@@ -243,14 +243,14 @@ def test_nonzero_profiles_of_bundled_models():
 
 
 def test_matrix_constructors_and_lattice_ops():
-    ident = FuzzyMat.identity(GODEL, 3)
+    ident = identity(GODEL, 3)
     assert grid(ident) == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
     zeros = FuzzyMat.zeros(GODEL, (2, 3))
-    ones = FuzzyMat.ones(GODEL, (2, 3))
-    assert zeros.is_zero() and not ones.is_zero()
-    assert zeros.leq(ones)
+    full = ones(GODEL, (2, 3))
+    assert zeros.is_zero() and not full.is_zero()
+    assert zeros.leq(full)
     half = FuzzyMat.constant(GODEL, (2, 3), Fraction(1, 2))
-    assert half.meet(ones).rows == half.rows
+    assert half.meet(full).rows == half.rows
     assert half.join(zeros).rows == half.rows
     assert ident.compose(ident).rows == ident.rows
 
@@ -259,8 +259,8 @@ def test_identity_is_a_unit(rng):
     for _ in range(100):
         k, m = rand_dims(rng), rand_dims(rng)
         a = rand_mat(rng, GODEL, k, m)
-        assert FuzzyMat.identity(GODEL, k).compose(a).rows == a.rows
-        assert a.compose(FuzzyMat.identity(GODEL, m)).rows == a.rows
+        assert identity(GODEL, k).compose(a).rows == a.rows
+        assert a.compose(identity(GODEL, m)).rows == a.rows
 
 
 def test_dimension_mismatches_raise():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -141,6 +142,30 @@ def test_a_chain_of_disjunctions_is_evaluated_once_per_node(monkeypatch):
     calls.clear()
     assert model_module.formula_constants(a.algebra, [halves]) == {Fraction(1, 2)}
     assert calls["check_value"] <= terms
+    # the longest chain the parser admits
+    longest = parse(" | ".join(["p"] * 34))
+    start = time.perf_counter()
+    assert a.eval_vec(longest) == p
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_first_undeclared_name_is_reported():
+    # the order of a recursive evaluation: left before right, and a
+    # modality's own index before the names under it
+    a, _ = load_pair("sim_showcase")
+    cases = {
+        "r & <>_9 p": "undeclared variable 'r'",
+        "<>_9 p & r": "undeclared relation index 9",
+        "<>_9 r": "undeclared relation index 9",
+        "[]-_7 <>_9 r": "undeclared relation index 7",
+        "(<>_9 r) | s": "undeclared relation index 9",
+        "0.5 & <>_8 (r & <>_9 p)": "undeclared relation index 8",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            a.eval_vec(parse(text))
+    with pytest.raises(ModelError, match="^undeclared relation index 9$"):
+        a.eval_levels([parse("p"), parse("<>_9 p"), parse("r")], a.universe)
 
 
 def test_world_lookup():
@@ -462,6 +487,43 @@ def test_phi_equivalent_reports_witness():
     result = phi_equivalent(left, right, [parse("p")])
     assert not result.equivalent
     assert result.unmatched == ("left", "s0")
+
+
+def greedy_phi_equivalent(m1, m2, formulas):
+    """Pointwise equivalence by comparing value profiles world by world."""
+    profile1 = [[m1.eval(w, f) for f in formulas] for w in m1.worlds]
+    profile2 = [[m2.eval(w, f) for f in formulas] for w in m2.worlds]
+    pairing_left, pairing_right = {}, {}
+    for i, w in enumerate(m1.worlds):
+        match = next((j for j, p in enumerate(profile2) if p == profile1[i]), None)
+        if match is None:
+            return False, {}, {}, ("left", w)
+        pairing_left[w] = m2.worlds[match]
+    for j, w in enumerate(m2.worlds):
+        match = next((i for i, p in enumerate(profile1) if p == profile2[j]), None)
+        if match is None:
+            return False, {}, {}, ("right", w)
+        pairing_right[w] = m1.worlds[match]
+    return True, pairing_left, pairing_right, None
+
+
+def test_phi_equivalent_matches_the_greedy_profile_loop():
+    rng = random.Random("phi-equivalent")
+    corpus = [parse(t) for t in ("p", "q", "<>_1 p", "[]_1 q", "<>-_1 (p & q)", "!p")]
+    outcomes = Counter()
+    for algebra in (Algebra.boolean(), Algebra.from_spec("chain:3"), GODEL):
+        for _ in range(40):
+            m1, m2 = (random_model(rng, algebra, rng.randint(1, 4), ("p", "q"))
+                      for _ in range(2))
+            m2 = KripkeModel(algebra, [f"t{k}" for k in range(len(m2.worlds))],
+                             m2.relations, m2.valuation)
+            formulas = rng.sample(corpus, rng.randint(1, 3))
+            result = phi_equivalent(m1, m2, formulas)
+            want = greedy_phi_equivalent(m1, m2, formulas)
+            assert (result.equivalent, result.pairing_left, result.pairing_right,
+                    result.unmatched) == want
+            outcomes[want[3][0] if want[3] else "equivalent"] += 1
+    assert set(outcomes) == {"equivalent", "left", "right"}
 
 
 def test_comparability_requires_same_signature():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from hypothesis import strategies as st
 
 import fuzzykripke.syntax as sx
 from fuzzykripke import levels
-from fuzzykripke.algebra import Algebra
+from fuzzykripke.algebra import Algebra, AlgebraError
 from fuzzykripke.fixtures import load_pair
+from fuzzykripke.model import formula_constants
 from fuzzykripke.syntax import (
     And,
     Box,
@@ -194,6 +196,95 @@ def test_classify_matches_operator_usage(f):
         (True, True): Fragment.FULL,
     }[(has_fwd, has_bwd)]
     assert classify(f) is expected
+
+
+# Every walk over a formula visits each distinct node once; these references
+# recurse over the tree instead, which is exponential on shared DAGs.
+
+
+def ref_depth(f):
+    if isinstance(f, (Const, Var)):
+        return 0
+    if isinstance(f, (And, Implies)):
+        return max(ref_depth(f.left), ref_depth(f.right))
+    return 1 + ref_depth(f.child)
+
+
+def ref_modalities(f):
+    if isinstance(f, (Const, Var)):
+        return set()
+    if isinstance(f, (And, Implies)):
+        return ref_modalities(f.left) | ref_modalities(f.right)
+    return {type(f)} | ref_modalities(f.child)
+
+
+def ref_classify(f):
+    used = ref_modalities(f)
+    fwd, inv = bool(used & {Diamond, Box}), bool(used & {DiamondInv, BoxInv})
+    return {
+        (False, False): Fragment.PROPOSITIONAL,
+        (True, False): Fragment.PLUS,
+        (False, True): Fragment.MINUS,
+        (True, True): Fragment.FULL,
+    }[(fwd, inv)]
+
+
+def ref_dual(f):
+    if isinstance(f, (Const, Var)):
+        return f
+    if isinstance(f, And):
+        return And(ref_dual(f.left), ref_dual(f.right))
+    if isinstance(f, Implies):
+        return Implies(ref_dual(f.left), ref_dual(f.right))
+    swap = {Box: BoxInv, BoxInv: Box, Diamond: DiamondInv, DiamondInv: Diamond}
+    return swap[type(f)](f.index, ref_dual(f.child))
+
+
+def ref_constants(f):
+    if isinstance(f, Const):
+        return {f.value}
+    if isinstance(f, Var):
+        return set()
+    if isinstance(f, (And, Implies)):
+        return ref_constants(f.left) | ref_constants(f.right)
+    return ref_constants(f.child)
+
+
+@given(formulas(), formulas())
+@settings(max_examples=200)
+def test_walks_match_tree_recursion(f, g):
+    godel = Algebra.from_spec("godel")
+    # disj shares each operand twice, so the walks see a DAG
+    for h in (f, sx.disj(f, g), sx.iff(sx.disj(g, f), f)):
+        assert modal_depth(h) == ref_depth(h)
+        assert classify(h) is ref_classify(h)
+        assert dual(h) == ref_dual(h)
+        assert formula_constants(godel, [h]) == ref_constants(h)
+    assert formula_constants(godel, [f, g]) == ref_constants(f) | ref_constants(g)
+
+
+def test_the_first_constant_off_the_carrier_is_reported():
+    # children before parents, left before right, formula by formula
+    crisp = Algebra.from_spec("boolean")
+    for texts, bad in ((["0.3 & 0.7", "0.2"], "3/10"), (["1 -> (0 & 0.7)", "0.3"], "7/10"),
+                       (["<>_1 p", "[]-_2 (0.2 -> 0.5)"], "1/5")):
+        with pytest.raises(AlgebraError, match=f"value {bad} is not"):
+            formula_constants(crisp, [parse(t) for t in texts])
+
+
+def test_walks_are_linear_on_a_chain_of_disjunctions():
+    # the parser admits 34 terms; the tree of the chain has about 3**34 nodes
+    godel = Algebra.from_spec("godel")
+    for text, depth, fragment in ((" | ".join(["p"] * 34), 0, Fragment.PROPOSITIONAL),
+                                  (" | ".join(["<>_1 0.5"] * 33), 1, Fragment.PLUS)):
+        f = parse(text)
+        start = time.perf_counter()
+        assert modal_depth(f) == depth
+        assert classify(f) is fragment
+        assert classify(dual(f)) is (Fragment.MINUS if depth else fragment)
+        assert modal_depth(dual(dual(f))) == depth
+        assert formula_constants(godel, [f]) == ({Fraction(1, 2)} if depth else set())
+        assert time.perf_counter() - start < 1.0
 
 
 # -- semantic enumeration -----------------------------------------------------------
@@ -403,11 +494,15 @@ def reference_class_list(a, b, fragment, depth, budget):
             snap = len(rows)
             lv = np.array(rows, dtype=e.universe.dtype)
             for idx in e.indices:
-                for op in e._unary_ops:
-                    out1 = levels.modal(op, rel1[idx], lv[:, : len(a.worlds)], e.universe.top)
-                    out2 = levels.modal(op, rel2[idx], lv[:, len(a.worlds) :], e.universe.top)
+                for node in e._modalities:
+                    m = sx._MODALITIES[node]
+                    top = e.universe.top
+                    out1 = levels.modal(rel1[idx], lv[:, : len(a.worlds)], top,
+                                        box=m.box, inverse=m.inverse)
+                    out2 = levels.modal(rel2[idx], lv[:, len(a.worlds) :], top,
+                                        box=m.box, inverse=m.inverse)
                     for k, row in enumerate(np.hstack([out1, out2]).tolist()):
-                        add(tuple(row), sx._NODE_FOR_OP[op](idx, formulas[k]))
+                        add(tuple(row), node(idx, formulas[k]))
             saturate(snap)
     except _Full:
         return rows, formulas, True

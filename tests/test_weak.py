@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import grid, random_model, random_pair
+from conftest import grid, identity, ones, random_model, random_pair
 from fuzzykripke.algebra import Algebra
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat
@@ -103,8 +103,7 @@ def test_psi_equivalent_needs_matches_both_ways():
 def test_check_weak_flags_violations():
     a, b = load_pair("fully_equivalent")
     formulas = [parse("p"), parse("q")]
-    ones = FuzzyMat.ones(a.algebra, (len(a.worlds), len(b.worlds)))
-    checks = check_weak(a, b, ones, formulas)
+    checks = check_weak(a, b, ones(a.algebra, (len(a.worlds), len(b.worlds))), formulas)
     failed = [c for c in checks if not c.holds]
     assert failed and all("-2[" in c.name for c in failed)
     assert failed[0].violation is not None
@@ -138,7 +137,7 @@ def test_weak_closure_on_self_comparison(rng):
         m = random_model(rng, GODEL, rng.randint(1, 3))
         formulas = [parse("p"), parse("<>_1 p"), parse("[]-_1 p")]
         rep = greatest_weak(m, m, formulas)
-        ident = FuzzyMat.identity(GODEL, len(m.worlds))
+        ident = identity(GODEL, len(m.worlds))
         for bisim in (True, False):
             top = rep.prebisimulation if bisim else rep.presimulation
             assert check_union_closed(m, m, formulas, ident, top, bisimulation=bisim)
@@ -152,7 +151,7 @@ def test_empty_formula_set_is_rejected():
     with pytest.raises(ValueError):
         greatest_weak(a, b, [])
     with pytest.raises(ValueError):
-        check_weak(a, b, FuzzyMat.ones(a.algebra, (3, 2)), [])
+        check_weak(a, b, ones(a.algebra, (3, 2)), [])
 
 
 def test_enumerated_weak_rejects_an_empty_enumeration():
@@ -172,7 +171,7 @@ def test_enumerated_weak_rejects_an_empty_enumeration():
 def test_check_weak_validates_shape():
     a, b = load_pair("fully_equivalent")
     with pytest.raises(ValueError):
-        check_weak(a, b, FuzzyMat.ones(a.algebra, (2, 2)), [parse("p")])
+        check_weak(a, b, ones(a.algebra, (2, 2)), [parse("p")])
 
 
 def test_duality_transfer_on_fixture_pairs():
