@@ -41,9 +41,8 @@ from .hm import (
     hm_check,
     invariance_check,
     noninvariance_demo,
-    weak_by_depth,
 )
-from .syntax import FormulaEnumeration, enumerate_formulas
+from .syntax import FormulaEnumeration
 
 __version__ = "0.1.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "classify",
     "dual",
     "duality_transfer",
-    "enumerate_formulas",
     "format_value",
     "greatest_pre",
     "greatest_weak",
@@ -89,5 +87,4 @@ __all__ = [
     "phi_equivalent",
     "psi_equivalent",
     "to_text",
-    "weak_by_depth",
 ]

@@ -229,6 +229,18 @@ def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type:
     return valuations, sides
 
 
+def _check_relation(m1: KripkeModel, m2: KripkeModel, phi: FuzzyMat) -> None:
+    """Reject a relation that does not fit between the worlds of a
+    comparable model pair."""
+    check_comparable(m1, m2)
+    m1.algebra.check_same(phi.algebra)
+    if phi.shape != (len(m1.worlds), len(m2.worlds)):
+        raise ValueError(
+            f"relation shape {phi.shape} does not match world counts "
+            f"{(len(m1.worlds), len(m2.worlds))}"
+        )
+
+
 def check_conditions(
     m1: KripkeModel, m2: KripkeModel, phi: FuzzyMat, sim_type: SimType
 ) -> list[ConditionCheck]:
@@ -239,13 +251,7 @@ def check_conditions(
     produced by :func:`greatest_pre` (or any externally supplied relation).
     """
     sim_type = SimType(sim_type)
-    check_comparable(m1, m2)
-    m1.algebra.check_same(phi.algebra)
-    if phi.shape != (len(m1.worlds), len(m2.worlds)):
-        raise ValueError(
-            f"relation shape {phi.shape} does not match world counts "
-            f"{(len(m1.worlds), len(m2.worlds))}"
-        )
+    _check_relation(m1, m2, phi)
     universe = union([m1.universe, m2.universe, phi.universe])
     return _level_conditions(
         m1, m2, universe, *_encode_pair(m1, m2, universe, sim_type),
@@ -341,12 +347,9 @@ def _initial_relation(v1: np.ndarray, v2: np.ndarray, top, sim_type: SimType) ->
     return fold(v1.T, v2.T, top)
 
 
-def iteration_cap(m1: KripkeModel, m2: KripkeModel) -> int:
-    """Default sweep cap: generous, and only reachable on an internal error."""
-    return _sweep_cap(m1, m2, union([m1.universe, m2.universe]))
-
-
 def _sweep_cap(m1: KripkeModel, m2: KripkeModel, universe: Universe) -> int:
+    """The sweep cap of :func:`greatest_pre`: generous, and only reachable
+    on an internal error."""
     return 10 * len(m1.worlds) * len(m2.worlds) * len(universe) + 10
 
 
@@ -354,7 +357,6 @@ def greatest_pre(
     m1: KripkeModel,
     m2: KripkeModel,
     sim_type: SimType,
-    max_iterations: Optional[int] = None,
 ) -> SimReport:
     """The greatest pre-simulation/bisimulation of the given kind.
 
@@ -365,16 +367,15 @@ def greatest_pre(
     sim_type = SimType(sim_type)
     check_comparable(m1, m2)
     universe = union([m1.universe, m2.universe])
-    if max_iterations is None:
-        max_iterations = _sweep_cap(m1, m2, universe)
+    cap = _sweep_cap(m1, m2, universe)
     top = universe.top
     valuations, sides = _encode_pair(m1, m2, universe, sim_type)
     phi = _initial_relation(*valuations, top, sim_type)
     iterations = 0
     while True:
-        if iterations > max_iterations:
+        if iterations > cap:
             raise RuntimeError(
-                f"fixpoint failed to stabilize within {max_iterations} sweeps; "
+                f"fixpoint failed to stabilize within {cap} sweeps; "
                 "this indicates an internal error"
             )
         new = phi

@@ -26,7 +26,7 @@ from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
 from .model import KripkeModel, ModelError, parse_matrix
-from .syntax import Fragment, enumerate_formulas, parse, parse_corpus
+from .syntax import FormulaEnumeration, Fragment, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
 
@@ -116,10 +116,8 @@ def cmd_weak(args) -> int:
             raise ModelError(f"corpus {args.corpus} contains no formulae")
         report = greatest_weak(m1, m2, formulas)
     else:
-        enum = enumerate_formulas(
-            m1, m2, Fragment(args.fragment), args.depth, budget=args.budget
-        )
-        report = enumerated_weak(m1, m2, enum)
+        enum = FormulaEnumeration(m1, m2, Fragment(args.fragment), args.budget)
+        report = enumerated_weak(m1, m2, enum.extend_to_depth(args.depth))
 
     def human(out):
         out.write(f"formulas: {report.formula_count}\n")

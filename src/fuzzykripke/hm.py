@@ -25,9 +25,9 @@ witness pattern needs values that do not exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .syntax import (
     Fragment,
     Implies,
     Var,
+    _check_depth,
     to_text,
 )
 
@@ -63,30 +64,6 @@ def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
     lv1, lv2 = enum.generator_vectors()
     fold = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
     return FuzzyMat._from_levels(enum.algebra, fold, enum.universe)
-
-
-def weak_by_depth(
-    m1: KripkeModel,
-    m2: KripkeModel,
-    fragment: Fragment,
-    depth: int,
-    constants: Optional[Iterable[Fraction]] = None,
-    budget: int = 200_000,
-    include_boxes: bool = True,
-) -> FuzzyMat:
-    """Greatest weak prebisimulation over fragment formulae of depth <= d.
-
-    The fold ranges over every fragment formula of modal depth <= d; it is
-    computed from the atomic and modal classes alone, which give the same
-    meet and spare the propositional closure of the deepest level.
-    """
-    check_comparable(m1, m2)
-    enum = FormulaEnumeration(
-        m1, m2, Fragment(fragment), constants=constants,
-        budget=budget, include_boxes=include_boxes,
-    )
-    enum.extend_generators(depth)
-    return _ladder_matrix(enum)
 
 
 @dataclass
@@ -147,9 +124,7 @@ def hm_check(
     m2: KripkeModel,
     fragment: Fragment,
     max_depth: int = 4,
-    constants: Optional[Iterable[Fraction]] = None,
     budget: int = 200_000,
-    include_boxes: bool = True,
 ) -> HMReport:
     """Probe one fragment/bisimulation pairing on a model pair.
 
@@ -164,16 +139,12 @@ def hm_check(
             f"no expressivity pairing for fragment {fragment.value!r}; "
             "use plus, minus or full"
         )
-    if max_depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {max_depth}")
+    _check_depth(max_depth)
     check_comparable(m1, m2)
     sim_type = THETA_FOR_FRAGMENT[fragment]
     strong = greatest_pre(m1, m2, sim_type)
 
-    enum = FormulaEnumeration(
-        m1, m2, fragment, constants=constants,
-        budget=budget, include_boxes=include_boxes,
-    )
+    enum = FormulaEnumeration(m1, m2, fragment, budget)
     steps: list[DepthStep] = []
     converged_at = None
     match = False

@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -484,16 +483,23 @@ def _row_keys(size: int, width: int) -> tuple[Optional[np.ndarray], bool]:
     return size ** np.arange(width - 1, -1, -1, dtype=dtype), size ** width <= levels.BATCH
 
 
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+
+
 class FormulaEnumeration:
     """Depth-layered, deduplicated formula enumeration over a model pair.
 
     Layer d holds one representative per distinct pair of value vectors
-    among all fragment formulae of modal depth <= d (over the configured
-    variables, constants and indices).  The class list only ever grows when
-    the depth is extended, and the generation order is deterministic, so a
-    lower depth is always a prefix of a higher one.  When the class budget
-    is exhausted, ``truncated`` flips to True and generation stops.
-    ``dense`` tells whether known rows are marked in a dense key table.
+    among all fragment formulae of modal depth <= d, over the variables and
+    indices both models declare and the constants 0, 1 and every value the
+    models use; every modality of the fragment is admitted.  The class list
+    only ever grows when the depth is extended, and the generation order is
+    deterministic, so a lower depth is always a prefix of a higher one.
+    When the class budget is exhausted, ``truncated`` flips to True and
+    generation stops.  ``dense`` tells whether known rows are marked in a
+    dense key table.
     """
 
     def __init__(
@@ -501,11 +507,7 @@ class FormulaEnumeration:
         m1: "KripkeModel",
         m2: "KripkeModel",
         fragment: Fragment,
-        variables: Optional[Iterable[str]] = None,
-        constants: Optional[Iterable[Fraction]] = None,
-        indices: Optional[Iterable[int]] = None,
         budget: int = 200_000,
-        include_boxes: bool = True,
     ):
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
@@ -516,35 +518,15 @@ class FormulaEnumeration:
         self.truncated = False
         self.depth = -1
 
-        if variables is None:
-            names = sorted(set(m1.valuation) & set(m2.valuation))
-        else:
-            names = sorted(set(variables))
-            for name in names:
-                if name not in m1.valuation or name not in m2.valuation:
-                    raise ValueError(f"variable {name!r} is not declared in both models")
-        if indices is None:
-            idx = sorted(set(m1.indices) & set(m2.indices))
-        else:
-            idx = sorted(set(indices))
-            for i in idx:
-                if i not in m1.relations or i not in m2.relations:
-                    raise ValueError(f"index {i} is not declared in both models")
-        self.variables = tuple(names)
-        self.indices = tuple(idx)
-
-        if constants is None:
-            constants = chain((ZERO, ONE), m1.used_values(), m2.used_values())
-        self.constants = tuple(sorted({self.algebra.check_value(c) for c in constants}))
+        self.variables = tuple(sorted(set(m1.valuation) & set(m2.valuation)))
+        self.indices = tuple(sorted(set(m1.indices) & set(m2.indices)))
+        self.constants = tuple(sorted({ZERO, ONE, *m1.used_values(), *m2.used_values()}))
         self.universe = levels.union([m1.universe, m2.universe], self.constants)
-        if not self.variables and not self.constants:
-            raise ValueError("enumeration needs at least one variable or constant")
 
         # a modality is admitted by FULL and by the fragment of its direction
         self._modalities = tuple(
             node for node, m in _MODALITIES.items()
             if self.fragment in (Fragment.FULL, Fragment.MINUS if m.inverse else Fragment.PLUS)
-            and (include_boxes or not m.box)
         )
 
         self.values: tuple[Fraction, ...] = self.universe.values
@@ -716,9 +698,8 @@ class FormulaEnumeration:
 
     def _seed_atoms(self) -> None:
         width = self._n1 + self._n2
-        if self.constants:
-            block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
-            self._absorb_block(block, Const, self.constants.__getitem__)
+        block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
+        self._absorb_block(block, Const, self.constants.__getitem__)
         if self.variables and not self.truncated:
             block = np.array(
                 [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
@@ -798,6 +779,7 @@ class FormulaEnumeration:
         expensive part of a level.  A later :meth:`extend_to_depth` call
         picks up exactly where this left off.
         """
+        _check_depth(depth)
         while self._modal_depth < depth and not self.truncated:
             if self._modal_depth > self.depth:
                 self._finish_level()
@@ -807,6 +789,7 @@ class FormulaEnumeration:
 
     def extend_to_depth(self, depth: int) -> "FormulaEnumeration":
         """Grow the class list to cover all formulae of modal depth ``depth``."""
+        _check_depth(depth)
         while self.depth < depth and not self.truncated:
             if self._modal_depth == self.depth:
                 self._modal_step()
@@ -874,25 +857,3 @@ class FormulaEnumeration:
 
     def __len__(self):
         return self._count
-
-
-def enumerate_formulas(
-    m1: "KripkeModel",
-    m2: "KripkeModel",
-    fragment: Fragment,
-    depth: int,
-    variables: Optional[Iterable[str]] = None,
-    constants: Optional[Iterable[Fraction]] = None,
-    indices: Optional[Iterable[int]] = None,
-    budget: int = 200_000,
-    include_boxes: bool = True,
-) -> FormulaEnumeration:
-    """Enumerate fragment formulae to ``depth``, deduplicated semantically."""
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    enum = FormulaEnumeration(
-        m1, m2, fragment,
-        variables=variables, constants=constants, indices=indices,
-        budget=budget, include_boxes=include_boxes,
-    )
-    return enum.extend_to_depth(depth)

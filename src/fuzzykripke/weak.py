@@ -29,9 +29,16 @@ from its class vectors directly, without rebuilding any formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .bisim import _COND1_TEXT, _COND3_TEXT, ConditionCheck, _vector_violations, _verdict
+from .bisim import (
+    _COND1_TEXT,
+    _COND3_TEXT,
+    ConditionCheck,
+    _check_relation,
+    _vector_violations,
+    _verdict,
+)
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
 from .model import KripkeModel, check_comparable, formula_levels
@@ -40,7 +47,6 @@ from .syntax import (
     FormulaEnumeration,
     Fragment,
     dual,
-    enumerate_formulas,
     to_text,
 )
 
@@ -90,6 +96,13 @@ class WeakReport:
         }
 
 
+def _nonempty(formulas):
+    """``formulas`` (a list or an enumeration), if it holds any formula."""
+    if not len(formulas):
+        raise ValueError("a weak relation needs a nonempty formula set")
+    return formulas
+
+
 def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
     """The report for a formula set given by its level vectors: row A of
     ``lv1`` (``lv2``) is the vector of formula A over the worlds of ``m1``
@@ -128,9 +141,7 @@ def greatest_weak(
 ) -> WeakReport:
     """Greatest weak presimulation and prebisimulation for ``formulas``."""
     check_comparable(m1, m2)
-    formulas = list(formulas)
-    if not formulas:
-        raise ValueError("a weak relation needs a nonempty formula set")
+    formulas = _nonempty(list(formulas))
     return _weak_report(m1, m2, *formula_levels(m1, m2, formulas))
 
 
@@ -144,8 +155,7 @@ def enumerated_weak(
     because the formulae of a class have equal vectors on both models.
     """
     check_comparable(m1, m2)
-    if not len(enum):
-        raise ValueError("a weak relation needs a nonempty formula set")
+    _nonempty(enum)
     return _weak_report(m1, m2, enum.universe, *enum.level_vectors())
 
 
@@ -162,16 +172,8 @@ def check_weak(
     checked.  Each verdict carries the first violating entry, labelled with
     the offending formula.
     """
-    check_comparable(m1, m2)
-    m1.algebra.check_same(phi.algebra)
-    if phi.shape != (len(m1.worlds), len(m2.worlds)):
-        raise ValueError(
-            f"relation shape {phi.shape} does not match world counts "
-            f"{(len(m1.worlds), len(m2.worlds))}"
-        )
-    formulas = list(formulas)
-    if not formulas:
-        raise ValueError("a weak relation needs a nonempty formula set")
+    _check_relation(m1, m2, phi)
+    formulas = _nonempty(list(formulas))
     kind = "wb" if bisimulation else "ws"
     tags = ("fwd", "fwd_inv") if bisimulation else ("fwd",)
     universe, lv1, lv2 = formula_levels(m1, m2, formulas, phi)
@@ -249,8 +251,7 @@ def duality_transfer(
 ) -> DualityVerdict:
     """Reversing both models while dualizing the formula set preserves the
     greatest weak prebisimulation; verified by direct evaluation."""
-    enum = enumerate_formulas(m1, m2, Fragment(fragment), depth, budget=budget)
-    formulas = enum.formulas()
+    formulas = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth).formulas()
     forward = greatest_weak(m1, m2, formulas).prebisimulation
     dual_formulas = [dual(f) for f in formulas]
     reversed_ = greatest_weak(m1.reverse(), m2.reverse(), dual_formulas).prebisimulation

@@ -8,17 +8,17 @@ import numpy as np
 import pytest
 
 from conftest import grid, ones, random_pair, random_values
+from fuzzykripke import bisim
 from fuzzykripke.algebra import ONE, ZERO, Algebra, format_value
 from fuzzykripke.bisim import (
     SimType,
     _violations,
     check_conditions,
     greatest_pre,
-    iteration_cap,
 )
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
-from fuzzykripke.levels import Universe
+from fuzzykripke.levels import Universe, union
 from fuzzykripke.model import KripkeModel
 
 ALL_TYPES = [SimType(t) for t in ("fs", "bs", "fb", "bb", "fbb", "bfb", "rb")]
@@ -244,14 +244,15 @@ def test_self_comparison_contains_identity(rng):
             assert rep.matrix.rows[i][i] == Fraction(1)
 
 
-def test_iteration_counts_respect_cap():
+def test_iteration_counts_respect_cap(monkeypatch):
     a, b = load_pair("sim_showcase")
-    cap = iteration_cap(a, b)
+    cap = bisim._sweep_cap(a, b, union([a.universe, b.universe]))
     assert cap >= 1
     for t in ALL_TYPES:
         assert greatest_pre(a, b, t).iterations <= cap
-    with pytest.raises(RuntimeError):
-        greatest_pre(a, b, SimType("rb"), max_iterations=0)
+    monkeypatch.setattr(bisim, "_sweep_cap", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="^fixpoint failed to stabilize within 0 sweeps"):
+        greatest_pre(a, b, SimType("rb"))
 
 
 def test_incomparable_models_are_rejected():

@@ -150,6 +150,11 @@ def test_weak_fragment_budget_below_one_exits_2(capsys):
         assert err == f"error: budget must be positive, got {budget}\n"
 
 
+def test_weak_fragment_negative_depth_exits_2(capsys):
+    code, out, err = run(capsys, "weak", "--fragment", "plus", "--depth", "-1", A, B)
+    assert (code, out, err) == (2, "", "error: depth must be nonnegative, got -1\n")
+
+
 # -- hm --------------------------------------------------------------------------
 
 

@@ -14,9 +14,9 @@ from fuzzykripke.hm import (
     hm_check,
     invariance_check,
     noninvariance_demo,
-    weak_by_depth,
 )
-from fuzzykripke.syntax import Fragment
+from fuzzykripke.syntax import FormulaEnumeration, Fragment
+from fuzzykripke.weak import enumerated_weak
 
 FRAGMENTS = (Fragment.PLUS, Fragment.MINUS, Fragment.FULL)
 
@@ -74,27 +74,30 @@ def test_first_mismatch_is_the_first_differing_entry():
     assert cut
 
 
+def fresh_fold(a, b, fragment, depth):
+    """E_depth folded over every class of a fresh enumeration to ``depth``."""
+    enum = FormulaEnumeration(a, b, fragment).extend_to_depth(depth)
+    return enumerated_weak(a, b, enum).prebisimulation
+
+
 def test_depth_zero_equals_variable_fold():
     a, b = load_pair("sim_showcase")
     rep = hm_check(a, b, Fragment.FULL, max_depth=0)
-    assert grid(rep.steps[0].matrix) == grid(weak_by_depth(a, b, Fragment.FULL, 0))
+    assert grid(rep.steps[0].matrix) == grid(fresh_fold(a, b, Fragment.FULL, 0))
     assert rep.converged_at is None or rep.converged_at == 0
 
 
-def test_weak_by_depth_matches_ladder_steps():
-    a, b = load_pair("fully_equivalent")
-    for fragment in FRAGMENTS:
-        rep = hm_check(a, b, fragment, max_depth=3)
-        for step in rep.steps:
-            direct = weak_by_depth(a, b, fragment, step.depth)
-            assert direct.rows == step.matrix.rows
-
-
-def test_box_free_ladder_still_matches_on_crisp_pair():
-    a, b = load_pair("crisp_pair")
-    rep = hm_check(a, b, Fragment.PLUS, max_depth=3, include_boxes=False)
-    assert rep.match
-    assert grid(rep.steps[-1].matrix) == expected("crisp_pair")["hm"]["plus"]["final"]
+def test_ladder_steps_match_fresh_enumeration():
+    # a step folds only the generator classes of an enumeration that skips
+    # the closure of its deepest level; every class of a fresh, fully closed
+    # enumeration to the same depth must give the same E_d
+    for name in ("fully_equivalent", "sim_showcase"):
+        a, b = load_pair(name)
+        for fragment in FRAGMENTS:
+            rep = hm_check(a, b, fragment, max_depth=2)
+            for step in rep.steps:
+                assert not step.truncated
+                assert fresh_fold(a, b, fragment, step.depth) == step.matrix
 
 
 def test_small_budget_reports_truncation():
@@ -110,6 +113,8 @@ def test_negative_depth_cap_and_empty_budget_are_rejected():
     a, b = load_pair("sim_showcase")
     with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
         hm_check(a, b, Fragment.PLUS, max_depth=-1)
+    with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
+        invariance_check(a, b, SimType.FB, Fragment.PLUS, -1)
     with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
         hm_check(a, b, Fragment.PLUS, budget=0)
 

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import grid, identity, ones, random_model, random_pair
 from fuzzykripke.algebra import Algebra
+from fuzzykripke.bisim import SimType, check_conditions
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat
-from fuzzykripke.syntax import Fragment, enumerate_formulas, parse
+from fuzzykripke.syntax import FormulaEnumeration, Fragment, parse
 from fuzzykripke.weak import (
     check_composition_closed,
     check_union_closed,
@@ -165,13 +166,17 @@ def test_enumerated_weak_rejects_an_empty_enumeration():
         enumerated_weak(a, b, Empty())
     for budget in (0, -1):
         with pytest.raises(ValueError, match=f"^budget must be positive, got {budget}$"):
-            enumerate_formulas(a, b, Fragment.PLUS, 1, budget=budget)
+            FormulaEnumeration(a, b, Fragment.PLUS, budget)
 
 
-def test_check_weak_validates_shape():
+def test_relation_checks_report_a_wrong_shape():
     a, b = load_pair("fully_equivalent")
-    with pytest.raises(ValueError):
-        check_weak(a, b, ones(a.algebra, (2, 2)), [parse("p")])
+    phi = ones(a.algebra, (2, 2))
+    message = r"^relation shape \(2, 2\) does not match world counts \(3, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        check_weak(a, b, phi, [parse("p")])
+    with pytest.raises(ValueError, match=message):
+        check_conditions(a, b, phi, SimType.RB)
 
 
 def test_duality_transfer_on_fixture_pairs():
@@ -198,6 +203,6 @@ def test_enumerated_weak_matches_evaluating_every_representative(rng):
               for _ in range(6)]
     for a, b in pairs:
         for fragment in (Fragment.PLUS, Fragment.MINUS, Fragment.FULL):
-            enum = enumerate_formulas(a, b, fragment, 1, budget=4000)
+            enum = FormulaEnumeration(a, b, fragment, 4000).extend_to_depth(1)
             folded = enumerated_weak(a, b, enum)
             assert folded.to_dict() == greatest_weak(a, b, enum.formulas()).to_dict()
