@@ -16,6 +16,7 @@ from .syntax import (
     Diamond,
     DiamondInv,
     Formula,
+    FormulaEnumeration,
     Fragment,
     Implies,
     ParseError,
@@ -42,7 +43,6 @@ from .hm import (
     invariance_check,
     noninvariance_demo,
 )
-from .syntax import FormulaEnumeration
 
 __version__ = "0.1.0"
 

@@ -18,6 +18,7 @@ every fixpoint computation built on top of this module, so all values are
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -163,18 +164,26 @@ class Algebra:
         return x <= y
 
 
+VALUE_PATTERN = r"\d+(?:\.\d+|/\d+)?"
+"""How a truth value is spelled, in model files and formula constants alike."""
+
+
 def parse_value(text: str) -> Fraction:
-    """Parse an exact decimal (or p/q) truth value string.
+    """Parse an exact decimal (or p/q) truth value string, spelled as
+    :data:`VALUE_PATTERN` says; surrounding whitespace is ignored.
 
     ``"0.3"`` becomes Fraction(3, 10) exactly; no float ever enters.
     """
     text = text.strip()
+    if re.fullmatch(VALUE_PATTERN, text) is None:
+        raise AlgebraError(f"malformed truth value {text!r}")
     try:
         value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
+        raise AlgebraError(f"truth value {text!r} has a zero denominator") from None
+    except ValueError:  # more digits than Python converts to an integer
         raise AlgebraError(f"malformed truth value {text!r}") from None
-    num, den = value.as_integer_ratio()
-    if num < 0 or num > den:
+    if value > 1:
         raise AlgebraError(f"truth value {text!r} is outside [0, 1]")
     return value
 

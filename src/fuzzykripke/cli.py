@@ -25,19 +25,14 @@ import sys
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
-from .model import KripkeModel, ModelError, parse_matrix
+from .model import KripkeModel, ModelError, _read_json, parse_matrix
 from .syntax import FormulaEnumeration, Fragment, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
 
 def _load_relation(path: str, algebra, shape) -> FuzzyMat:
     with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid JSON in {path}: {exc}") from None
-        except RecursionError:
-            raise ModelError(f"invalid JSON in {path}: nested too deeply") from None
+        data = _read_json(fh.read(), path)
     if not isinstance(data, dict) or "relation" not in data:
         raise ModelError(f"{path} must be a JSON object with a 'relation' key")
     mat = parse_matrix(algebra, data["relation"], f"{path}: relation")

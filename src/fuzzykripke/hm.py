@@ -34,7 +34,7 @@ import numpy as np
 from . import levels
 from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, _violations, greatest_pre
-from .fuzzrel import FuzzyMat, FuzzyVec, _common, nonzero_profile
+from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
 from .levels import biimplication, biimplication_fold
 from .model import KripkeModel, check_comparable
 from .syntax import (
@@ -53,17 +53,6 @@ THETA_FOR_FRAGMENT = {
     Fragment.MINUS: SimType.BB,
     Fragment.FULL: SimType.RB,
 }
-
-
-def _ladder_matrix(enum: FormulaEnumeration) -> FuzzyMat:
-    """The weak prebisimulation of the enumerated formulae, folded on levels.
-
-    The fold skips the binary-connective rows, which never lower a
-    biimplication fold (see :meth:`FormulaEnumeration.generator_indices`).
-    """
-    lv1, lv2 = enum.generator_vectors()
-    fold = biimplication_fold(lv1.T, lv2.T, enum.universe.top)
-    return FuzzyMat._from_levels(enum.algebra, fold, enum.universe)
 
 
 @dataclass
@@ -145,29 +134,32 @@ def hm_check(
     strong = greatest_pre(m1, m2, sim_type)
 
     enum = FormulaEnumeration(m1, m2, fragment, budget)
+    universe = enum.universe
+    strong_lv = universe.recode(strong.matrix.universe, strong.matrix.levels)
     steps: list[DepthStep] = []
     converged_at = None
     match = False
     previous = None
     for depth in range(max_depth + 1):
-        enum.extend_generators(depth)
-        matrix = _ladder_matrix(enum)
+        # E_d skips the binary rows, which never lower it (see generator_indices)
+        lv1, lv2 = enum.extend_generators(depth).generator_vectors()
+        weak_lv = biimplication_fold(lv1.T, lv2.T, universe.top)
+        matrix = FuzzyMat._from_levels(enum.algebra, weak_lv, universe)
         steps.append(DepthStep(depth, matrix, len(enum), enum.truncated))
-        if matrix == strong.matrix:
+        if np.array_equal(weak_lv, strong_lv):
             converged_at = depth
             match = True
             break
         if enum.truncated:
             break
-        if previous is not None and matrix == previous:
+        if previous is not None and np.array_equal(weak_lv, previous):
             converged_at = depth - 1
             break
-        previous = matrix
+        previous = weak_lv
 
     mismatch = None
     if not match:
-        # the first differing entry in row-major order, on levels of one universe
-        universe, (weak_lv, strong_lv) = _common(steps[-1].matrix, strong.matrix)
+        # the first differing entry in row-major order
         w, wp = np.unravel_index(int(np.argmax(weak_lv != strong_lv)), weak_lv.shape)
         weak_text, strong_text = universe.format(np.array([weak_lv[w, wp], strong_lv[w, wp]]))
         mismatch = {"pair": [m1.worlds[w], m2.worlds[wp]], "weak": weak_text,

@@ -38,6 +38,9 @@ from .algebra import ONE, ZERO, format_value
 BATCH = 1 << 23
 """Elements per broadcast block: bounds the memory of every (s, k, m, n) temporary."""
 
+MAX_VALUES = 1 << 16
+"""The most values a universe holds, so that its levels fit in ``uint16``."""
+
 
 class Universe:
     """A sorted value universe with level encoding and decoding."""
@@ -51,7 +54,7 @@ class Universe:
         by_key.setdefault((0, 1), ZERO)
         by_key.setdefault((1, 1), ONE)
         keys = sorted(by_key, key=by_key.__getitem__)
-        if len(keys) > 1 << 16:
+        if len(keys) > MAX_VALUES:
             raise ValueError(f"value universe of {len(keys)} values is too large")
         self.values: tuple[Fraction, ...] = tuple(map(by_key.__getitem__, keys))
         self.dtype = np.dtype(np.uint8 if len(keys) <= 1 << 8 else np.uint16)

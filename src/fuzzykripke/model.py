@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraError, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec, _matrix_ids
-from .levels import Universe, biimplication_fold, modal, residuum, union
+from .levels import MAX_VALUES, Universe, biimplication_fold, modal, residuum, union
 from .syntax import _MODALITIES, And, Const, Formula, Implies, Var, _fold
 
 
@@ -250,13 +250,7 @@ class KripkeModel:
 
     @classmethod
     def from_json(cls, text: str) -> "KripkeModel":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ModelError("invalid JSON: nested too deeply") from None
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(text))
 
     def to_json(self) -> str:
         return _render_json(self.to_dict()) + "\n"
@@ -269,6 +263,18 @@ class KripkeModel:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def _read_json(text: str, source: str = ""):
+    """``json.loads(text)``, with its errors as :class:`ModelError`; a
+    ``source`` is named in the message."""
+    where = f" in {source}" if source else ""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+        raise ModelError(f"invalid JSON{where}: {exc}") from None
+    except RecursionError:
+        raise ModelError(f"invalid JSON{where}: nested too deeply") from None
 
 
 def _require(value, kind: type, message: str):
@@ -334,29 +340,38 @@ class _ValueTable:
             out.append(i)
         return out
 
-    def _check(self) -> None:
-        """Check the values first seen since the last call, in order."""
+    def _check(self, where: str) -> None:
+        """Check the values first seen since the last call, in order, and
+        that the table still fits in a :class:`Universe`."""
         for value in self.values[self._checked:]:
             self.algebra.check_value(value)
         self._checked = len(self.values)
+        known = self._by_value  # every universe holds 0 and 1
+        size = len(self.values) + ((0, 1) not in known) + ((1, 1) not in known)
+        if size > MAX_VALUES:
+            raise ModelError(f"{where}: value universe of {size} values is too large")
 
     def matrix(self, rows, where: str) -> np.ndarray:
         """Table indices of a JSON matrix: a list of rows of decimal strings.
 
         Anything else, a string where a list belongs or a JSON float among
         the values, raises :class:`ModelError` naming the entry; a malformed
-        or out-of-range spelling raises :class:`AlgebraError` naming it.
+        or out-of-range spelling raises :class:`AlgebraError` naming it.  An
+        empty or ragged matrix is a :class:`ModelError` naming ``where``.
         """
         _require(rows, list, f"{where} must be a list of rows")
         ids = [self.entries(row, where, r) for r, row in enumerate(rows)]
-        self._check()
-        return _matrix_ids(ids)
+        self._check(where)
+        try:
+            return _matrix_ids(ids)
+        except ValueError as exc:
+            raise ModelError(f"{where}: {exc}") from None
 
     def vector(self, entries, where: str) -> np.ndarray:
         ids = self.entries(entries, where)
-        self._check()
+        self._check(where)
         if not ids:
-            raise ValueError("fuzzy vector must be nonempty")
+            raise ModelError(f"{where}: fuzzy vector must be nonempty")
         return np.array(ids, dtype=np.intp)
 
     def containers(self, matrices: dict, vectors: dict) -> tuple[dict, dict]:

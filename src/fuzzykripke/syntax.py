@@ -4,7 +4,7 @@ Concrete syntax
 ---------------
 
     variables    [a-z][a-z0-9_]*
-    constants    rationals in [0, 1]:  0, 1, 0.3, 0.25, 2/3
+    constants    rationals in [0, 1]:  0, 1, 0.3, 0.25, 2/3  (algebra.VALUE_PATTERN)
     connectives  !A   A & B   A | B   A -> B   A <-> B
     modalities   []_i A   <>_i A   []-_i A   <>-_i A     (integer index i)
 
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Unio
 import numpy as np
 
 from . import levels
-from .algebra import ONE, ZERO, format_value
+from .algebra import ONE, VALUE_PATTERN, ZERO, AlgebraError, format_value, parse_value
 
 if TYPE_CHECKING:
     from .model import KripkeModel
@@ -244,7 +244,7 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<modal>(?:<>|\[\])-?_\d+)
   | (?P<iff><->)
@@ -254,7 +254,7 @@ _TOKEN_RE = re.compile(
   | (?P<not>!)
   | (?P<lp>\()
   | (?P<rp>\))
-  | (?P<const>\d+(?:\.\d+|/\d+)?)
+  | (?P<const>{VALUE_PATTERN})
   | (?P<var>[a-z][a-z0-9_]*)
     """,
     re.VERBOSE,
@@ -382,12 +382,9 @@ class _Parser:
         kind, text, pos = self._next()
         if kind == "const":
             try:
-                value = Fraction(text)
-            except ZeroDivisionError:
-                raise ParseError(f"constant {text} has a zero denominator", pos) from None
-            if value > 1:
-                raise ParseError(f"constant {text} is outside [0, 1]", pos)
-            return Const(value), 0
+                return Const(parse_value(text)), 0
+            except AlgebraError as exc:
+                raise ParseError(str(exc), pos) from None
         if kind == "var":
             return Var(text), 0
         if kind == "lp":
@@ -500,6 +497,11 @@ class FormulaEnumeration:
     When the class budget is exhausted, ``truncated`` flips to True and
     generation stops.  ``dense`` tells whether known rows are marked in a
     dense key table.
+
+    ``depth`` is the modal depth the class list reaches.  The classes of
+    that newest depth start at one cursor; :meth:`extend_generators` can
+    leave them open under the binary connectives, and the next extension
+    closes them before it goes deeper.
     """
 
     def __init__(
@@ -516,7 +518,9 @@ class FormulaEnumeration:
         self.fragment = Fragment(fragment)
         self.budget = budget
         self.truncated = False
-        self.depth = -1
+        self.depth = 0
+        self._level = 0  # the first class of the newest depth
+        self._closed = False  # whether that depth is closed under the connectives
 
         self.variables = tuple(sorted(set(m1.valuation) & set(m2.valuation)))
         self.indices = tuple(sorted(set(m1.indices) & set(m2.indices)))
@@ -544,7 +548,7 @@ class FormulaEnumeration:
         self._ops: list[Callable] = []
         self._args: list = []
         self._gen_rows: list[int] = []
-        self._formula_cache: dict[int, Formula] = {}
+        self._built: list[Formula] = []  # representatives of a prefix of the classes
 
         # the known rows: a dense table of radix keys, or a sorted key array
         self._radix, self.dense = _row_keys(len(self.universe), width)
@@ -559,10 +563,7 @@ class FormulaEnumeration:
             self._known = self._keys(self._rows[:0])
 
         self._seed_atoms()
-        self._saturate(0)
-        self.depth = 0
-        self._modal_depth = 0
-        self._sat_base = self._count
+        self._close()
 
     # -- construction internals -------------------------------------------
 
@@ -737,92 +738,73 @@ class FormulaEnumeration:
                         return
             start = n_all
 
+    def _close(self) -> None:
+        """Close the newest depth under the binary connectives, once."""
+        if not self._closed:
+            self._saturate(self._level)
+            self._closed = True
+
     def _modal_step(self) -> None:
         """Generate the modal classes of depth ``self.depth + 1``.
 
-        Children are the fully saturated classes of the current depth; the
-        new level stays propositionally open until :meth:`_finish_level`.
+        Children are the classes of the newest depth, which must be closed:
+        a modality of an older class lands in a class an earlier step made.
+        The new depth stays propositionally open until :meth:`_close`.
         """
-        snap = self._count
-        vec1 = self._rows[:snap, : self._n1].copy()
-        vec2 = self._rows[:snap, self._n1 :].copy()
-        top = self.universe.top
+        children = self._rows[self._level : self._count]
+        vec1, vec2 = children[:, : self._n1].copy(), children[:, self._n1 :].copy()
+        base, top = self._level, self.universe.top
+        self._level, self._closed = self._count, False
+        self.depth += 1
         for idx in self.indices:
             for node in self._modalities:
                 m = _MODALITIES[node]
                 out1 = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
                 out2 = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
                 block = np.concatenate([out1, out2], axis=1)
-
-                def args_for(flat: int, idx=idx) -> tuple[int, int]:
-                    return (idx, flat)
-
-                if not self._absorb_block(block, node, args_for):
-                    break
-            if self.truncated:
-                break
-        self._sat_base = snap
-        self._modal_depth = self.depth + 1
-
-    def _finish_level(self) -> None:
-        """Close the pending modal level under the binary connectives."""
-        self._saturate(self._sat_base)
-        self.depth = self._modal_depth
-        self._sat_base = self._count
+                if not self._absorb_block(block, node, lambda k, idx=idx: (idx, base + k)):
+                    return
 
     def extend_generators(self, depth: int) -> "FormulaEnumeration":
         """Grow the class list until the modal classes of ``depth`` exist.
 
-        The propositional closure of the final level is skipped: folds of
+        The propositional closure of the final depth is skipped: folds of
         biimplications (and anything else a meet of the atomic and modal
         rows determines) do not need it, and it is by far the most
-        expensive part of a level.  A later :meth:`extend_to_depth` call
+        expensive part of a depth.  A later :meth:`extend_to_depth` call
         picks up exactly where this left off.
         """
         _check_depth(depth)
-        while self._modal_depth < depth and not self.truncated:
-            if self._modal_depth > self.depth:
-                self._finish_level()
-            else:
-                self._modal_step()
+        while self.depth < depth and not self.truncated:
+            self._close()
+            self._modal_step()
         return self
 
     def extend_to_depth(self, depth: int) -> "FormulaEnumeration":
         """Grow the class list to cover all formulae of modal depth ``depth``."""
-        _check_depth(depth)
-        while self.depth < depth and not self.truncated:
-            if self._modal_depth == self.depth:
-                self._modal_step()
-            self._finish_level()
+        if self.extend_generators(depth).depth == depth:
+            self._close()
         return self
 
     # -- results ------------------------------------------------------------
 
     def formula(self, index: int) -> Formula:
-        """Reconstruct the representative formula of class ``index``."""
-        cache = self._formula_cache
-        stack = [index]
-        while stack:
-            i = stack.pop()
-            if i in cache:
-                continue
-            op = self._ops[i]
-            args = self._args[i]
+        """Reconstruct the representative formula of class ``index``.
+
+        The args of a class name earlier classes only, so the
+        representatives are built forward, each once, up to ``index``.
+        """
+        index = range(self._count)[index]
+        built = self._built
+        for i in range(len(built), index + 1):
+            op, args = self._ops[i], self._args[i]
             if op in (Const, Var):
-                cache[i] = op(args)
+                built.append(op(args))
             elif op in _MODALITIES:
-                child = args[1]
-                if child in cache:
-                    cache[i] = op(args[0], cache[child])
-                else:
-                    stack.extend((i, child))
+                built.append(op(args[0], built[args[1]]))
             else:
-                a, b = args
-                if a in cache and b in cache:
-                    cache[i] = op(cache[a], cache[b])
-                else:
-                    stack.extend((i, a, b))
-        return cache[index]
+                built.append(op(built[args[0]], built[args[1]]))
+        return built[index]
 
     def formulas(self) -> list[Formula]:
         return [self.formula(i) for i in range(self._count)]

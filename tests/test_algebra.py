@@ -170,6 +170,21 @@ def test_parse_value_is_exact():
     for bad in ("1.5", "-0.1", "x", "", "1/0"):
         with pytest.raises(AlgebraError):
             parse_value(bad)
+    # surrounding whitespace is stripped; the spelling itself is digits with
+    # a fraction part or a denominator, as a formula constant is spelled
+    assert parse_value(" 0.50 ") == Fraction(1, 2)
+    assert parse_value("3/6") == Fraction(1, 2)
+    assert parse_value("0/7") == ZERO
+    for bad in ("1e-200000", "5e-1", "-0", "+0.5", "1_0", "0.1_0", ".5", "5.", "1/ 2", "0x1"):
+        with pytest.raises(AlgebraError, match=r"^malformed truth value"):
+            parse_value(bad)
+    with pytest.raises(AlgebraError, match=r"^truth value '1/0' has a zero denominator$"):
+        parse_value("1/0")
+    with pytest.raises(AlgebraError, match=r"^truth value '3/2' is outside \[0, 1\]$"):
+        parse_value("3/2")
+    # more digits than Python converts to an integer
+    with pytest.raises(AlgebraError, match=r"^malformed truth value"):
+        parse_value("0." + "1" * 5000)
 
 
 def test_format_value_prefers_short_decimals():

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,24 @@ def test_weak_fragment_enumerates(capsys):
     assert doc["formula_count"] > 2
 
 
+def test_weak_text_reports_what_the_json_reports(capsys):
+    argv = ("weak", "--fragment", "plus", "--depth", "1", A, B)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    text_code, text, _ = run(capsys, *argv)
+    assert code == text_code == 1
+    lines = text.splitlines()
+    assert lines[0] == f"formulas: {doc['formula_count']}"
+    assert lines[1] == "greatest weak presimulation:"
+    assert lines[2].split() == ["u'", "v'", "w'"]
+    assert [line.split()[1:] for line in lines[3:6]] == doc["presimulation"]
+    assert lines[6] == "greatest weak prebisimulation:"
+    assert [line.split()[1:] for line in lines[8:11]] == doc["prebisimulation"]
+    assert lines[11:] == [
+        "simulation exists: no", "bisimulation exists: no", "equivalent: no",
+    ]
+
+
 def test_weak_negative_verdict_exits_1(capsys):
     code, out, _ = run(capsys, "weak", "--fragment", "plus", "--depth", "1", BA, BB, "--format", "json")
     assert code == 1
@@ -213,11 +232,36 @@ def test_check_rejects_the_full_relation(tmp_path, capsys):
     assert any(not c["holds"] for c in doc["conditions"])
 
 
+def test_check_text_lists_every_condition_and_the_verdict(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    for matrix, verdict in (
+        (expected("sim_showcase")["bisim"]["rb"]["matrix"], "yes"),
+        ([["1", "1", "1"]] * 3, "no"),
+    ):
+        rel.write_text(json.dumps({"relation": matrix}))
+        argv = ("check", "--type", "rb", "--relation", str(rel), A, B)
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        doc = json.loads(out)
+        text_code, text, _ = run(capsys, *argv)
+        assert code == text_code == (0 if verdict == "yes" else 1)
+        lines = text.splitlines()
+        assert len(lines) == len(doc["conditions"]) + 2
+        for line, cond in zip(lines, doc["conditions"]):
+            assert line.startswith(f"{cond['name']}: {'pass' if cond['holds'] else 'FAIL'}")
+            assert line.endswith(f"  first violation: {cond['violation']}" if "violation" in cond
+                                 else ": pass")
+        assert lines[-2:] == ["nonempty: yes", f"relation of type rb: {verdict}"]
+
+
 def test_check_bad_relation_shape_exits_2(tmp_path, capsys):
     rel = tmp_path / "rel.json"
     rel.write_text(json.dumps({"relation": [["1", "1"]]}))
     code, _, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
     assert code == 2
+    rel.write_text(json.dumps({"relation": []}))
+    code, out, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
+    assert code == 2 and out == ""
+    assert err == f"error: {rel}: relation: fuzzy matrix must have at least one row\n"
 
 
 def test_check_float_in_relation_exits_2(tmp_path, capsys):
@@ -271,6 +315,20 @@ def test_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"algebra": "godel", "worlds": ["a", "a"]}))
     code, _, err = run(capsys, "eval", str(bad), "p")
     assert code == 2
+
+
+def test_exponent_spellings_are_refused_at_once(tmp_path, capsys):
+    # an exponent would make the value's decimal expansion 200,000 digits long
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "algebra": "godel", "worlds": ["w"], "indices": [],
+        "relations": {}, "valuation": {"p": ["1e-200000"]},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", str(model), "p")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: valuation of 'p', entry 0: malformed truth value '1e-200000'\n"
 
 
 def test_deep_nesting_exits_2_with_one_error_line(tmp_path, capsys):

@@ -233,3 +233,40 @@ def test_strong_matrices_in_reports_match_direct_computation():
         rep = hm_check(a, b, fragment, max_depth=3)
         direct = greatest_pre(a, b, THETA_FOR_FRAGMENT[fragment])
         assert rep.strong.matrix.rows == direct.matrix.rows
+
+
+def test_propositional_fragment_has_no_pairing():
+    a, b = load_pair("sim_showcase")
+    with pytest.raises(ValueError, match=r"^no expressivity pairing for fragment 'prop'; "):
+        hm_check(a, b, Fragment.PROPOSITIONAL)
+
+
+def test_a_stabilized_ladder_above_the_strong_matrix_is_a_mismatch(monkeypatch):
+    # with the strong matrix replaced by zeros the ladder can never match:
+    # it runs one depth past the real match, finds E unchanged, and names
+    # the first entry (row-major) where E is not zero
+    import fuzzykripke.hm as hm
+    from fuzzykripke.algebra import ZERO
+    from fuzzykripke.fuzzrel import FuzzyMat
+
+    a, b = load_pair("sim_showcase")
+    real = hm_check(a, b, Fragment.PLUS)
+    assert real.match and real.converged_at is not None
+    zeros = FuzzyMat.zeros(a.algebra, (len(a.worlds), len(b.worlds)))
+    greatest = hm.greatest_pre
+    monkeypatch.setattr(
+        hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(greatest(m1, m2, t), matrix=zeros)
+    )
+    rep = hm_check(a, b, Fragment.PLUS)
+    assert not rep.match
+    assert rep.converged_at == real.converged_at
+    assert len(rep.steps) == len(real.steps) + 1
+    assert rep.steps[-1].matrix == rep.steps[-2].matrix == real.strong.matrix
+    weak = rep.steps[-1].matrix
+    w, wp = next(
+        (w, wp) for w in range(len(a.worlds)) for wp in range(len(b.worlds))
+        if weak.rows[w][wp] != ZERO
+    )
+    assert rep.first_mismatch == {
+        "pair": [a.worlds[w], b.worlds[wp]], "weak": format_value(weak.rows[w][wp]), "strong": "0",
+    }

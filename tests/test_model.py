@@ -260,14 +260,22 @@ def test_document_validation_errors():
         KripkeModel.from_dict(
             variant(lambda d: d["relations"].update(one=d["relations"].pop("1")))
         )
-    with pytest.raises((ModelError, ValueError)):
+    # empty or ragged relations and empty valuations name their container
+    with pytest.raises(ModelError, match=r"^relation 1: fuzzy matrix rows must be nonempty"):
         KripkeModel.from_dict(
             variant(lambda d: d["relations"]["1"].__setitem__(0, d["relations"]["1"][0][:2]))
         )
+    with pytest.raises(ModelError, match=r"^relation 1: fuzzy matrix must have at least one row$"):
+        KripkeModel.from_dict(variant(lambda d: d["relations"].update({"1": []})))
+    with pytest.raises(ModelError, match=r"^valuation of 'p': fuzzy vector must be nonempty$"):
+        KripkeModel.from_dict(variant(lambda d: d["valuation"].update(p=[])))
     with pytest.raises(AlgebraError):
         KripkeModel.from_dict(variant(lambda d: d["valuation"].update(p=["2", "0", "0"])))
     with pytest.raises(ModelError):
         KripkeModel.from_json("{not json")
+    # an integer literal longer than Python converts is not a bare ValueError
+    with pytest.raises(ModelError, match=r"^invalid JSON: Exceeds the limit"):
+        KripkeModel.from_json("[" + "1" * 5000 + "]")
 
     # strings where lists belong are not split into characters
     with pytest.raises(ModelError, match="'worlds' must be a list"):
@@ -531,3 +539,20 @@ def test_comparability_requires_same_signature():
     c, _ = load_pair("crisp_pair")
     with pytest.raises((ModelError, AlgebraError)):
         check_comparable(a, c)
+    two = KripkeModel(a.algebra, a.worlds, {**a.relations, 2: a.relations[1]}, a.valuation)
+    with pytest.raises(ModelError, match=r"^index sets differ: \[1\] vs \[1, 2\]$"):
+        check_comparable(a, two)
+    renamed = KripkeModel(a.algebra, a.worlds, a.relations, {"q": a.valuation["p"]})
+    with pytest.raises(ModelError, match=r"^variable sets differ: \['p'\] vs \['q'\]$"):
+        check_comparable(a, renamed)
+
+
+def test_too_many_values_name_the_container_that_crosses_the_bound():
+    # 65,535 distinct values besides 0 and 1 make a universe of 65,537
+    many = [f"1/{k}" for k in range(2, 65_537)]
+    doc = {
+        "algebra": "godel", "worlds": ["a", "b"], "indices": [1],
+        "relations": {"1": [["0", "1"], ["1", "0"]]}, "valuation": {"p": many},
+    }
+    with pytest.raises(ModelError, match=r"^valuation of 'p': value universe of 65537 values"):
+        KripkeModel.from_dict(doc)

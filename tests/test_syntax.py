@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import GODEL_ENUM_POOL, random_pair
+from conftest import GODEL_ENUM_POOL, random_model, random_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,8 @@ import fuzzykripke.syntax as sx
 from fuzzykripke import levels
 from fuzzykripke.algebra import Algebra, AlgebraError
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.model import formula_constants
+from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
+from fuzzykripke.model import KripkeModel, formula_constants
 from fuzzykripke.syntax import (
     And,
     Box,
@@ -103,6 +104,11 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("1/0")
     assert "zero denominator" in str(err.value)
+    with pytest.raises(ParseError, match=r"^unexpected trailing input 'q' \(at position 2\)$"):
+        parse("p q")
+    # more digits than Python converts to an integer
+    with pytest.raises(ParseError, match="^malformed truth value"):
+        parse("p & " + "1" * 5000)
     with pytest.raises(ParseError):
         parse("<> p")  # modality requires an index
     with pytest.raises(ParseError):
@@ -448,7 +454,7 @@ def reference_class_list(a, b, fragment, depth, budget):
     rows of every class, index by index, and their closure.  A row joins
     the first time it occurs, while the budget lasts.
     """
-    e = FormulaEnumeration(a, b, fragment)
+    e = FormulaEnumeration(a, b, fragment, budget=1)  # for its vocabulary only
     top = int(e.universe.top)
     rows, formulas, seen = [], [], set()
 
@@ -522,6 +528,59 @@ def test_enumeration_matches_the_loop_reference(monkeypatch, algebra):
                 e.extend_to_depth(depth)
                 got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
                 assert (got, e.formulas(), e.truncated) == want
+
+
+def path_model(algebra, n, weight, end, prefix):
+    """Worlds 0 -> 1 -> ... -> n-1 along relation 1, with p only at the end:
+    each depth of formulas tells apart one more world from the end."""
+    alg = Algebra.from_spec(algebra)
+    rows = [[Fraction(weight) if j == i + 1 else Fraction(0) for j in range(n)] for i in range(n)]
+    p = [Fraction(end) if i == n - 1 else Fraction(0) for i in range(n)]
+    return KripkeModel(alg, [f"{prefix}{i}" for i in range(n)],
+                       {1: FuzzyMat(alg, rows)}, {"p": FuzzyVec(alg, p)})
+
+
+@pytest.mark.parametrize(
+    "algebra, n1, n2, weight, end",
+    [("boolean", 5, 4, "1", "1"), ("chain:3", 4, 3, "0.5", "1"), ("godel", 4, 3, "0.7", "0.3")],
+)
+def test_depth_three_matches_the_loop_reference_directly_and_staged(algebra, n1, n2, weight, end):
+    a = path_model(algebra, n1, weight, end, "s")
+    b = path_model(algebra, n2, weight, end, "t")
+    grew = False
+    budget = 300 if algebra == "godel" else 400  # some godel lists are cut at depth 3
+    for fragment in ("plus", "minus", "full"):
+        fragment = Fragment(fragment)
+        want = reference_class_list(a, b, fragment, 3, budget)
+        grew |= len(want[0]) > len(FormulaEnumeration(a, b, fragment, budget).extend_to_depth(2))
+        for steps in (
+            [("to", 3)],
+            [("gen", 3), ("to", 3)],
+            [("gen", 2), ("to", 1), ("gen", 3), ("to", 2), ("to", 3)],
+        ):
+            e = FormulaEnumeration(a, b, fragment, budget=budget)
+            for kind, depth in steps:
+                (e.extend_generators if kind == "gen" else e.extend_to_depth)(depth)
+            got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
+            assert (got, e.formulas(), e.truncated) == want, steps
+            assert e.depth == 3 or e.truncated
+    assert grew  # depth 3 made classes that depth 2 did not
+
+
+def test_pairs_past_the_int64_bound_take_byte_keys_by_themselves():
+    # 11 values over 10 + 9 worlds: a radix key would need 11**19 > 2**63
+    alg = Algebra.godel()
+    pool = [Fraction(k, 10) for k in range(11)]
+    rng = random.Random("bytes")
+    a = random_model(rng, alg, 10, pool=pool)
+    b = random_model(rng, alg, 9, pool=pool)
+    for depth, budget in ((0, 40), (1, 60)):
+        e = FormulaEnumeration(a, b, Fragment.FULL, budget=budget).extend_to_depth(depth)
+        assert len(e.universe) == 11 and not e.dense and e._radix is None
+        got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
+        assert (got, e.formulas(), e.truncated) == reference_class_list(
+            a, b, Fragment.FULL, depth, budget
+        )
 
 
 def test_showcase_takes_the_dense_path_below_the_batch_bound(monkeypatch):

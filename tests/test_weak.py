@@ -206,3 +206,14 @@ def test_enumerated_weak_matches_evaluating_every_representative(rng):
             enum = FormulaEnumeration(a, b, fragment, 4000).extend_to_depth(1)
             folded = enumerated_weak(a, b, enum)
             assert folded.to_dict() == greatest_weak(a, b, enum.formulas()).to_dict()
+
+
+def test_closure_checks_refuse_a_relation_that_is_not_weak():
+    a, b = load_pair("fully_equivalent")
+    formulas = [parse("p"), parse("q")]
+    full = ones(a.algebra, (len(a.worlds), len(b.worlds)))
+    weak = greatest_weak(a, b, formulas).prebisimulation
+    with pytest.raises(ValueError, match=r"^phi1 is not a weak bisimulation: wb-2\[fwd, A=p\] fails$"):
+        check_union_closed(a, b, formulas, full, weak)
+    with pytest.raises(ValueError, match=r"^phi23 is not a weak simulation: "):
+        check_composition_closed(a, b, a, formulas, weak, full.inverse(), bisimulation=False)
