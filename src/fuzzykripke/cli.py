@@ -85,8 +85,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bisim(args) -> int:
-    m1 = KripkeModel.load(args.model_a)
-    m2 = KripkeModel.load(args.model_b)
+    m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     report = greatest_pre(m1, m2, SimType(args.type))
 
     def human(out):
@@ -102,8 +101,7 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_weak(args) -> int:
-    m1 = KripkeModel.load(args.model_a)
-    m2 = KripkeModel.load(args.model_b)
+    m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     if args.corpus is not None:
         with open(args.corpus, encoding="utf-8") as fh:
             formulas = parse_corpus(fh.read())
@@ -129,8 +127,7 @@ def cmd_weak(args) -> int:
 
 
 def cmd_hm(args) -> int:
-    m1 = KripkeModel.load(args.model_a)
-    m2 = KripkeModel.load(args.model_b)
+    m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     report = hm_check(
         m1, m2, Fragment(args.fragment),
         max_depth=args.depth_cap, budget=args.budget,
@@ -166,8 +163,7 @@ def cmd_hm(args) -> int:
 
 
 def cmd_check(args) -> int:
-    m1 = KripkeModel.load(args.model_a)
-    m2 = KripkeModel.load(args.model_b)
+    m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     sim_type = SimType(args.type)
     phi = _load_relation(
         args.relation, m1.algebra, (len(m1.worlds), len(m2.worlds))
@@ -216,24 +212,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sim_kinds = [t.value for t in SimType]
+    pair = ("model_a", "model_b")
 
-    p = sub.add_parser("eval", help="evaluate a formula on a model")
-    p.add_argument("model")
+    def command(name, func, help, *models, formats=True):
+        p = sub.add_parser(name, help=help)
+        for model in models:
+            p.add_argument(model)
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("eval", cmd_eval, "evaluate a formula on a model", "model")
     p.add_argument("formula")
     p.add_argument("--world", help="report a single world instead of all")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bisim", help="greatest (pre)simulation or (pre)bisimulation")
-    p.add_argument("model_a")
-    p.add_argument("model_b")
+    p = command("bisim", cmd_bisim, "greatest (pre)simulation or (pre)bisimulation", *pair)
     p.add_argument("--type", required=True, choices=sim_kinds)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_bisim)
 
-    p = sub.add_parser("weak", help="greatest weak relations for a formula set")
-    p.add_argument("model_a")
-    p.add_argument("model_b")
+    p = command("weak", cmd_weak, "greatest weak relations for a formula set", *pair)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--corpus", help="file with one formula per line")
     source.add_argument(
@@ -242,30 +239,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, default=1, help="enumeration depth")
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_weak)
 
-    p = sub.add_parser("hm", help="expressivity probe: weak ladder vs strong matrix")
-    p.add_argument("model_a")
-    p.add_argument("model_b")
+    p = command("hm", cmd_hm, "expressivity probe: weak ladder vs strong matrix", *pair)
     p.add_argument("--fragment", required=True, choices=("plus", "minus", "full"))
     p.add_argument("--depth-cap", type=int, default=4)
     p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_hm)
 
-    p = sub.add_parser("check", help="verify a relation against the defining conditions")
-    p.add_argument("model_a")
-    p.add_argument("model_b")
+    p = command("check", cmd_check, "verify a relation against the defining conditions", *pair)
     p.add_argument("--type", required=True, choices=sim_kinds)
     p.add_argument("--relation", required=True, help="JSON file with a 'relation' matrix")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("reverse", help="write the reverse model (transposed relations)")
-    p.add_argument("model")
+    p = command("reverse", cmd_reverse, "write the reverse model (transposed relations)",
+                "model", formats=False)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
-    p.set_defaults(func=cmd_reverse)
 
     return parser
 

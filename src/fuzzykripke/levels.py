@@ -42,6 +42,10 @@ MAX_VALUES = 1 << 16
 """The most values a universe holds, so that its levels fit in ``uint16``."""
 
 
+class ModelError(ValueError):
+    """A malformed model file or an ill-posed model operation."""
+
+
 class Universe:
     """A sorted value universe with level encoding and decoding."""
 
@@ -55,7 +59,7 @@ class Universe:
         by_key.setdefault((1, 1), ONE)
         keys = sorted(by_key, key=by_key.__getitem__)
         if len(keys) > MAX_VALUES:
-            raise ValueError(f"value universe of {len(keys)} values is too large")
+            raise ModelError(f"value universe of {len(keys)} values is too large")
         self.values: tuple[Fraction, ...] = tuple(map(by_key.__getitem__, keys))
         self.dtype = np.dtype(np.uint8 if len(keys) <= 1 << 8 else np.uint16)
         self.top = self.dtype.type(len(keys) - 1)

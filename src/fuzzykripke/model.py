@@ -38,6 +38,7 @@ universe value once.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
@@ -46,12 +47,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraError, parse_value
 from .fuzzrel import FuzzyMat, FuzzyVec, _matrix_ids
-from .levels import MAX_VALUES, Universe, biimplication_fold, modal, residuum, union
-from .syntax import _MODALITIES, And, Const, Formula, Implies, Var, _fold
-
-
-class ModelError(ValueError):
-    """A malformed model file or an ill-posed model operation."""
+from .levels import MAX_VALUES, ModelError, Universe, biimplication_fold, modal, residuum, union
+from .syntax import VARIABLE_PATTERN, _MODALITIES, And, Const, Formula, Implies, Var, _fold
 
 
 class KripkeModel:
@@ -76,8 +73,10 @@ class KripkeModel:
         n = len(worlds)
         rels = {}
         for i, mat in relations.items():
-            if not isinstance(i, int):
+            if not isinstance(i, int) or isinstance(i, bool):
                 raise ModelError(f"relation index {i!r} is not an integer")
+            if i < 0:
+                raise ModelError(f"relation index {i} is negative")
             algebra.check_same(mat.algebra)
             if mat.shape != (n, n):
                 raise ModelError(
@@ -86,6 +85,8 @@ class KripkeModel:
             rels[i] = mat
         vals = {}
         for name, vec in valuation.items():
+            if not isinstance(name, str) or not re.fullmatch(VARIABLE_PATTERN, name):
+                raise ModelError(f"variable {name!r} is not spelled {VARIABLE_PATTERN}")
             algebra.check_same(vec.algebra)
             if len(vec) != n:
                 raise ModelError(

@@ -206,33 +206,53 @@ def dual(f: Formula) -> Formula:
     return _fold([f], visit)[0]
 
 
-# -- printer ----------------------------------------------------------------
-
-_LEVEL_IMPLIES = 1
-_LEVEL_AND = 2
-_LEVEL_UNARY = 3
+# -- connectives, printer and parser -------------------------------------------
 
 
-def _to_text(f: Formula, level: int) -> str:
-    if isinstance(f, Const):
-        return format_value(f.value)
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Implies):
-        text = f"{_to_text(f.left, _LEVEL_AND)} -> {_to_text(f.right, _LEVEL_IMPLIES)}"
-        return f"({text})" if level > _LEVEL_IMPLIES else text
-    if isinstance(f, And):
-        text = f"{_to_text(f.left, _LEVEL_AND)} & {_to_text(f.right, _LEVEL_UNARY)}"
-        return f"({text})" if level > _LEVEL_AND else text
-    return f"{_MODALITIES[type(f)].head}_{f.index} {_to_text(f.child, _LEVEL_UNARY)}"
+class _Binary(NamedTuple):
+    spelling: str     # the operator token
+    build: Callable   # the node of ``A op B``, or its expansion
+    right: bool       # associates to the right, else to the left
+    height: int       # the tree height the expansion adds over its operands
+
+
+# the binary connectives, loosest first: a row's index is its precedence
+_BINARY = (
+    _Binary("<->", iff, True, 2),
+    _Binary("->", Implies, True, 1),
+    _Binary("|", disj, False, 3),
+    _Binary("&", And, False, 1),
+)
+
+_UNARY = len(_BINARY)  # the precedence of atoms, negation and modalities
+
+# the precedence of each binary node of the core AST
+_PRECEDENCE = {row.build: k for k, row in enumerate(_BINARY) if isinstance(row.build, type)}
 
 
 def to_text(f: Formula) -> str:
-    """Render a formula; ``parse(to_text(f))`` reproduces ``f`` exactly."""
-    return _to_text(f, 0)
+    """Render a formula; ``parse(to_text(f))`` reproduces ``f`` exactly.
 
+    Each distinct node is rendered once, with its precedence, and its
+    parent adds parentheses where the operand binds too loosely."""
 
-# -- parser -----------------------------------------------------------------
+    def visit(node, *kids):
+        if type(node) in _PRECEDENCE:
+            level = _PRECEDENCE[type(node)]
+            spelling, _, right, _ = _BINARY[level]
+            (left, left_level), (rest, rest_level) = kids
+            if left_level < level + right:
+                left = f"({left})"
+            if rest_level < level + (not right):
+                rest = f"({rest})"
+            return f"{left} {spelling} {rest}", level
+        if kids:
+            text, level = kids[0]
+            text = f"({text})" if level < _UNARY else text
+            return f"{_MODALITIES[type(node)].head}_{node.index} {text}", _UNARY
+        return (format_value(node.value) if isinstance(node, Const) else node.name), _UNARY
+
+    return _fold([f], visit)[0][0]
 
 
 class ParseError(ValueError):
@@ -243,19 +263,18 @@ class ParseError(ValueError):
         self.position = position
 
 
+VARIABLE_PATTERN = r"[a-z][a-z0-9_]*"  # every variable of a model matches it in full
+
 _TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s+)
   | (?P<modal>(?:<>|\[\])-?_\d+)
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<and>&)
-  | (?P<or>\|)
+  | (?P<op>{"|".join(re.escape(row.spelling) for row in _BINARY)})
   | (?P<not>!)
   | (?P<lp>\()
   | (?P<rp>\))
   | (?P<const>{VALUE_PATTERN})
-  | (?P<var>[a-z][a-z0-9_]*)
+  | (?P<var>{VARIABLE_PATTERN})
     """,
     re.VERBOSE,
 )
@@ -279,9 +298,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 MAX_NESTING = 100
 """The deepest formula the parser accepts: at most this many parentheses and
 operators open at once, and a syntax tree at most this high (the derived
-connectives count with their expansions).  Printing, comparison and
-hashing recurse along the tree, so the bound keeps them far from Python's
-recursion limit."""
+connectives count with their expansions).  Printing walks the shared
+nodes without recursing, but comparison and hashing recurse along the
+tree, so the bound keeps them far from Python's recursion limit."""
 
 
 class _Parser:
@@ -290,7 +309,6 @@ class _Parser:
     _BY_HEAD = {m.head: node for node, m in _MODALITIES.items()}
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0
@@ -309,12 +327,12 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def _nested(self, parse, pos: int) -> tuple[Formula, int]:
-        """``parse()`` one level deeper, refused beyond :data:`MAX_NESTING`."""
+    def _nested(self, parse, pos: int, *args) -> tuple[Formula, int]:
+        """``parse(*args)`` one level deeper, refused beyond :data:`MAX_NESTING`."""
         self.open += 1
         if self.open > MAX_NESTING:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", pos)
-        out = parse()
+        out = parse(*args)
         self.open -= 1
         return out
 
@@ -325,44 +343,26 @@ class _Parser:
         return f, height
 
     def parse(self) -> Formula:
-        f, _ = self._iff()
+        f, _ = self._binary(0)
         tok = self._peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
         return f
 
-    def _iff(self) -> tuple[Formula, int]:
-        left, height = self._implies()
-        kind, _, pos = self._peek()
-        if kind == "iff":
-            self._next()
-            right, right_height = self._nested(self._iff, pos)
-            return self._node(iff(left, right), max(height, right_height) + 2, pos)
-        return left, height
-
-    def _implies(self) -> tuple[Formula, int]:
-        left, height = self._disj()
-        kind, _, pos = self._peek()
-        if kind == "imp":
-            self._next()
-            right, right_height = self._nested(self._implies, pos)
-            return self._node(Implies(left, right), max(height, right_height) + 1, pos)
-        return left, height
-
-    def _disj(self) -> tuple[Formula, int]:
-        f, height = self._conj()
-        while self._peek()[0] == "or":
+    def _binary(self, level: int) -> tuple[Formula, int]:
+        """A chain of the connective ``_BINARY[level]`` over operands that
+        bind more tightly; a right operand of a right-associative one is
+        a chain of its own."""
+        spelling, build, right, added = _BINARY[level]
+        tighter = level + 1 < len(_BINARY)
+        f, height = self._binary(level + 1) if tighter else self._unary()
+        while self._peek()[1] == spelling:
             pos = self._next()[2]
-            right, right_height = self._conj()
-            f, height = self._node(disj(f, right), max(height, right_height) + 3, pos)
-        return f, height
-
-    def _conj(self) -> tuple[Formula, int]:
-        f, height = self._unary()
-        while self._peek()[0] == "and":
-            pos = self._next()[2]
-            right, right_height = self._unary()
-            f, height = self._node(And(f, right), max(height, right_height) + 1, pos)
+            if right:
+                g, g_height = self._nested(self._binary, pos, level)
+            else:
+                g, g_height = self._binary(level + 1) if tighter else self._unary()
+            f, height = self._node(build(f, g), max(height, g_height) + added, pos)
         return f, height
 
     def _unary(self) -> tuple[Formula, int]:
@@ -388,7 +388,7 @@ class _Parser:
         if kind == "var":
             return Var(text), 0
         if kind == "lp":
-            f = self._nested(self._iff, pos)
+            f = self._nested(self._binary, pos, 0)
             self._expect("rp")
             return f
         raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)

@@ -103,6 +103,16 @@ def random_pair(
     return m1, m2
 
 
+def path_model(algebra, n, weight, end, prefix):
+    """Worlds 0 -> 1 -> ... -> n-1 along relation 1, with p only at the end:
+    each depth of formulas tells apart one more world from the end."""
+    alg = Algebra.from_spec(algebra)
+    rows = [[Fraction(weight) if j == i + 1 else Fraction(0) for j in range(n)] for i in range(n)]
+    p = [Fraction(end) if i == n - 1 else Fraction(0) for i in range(n)]
+    return KripkeModel(alg, [f"{prefix}{i}" for i in range(n)],
+                       {1: FuzzyMat(alg, rows)}, {"p": FuzzyVec(alg, p)})
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260814)

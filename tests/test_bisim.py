@@ -19,7 +19,7 @@ from fuzzykripke.bisim import (
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.levels import Universe, union
-from fuzzykripke.model import KripkeModel
+from fuzzykripke.model import KripkeModel, ModelError
 
 ALL_TYPES = [SimType(t) for t in ("fs", "bs", "fb", "bb", "fbb", "bfb", "rb")]
 BISIM_TYPES = [SimType(t) for t in ("fb", "bb", "fbb", "bfb", "rb")]
@@ -260,6 +260,25 @@ def test_incomparable_models_are_rejected():
     c, _ = load_pair("crisp_pair")
     with pytest.raises(Exception):
         greatest_pre(a, c, SimType("fs"))
+
+
+def test_a_pair_universe_past_the_level_bound_is_a_model_error():
+    # each model holds 33,124 distinct values, the pair 66,250 with 0 and 1
+    n = 182
+
+    def model(prefix, den):
+        return KripkeModel.from_dict({
+            "algebra": "godel", "worlds": [f"{prefix}{k}" for k in range(n)], "indices": [1],
+            "relations": {"1": [[f"{i * n + j + 1}/{den}" for j in range(n)] for i in range(n)]},
+            "valuation": {"p": ["0"] * n},
+        })
+
+    a, b = model("s", 100_003), model("t", 100_019)
+    too_large = "^value universe of 66250 values is too large$"
+    with pytest.raises(ModelError, match=too_large):
+        greatest_pre(a, b, SimType.RB)
+    with pytest.raises(ModelError, match=too_large):
+        check_conditions(a, b, FuzzyMat.zeros(a.algebra, (n, n)), SimType.FS)
 
 
 # -- differential test against a reference Jacobi fixpoint ------------------------

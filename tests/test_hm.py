@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GODEL_ENUM_POOL, expected, grid, random_pair
+from conftest import GODEL_ENUM_POOL, expected, grid, path_model, random_pair
+from fuzzykripke import fuzzrel
 from fuzzykripke.algebra import Algebra, format_value
 from fuzzykripke.bisim import SimType, greatest_pre
 from fuzzykripke.fixtures import PAIRS, load_pair
+from fuzzykripke.fuzzrel import FuzzyMat
 from fuzzykripke.hm import (
     THETA_FOR_FRAGMENT,
     hm_check,
@@ -131,6 +133,58 @@ def test_random_pairs_match_across_linear_algebras(rng):
         for fragment in FRAGMENTS:
             rep = hm_check(a, b, fragment, max_depth=8)
             assert rep.match, (k, fragment.value, rep.first_mismatch)
+
+
+def ladder_against_iterates(monkeypatch, a, b, fragment, budget):
+    """The depths d of the ``hm_check`` steps not cut by the budget, each
+    checked to have E_d equal to the d-th Jacobi iterate of the matched
+    ``greatest_pre``: iterate 0 is the initial relation, and past the
+    fixpoint the iterate is the fixpoint."""
+    calls = []
+    update = fuzzrel.RESIDUAL_UPDATES["fwd"]
+
+    def record(r, rp, phi, top):
+        calls.append(phi)
+        return update(r, rp, phi, top)
+
+    monkeypatch.setitem(fuzzrel.RESIDUAL_UPDATES, "fwd", record)
+    rep = hm_check(a, b, fragment, max_depth=8, budget=budget)
+    monkeypatch.undo()
+    # every matched kind updates both sides; a sweep takes the unswapped
+    # side first, on the iterate itself
+    universe = rep.strong.matrix.universe
+    iterates = [FuzzyMat._from_levels(a.algebra, phi, universe) for phi in calls[::2]]
+    assert len(calls) == 2 * rep.strong.iterations and iterates[-1] == rep.strong.matrix
+    depths = [step.depth for step in rep.steps if not step.truncated]
+    for step in rep.steps[: len(depths)]:
+        want = iterates[min(step.depth, len(iterates) - 1)]
+        assert grid(step.matrix) == grid(want), (a, b, fragment.value, step.depth)
+    return depths
+
+
+def test_the_ladder_steps_are_the_fixpoint_iterates(monkeypatch, rng):
+    # a graded Hennessy-Milner property: E_d is the d-th Jacobi iterate of
+    # the matched kind, not only equal to its fixpoint in the limit
+    for name in PAIRS:
+        for fragment in FRAGMENTS:
+            ladder_against_iterates(monkeypatch, *load_pair(name), fragment, 20_000)
+    algebras = [Algebra.boolean(), Algebra.chain(3), Algebra.godel()]
+    for k in range(30):
+        alg = algebras[k % 3]
+        pool = GODEL_ENUM_POOL if alg.kind == "godel" else None
+        a, b = random_pair(rng, alg, variables=("p", "q")[: 1 + k % 2],
+                           indices=(1, 2)[: 1 + k // 15], pool=pool)
+        for fragment in FRAGMENTS:
+            ladder_against_iterates(monkeypatch, a, b, fragment, 5_000)
+    # path pairs need a sweep, and a depth, per world the difference crosses
+    deepest = 0
+    paths = (("boolean", 5, 4, "1", "1"), ("chain:3", 4, 3, "0.5", "1"),
+             ("godel", 3, 4, "0.7", "0.3"))
+    for algebra, n1, n2, weight, end in paths:
+        a, b = path_model(algebra, n1, weight, end, "s"), path_model(algebra, n2, weight, end, "t")
+        for fragment in FRAGMENTS:
+            deepest = max(deepest, *ladder_against_iterates(monkeypatch, a, b, fragment, 5_000))
+    assert deepest >= 3
 
 
 def test_invariance_on_bundled_pairs():

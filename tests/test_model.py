@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -462,6 +463,33 @@ def test_constructor_validates_dimensions():
             {1: FuzzyMat(alg, [[Fraction(0)]])},
             {"p": FuzzyVec(alg, [Fraction(0), Fraction(0)])},
         )
+
+
+@pytest.mark.parametrize("name", ["P q", "", "1p", "\u00e9", "p-q", "P", "p\n"])
+def test_a_variable_no_formula_can_spell_is_refused(name):
+    doc = {
+        "algebra": "godel", "worlds": ["a"], "indices": [1],
+        "relations": {"1": [["0"]]}, "valuation": {"p": ["1"], name: ["0.5"]},
+    }
+    refused = f"^variable {re.escape(repr(name))} is not spelled"
+    with pytest.raises(ModelError, match=refused):
+        KripkeModel.from_dict(doc)
+    with pytest.raises(ModelError, match=refused):
+        KripkeModel(GODEL, ["a"], {}, {name: FuzzyVec(GODEL, [Fraction(0)])})
+
+
+def test_a_negative_or_boolean_relation_index_is_refused():
+    doc = {
+        "algebra": "godel", "worlds": ["a"], "indices": [2, -1],
+        "relations": {"2": [["0"]], "-1": [["1"]]}, "valuation": {"p": ["1"]},
+    }
+    with pytest.raises(ModelError, match="^relation index -1 is negative"):
+        KripkeModel.from_dict(doc)
+    with pytest.raises(ModelError, match="^relation index -3 is negative"):
+        KripkeModel(GODEL, ["a"], {-3: FuzzyMat(GODEL, [[Fraction(1)]])}, {})
+    # a formula would print index True as <>_True
+    with pytest.raises(ModelError, match="^relation index True is not an integer"):
+        KripkeModel(GODEL, ["a"], {True: FuzzyMat(GODEL, [[Fraction(1)]])}, {})
 
 
 # -- pointwise formula-set equivalence ----------------------------------------------

@@ -3,20 +3,20 @@
 from fractions import Fraction
 
 import random
+import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import GODEL_ENUM_POOL, random_model, random_pair
+from conftest import GODEL_ENUM_POOL, path_model, random_model, random_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fuzzykripke.syntax as sx
 from fuzzykripke import levels
-from fuzzykripke.algebra import Algebra, AlgebraError
+from fuzzykripke.algebra import Algebra, AlgebraError, format_value
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
-from fuzzykripke.model import KripkeModel, formula_constants
+from fuzzykripke.model import formula_constants
 from fuzzykripke.syntax import (
     And,
     Box,
@@ -88,6 +88,24 @@ def test_nesting_beyond_the_limit_is_a_parse_error():
             parse(text)
 
 
+def test_parsing_at_the_nesting_limit_keeps_its_stack_headroom():
+    # a parenthesis costs seven frames of the parser, a prefix operator or a
+    # right-nested implication two; a formula at the limit must fit in these
+    # many frames above the caller, or it comes nearer the recursion limit
+    limit = sx.MAX_NESTING
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    for text, frames in (("(" * limit + "p" + ")" * limit, 720),
+                         ("p -> " * limit + "p", 220), ("!" * limit + "p", 220)):
+        sys.setrecursionlimit(depth + frames)
+        try:
+            parse(text)
+        finally:
+            sys.setrecursionlimit(old)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("p & ")
@@ -141,6 +159,38 @@ def formulas():
 @settings(max_examples=300)
 def test_print_parse_round_trip(f):
     assert parse(to_text(f)) == f
+
+
+def ref_text(f, level=0):
+    """The printer as a recursion over the tree: ``level`` is what the place
+    of ``f`` needs, 1 under ->, 2 under &, 3 under a prefix operator."""
+    if isinstance(f, Const):
+        return format_value(f.value)
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Implies):
+        text = f"{ref_text(f.left, 2)} -> {ref_text(f.right, 1)}"
+        return f"({text})" if level > 1 else text
+    if isinstance(f, And):
+        text = f"{ref_text(f.left, 2)} & {ref_text(f.right, 3)}"
+        return f"({text})" if level > 2 else text
+    head = {Diamond: "<>", Box: "[]", DiamondInv: "<>-", BoxInv: "[]-"}[type(f)]
+    return f"{head}_{f.index} {ref_text(f.child, 3)}"
+
+
+@given(formulas(), formulas())
+@settings(max_examples=200)
+def test_printing_matches_tree_recursion(f, g):
+    # disj shares each operand twice, so the printer sees a DAG
+    for h in (f, sx.disj(f, g), sx.iff(sx.disj(g, f), f), Box(1, sx.disj(f, f))):
+        assert to_text(h) == ref_text(h)
+
+
+def test_printing_a_chain_of_disjunctions_matches_tree_recursion():
+    for atom in ("p", "<>_1 0.5", "(p -> q)", "!p & q"):
+        for terms in range(1, 8):
+            f = parse(" | ".join([atom] * terms))
+            assert to_text(f) == ref_text(f)
 
 
 # -- corpus files ---------------------------------------------------------------
@@ -530,16 +580,6 @@ def test_enumeration_matches_the_loop_reference(monkeypatch, algebra):
                 assert (got, e.formulas(), e.truncated) == want
 
 
-def path_model(algebra, n, weight, end, prefix):
-    """Worlds 0 -> 1 -> ... -> n-1 along relation 1, with p only at the end:
-    each depth of formulas tells apart one more world from the end."""
-    alg = Algebra.from_spec(algebra)
-    rows = [[Fraction(weight) if j == i + 1 else Fraction(0) for j in range(n)] for i in range(n)]
-    p = [Fraction(end) if i == n - 1 else Fraction(0) for i in range(n)]
-    return KripkeModel(alg, [f"{prefix}{i}" for i in range(n)],
-                       {1: FuzzyMat(alg, rows)}, {"p": FuzzyVec(alg, p)})
-
-
 @pytest.mark.parametrize(
     "algebra, n1, n2, weight, end",
     [("boolean", 5, 4, "1", "1"), ("chain:3", 4, 3, "0.5", "1"), ("godel", 4, 3, "0.7", "0.3")],
@@ -604,6 +644,18 @@ def test_budget_truncation_sets_flag():
     # extending a truncated enumeration must not resurrect completeness
     e.extend_to_depth(1)
     assert e.truncated
+
+
+def test_every_enumerated_formula_prints_to_text_that_parses_back(rng):
+    algebras = [Algebra.boolean(), Algebra.chain(3), Algebra.godel()]
+    for k in range(6):
+        alg = algebras[k % 3]
+        pool = GODEL_ENUM_POOL if alg.kind == "godel" else None
+        a, b = random_pair(rng, alg, variables=("p", "q_1"), indices=(0, 12), pool=pool)
+        for fragment in Fragment:
+            e = FormulaEnumeration(a, b, fragment, budget=3000).extend_to_depth(1)
+            for f in e.formulas():
+                assert parse(to_text(f)) == f
 
 
 def test_formula_reconstruction_uses_core_syntax():
