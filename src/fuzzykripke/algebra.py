@@ -167,25 +167,40 @@ class Algebra:
 VALUE_PATTERN = r"\d+(?:\.\d+|/\d+)?"
 """How a truth value is spelled, in model files and formula constants alike."""
 
+# VALUE_PATTERN with its integer part, decimals and denominator as groups
+_VALUE = re.compile(r"(\d+)(?:\.(\d+)|/(\d+))?")
+
 
 def parse_value(text: str) -> Fraction:
     """Parse an exact decimal (or p/q) truth value string, spelled as
     :data:`VALUE_PATTERN` says; surrounding whitespace is ignored.
 
-    ``"0.3"`` becomes Fraction(3, 10) exactly; no float ever enters.
+    ``"0.3"`` becomes Fraction(3, 10) exactly; no float ever enters.  The
+    digit groups are converted one by one, as ``Fraction(text)`` converts
+    them, so a group of more digits than Python converts to an integer is
+    refused here exactly where ``Fraction`` would refuse it.
     """
     text = text.strip()
-    if re.fullmatch(VALUE_PATTERN, text) is None:
+    match = _VALUE.fullmatch(text)
+    if match is None:
         raise AlgebraError(f"malformed truth value {text!r}")
+    whole, decimals, denominator = match.groups()
     try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise AlgebraError(f"truth value {text!r} has a zero denominator") from None
+        num = int(whole)
+        if denominator is not None:
+            den = int(denominator)
+        elif decimals is None:
+            den = 1
+        else:
+            den = 10 ** len(decimals)
+            num = num * den + int(decimals)
     except ValueError:  # more digits than Python converts to an integer
         raise AlgebraError(f"malformed truth value {text!r}") from None
-    if value > 1:
+    if den == 0:
+        raise AlgebraError(f"truth value {text!r} has a zero denominator")
+    if num > den:
         raise AlgebraError(f"truth value {text!r} is outside [0, 1]")
-    return value
+    return Fraction(num, den)
 
 
 def format_value(value: Fraction) -> str:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import hm_check
-from .model import KripkeModel, ModelError, _read_json, parse_matrix
+from .model import KripkeModel, ModelError, _dump_json, _read_json, parse_matrix
 from .syntax import FormulaEnumeration, Fragment, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
@@ -57,8 +56,7 @@ def _print_matrix(matrix: FuzzyMat, rows, cols, out) -> None:
 
 def _emit(args, payload: dict, human_lines) -> None:
     if args.format == "json":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_dump_json(payload) + "\n")
     else:
         human_lines(sys.stdout)
 

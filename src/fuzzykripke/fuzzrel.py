@@ -74,16 +74,16 @@ def _encode_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple[
     return out, values
 
 
-def _matrix_ids(rows: list) -> np.ndarray:
-    """Rows of value indices as one array, once they are known to be a
+def _matrix_ids(flat, lengths: list) -> np.ndarray:
+    """Value indices, read row by row (a list or an array), as one array
+    of rows of the given ``lengths``, once they are known to be a
     nonempty matrix."""
-    if not rows:
+    if not lengths:
         raise ValueError("fuzzy matrix must have at least one row")
-    width = len(rows[0])
-    if width == 0 or any(len(r) != width for r in rows):
+    width = lengths[0]
+    if width == 0 or lengths.count(width) != len(lengths):
         raise ValueError("fuzzy matrix rows must be nonempty and equally long")
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=len(rows) * width)
-    return flat.reshape(len(rows), width)
+    return np.asarray(flat, dtype=np.intp).reshape(len(lengths), width)
 
 
 def _common(*operands) -> tuple:
@@ -201,7 +201,8 @@ class FuzzyMat(_Leveled):
 
     def __init__(self, algebra: Algebra, rows: Iterable[Iterable[Fraction]]):
         ids, table = _encode_rows(algebra, rows)
-        self._init_from_ids(algebra, _matrix_ids(ids), table)
+        flat = list(chain.from_iterable(ids))
+        self._init_from_ids(algebra, _matrix_ids(flat, list(map(len, ids))), table)
 
     @classmethod
     def constant(cls, algebra: Algebra, shape: tuple[int, int], value: Fraction) -> "FuzzyMat":

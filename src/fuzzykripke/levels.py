@@ -57,9 +57,11 @@ class Universe:
         by_key = {v.as_integer_ratio(): v for v in values}
         by_key.setdefault((0, 1), ZERO)
         by_key.setdefault((1, 1), ONE)
-        keys = sorted(by_key, key=by_key.__getitem__)
-        if len(keys) > MAX_VALUES:
-            raise ModelError(f"value universe of {len(keys)} values is too large")
+        if len(by_key) > MAX_VALUES:
+            raise ModelError(f"value universe of {len(by_key)} values is too large")
+        # int true division is correctly rounded, so the float is a monotone
+        # key; values it cannot tell apart are ordered by exact comparison
+        keys = sorted(by_key, key=lambda k: (k[0] / k[1], by_key[k]))
         self.values: tuple[Fraction, ...] = tuple(map(by_key.__getitem__, keys))
         self.dtype = np.dtype(np.uint8 if len(keys) <= 1 << 8 else np.uint16)
         self.top = self.dtype.type(len(keys) - 1)
@@ -98,7 +100,9 @@ def union(universes: Iterable[Universe], values: Iterable[Fraction] = ()) -> Uni
     """The universe of every value of ``universes`` and of ``values``.
 
     When the first universe already holds them all it is returned itself,
-    so that its level arrays need no remapping.
+    so that its level arrays need no remapping.  Otherwise the new one is
+    built from the sorted tables one after the other, so its sort mostly
+    merges sorted runs.
     """
     first, *rest = universes
     values = tuple(values)

@@ -24,23 +24,26 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 are parsed exactly (JSON integers are exact too; JSON floats and booleans
 are rejected); everything is validated eagerly on load so that
 evaluation never revalidates.  The loader keeps one spelling table per
-document: each distinct spelling is parsed once and mapped straight to a
-table index, every other entry costs a dict lookup, and each distinct
-value is checked against the carrier once.  Every entry is still
-type-checked, and the first bad entry in document order is the one
-reported.  The table becomes the document's value universe, so every
-relation and valuation is a level array over it (one take through a
-table-to-level remap), and the model keeps that universe.  Evaluation
-runs on those level arrays (:mod:`.levels`), and output formats each
-universe value once.
+document and reads each matrix as one flat list: each distinct spelling
+is parsed once and mapped straight to a table index, every other entry
+costs a dict lookup, and each distinct value is checked against the
+carrier once.  Every entry is still type-checked, and the first bad
+entry in document order is the one reported.  The table becomes the
+document's value universe, so every relation and valuation is a level
+array over it (one take through a table-to-level remap), and the model
+keeps that universe.  Evaluation runs on those level arrays
+(:mod:`.levels`), and output formats each universe value once.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
@@ -302,44 +305,50 @@ class _ValueTable:
         self._by_value: dict = {}
         self._checked = 0
 
-    def entries(self, entries, where: str, row: Optional[int] = None) -> list[int]:
-        """Table indices of a JSON list of decimal strings (or integers):
-        the values of ``where``, or of its row ``row``.
+    def _ids(self, entries: list, where: str, starts: Optional[list] = None) -> np.ndarray:
+        """Table indices of a flat list of decimal strings (or integers): the
+        values of ``where``, whose rows begin at the positions ``starts``
+        when it is a matrix.
 
         ``index`` holds spellings only, so a list of known strings is one
-        lookup per entry; any other list takes the per-entry path, which
-        rejects non-strings and parses (and indexes) each new spelling.
+        lookup per entry.  On a miss the new spellings are parsed, each
+        once, in order of first occurrence, up to the first entry that is
+        neither a string nor an integer by exact type (a JSON integer is
+        read as its text; ``true`` and ``1.0`` are not values).  So the
+        error raised is the one at the first bad entry of the list.
         """
         index = self.index
-        if isinstance(entries, list):
+        try:
+            return np.fromiter(map(index.__getitem__, entries), np.intp, len(entries))
+        except (KeyError, TypeError):
+            pass
+        texts, stop = entries, len(entries)
+        try:
+            distinct = dict.fromkeys(entries)
+        except TypeError:  # an unhashable entry
+            distinct = None
+        # no entry of another type equals a string, so when the distinct
+        # entries are all strings, every entry is
+        if distinct is None or set(map(type, distinct)) != {str}:
+            stop = _first_not(list(map(type, entries)), (str, int))
+            texts = list(map(str, entries[:stop]))
+            distinct = dict.fromkeys(texts)
+        for text in distinct:
+            if text in index:
+                continue
             try:
-                return list(map(index.__getitem__, entries))
-            except (KeyError, TypeError):
-                pass
-        if row is not None:
-            where = f"{where}, row {row}"
-        _require(entries, list, f"{where} must be a list of values")
-        out = []
-        for k, v in enumerate(entries):
-            if isinstance(v, bool) or not isinstance(v, (str, int)):
-                raise ModelError(
-                    f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
-                    'write it as a string such as "0.3"'
-                )
-            text = str(v)
-            i = index.get(text)
-            if i is None:
-                try:
-                    value = parse_value(text)
-                except AlgebraError as exc:
-                    raise AlgebraError(f"{where}, entry {k}: {exc}") from None
-                i = index[text] = self._by_value.setdefault(
-                    value.as_integer_ratio(), len(self.values)
-                )
-                if i == len(self.values):
-                    self.values.append(value)
-            out.append(i)
-        return out
+                value = parse_value(text)
+            except AlgebraError as exc:
+                raise AlgebraError(f"{_entry(where, starts, texts.index(text))}: {exc}") from None
+            i = index[text] = self._by_value.setdefault(value.as_integer_ratio(), len(self.values))
+            if i == len(self.values):
+                self.values.append(value)
+        if stop < len(entries):
+            raise ModelError(
+                f"{_entry(where, starts, stop)}: {json.dumps(entries[stop])} is not an "
+                'exact value; write it as a string such as "0.3"'
+            )
+        return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
     def _check(self, where: str) -> None:
         """Check the values first seen since the last call, in order, and
@@ -359,21 +368,30 @@ class _ValueTable:
         the values, raises :class:`ModelError` naming the entry; a malformed
         or out-of-range spelling raises :class:`AlgebraError` naming it.  An
         empty or ragged matrix is a :class:`ModelError` naming ``where``.
+        The rows before the first one that is not a list are read first,
+        so an earlier bad entry is reported before that row.
         """
         _require(rows, list, f"{where} must be a list of rows")
-        ids = [self.entries(row, where, r) for r, row in enumerate(rows)]
+        stop = _first_not(list(map(type, rows)), (list,))
+        lengths = list(map(len, rows[:stop]))
+        ids = self._ids(
+            list(chain.from_iterable(rows[:stop])), where, list(accumulate(lengths, initial=0))
+        )
+        if stop < len(rows):
+            raise ModelError(f"{where}, row {stop} must be a list of values")
         self._check(where)
         try:
-            return _matrix_ids(ids)
+            return _matrix_ids(ids, lengths)
         except ValueError as exc:
             raise ModelError(f"{where}: {exc}") from None
 
     def vector(self, entries, where: str) -> np.ndarray:
-        ids = self.entries(entries, where)
+        _require(entries, list, f"{where} must be a list of values")
+        ids = self._ids(entries, where)
         self._check(where)
-        if not ids:
+        if not len(ids):
             raise ModelError(f"{where}: fuzzy vector must be nonempty")
-        return np.array(ids, dtype=np.intp)
+        return ids
 
     def containers(self, matrices: dict, vectors: dict) -> tuple[dict, dict]:
         """The index arrays of :meth:`matrix` and :meth:`vector` as fuzzy
@@ -386,6 +404,20 @@ class _ValueTable:
             {k: FuzzyVec._from_levels(self.algebra, remap[ids], universe)
              for k, ids in vectors.items()},
         )
+
+
+def _first_not(kinds: list, allowed: tuple) -> int:
+    """The first position of ``kinds`` holding a type not in ``allowed``,
+    or ``len(kinds)``."""
+    return min(map(kinds.index, set(kinds).difference(allowed)), default=len(kinds))
+
+
+def _entry(where: str, starts: Optional[list], k: int) -> str:
+    """The name of entry ``k`` of a flat list whose rows begin at ``starts``."""
+    if starts is None:
+        return f"{where}, entry {k}"
+    row = bisect_right(starts, k) - 1  # the last row to begin at k: empty rows hold nothing
+    return f"{where}, row {row}, entry {k - starts[row]}"
 
 
 def parse_matrix(algebra: Algebra, rows, where: str) -> FuzzyMat:
@@ -436,6 +468,44 @@ def _render_json(node, indent: str = "") -> str:
         parts = [f"{inner}{_render_json(item, inner)}" for item in node]
         return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
     return json.dumps(node)
+
+
+def _dump_json(node, indent: str = "\n") -> str:
+    """``json.dumps(node, indent=2)``, byte for byte, for a report: dicts
+    with string keys, lists, tuples, strings, integers, booleans and None.
+    Any other value, a float among them, raises :class:`TypeError`: every
+    number a report holds is exact.  Unlike the encoder of :mod:`json`
+    with an indent, it builds no closures, so it leaves no reference
+    cycles behind."""
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_dump_json(value, inner)}"
+            for key, value in node.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        inner = indent + "  "
+        try:  # a list of strings, such as a matrix row, in one pass
+            items = list(map(encode_basestring_ascii, node))
+        except TypeError:
+            items = [_dump_json(item, inner) for item in node]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 def check_comparable(m1: KripkeModel, m2: KripkeModel) -> None:

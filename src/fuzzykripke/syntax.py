@@ -230,29 +230,47 @@ _UNARY = len(_BINARY)  # the precedence of atoms, negation and modalities
 _PRECEDENCE = {row.build: k for k, row in enumerate(_BINARY) if isinstance(row.build, type)}
 
 
+MAX_TEXT = 1 << 25
+"""The longest text :func:`to_text` builds, in characters.  A formula
+shares subformulae, but its text spells out each occurrence: the text of
+a chain of ``|`` triples per term (25,509,153 characters at 14 terms),
+and the parser accepts chains of 34 terms."""
+
+
 def to_text(f: Formula) -> str:
     """Render a formula; ``parse(to_text(f))`` reproduces ``f`` exactly.
 
     Each distinct node is rendered once, with its precedence, and its
-    parent adds parentheses where the operand binds too loosely."""
+    parent adds parentheses where the operand binds too loosely.  A text
+    longer than :data:`MAX_TEXT` raises :class:`ValueError` before it is
+    built."""
 
     def visit(node, *kids):
         if type(node) in _PRECEDENCE:
             level = _PRECEDENCE[type(node)]
             spelling, _, right, _ = _BINARY[level]
             (left, left_level), (rest, rest_level) = kids
-            if left_level < level + right:
+            wrap_left, wrap_rest = left_level < level + right, rest_level < level + (not right)
+            _fits(len(left) + len(spelling) + len(rest) + 2 + 2 * (wrap_left + wrap_rest))
+            if wrap_left:
                 left = f"({left})"
-            if rest_level < level + (not right):
+            if wrap_rest:
                 rest = f"({rest})"
             return f"{left} {spelling} {rest}", level
         if kids:
             text, level = kids[0]
-            text = f"({text})" if level < _UNARY else text
-            return f"{_MODALITIES[type(node)].head}_{node.index} {text}", _UNARY
+            head = f"{_MODALITIES[type(node)].head}_{node.index} "
+            wrap = level < _UNARY
+            _fits(len(head) + len(text) + 2 * wrap)
+            return head + (f"({text})" if wrap else text), _UNARY
         return (format_value(node.value) if isinstance(node, Const) else node.name), _UNARY
 
     return _fold([f], visit)[0][0]
+
+
+def _fits(size: int) -> None:
+    if size > MAX_TEXT:
+        raise ValueError(f"formula text of {size} characters is longer than {MAX_TEXT}")
 
 
 class ParseError(ValueError):

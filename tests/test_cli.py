@@ -1,5 +1,7 @@
 """Command line interface: outputs, file handling, and the exit-code contract."""
 
+import gc
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,8 @@ import fuzzykripke
 from conftest import expected
 from fuzzykripke import cli
 from fuzzykripke.cli import main
-from fuzzykripke.fixtures import fixture_path
+from fuzzykripke.fixtures import PAIRS, fixture_path
+from fuzzykripke.model import _dump_json
 
 A = str(fixture_path("sim_showcase_a.json"))
 B = str(fixture_path("sim_showcase_b.json"))
@@ -381,6 +386,90 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(monkeypatch, caps
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
+
+
+# -- the report writer ---------------------------------------------------------
+
+
+def pair_commands(name, tmp_path):
+    """Every subcommand with ``--format json`` on one bundled pair, the
+    check run on the full relation, which breaks some condition."""
+    a, b = (str(fixture_path(f"{name}_{side}.json")) for side in "ab")
+    m1 = json.loads(Path(a).read_text())
+    m2 = json.loads(Path(b).read_text())
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("p\n<>_1 p\n[]-_1 (p -> 0)\n", encoding="utf-8")
+    relation = tmp_path / "full.json"
+    relation.write_text(
+        json.dumps({"relation": [["1"] * len(m2["worlds"]) for _ in m1["worlds"]]}),
+        encoding="utf-8",
+    )
+    commands = [
+        ["eval", a, "<>_1 p & p"],
+        ["eval", a, "[]-_1 p", "--world", m1["worlds"][-1]],
+        *(["bisim", a, b, "--type", kind] for kind in ("fs", "bs", "fb", "bb", "fbb", "bfb", "rb")),
+        ["weak", a, b, "--corpus", str(corpus)],
+        ["weak", a, b, "--fragment", "full", "--depth", "1"],
+        ["hm", a, b, "--fragment", "full", "--depth-cap", "2"],
+        ["check", a, b, "--type", "rb", "--relation", str(relation)],
+    ]
+    return [argv + ["--format", "json"] for argv in commands]
+
+
+@pytest.mark.parametrize("name", PAIRS)
+def test_the_report_writer_is_json_dumps_with_indent_2(name, tmp_path, monkeypatch, capsys):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(
+        cli, "_emit", lambda args, payload, human: payloads.append(payload) or emit(args, payload, human)
+    )
+    violations = 0
+    for argv in pair_commands(name, tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1) and not err, argv
+        payload = payloads.pop()
+        want = json.dumps(payload, indent=2)
+        assert _dump_json(payload) == want, argv
+        assert out == want + "\n", argv
+        if argv[0] == "check":
+            violations += sum("violation" in c for c in payload["conditions"])
+    assert violations
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], {"a": [], "b": {}, "c": [[]], "d": [{}]},
+    {"worlds": ["\u00fc", "w\u00f6rld", "\u6f22", "\U0001f600", 'a"b\\c\n\t'], "n": -3},
+    {"ü": {"nested": [1, True, False, None, "x", [2, "y"]]}, "world": "\u00fc\n"},
+    [10**30, -0, 0, ("a", "b"), ()],
+])
+def test_the_report_writer_on_edge_payloads(payload):
+    assert _dump_json(payload) == json.dumps(payload, indent=2)
+    assert "\\u00fc" in _dump_json(["\u00fc"])
+
+
+@pytest.mark.parametrize("payload", [0.5, [1, 0.5], {"a": {"b": 1.0}}, Fraction(1, 2), {"s": {1}}, object()])
+def test_the_report_writer_refuses_floats_and_unknown_types(payload):
+    with pytest.raises(TypeError):
+        _dump_json(payload)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisim", A, B, "--type", "rb", "--format", "json"],
+    ["hm", A, B, "--fragment", "full", "--format", "json"],
+])
+def test_a_json_call_leaves_no_garbage_cycles(argv):
+    def call():
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+
+    call()  # warm up: caches and the parser are built once
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -7,12 +7,17 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_model, vec_strs
+from test_fuzz import FUZZ, documents
 from fuzzykripke import model as model_module
-from fuzzykripke.algebra import Algebra, AlgebraError, format_value, parse_value
+from fuzzykripke.algebra import VALUE_PATTERN, Algebra, AlgebraError, format_value, parse_value
 from fuzzykripke.fixtures import PAIRS, fixture_path, load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel, ModelError, check_comparable, phi_equivalent
@@ -440,6 +445,156 @@ def test_off_carrier_value_after_many_valid_copies_is_caught():
     doc["valuation"]["p"][-1] = "0.75"
     with pytest.raises(AlgebraError, match="3/4 is not in the chain:3 carrier"):
         KripkeModel.from_dict(doc)
+
+
+# -- the bulk loader against the per-entry loader it replaced --------------------
+
+
+def fraction_parse(text: str) -> Fraction:
+    """``parse_value`` as a regex check and ``Fraction(text)``."""
+    text = text.strip()
+    if re.fullmatch(VALUE_PATTERN, text) is None:
+        raise AlgebraError(f"malformed truth value {text!r}")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise AlgebraError(f"truth value {text!r} has a zero denominator") from None
+    except ValueError:  # more digits than Python converts to an integer
+        raise AlgebraError(f"malformed truth value {text!r}") from None
+    if value > 1:
+        raise AlgebraError(f"truth value {text!r} is outside [0, 1]")
+    return value
+
+
+class PerEntryTable(model_module._ValueTable):
+    """The loader table that reads each row entry by entry, with
+    :func:`fraction_parse`: the reference for the bulk table."""
+
+    def entries(self, entries, where, row=None):
+        index = self.index
+        if isinstance(entries, list):
+            try:
+                return list(map(index.__getitem__, entries))
+            except (KeyError, TypeError):
+                pass
+        if row is not None:
+            where = f"{where}, row {row}"
+        if not isinstance(entries, list):
+            raise ModelError(f"{where} must be a list of values")
+        out = []
+        for k, v in enumerate(entries):
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ModelError(
+                    f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
+                    'write it as a string such as "0.3"'
+                )
+            text = str(v)
+            i = index.get(text)
+            if i is None:
+                try:
+                    value = fraction_parse(text)
+                except AlgebraError as exc:
+                    raise AlgebraError(f"{where}, entry {k}: {exc}") from None
+                i = index[text] = self._by_value.setdefault(
+                    value.as_integer_ratio(), len(self.values)
+                )
+                if i == len(self.values):
+                    self.values.append(value)
+            out.append(i)
+        return out
+
+    def matrix(self, rows, where):
+        if not isinstance(rows, list):
+            raise ModelError(f"{where} must be a list of rows")
+        ids = [self.entries(row, where, r) for r, row in enumerate(rows)]
+        self._check(where)
+        if not ids:
+            raise ModelError(f"{where}: fuzzy matrix must have at least one row")
+        if not ids[0] or any(len(r) != len(ids[0]) for r in ids):
+            raise ModelError(f"{where}: fuzzy matrix rows must be nonempty and equally long")
+        return np.array(ids, dtype=np.intp)
+
+    def vector(self, entries, where):
+        ids = self.entries(entries, where)
+        self._check(where)
+        if not ids:
+            raise ModelError(f"{where}: fuzzy vector must be nonempty")
+        return np.array(ids, dtype=np.intp)
+
+
+def load_outcome(doc, table=None):
+    """What loading ``doc`` gives: the worlds, the universe values and every
+    level array with its dtype, or the error's type and message.  With a
+    ``table`` class, the loader reads through it."""
+    with mock.patch.object(model_module, "_ValueTable", table or model_module._ValueTable):
+        try:
+            m = KripkeModel.from_dict(doc)
+        except (ModelError, AlgebraError) as exc:
+            return type(exc), str(exc)
+    parts = {**m.relations, **m.valuation}
+    return m.worlds, m.universe.values, {
+        k: (x.levels.dtype, x.levels.tolist(), x.universe.values) for k, x in parts.items()
+    }
+
+
+@FUZZ
+@given(documents())
+def test_the_bulk_loader_equals_the_per_entry_loader(doc):
+    assert load_outcome(doc) == load_outcome(doc, PerEntryTable)
+
+
+def one_relation(rows, valuation=("1", "1")):
+    return {
+        "algebra": "godel", "worlds": ["a", "b"], "indices": [1],
+        "relations": {"1": rows}, "valuation": {"p": list(valuation)},
+    }
+
+
+@pytest.mark.parametrize("doc, error", [
+    (one_relation([["0.5", "0.x"], ["0.x", "1"]]), "row 0, entry 1: malformed truth value '0.x'"),
+    (one_relation([["0.5", "1"], [0.5, "1"]]), "row 1, entry 0: 0.5 is not an exact value"),
+    (one_relation([["1", True], ["1", "1"]]), "row 0, entry 1: true is not an exact value"),
+    (one_relation([[1, "1"], [True, 1]]), "row 1, entry 0: true is not an exact value"),
+    (one_relation([[1, 1.0], ["1", "1"]]), "row 0, entry 1: 1.0 is not an exact value"),
+    (one_relation([["1", ["1"]], ["1", "1"]]), 'row 0, entry 1: ["1"] is not an exact value'),
+    (one_relation([["1", {"1": 1}], ["1", "1"]]), 'row 0, entry 1: {"1": 1} is not an exact value'),
+    (one_relation([["1", "0.x"], "01"]), "row 0, entry 1: malformed truth value"),
+    (one_relation([["1", "1"], "01", ["0.x"]]), "row 1 must be a list of values"),
+    (one_relation([["1", "0.x"], ["1"]]), "row 0, entry 1: malformed truth value"),
+    (one_relation([["1", "1"], ["2"]]), "row 1, entry 0: truth value '2' is outside"),
+    (one_relation([[], ["1", "x"]]), "row 1, entry 1: malformed truth value 'x'"),
+    (one_relation([["1", "1"], ["1", -1]]), "row 1, entry 1: malformed truth value '-1'"),
+    (one_relation([["1", 0.5, "0.x"], ["1"]]), "row 0, entry 1: 0.5 is not an exact value"),
+    (one_relation([["1", "0.x", 0.5], ["1"]]), "row 0, entry 1: malformed truth value"),
+    (one_relation([["1", "1"], ["1", "1"]], ["1", 2.5]), "'p', entry 1: 2.5 is not an exact"),
+    (one_relation([["1", "1"], ["1"]]), "rows must be nonempty and equally long"),
+])
+def test_malformed_documents_fail_as_the_per_entry_loader_fails(doc, error):
+    got = load_outcome(doc)
+    assert got == load_outcome(doc, PerEntryTable)
+    assert got[0] in (ModelError, AlgebraError) and error in got[1]
+
+
+PADDING = st.sampled_from(["", " ", "  ", "\t", "\n", "\u3000", "\xa0"])
+LONG = [
+    "0." + "1" * 4300, "0." + "1" * 4301, "0" * 4300 + ".5", "0" * 4301 + ".5",
+    "1/" + "9" * 4300, "1/" + "9" * 4301, "1" * 4301 + "/" + "2" * 4301, "0/" + "0" * 4301,
+    "0" * 4301, "1" * 4300, "0/0", "1/0", "\u0663/\u0664", "\u0660.\u0665", "\uff11/\uff12", "\u0661",
+]
+
+
+@FUZZ
+@given(st.tuples(PADDING, st.from_regex(VALUE_PATTERN, fullmatch=True) | st.sampled_from(LONG), PADDING))
+def test_parse_value_equals_fraction_of_the_text(parts):
+    text = "".join(parts)
+    outcomes = []
+    for parse in (parse_value, fraction_parse):
+        try:
+            value = parse(text)
+            outcomes.append((type(value), value))
+        except AlgebraError as exc:
+            outcomes.append((AlgebraError, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_too_deeply_nested_json_is_a_model_error():

@@ -193,6 +193,25 @@ def test_printing_a_chain_of_disjunctions_matches_tree_recursion():
             assert to_text(f) == ref_text(f)
 
 
+def test_a_text_past_the_bound_is_refused_before_it_is_built(monkeypatch):
+    # the text of a chain of | triples per term: 14 terms print, 15 do not
+    assert len(to_text(parse(" | ".join(["p"] * 14)))) == 25_509_153 <= sx.MAX_TEXT
+    for terms in (15, 34):
+        with pytest.raises(ValueError, match=r"^formula text of 51018317 characters is longer than"):
+            to_text(parse(" | ".join(["p"] * terms)))
+    # the size checked is the length of the text, parentheses included
+    for text in ("[]_1 (p -> q)", "<>-_2 []_1 p", "(p -> q) -> p & (q | 0.5)", "!(p <-> q)",
+                 "[]-_1 (<>_2 (p & q) -> p) & 1/3"):
+        f = parse(text)
+        size = len(to_text(f))
+        monkeypatch.setattr(sx, "MAX_TEXT", size)
+        assert parse(to_text(f)) == f
+        monkeypatch.setattr(sx, "MAX_TEXT", size - 1)
+        with pytest.raises(ValueError, match=rf"^formula text of {size} characters is longer than"):
+            to_text(f)
+        monkeypatch.undo()
+
+
 # -- corpus files ---------------------------------------------------------------
 
 

@@ -208,6 +208,18 @@ def test_enumerated_weak_matches_evaluating_every_representative(rng):
             assert folded.to_dict() == greatest_weak(a, b, enum.formulas()).to_dict()
 
 
+def test_a_formula_whose_text_is_too_long_fails_loudly():
+    # 34 terms parse and evaluate in milliseconds, but their text would
+    # take about 1e16 characters; the verdict labels refuse it
+    a, b = load_pair("fully_equivalent")
+    chain = parse(" | ".join(["p"] * 34))
+    full = ones(a.algebra, (len(a.worlds), len(b.worlds)))
+    with pytest.raises(ValueError, match=r"^formula text of \d+ characters is longer than"):
+        check_weak(a, b, full, [parse("q"), chain])
+    with pytest.raises(ValueError, match=r"^formula text of \d+ characters is longer than"):
+        check_union_closed(a, b, [chain], full, full)
+
+
 def test_closure_checks_refuse_a_relation_that_is_not_weak():
     a, b = load_pair("fully_equivalent")
     formulas = [parse("p"), parse("q")]
