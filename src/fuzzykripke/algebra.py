@@ -160,9 +160,6 @@ class Algebra:
     def biimplication(self, x: Fraction, y: Fraction) -> Fraction:
         return self.meet(self.residuum(x, y), self.residuum(y, x))
 
-    def leq(self, x: Fraction, y: Fraction) -> bool:
-        return x <= y
-
 
 VALUE_PATTERN = r"\d+(?:\.\d+|/\d+)?"
 """How a truth value is spelled, in model files and formula constants alike."""

@@ -31,14 +31,16 @@ iterates strictly decrease until stable, so the loop terminates; a
 monotonicity induction shows every solution stays below every iterate,
 hence the limit is the greatest solution.
 
-All of it runs on level arrays (:mod:`.levels`).  The orientation table
+All of it runs on level arrays (:mod:`.levels`).  The direction table
 ``DIRECTIONS`` makes each direction the forward one on transposed or
 swapped arguments, so the four are one residual update and the seven
-kinds are data: the direction tuples of ``_THETA2``.  The directions that
-keep the sides (fwd, bwd) and those that swap them (fwd_inv, bwd_inv)
-form two stacks of relations in forward orientation, so a sweep makes one
-update call per side.  Every condition check, the weak ones and the
-invariance bound of :mod:`.hm` too, is one stacked :func:`_violations`.
+kinds are data: the direction tuples of ``_THETA2``.  Its rows also hold
+the statements of the conditions, which :mod:`.weak` shares.  The
+directions that keep the sides (fwd, bwd) and those that swap them
+(fwd_inv, bwd_inv) form two stacks of relations in forward orientation,
+so a sweep makes one update call per side.  Every condition check, the
+weak ones and the invariance bound of :mod:`.hm` too, is one stacked
+:func:`_violations`.
 """
 
 from __future__ import annotations
@@ -71,17 +73,34 @@ class SimType(str, Enum):
         return self in (SimType.FS, SimType.BS)
 
 
+class _Direction(NamedTuple):
+    transpose: bool  # the relations enter transposed
+    swap: bool       # the sides swap: phi^T, and the right model's relations first
+    cond1: str       # the -1 statement, of variable {p}
+    cond2: str       # the -2 statement, of index {i}
+    cond3: str       # the -3 statement, of variable {p}
+
+
 # The -2 directions as the forward one on reoriented arguments: with
 # fwd(R, R', phi) the greatest chi with (phi /\ chi)^-1 o R <= R' o phi^-1,
 #     bwd(R, R', phi)     = fwd(R^T, R'^T, phi)
 #     fwd_inv(R, R', phi) = fwd(R', R, phi^T)^T
 #     bwd_inv(R, R', phi) = fwd(R'^T, R^T, phi^T)^T
-# so each direction is a row (transpose the relations, swap the sides).
+# so each direction is a row (transpose the relations, swap the sides),
+# with the statements of its -1, -2 and -3 conditions.
 DIRECTIONS = {
-    "fwd": (False, False),
-    "fwd_inv": (False, True),
-    "bwd": (True, False),
-    "bwd_inv": (True, True),
+    "fwd": _Direction(
+        False, False, "V_{p} <= V'_{p} o phi^-1",
+        "phi^-1 o R{i} <= R'{i} o phi^-1", "phi^-1 o V_{p} <= V'_{p}"),
+    "fwd_inv": _Direction(
+        False, True, "V'_{p} <= V_{p} o phi",
+        "phi o R'{i} <= R{i} o phi", "phi o V'_{p} <= V_{p}"),
+    "bwd": _Direction(
+        True, False, "V_{p} <= phi o V'_{p}",
+        "R{i} o phi <= phi o R'{i}", "V_{p} o phi <= V'_{p}"),
+    "bwd_inv": _Direction(
+        True, True, "V'_{p} <= phi^-1 o V_{p}",
+        "R'{i} o phi^-1 <= phi^-1 o R{i}", "V'_{p} o phi^-1 <= V_{p}"),
 }
 
 # directions per kind: the relational (-2) conditions, and the vector atoms
@@ -94,27 +113,6 @@ _THETA2 = {
     SimType.FBB: ("fwd", "bwd_inv"),
     SimType.BFB: ("bwd", "fwd_inv"),
     SimType.RB: ("fwd", "fwd_inv", "bwd", "bwd_inv"),
-}
-
-_COND2_TEXT = {
-    "fwd": "phi^-1 o R{i} <= R'{i} o phi^-1",
-    "fwd_inv": "phi o R'{i} <= R{i} o phi",
-    "bwd": "R{i} o phi <= phi o R'{i}",
-    "bwd_inv": "R'{i} o phi^-1 <= phi^-1 o R{i}",
-}
-
-_COND1_TEXT = {
-    "fwd": "V_{p} <= V'_{p} o phi^-1",
-    "fwd_inv": "V'_{p} <= V_{p} o phi",
-    "bwd": "V_{p} <= phi o V'_{p}",
-    "bwd_inv": "V'_{p} <= phi^-1 o V_{p}",
-}
-
-_COND3_TEXT = {
-    "fwd": "phi^-1 o V_{p} <= V'_{p}",
-    "fwd_inv": "phi o V'_{p} <= V_{p}",
-    "bwd": "V_{p} o phi <= V'_{p}",
-    "bwd_inv": "V'_{p} o phi^-1 <= V_{p}",
 }
 
 
@@ -183,9 +181,9 @@ def _vector_violations(v1, v2, p, worlds, universe: Universe, tags) -> dict:
         (1, True): (v2, image2, (w2,)),
         (3, True): (image1, v1, (w1,)),
     }
-    swaps = {DIRECTIONS[tag][1] for tag in tags}
+    swaps = {DIRECTIONS[tag].swap for tag in tags}
     found = {key: _violations(*atom, universe) for key, atom in atoms.items() if key[1] in swaps}
-    return {(family, tag): found[family, DIRECTIONS[tag][1]] for tag in tags for family in (1, 3)}
+    return {(family, tag): found[family, DIRECTIONS[tag].swap] for tag in tags for family in (1, 3)}
 
 
 # The -2 conditions and updates of a kind run side by side: a side is the
@@ -217,12 +215,12 @@ def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type:
     sides = {}
     for swap in (False, True):
         pairs = [
-            (tag, i) for tag in _THETA2[sim_type] if DIRECTIONS[tag][1] == swap
+            (tag, i) for tag in _THETA2[sim_type] if DIRECTIONS[tag].swap == swap
             for i in m1.indices
         ]
         if pairs:
             r, rp = (
-                np.array([rels[i].T if DIRECTIONS[tag][0] else rels[i] for tag, i in pairs])
+                np.array([rels[i].T if DIRECTIONS[tag].transpose else rels[i] for tag, i in pairs])
                 for rels in ((rels2, rels1) if swap else (rels1, rels2))
             )
             sides[swap] = _Side(pairs, r, rp)
@@ -279,10 +277,10 @@ def _level_conditions(
     # the vector atoms of every variable at once
     found = _vector_violations(v1, v2, p, (w1, w2), universe, tags) if variables else {}
 
-    def vector_checks(family: int, texts: dict) -> list[ConditionCheck]:
+    def vector_checks(family: int) -> list[ConditionCheck]:
         return [
-            _verdict(f"{kind}-{family}[{tag}, p={var}]", texts[tag].format(p=var),
-                     found[family, tag][j])
+            _verdict(f"{kind}-{family}[{tag}, p={var}]",
+                     getattr(DIRECTIONS[tag], f"cond{family}").format(p=var), found[family, tag][j])
             for tag in tags
             for j, var in enumerate(variables)
         ]
@@ -294,17 +292,17 @@ def _level_conditions(
     for swap, side in sides.items():
         q_inv = p if swap else p.T
         worlds = (w1, w2) if swap else (w2, w1)
-        transposed = {j for j, (tag, _) in enumerate(side.pairs) if DIRECTIONS[tag][0]}
+        transposed = {j for j, (tag, _) in enumerate(side.pairs) if DIRECTIONS[tag].transpose}
         violations = _violations(
             compose(q_inv, side.r), compose(side.rp, q_inv), worlds, universe, transposed)
         for (tag, i), violation in zip(side.pairs, violations):
             relational[tag, i] = _verdict(
-                f"{kind}-2[{tag}, i={i}]", _COND2_TEXT[tag].format(i=i), violation)
+                f"{kind}-2[{tag}, i={i}]", DIRECTIONS[tag].cond2.format(i=i), violation)
 
     return (
-        vector_checks(1, _COND1_TEXT)
+        vector_checks(1)
         + [relational[tag, i] for tag in tags for i in m1.indices]
-        + vector_checks(3, _COND3_TEXT)
+        + vector_checks(3)
     )
 
 

@@ -23,21 +23,18 @@ import sys
 
 from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
-from .hm import hm_check
+from .hm import DEPTH_CAP, THETA_FOR_FRAGMENT, hm_check
 from .model import KripkeModel, ModelError, _dump_json, _read_json, parse_matrix
-from .syntax import FormulaEnumeration, Fragment, parse, parse_corpus
+from .syntax import BUDGET, FormulaEnumeration, Fragment, parse, parse_corpus
 from .weak import enumerated_weak, greatest_weak
 
 
-def _load_relation(path: str, algebra, shape) -> FuzzyMat:
+def _load_relation(path: str, algebra) -> FuzzyMat:
     with open(path, encoding="utf-8") as fh:
         data = _read_json(fh.read(), path)
     if not isinstance(data, dict) or "relation" not in data:
         raise ModelError(f"{path} must be a JSON object with a 'relation' key")
-    mat = parse_matrix(algebra, data["relation"], f"{path}: relation")
-    if mat.shape != shape:
-        raise ModelError(f"relation shape {mat.shape} does not match models {shape}")
-    return mat
+    return parse_matrix(algebra, data["relation"], f"{path}: relation")
 
 
 def _print_matrix(matrix: FuzzyMat, rows, cols, out) -> None:
@@ -163,9 +160,7 @@ def cmd_hm(args) -> int:
 def cmd_check(args) -> int:
     m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     sim_type = SimType(args.type)
-    phi = _load_relation(
-        args.relation, m1.algebra, (len(m1.worlds), len(m2.worlds))
-    )
+    phi = _load_relation(args.relation, m1.algebra)
     checks = check_conditions(m1, m2, phi, sim_type)
     nonempty = not phi.is_zero()
     all_hold = all(c.holds for c in checks)
@@ -236,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="enumerate this fragment instead of reading a corpus",
     )
     p.add_argument("--depth", type=int, default=1, help="enumeration depth")
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=int, default=BUDGET)
 
     p = command("hm", cmd_hm, "expressivity probe: weak ladder vs strong matrix", *pair)
-    p.add_argument("--fragment", required=True, choices=("plus", "minus", "full"))
-    p.add_argument("--depth-cap", type=int, default=4)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--fragment", required=True, choices=[f.value for f in THETA_FOR_FRAGMENT])
+    p.add_argument("--depth-cap", type=int, default=DEPTH_CAP)
+    p.add_argument("--budget", type=int, default=BUDGET)
 
     p = command("check", cmd_check, "verify a relation against the defining conditions", *pair)
     p.add_argument("--type", required=True, choices=sim_kinds)

@@ -36,8 +36,9 @@ from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, _violations, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
 from .levels import biimplication, biimplication_fold
-from .model import KripkeModel, check_comparable
+from .model import KripkeModel
 from .syntax import (
+    BUDGET,
     Const,
     Formula,
     FormulaEnumeration,
@@ -53,6 +54,9 @@ THETA_FOR_FRAGMENT = {
     Fragment.MINUS: SimType.BB,
     Fragment.FULL: SimType.RB,
 }
+
+DEPTH_CAP = 4
+"""The default depth cap of the ladder."""
 
 
 @dataclass
@@ -112,8 +116,8 @@ def hm_check(
     m1: KripkeModel,
     m2: KripkeModel,
     fragment: Fragment,
-    max_depth: int = 4,
-    budget: int = 200_000,
+    max_depth: int = DEPTH_CAP,
+    budget: int = BUDGET,
 ) -> HMReport:
     """Probe one fragment/bisimulation pairing on a model pair.
 
@@ -129,7 +133,6 @@ def hm_check(
             "use plus, minus or full"
         )
     _check_depth(max_depth)
-    check_comparable(m1, m2)
     sim_type = THETA_FOR_FRAGMENT[fragment]
     strong = greatest_pre(m1, m2, sim_type)
 
@@ -196,7 +199,7 @@ def invariance_check(
     sim_type: SimType,
     fragment: Fragment,
     depth: int,
-    budget: int = 200_000,
+    budget: int = BUDGET,
 ) -> InvarianceReport:
     """Check phi*(w, w') <= V_A(w) <-> V'_A(w') for all formulae to ``depth``.
 

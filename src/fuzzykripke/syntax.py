@@ -478,6 +478,9 @@ _CONNECTIVES = (
 )
 
 
+BUDGET = 200_000
+"""The default class budget of an enumeration, and of everything that runs one."""
+
 _SMALL = 256
 """Arrays of at most this many entries cost less to compute outright than
 the numpy calls it takes to avoid them."""
@@ -508,10 +511,11 @@ class FormulaEnumeration:
 
     Layer d holds one representative per distinct pair of value vectors
     among all fragment formulae of modal depth <= d, over the variables and
-    indices both models declare and the constants 0, 1 and every value the
-    models use; every modality of the fragment is admitted.  The class list
-    only ever grows when the depth is extended, and the generation order is
-    deterministic, so a lower depth is always a prefix of a higher one.
+    indices of a comparable pair (:func:`.model.check_comparable`) and the
+    constants 0, 1 and every value the models use; every modality of the
+    fragment is admitted.  The class list only ever grows when the depth
+    is extended, and the generation order is deterministic, so a lower
+    depth is always a prefix of a higher one.
     When the class budget is exhausted, ``truncated`` flips to True and
     generation stops.  ``dense`` tells whether known rows are marked in a
     dense key table.
@@ -527,11 +531,13 @@ class FormulaEnumeration:
         m1: "KripkeModel",
         m2: "KripkeModel",
         fragment: Fragment,
-        budget: int = 200_000,
+        budget: int = BUDGET,
     ):
+        from .model import check_comparable
+
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
-        m1.algebra.check_same(m2.algebra)
+        check_comparable(m1, m2)
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)
         self.budget = budget
@@ -540,10 +546,10 @@ class FormulaEnumeration:
         self._level = 0  # the first class of the newest depth
         self._closed = False  # whether that depth is closed under the connectives
 
-        self.variables = tuple(sorted(set(m1.valuation) & set(m2.valuation)))
-        self.indices = tuple(sorted(set(m1.indices) & set(m2.indices)))
+        self.variables = tuple(sorted(m1.valuation))
+        self.indices = m1.indices
         self.constants = tuple(sorted({ZERO, ONE, *m1.used_values(), *m2.used_values()}))
-        self.universe = levels.union([m1.universe, m2.universe], self.constants)
+        self.universe = levels.union([m1.universe, m2.universe])
 
         # a modality is admitted by FULL and by the fragment of its direction
         self._modalities = tuple(

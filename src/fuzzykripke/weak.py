@@ -31,18 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bisim import (
-    _COND1_TEXT,
-    _COND3_TEXT,
-    ConditionCheck,
-    _check_relation,
-    _vector_violations,
-    _verdict,
-)
+from .bisim import DIRECTIONS, ConditionCheck, _check_relation, _vector_violations, _verdict
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
 from .model import KripkeModel, check_comparable, formula_levels
 from .syntax import (
+    BUDGET,
     Formula,
     FormulaEnumeration,
     Fragment,
@@ -182,10 +176,10 @@ def check_weak(
     # with the formulae in place of the variables
     found = _vector_violations(lv1, lv2, p, (m1.worlds, m2.worlds), universe, tags)
     return [
-        _verdict(f"{kind}-{weak}[{tag}, A={label}]", texts[tag].format(p="A"),
-                 found[family, tag][k])
+        _verdict(f"{kind}-{weak}[{tag}, A={label}]",
+                 getattr(DIRECTIONS[tag], f"cond{family}").format(p="A"), found[family, tag][k])
         for k, label in enumerate(map(to_text, formulas))
-        for weak, family, texts in ((1, 1, _COND1_TEXT), (2, 3, _COND3_TEXT))
+        for weak, family in ((1, 1), (2, 3))
         for tag in tags
     ]
 
@@ -247,7 +241,7 @@ def duality_transfer(
     m2: KripkeModel,
     fragment: Fragment,
     depth: int,
-    budget: int = 200_000,
+    budget: int = BUDGET,
 ) -> DualityVerdict:
     """Reversing both models while dualizing the formula set preserves the
     greatest weak prebisimulation; verified by direct evaluation."""

@@ -20,7 +20,7 @@ from conftest import expected
 from fuzzykripke import cli
 from fuzzykripke.cli import main
 from fuzzykripke.fixtures import PAIRS, fixture_path
-from fuzzykripke.model import _dump_json
+from fuzzykripke.model import KripkeModel, _dump_json
 
 A = str(fixture_path("sim_showcase_a.json"))
 B = str(fixture_path("sim_showcase_b.json"))
@@ -179,6 +179,16 @@ def test_weak_fragment_negative_depth_exits_2(capsys):
     assert (code, out, err) == (2, "", "error: depth must be nonnegative, got -1\n")
 
 
+def test_weak_fragment_on_an_incomparable_pair_exits_2(tmp_path, capsys):
+    # the enumerator refuses the pair before it enumerates anything
+    a = KripkeModel.load(BB)
+    one_index = tmp_path / "one_index.json"
+    model = KripkeModel(a.algebra, a.worlds, {1: a.relations[1]}, a.valuation)
+    one_index.write_text(model.to_json())
+    code, out, err = run(capsys, "weak", "--fragment", "plus", "--depth", "2", BA, str(one_index))
+    assert (code, out, err) == (2, "", "error: index sets differ: [1, 2] vs [1]\n")
+
+
 # -- hm --------------------------------------------------------------------------
 
 
@@ -263,6 +273,10 @@ def test_check_bad_relation_shape_exits_2(tmp_path, capsys):
     rel.write_text(json.dumps({"relation": [["1", "1"]]}))
     code, _, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
     assert code == 2
+    rel.write_text(json.dumps({"relation": [["1", "1"], ["1", "1"]]}))
+    code, out, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
+    assert (code, out) == (2, "")
+    assert err == "error: relation shape (2, 2) does not match world counts (3, 3)\n"
     rel.write_text(json.dumps({"relation": []}))
     code, out, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
     assert code == 2 and out == ""
@@ -520,6 +534,29 @@ def test_console_script_runs_in_subprocess(tmp_path):
     assert str(package_dir / "__init__.py") in done.stderr.splitlines(), (
         "child imported another fuzzykripke"
     )
+
+
+def test_every_subcommand_runs_clean_in_dev_mode(tmp_path):
+    """Each subcommand, run as a child ``python -X dev -W error`` on this
+    checkout, exits with its documented code and writes nothing to stderr:
+    no warning, unclosed file or other dev-mode complaint."""
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"relation": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    reversed_ = tmp_path / "reversed.json"
+    for argv, want in (
+        (["eval", A, "<>_1 p"], 0),
+        (["bisim", A, B, "--type", "fb", "--format", "json"], 0),
+        (["weak", BA, BB, "--fragment", "plus", "--depth", "1"], 1),
+        (["hm", A, B, "--fragment", "plus"], 0),
+        (["check", A, B, "--type", "rb", "--relation", str(rel)], 1),
+        (["reverse", A, "-o", str(reversed_)], 0),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "fuzzykripke.cli", *argv],
+            capture_output=True, text=True, timeout=60, cwd=tmp_path, env=checkout_env(),
+        )
+        assert (done.returncode, done.stderr) == (want, ""), argv
+    assert reversed_.read_text(encoding="utf-8") == KripkeModel.load(A).reverse().to_json()
 
 
 @pytest.mark.skipif(shutil.which("fuzzykripke") is None, reason="console script not installed")

@@ -153,7 +153,7 @@ def level_update(tag, rs, rps, phi) -> FuzzyMat:
     """The level update of direction ``tag`` for the stacks of the exact
     relations ``rs`` and ``rps``, decoded to an exact matrix: the forward
     update on the arguments oriented by the row of ``bisim.DIRECTIONS``."""
-    transpose, swap = DIRECTIONS[tag]
+    transpose, swap = DIRECTIONS[tag].transpose, DIRECTIONS[tag].swap
     universe = levels.union(x.universe for x in (*rs, *rps, phi))
 
     def stack(mats):

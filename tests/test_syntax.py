@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import random
+import re
 import sys
 import time
 
@@ -16,7 +17,7 @@ import fuzzykripke.syntax as sx
 from fuzzykripke import levels
 from fuzzykripke.algebra import Algebra, AlgebraError, format_value
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.model import formula_constants
+from fuzzykripke.model import KripkeModel, ModelError, check_comparable, formula_constants
 from fuzzykripke.syntax import (
     And,
     Box,
@@ -691,3 +692,26 @@ def test_enumeration_rejects_negative_depth():
         with pytest.raises(ValueError, match="^depth must be nonnegative, got -1$"):
             extend(-1)
     assert e.depth == 0 and len(e) == len(FormulaEnumeration(a, b, Fragment.PLUS))
+
+
+def test_an_incomparable_pair_is_refused_before_any_enumeration(monkeypatch):
+    """The enumerator asks check_comparable first, so a pair whose algebras,
+    index sets or variable sets differ is refused with its message and no
+    closure pass runs."""
+    a, _ = showcase()
+    crisp, _ = load_pair("crisp_pair")
+    two = KripkeModel(a.algebra, a.worlds, {**a.relations, 2: a.relations[1]}, a.valuation)
+    renamed = KripkeModel(a.algebra, a.worlds, a.relations, {"q": a.valuation["p"]})
+
+    def refuse(self, start):
+        raise AssertionError("an incomparable pair reached the closure")
+
+    monkeypatch.setattr(FormulaEnumeration, "_saturate", refuse)
+    with pytest.raises(AssertionError, match="reached the closure"):
+        FormulaEnumeration(a, a, Fragment.PLUS)
+    for other, error in ((crisp, AlgebraError), (two, ModelError), (renamed, ModelError)):
+        for pair in ((a, other), (other, a)):
+            with pytest.raises(error) as refused:
+                check_comparable(*pair)
+            with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+                FormulaEnumeration(*pair, Fragment.FULL)

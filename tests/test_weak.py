@@ -9,6 +9,7 @@ from fuzzykripke.algebra import Algebra
 from fuzzykripke.bisim import SimType, check_conditions
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat
+from fuzzykripke.model import KripkeModel, ModelError
 from fuzzykripke.syntax import FormulaEnumeration, Fragment, parse
 from fuzzykripke.weak import (
     check_composition_closed,
@@ -110,6 +111,36 @@ def test_check_weak_flags_violations():
     assert failed[0].violation is not None
 
 
+def test_weak_condition_names_and_statements():
+    """Every weak verdict's name and statement, in order, for a relation that
+    fails some of each family: the statements are the strong -1 and -3
+    statements of the direction, with the formula A in place of p."""
+    a, b = load_pair("fully_equivalent")
+    one, zero = Fraction(1), Fraction(0)
+    phi = FuzzyMat(a.algebra, [[one, one], [zero, one], [zero, one]])
+    formulas = [parse("p"), parse("<>_1 q")]
+    wb = [
+        ("wb-1[fwd, A=p]", "V_A <= V'_A o phi^-1", False),
+        ("wb-1[fwd_inv, A=p]", "V'_A <= V_A o phi", True),
+        ("wb-2[fwd, A=p]", "phi^-1 o V_A <= V'_A", False),
+        ("wb-2[fwd_inv, A=p]", "phi o V'_A <= V_A", True),
+        ("wb-1[fwd, A=<>_1 q]", "V_A <= V'_A o phi^-1", True),
+        ("wb-1[fwd_inv, A=<>_1 q]", "V'_A <= V_A o phi", True),
+        ("wb-2[fwd, A=<>_1 q]", "phi^-1 o V_A <= V'_A", True),
+        ("wb-2[fwd_inv, A=<>_1 q]", "phi o V'_A <= V_A", False),
+    ]
+    ws = [
+        ("ws-1[fwd, A=p]", "V_A <= V'_A o phi^-1", False),
+        ("ws-2[fwd, A=p]", "phi^-1 o V_A <= V'_A", False),
+        ("ws-1[fwd, A=<>_1 q]", "V_A <= V'_A o phi^-1", True),
+        ("ws-2[fwd, A=<>_1 q]", "phi^-1 o V_A <= V'_A", True),
+    ]
+    for bisimulation, want in ((True, wb), (False, ws)):
+        checks = check_weak(a, b, phi, formulas, bisimulation)
+        assert [(c.name, c.statement, c.holds) for c in checks] == want
+        assert all((c.violation is None) == c.holds for c in checks)
+
+
 def crisp_part(phi: FuzzyMat) -> FuzzyMat:
     one, zero = Fraction(1), Fraction(0)
     return FuzzyMat(
@@ -186,6 +217,13 @@ def test_duality_transfer_on_fixture_pairs():
             verdict = duality_transfer(a, b, fragment, depth=1)
             assert verdict.holds and bool(verdict)
             assert verdict.forward.rows == verdict.reversed_.rows
+
+
+def test_duality_transfer_refuses_an_incomparable_pair():
+    a, b = load_pair("backward_only")
+    one_index = KripkeModel(b.algebra, b.worlds, {1: b.relations[1]}, b.valuation)
+    with pytest.raises(ModelError, match=r"^index sets differ: \[1, 2\] vs \[1\]$"):
+        duality_transfer(a, one_index, Fragment.PLUS, depth=2)
 
 
 def test_duality_transfer_on_random_pairs(rng):
