@@ -146,6 +146,20 @@ class _Leveled:
     def __hash__(self):
         return hash((self.algebra, self._decode()))
 
+    def _compose(self, other):
+        """Max-min composition in every arity: a vector on the left is read
+        as one row, a vector on the right as one column.  Two matrices give
+        a matrix, a vector and a matrix a vector, two vectors one value."""
+        self.algebra.check_same(other.algebra)
+        a, b = self.levels.shape, other.levels.shape
+        if a[-1] != b[0]:
+            raise ValueError(f"dimension mismatch: {a} o {b}")
+        universe, (x, y) = _common(self, other)
+        lv = levels.compose(x.reshape(-1, b[0]), y.reshape(b[0], -1)).reshape(a[:-1] + b[1:])
+        if lv.ndim == 0:
+            return universe.values[lv]
+        return (FuzzyVec, FuzzyMat)[lv.ndim - 1]._from_levels(self.algebra, lv, universe)
+
 
 class FuzzyVec(_Leveled):
     """A fuzzy set over a finite world set: an immutable value vector."""
@@ -174,24 +188,7 @@ class FuzzyVec(_Leveled):
     def __repr__(self):
         return f"FuzzyVec({[str(v) for v in self.values]})"
 
-    def _check_compatible(self, other: "FuzzyVec") -> None:
-        self.algebra.check_same(other.algebra)
-        if len(self) != len(other):
-            raise ValueError(f"vector length mismatch: {len(self)} vs {len(other)}")
-
-    def compose_mat(self, phi: "FuzzyMat") -> "FuzzyVec":
-        """(self o phi)(b) = join_a self(a) /\\ phi(a, b)."""
-        self.algebra.check_same(phi.algebra)
-        if len(self) != phi.shape[0]:
-            raise ValueError(f"dimension mismatch: vector {len(self)} vs matrix {phi.shape}")
-        universe, (f, m) = _common(self, phi)
-        return FuzzyVec._from_levels(self.algebra, levels.compose(f[None, :], m)[0], universe)
-
-    def compose_vec(self, other: "FuzzyVec") -> Fraction:
-        """self o other = join_a self(a) /\\ other(a)."""
-        self._check_compatible(other)
-        universe, (f, g) = _common(self, other)
-        return universe.values[levels.compose(f[None, :], g[:, None])[0, 0]]
+    compose_mat = compose_vec = _Leveled._compose
 
 
 class FuzzyMat(_Leveled):
@@ -228,45 +225,30 @@ class FuzzyMat(_Leveled):
     def __repr__(self):
         return f"FuzzyMat({[[str(v) for v in row] for row in self.rows]})"
 
-    def _check_compatible(self, other: "FuzzyMat") -> None:
+    def _operands(self, other: "FuzzyMat") -> tuple:
+        """``_common`` of two matrices of one algebra and one shape."""
         self.algebra.check_same(other.algebra)
         if self.shape != other.shape:
             raise ValueError(f"matrix shape mismatch: {self.shape} vs {other.shape}")
+        return _common(self, other)
 
     def meet(self, other: "FuzzyMat") -> "FuzzyMat":
-        self._check_compatible(other)
-        universe, (a, b) = _common(self, other)
+        universe, (a, b) = self._operands(other)
         return FuzzyMat._from_levels(self.algebra, np.minimum(a, b), universe)
 
     def join(self, other: "FuzzyMat") -> "FuzzyMat":
-        self._check_compatible(other)
-        universe, (a, b) = _common(self, other)
+        universe, (a, b) = self._operands(other)
         return FuzzyMat._from_levels(self.algebra, np.maximum(a, b), universe)
 
     def leq(self, other: "FuzzyMat") -> bool:
-        self._check_compatible(other)
-        _, (a, b) = _common(self, other)
+        _, (a, b) = self._operands(other)
         return bool((a <= b).all())
 
     def inverse(self) -> "FuzzyMat":
         """The inverse relation: the transpose."""
         return FuzzyMat._from_levels(self.algebra, self.levels.T, self.universe)
 
-    def compose(self, other: "FuzzyMat") -> "FuzzyMat":
-        """(self o other)(a, c) = join_b self(a, b) /\\ other(b, c)."""
-        self.algebra.check_same(other.algebra)
-        if self.shape[1] != other.shape[0]:
-            raise ValueError(f"dimension mismatch: {self.shape} o {other.shape}")
-        universe, (a, b) = _common(self, other)
-        return FuzzyMat._from_levels(self.algebra, levels.compose(a, b), universe)
-
-    def compose_vec(self, g: FuzzyVec) -> FuzzyVec:
-        """(self o g)(a) = join_b self(a, b) /\\ g(b)."""
-        self.algebra.check_same(g.algebra)
-        if len(g) != self.shape[1]:
-            raise ValueError(f"dimension mismatch: matrix {self.shape} vs vector {len(g)}")
-        universe, (m, v) = _common(self, g)
-        return FuzzyVec._from_levels(self.algebra, levels.compose(m, v[:, None])[:, 0], universe)
+    compose = compose_vec = _Leveled._compose
 
     def is_zero(self) -> bool:
         return not self.levels.any()

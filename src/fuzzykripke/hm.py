@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import levels
 from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, _violations, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
@@ -221,21 +220,18 @@ def invariance_check(
     lv1, lv2 = enum.generator_vectors()
     gens = enum.generator_indices()
     strong_lv = universe.recode(strong.universe, strong.levels)
-    worlds = (m1.worlds, m2.worlds)
-    # the (k, n1, n2) bounds in blocks of at most BATCH entries along k; the
-    # first block with a violation holds the first one in row-major order
-    step = max(1, levels.BATCH // max(1, strong_lv.size))
-    for lo in range(0, len(gens), step):
-        bounds = biimplication(
-            lv1[lo : lo + step, :, None], lv2[lo : lo + step, None, :], universe.top
-        )
-        found = _violations(np.broadcast_to(strong_lv, bounds.shape), bounds, worlds, universe)
-        for k, broken in enumerate(found):
+    # the meet of the generators' bounds is E_depth, which the kernel folds
+    # within its memory bound; only when it is broken are they walked, in
+    # order, for the first violation in row-major order
+    if not (strong_lv <= biimplication_fold(lv1.T, lv2.T, universe.top)).all():
+        for k, index in enumerate(gens):
+            bound = biimplication(lv1[k, :, None], lv2[k, None, :], universe.top)
+            [broken] = _violations(strong_lv[None], bound[None], (m1.worlds, m2.worlds), universe)
             if broken is not None:
                 return InvarianceReport(
                     sim_type, fragment, len(gens), False,
                     {
-                        "formula": to_text(enum.formula(gens[lo + k])),
+                        "formula": to_text(enum.formula(index)),
                         "pair": broken["pair"],
                         "relation": broken["lhs"],
                         "bound": broken["rhs"],
@@ -281,21 +277,18 @@ def noninvariance_demo(algebra: Optional[Algebra] = None) -> DemoReport:
     Needs three strictly ordered carrier values a < b < c: with variable
     values (b, a) on the left worlds and (c, b) on the right, the greatest
     forward presimulation relates the first worlds to degree 1, yet the
-    implication formula  p -> b  drops from 1 to b across the pair.  On the
-    two-element Boolean algebra no such triple exists (checked exhaustively),
-    so the demo is reported as not applicable there.
+    implication formula  p -> b  drops from 1 to b across the pair.  The
+    triple is the first three carrier values of a finite algebra and 0.6,
+    0.7, 0.8 on Godel; a carrier of two values has none, so the demo is
+    reported as not applicable there.
     """
     if algebra is None:
         algebra = Algebra.godel()
-
-    if algebra.kind == "boolean" or (algebra.kind == "chain" and algebra.levels < 3):
-        carrier = algebra.carrier()
-        witnesses = [
-            (a, b, c)
-            for a in carrier for b in carrier for c in carrier
-            if a < b < c
-        ]
-        assert not witnesses
+    if algebra.is_finite:
+        triple = algebra.carrier()[:3]
+    else:
+        triple = (Fraction(6, 10), Fraction(7, 10), Fraction(8, 10))
+    if len(triple) < 3:
         return DemoReport(
             applicable=False,
             reason=(
@@ -303,12 +296,7 @@ def noninvariance_demo(algebra: Optional[Algebra] = None) -> DemoReport:
                 "values, so the witness pattern cannot be realized"
             ),
         )
-
-    if algebra.kind == "godel":
-        a, b, c = Fraction(6, 10), Fraction(7, 10), Fraction(8, 10)
-    else:
-        carrier = algebra.carrier()
-        a, b, c = carrier[0], carrier[1], carrier[2]
+    a, b, c = triple
 
     x1, y1, x2, y2 = b, c, a, b
     lhs = algebra.meet(algebra.residuum(x1, y1), algebra.residuum(x2, y2))

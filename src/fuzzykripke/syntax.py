@@ -241,36 +241,44 @@ def to_text(f: Formula) -> str:
     """Render a formula; ``parse(to_text(f))`` reproduces ``f`` exactly.
 
     Each distinct node is rendered once, with its precedence, and its
-    parent adds parentheses where the operand binds too loosely.  A text
-    longer than :data:`MAX_TEXT` raises :class:`ValueError` before it is
-    built."""
+    parent adds parentheses where the operand binds too loosely.  A first
+    walk sums the lengths alone, so a text longer than :data:`MAX_TEXT`
+    raises :class:`ValueError` before any text is built."""
 
-    def visit(node, *kids):
-        if type(node) in _PRECEDENCE:
-            level = _PRECEDENCE[type(node)]
-            spelling, _, right, _ = _BINARY[level]
-            (left, left_level), (rest, rest_level) = kids
-            wrap_left, wrap_rest = left_level < level + right, rest_level < level + (not right)
-            _fits(len(left) + len(spelling) + len(rest) + 2 + 2 * (wrap_left + wrap_rest))
-            if wrap_left:
-                left = f"({left})"
-            if wrap_rest:
-                rest = f"({rest})"
-            return f"{left} {spelling} {rest}", level
-        if kids:
-            text, level = kids[0]
-            head = f"{_MODALITIES[type(node)].head}_{node.index} "
-            wrap = level < _UNARY
-            _fits(len(head) + len(text) + 2 * wrap)
-            return head + (f"({text})" if wrap else text), _UNARY
-        return (format_value(node.value) if isinstance(node, Const) else node.name), _UNARY
+    def size(node, *kids):
+        parts, level = _layout(node, *kids)
+        total = sum(p if isinstance(p, int) else len(p) for p in parts)
+        if total > MAX_TEXT:
+            raise ValueError(f"formula text of {total} characters is longer than {MAX_TEXT}")
+        return total, level
 
-    return _fold([f], visit)[0][0]
+    def text(node, *kids):
+        parts, level = _layout(node, *kids)
+        return "".join(parts), level
+
+    _fold([f], size)
+    return _fold([f], text)[0][0]
 
 
-def _fits(size: int) -> None:
-    if size > MAX_TEXT:
-        raise ValueError(f"formula text of {size} characters is longer than {MAX_TEXT}")
+def _layout(node: Formula, *kids) -> tuple[list, int]:
+    """The parts of the text of ``node`` from the ``(part, precedence)`` of
+    each operand, in order and in parentheses where the operand binds too
+    loosely, and the precedence of ``node``."""
+    if type(node) in _PRECEDENCE:
+        level = _PRECEDENCE[type(node)]
+        spelling, _, right, _ = _BINARY[level]
+        (left, left_level), (rest, rest_level) = kids
+        return [*_wrap(left, left_level < level + right), f" {spelling} ",
+                *_wrap(rest, rest_level < level + (not right))], level
+    if kids:
+        [(text, level)] = kids
+        head = f"{_MODALITIES[type(node)].head}_{node.index} "
+        return [head, *_wrap(text, level < _UNARY)], _UNARY
+    return [format_value(node.value) if isinstance(node, Const) else node.name], _UNARY
+
+
+def _wrap(part, wrap: bool) -> tuple:
+    return ("(", part, ")") if wrap else (part,)
 
 
 class ParseError(ValueError):
@@ -518,7 +526,7 @@ class FormulaEnumeration:
     depth is always a prefix of a higher one.
     When the class budget is exhausted, ``truncated`` flips to True and
     generation stops.  ``dense`` tells whether known rows are marked in a
-    dense key table.
+    dense key table.  ``models`` is the pair ``(m1, m2)``.
 
     ``depth`` is the modal depth the class list reaches.  The classes of
     that newest depth start at one cursor; :meth:`extend_generators` can
@@ -538,6 +546,7 @@ class FormulaEnumeration:
         if budget < 1:
             raise ValueError(f"budget must be positive, got {budget}")
         check_comparable(m1, m2)
+        self.models = (m1, m2)
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)
         self.budget = budget

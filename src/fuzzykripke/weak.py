@@ -147,9 +147,11 @@ def enumerated_weak(
 
     One representative per class gives the same folds as the whole class,
     because the formulae of a class have equal vectors on both models.
+    An enumeration over another pair is refused.
     """
-    check_comparable(m1, m2)
     _nonempty(enum)
+    if enum.models != (m1, m2):
+        raise ValueError("the enumeration is over another model pair")
     return _weak_report(m1, m2, enum.universe, *enum.level_vectors())
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,52 @@ def test_vector_matrix_exchange(rng):
         g = rand_vec(rng, GODEL, m)
         assert f.compose_mat(phi).values == phi.inverse().compose_vec(f).values
         assert g.compose_mat(phi.inverse()).values == phi.compose_vec(g).values
+
+
+def test_every_arity_matches_the_reference_product(rng):
+    # a vector on the left is one row and a vector on the right one column
+    def row(f):
+        return FuzzyMat(f.algebra, [f.values])
+
+    def column(g):
+        return FuzzyMat(g.algebra, [[v] for v in g.values])
+
+    for _ in range(300):
+        k, n, m = (rand_dims(rng) for _ in range(3))
+        a, b = rand_mat(rng, GODEL, k, n), rand_mat(rng, GODEL, n, m)
+        f, g, h = rand_vec(rng, GODEL, k), rand_vec(rng, GODEL, n), rand_vec(rng, GODEL, n)
+        cases = [
+            (a.compose(b), FuzzyMat, mm_oracle(a, b)),
+            (f.compose_mat(a), FuzzyVec, mm_oracle(row(f), a)[0]),
+            (a.compose_vec(g), FuzzyVec, [r[0] for r in mm_oracle(a, column(g))]),
+            (h.compose_vec(g), Fraction, mm_oracle(row(h), column(g))[0][0]),
+        ]
+        for got, kind, want in cases:
+            assert type(got) is kind
+            if kind is FuzzyMat:
+                got = list(map(list, got.rows))
+            elif kind is FuzzyVec:
+                got = list(got.values)
+            assert got == want
+
+
+def test_mixed_algebras_raise_before_a_bad_inner_dimension():
+    one = Fraction(1)
+    mat, vec = FuzzyMat(GODEL, [[one, one]]), FuzzyVec(GODEL, [one] * 3)
+    for other in (Algebra.boolean(), GODEL):
+        arities = [
+            (lambda: mat.compose(FuzzyMat(other, [[one]])), "(1, 2) o (1, 1)"),
+            (lambda: vec.compose_mat(FuzzyMat(other, [[one]])), "(3,) o (1, 1)"),
+            (lambda: mat.compose_vec(FuzzyVec(other, [one] * 3)), "(1, 2) o (3,)"),
+            (lambda: vec.compose_vec(FuzzyVec(other, [one])), "(3,) o (1,)"),
+        ]
+        for compose, shapes in arities:
+            if other is GODEL:
+                with pytest.raises(ValueError, match=rf"^dimension mismatch: {re.escape(shapes)}$"):
+                    compose()
+            else:
+                with pytest.raises(AlgebraError, match="^mixed algebras: godel vs boolean$"):
+                    compose()
 
 
 # -- residual updates: greatest-solution characterizations ---------------------

@@ -273,6 +273,17 @@ def test_noninvariance_demo_on_three_level_chain():
     assert demo.lhs > demo.rhs
 
 
+def test_noninvariance_demo_takes_the_first_three_carrier_values():
+    for n in range(3, 7):
+        algebra = Algebra.chain(n)
+        demo = noninvariance_demo(algebra)
+        a, b, c = algebra.carrier()[:3]
+        assert demo.applicable
+        assert demo.quadruple == (b, c, a, b)
+        assert demo.lhs > demo.rhs
+        assert demo.presim_value > demo.invariance_bound
+
+
 def test_noninvariance_demo_not_applicable_on_boolean():
     for algebra in (Algebra.boolean(), Algebra.chain(2)):
         demo = noninvariance_demo(algebra)

@@ -1,8 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private name the library defines is used somewhere in it.
 
-An ``ast`` check, so it needs no linter.  A name counts as used when the
-module loads it anywhere, names it inside a quoted annotation, or lists it
-in ``__all__`` (a re-export).
+``ast`` checks, so they need no linter.  An imported name counts as used
+when the module loads it anywhere, names it inside a quoted annotation, or
+lists it in ``__all__`` (a re-export).  A private function, class, constant
+or method counts as used when any library module loads it, as a name or as
+an attribute.
 """
 
 import ast
@@ -73,3 +76,66 @@ def test_the_check_sees_quoted_annotations_and_reexports():
     )
     used = referenced(tree)
     assert [name for name in imported(tree) if name not in used] == ["D", "E"]
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The private module-level functions, classes and constants of a
+    module and the private methods of its classes, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update((m.name, m.lineno) for m in node.body if isinstance(m, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in names.items() if private(name)}
+
+
+def loaded(tree: ast.Module) -> set[str]:
+    """Every name the module loads, alone or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    used = set().union(*map(loaded, trees.values()))
+    dead = [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree).items()
+        if name not in used
+    ]
+    assert not dead, f"private names used nowhere in the library: {', '.join(dead)}"
+
+
+def test_the_private_name_check_sees_attributes_and_skips_dunders():
+    tree = ast.parse(
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "class _Base:\n"
+        "    def __init__(self):\n"
+        "        self._store = _helper()\n"
+        "    def _check(self):\n"
+        "        pass\n"
+        "    def _compose(self, other):\n"
+        "        return other\n"
+        "class Public(_Base):\n"
+        "    compose = _Base._compose\n"
+    )
+    defined = private_definitions(tree)
+    assert sorted(defined) == ["_Base", "_LIMIT", "_UNUSED", "_check", "_compose", "_helper"]
+    assert [name for name in defined if name not in loaded(tree)] == ["_UNUSED", "_check"]

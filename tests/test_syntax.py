@@ -213,6 +213,27 @@ def test_a_text_past_the_bound_is_refused_before_it_is_built(monkeypatch):
         monkeypatch.undo()
 
 
+def test_a_refused_text_is_measured_not_built():
+    # the lengths are summed before any text is built: the 34-term refusal
+    # stays small, and the 14-term text is the one printed before
+    import hashlib
+    import tracemalloc
+
+    too_long = parse(" | ".join(["p"] * 34))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^formula text of 51018317 characters"):
+            to_text(too_long)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    text = to_text(parse(" | ".join(["p"] * 14)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "363680d726fcf3de6f1bf8f52ee45fb3df39b7f6cec95d4fac1ea626b0ac7184"
+    )
+
+
 # -- corpus files ---------------------------------------------------------------
 
 

@@ -200,6 +200,22 @@ def test_enumerated_weak_rejects_an_empty_enumeration():
             FormulaEnumeration(a, b, Fragment.PLUS, budget)
 
 
+def test_enumerated_weak_refuses_an_enumeration_of_another_pair():
+    # an enumeration over sim_showcase has 638 classes at depth 1; folded
+    # against backward_only it would give a 3 x 3 matrix for a 3 x 2 pair
+    a, b = load_pair("sim_showcase")
+    enum = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    other = load_pair("backward_only")
+    with pytest.raises(ValueError, match="^the enumeration is over another model pair$"):
+        enumerated_weak(*other, enum)
+    with pytest.raises(ValueError, match="^the enumeration is over another model pair$"):
+        enumerated_weak(b, a, enum)
+    assert enumerated_weak(a, b, enum).formula_count == len(enum) == 638
+    # the pair may be equal copies of the models the enumeration was built over
+    copies = load_pair("sim_showcase")
+    assert enumerated_weak(*copies, enum).to_dict() == enumerated_weak(a, b, enum).to_dict()
+
+
 def test_relation_checks_report_a_wrong_shape():
     a, b = load_pair("fully_equivalent")
     phi = ones(a.algebra, (2, 2))
