@@ -185,6 +185,7 @@ class InvarianceReport:
     sim_type: SimType
     fragment: Fragment
     formulas_checked: int
+    truncated: bool  # the budget cut the enumeration short of ``depth``
     holds: bool
     violation: Optional[dict]
 
@@ -229,7 +230,7 @@ def invariance_check(
             [broken] = _violations(strong_lv[None], bound[None], (m1.worlds, m2.worlds), universe)
             if broken is not None:
                 return InvarianceReport(
-                    sim_type, fragment, len(gens), False,
+                    sim_type, fragment, len(gens), enum.truncated, False,
                     {
                         "formula": to_text(enum.formula(index)),
                         "pair": broken["pair"],
@@ -237,7 +238,7 @@ def invariance_check(
                         "bound": broken["rhs"],
                     },
                 )
-    return InvarianceReport(sim_type, fragment, len(gens), True, None)
+    return InvarianceReport(sim_type, fragment, len(gens), enum.truncated, True, None)
 
 
 @dataclass

@@ -477,12 +477,12 @@ def _converse_residuum(x, y, top):
 
 # the binary closure, in generation order: the constructor of the class,
 # whether the class of the pair (i, j) has args (i, j), (j, i) or the sorted
-# pair, and the level function of the connective on (row i, row j)
+# pair, and the level function of the connective on (row i, row j).  No <->:
+# (A -> B) & (B -> A) is a meet of two classes the closure holds
 _CONNECTIVES = (
     (And, "sorted", _meet),
     (Implies, "forward", levels.residuum),
     (Implies, "converse", _converse_residuum),
-    (iff, "sorted", levels.biimplication),
 )
 
 
@@ -616,29 +616,26 @@ class FormulaEnumeration:
             return block.astype(self._radix.dtype) @ self._radix
         return np.ascontiguousarray(block).view(self._row_bytes).reshape(-1)
 
-    def _pair_keys(self, lhs: np.ndarray, rows: np.ndarray):
-        """Per connective, in order, the flat keys (a * len(rows) + b) of
-        combining row ``lhs[a]`` with row ``rows[b]``.
+    def _pair_keys(self, c: int, lhs: np.ndarray, rows: np.ndarray, digits) -> np.ndarray:
+        """The flat keys (a * len(rows) + b) of combining row ``lhs[a]`` with
+        row ``rows[b]`` under connective ``c`` of ``_CONNECTIVES``.
 
-        The sorted-key fallback forms each candidate block.  The dense path
-        forms one only when ``rows`` is small; otherwise it sums the keys
-        from the parts of :meth:`_pair_parts`.
+        The sorted-key fallback forms the candidate block.  The dense path
+        forms one when ``rows`` is small and ``digits`` None; else it sums
+        the parts of :meth:`_pair_parts` at ``digits``, from :meth:`_digit_groups`.
         """
         if not self.dense:
-            top, width = self.universe.top, rows.shape[1]
-            for _, _, fn in _CONNECTIVES:
-                yield self._keys(fn(lhs[:, None, :], rows[None, :, :], top).reshape(-1, width))
-        elif rows.size <= _SMALL:
-            keys = self._tables[:, lhs[:, None, :], rows[None, :, :]] @ self._radix
-            yield from keys.reshape(len(keys), -1)
-        else:
-            groups, digits = self._digit_groups(rows)
-            parts = self._pair_parts(lhs, groups)
-            for c in range(len(self._tables)):
-                keys = np.take(parts[0][c], digits[0], axis=1)
-                for group, group_digits in zip(parts[1:], digits[1:]):
-                    keys += np.take(group[c], group_digits, axis=1)
-                yield keys.reshape(-1)
+            fn = _CONNECTIVES[c][2]
+            block = fn(lhs[:, None, :], rows[None, :, :], self.universe.top)
+            return self._keys(block.reshape(-1, rows.shape[1]))
+        if digits is None:
+            return (self._tables[c][lhs[:, None, :], rows[None, :, :]] @ self._radix).reshape(-1)
+        groups, digits = digits
+        parts = self._pair_parts(self._tables[c][lhs], groups)
+        keys = np.take(parts[0], digits[0], axis=1)
+        for group, group_digits in zip(parts[1:], digits[1:]):
+            keys += np.take(group, group_digits, axis=1)
+        return keys.reshape(-1)
 
     def _digit_groups(self, rows: np.ndarray) -> tuple[list, np.ndarray]:
         """The column groups of :meth:`_pair_parts` for pairing with ``rows``,
@@ -658,25 +655,23 @@ class FormulaEnumeration:
             place[k, cols] = size ** np.arange(len(cols) - 1, -1, -1)
         return groups, place @ rows.T.astype(np.intp)
 
-    def _pair_parts(self, lhs: np.ndarray, groups: list) -> list:
+    def _pair_parts(self, table_rows: np.ndarray, groups: list) -> list:
         """Per column group, the key parts of combining ``lhs`` rows with rows
         that spell each digit string on the group's columns.
 
-        Entry (connective, a, s) of a group's parts is the part of the radix
-        key of ``tables[connective][lhs[a], row]`` that the group's columns
-        contribute, for any row spelling s there.  The key of ``lhs[a]``
-        with row b is the sum over groups of the entry at b's digits, so the
-        (a, b, width) candidate block is never formed.
+        ``table_rows`` is one connective's ``table[lhs]``.  Entry (a, s) of
+        a group's parts is the part of the radix key of ``table[lhs[a], row]``
+        that the group's columns contribute, for any row spelling s there.
+        The key of ``lhs[a]`` with row b is the sum over groups of the entry
+        at b's digits, so the (a, b, width) candidate block is never formed.
         """
-        # (connective, a, column, level): each column's weighted table row
-        weighted = self._tables[:, lhs] * self._radix[:, None]
+        # (a, column, level): each column's weighted table row
+        weighted = table_rows * self._radix[:, None]
         out = []
         for cols in groups:
-            parts = weighted[:, :, cols[0]]
+            parts = weighted[:, cols[0]]
             for c in cols[1:]:
-                parts = (parts[..., None] + weighted[:, :, c, None, :]).reshape(
-                    len(self._tables), len(lhs), -1
-                )
+                parts = (parts[..., None] + weighted[:, c, None, :]).reshape(len(weighted), -1)
             out.append(parts)
         return out
 
@@ -715,7 +710,7 @@ class FormulaEnumeration:
         self._rows[self._count : self._count + k] = rows
         self._ops.extend([op] * k)
         self._args.extend(args)
-        if op not in (And, Implies, iff):
+        if op not in (And, Implies):
             self._gen_rows.extend(range(self._count, self._count + k))
         self._count += k
 
@@ -744,9 +739,10 @@ class FormulaEnumeration:
         """Close rows[start:] under the binary connectives against everything.
 
         Each pass pairs the newest rows against a snapshot of the whole
-        store; rows born during a pass form the next frontier, so every pair
-        is eventually combined.  Candidates are produced in fixed-size
-        batches to bound peak memory.
+        store, one connective at a time over all of them, the pairs (new i,
+        known j) in row-major order; rows born during a pass form the next
+        frontier, so every pair is eventually combined.  Chunks of new rows
+        bound peak memory, and do not change the order.
         """
         top = self.universe.top
         width = self._rows.shape[1]
@@ -754,11 +750,11 @@ class FormulaEnumeration:
             n_all = self._count
             all_rows = self._rows[:n_all].copy()
             chunk = max(1, levels.BATCH // max(1, n_all * width))
-            for base in range(start, n_all, chunk):
-                lhs = all_rows[base : base + chunk]
-                pair_keys = self._pair_keys(lhs, all_rows)
-                for (op, order, fn), keys in zip(_CONNECTIVES, pair_keys):
-                    fresh = self._absorb(keys)
+            digits = self._digit_groups(all_rows) if self.dense and all_rows.size > _SMALL else None
+            for c, (op, order, fn) in enumerate(_CONNECTIVES):
+                for base in range(start, n_all, chunk):
+                    lhs = all_rows[base : base + chunk]
+                    fresh = self._absorb(self._pair_keys(c, lhs, all_rows, digits))
                     if fresh.size:
                         i, j = base + fresh // n_all, fresh % n_all
                         rows = fn(all_rows[i], all_rows[j], top)
@@ -855,12 +851,12 @@ class FormulaEnumeration:
     def generator_indices(self) -> tuple[int, ...]:
         """Indices of the atomic and modal classes, in enumeration order.
 
-        The biimplication of a conjunction, implication or equivalence is
-        bounded below by the meet of the biimplications of the parts (a
-        Heyting congruence law), so a meet of per-formula biimplications
-        over all formulae of depth <= d equals the meet over just these
-        generator classes.  Biimplication folds can skip the binary rows;
-        residuum folds cannot (the law fails one-sidedly for implication).
+        The biimplication of a conjunction or implication is bounded below
+        by the meet of the biimplications of the parts (a Heyting
+        congruence law), so a meet of per-formula biimplications over all
+        formulae of depth <= d equals the meet over just these generator
+        classes.  Biimplication folds can skip the binary rows; residuum
+        folds cannot (the law fails one-sidedly for implication).
         """
         return tuple(self._gen_rows)
 

@@ -1,6 +1,7 @@
 """Command line interface: outputs, file handling, and the exit-code contract."""
 
 import gc
+import hashlib
 import io
 import json
 import os
@@ -123,6 +124,29 @@ def test_weak_fragment_enumerates(capsys):
     doc = json.loads(out)
     assert doc["bisimulation_exists"] and doc["equivalent"]
     assert doc["formula_count"] > 2
+
+
+# the exit code and the sha256 of the JSON report of each enumerated weak
+# job of the benchmark's expressivity workload
+WEAK_FRAGMENT_DIGESTS = {
+    ("sim_showcase", "full", 1): (1, "859c4c3be3d11c8c44e647d2e3c65d40cf9130f058b144b3ace39d2988c8613b"),
+    ("sim_showcase", "plus", 2): (1, "963713047b4e5a4f3da5b79fcf8bd5dd08a725cb3d10a36e4d96e7af3c677391"),
+    ("backward_only", "full", 1): (1, "ae1442ae68d980b9a37024de386c728e2edb391ece75aef43a6d70a4ec1d65c2"),
+    ("fully_equivalent", "full", 1): (0, "f5fde67f5e168b1dd1b65419e8b5e628e68d0597ac7d484fe1f77f2cfcb65417"),
+    ("fully_equivalent", "plus", 2): (0, "f5fde67f5e168b1dd1b65419e8b5e628e68d0597ac7d484fe1f77f2cfcb65417"),
+    ("crisp_pair", "full", 1): (0, "84c2db85085e04b4f2922a1033e1a9ce7aa267d0468f9316d4aa0d53cc59792c"),
+    ("crisp_pair", "plus", 2): (0, "84c2db85085e04b4f2922a1033e1a9ce7aa267d0468f9316d4aa0d53cc59792c"),
+}
+
+
+@pytest.mark.parametrize("name, fragment, depth", list(WEAK_FRAGMENT_DIGESTS))
+def test_weak_fragment_json_bytes_are_pinned(capsys, name, fragment, depth):
+    """The class order of an enumeration may change, its class set may not:
+    the reports are the same byte for byte."""
+    pair = [str(fixture_path(f"{name}_{side}.json")) for side in "ab"]
+    argv = ("weak", "--fragment", fragment, "--depth", str(depth), *pair, "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == WEAK_FRAGMENT_DIGESTS[name, fragment, depth]
 
 
 def test_weak_text_reports_what_the_json_reports(capsys):

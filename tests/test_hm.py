@@ -197,6 +197,16 @@ def test_invariance_on_bundled_pairs():
             assert rep.formulas_checked > 0
 
 
+def test_invariance_reports_a_budget_cut():
+    # 50 classes stop the enumeration at depth 0: the bound holds on the 9
+    # generators it reached, but not every formula to depth 2 was checked
+    a, b = load_pair("sim_showcase")
+    cut = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=2, budget=50)
+    assert cut.holds and cut.truncated and cut.formulas_checked == 9
+    whole = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=2)
+    assert whole.holds and not whole.truncated and whole.formulas_checked == 101
+
+
 def test_invariance_on_random_pairs(rng):
     for _ in range(50):
         a, b = random_pair(rng, Algebra.chain(3))

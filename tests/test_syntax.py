@@ -480,16 +480,17 @@ def test_generator_rows_are_exactly_the_non_binary_classes():
 # The known rows are kept either in a dense table of mixed-radix keys, with
 # candidate keys summed from the connective tables, or in a sorted array of
 # keys (radix integers, or row bytes when a key would not fit in an int64).
-# The class list may not depend on which.
+# The class list may depend neither on which nor on the memory bound.
 
 
 def fallback_keys(kind):
-    """A replacement for ``syntax._row_keys`` that never takes the dense table."""
+    """A replacement for ``syntax._row_keys`` that never takes the dense
+    table, or with ``kind`` "dense" always takes it."""
     row_keys = sx._row_keys
 
     def layout(size, width):
         radix, _ = row_keys(size, width)
-        return (radix if kind == "radix" else None), False
+        return (None if kind == "bytes" else radix), kind == "dense"
 
     return layout
 
@@ -536,14 +537,15 @@ class _Full(Exception):
     pass
 
 
-def reference_class_list(a, b, fragment, depth, budget):
+def reference_class_list(a, b, fragment, depth, budget, iff=False, generators=False):
     """The enumeration spelled out with Python loops and a set of rows.
 
-    Atoms (constants, then variables); then per pass, per block of new rows
-    (blocks as large as levels.BATCH allows), per connective, every pair
-    (new row i, known row j) in row-major order; then per depth the modal
-    rows of every class, index by index, and their closure.  A row joins
-    the first time it occurs, while the budget lasts.
+    Atoms (constants, then variables); then per pass, per connective, every
+    pair (new row i, known row j) in row-major order; then per depth the
+    modal rows of every class, index by index, and their closure.  A row
+    joins the first time it occurs, while the budget lasts.  With ``iff``
+    the closure also takes A <-> B, as the enumerator once did; with
+    ``generators`` the last depth is left open, as extend_generators leaves it.
     """
     e = FormulaEnumeration(a, b, fragment, budget=1)  # for its vocabulary only
     top = int(e.universe.top)
@@ -563,17 +565,15 @@ def reference_class_list(a, b, fragment, depth, budget):
         (lambda x, y: top if y <= x else x, lambda i, j: Implies(formulas[j], formulas[i])),
         (lambda x, y: top if x == y else min(x, y),
          lambda i, j: sx.iff(formulas[min(i, j)], formulas[max(i, j)])),
-    )
+    )[: 4 if iff else 3]
 
     def saturate(start):
         while start < len(rows):
-            n_all, width = len(rows), len(rows[0])
-            chunk = max(1, levels.BATCH // max(1, n_all * width))
-            for base in range(start, n_all, chunk):
-                for op, node in connectives:
-                    for i in range(base, min(base + chunk, n_all)):
-                        for j in range(n_all):
-                            add(tuple(map(op, rows[i], rows[j])), node(i, j))
+            n_all = len(rows)
+            for op, node in connectives:
+                for i in range(start, n_all):
+                    for j in range(n_all):
+                        add(tuple(map(op, rows[i], rows[j])), node(i, j))
             start = n_all
 
     encode = e.universe.encode
@@ -585,7 +585,7 @@ def reference_class_list(a, b, fragment, depth, budget):
         for p in e.variables:
             add(tuple(val1[p].tolist() + val2[p].tolist()), Var(p))
         saturate(0)
-        for _ in range(depth):
+        for d in range(depth):
             snap = len(rows)
             lv = np.array(rows, dtype=e.universe.dtype)
             for idx in e.indices:
@@ -598,7 +598,8 @@ def reference_class_list(a, b, fragment, depth, budget):
                                         box=m.box, inverse=m.inverse)
                     for k, row in enumerate(np.hstack([out1, out2]).tolist()):
                         add(tuple(row), node(idx, formulas[k]))
-            saturate(snap)
+            if not (generators and d == depth - 1):
+                saturate(snap)
     except _Full:
         return rows, formulas, True
     return rows, formulas, False
@@ -648,6 +649,62 @@ def test_depth_three_matches_the_loop_reference_directly_and_staged(algebra, n1,
     assert grew  # depth 3 made classes that depth 2 did not
 
 
+def assert_the_classes_of_the_four_connective_closure(a, b, fragment, depth):
+    """Closed at every depth up to ``depth`` and open at every depth up to
+    ``depth + 1``, the enumeration has the class count and row set of the
+    closure that also takes <->: A <-> B is (A -> B) & (B -> A).
+
+    The reference lists the classes of each depth after those of the
+    depths below, the modal ones first, so each stage is a prefix of it."""
+    rows, formulas, truncated = reference_class_list(
+        a, b, fragment, depth + 1, sx.BUDGET, iff=True, generators=True
+    )
+    assert not truncated
+    depths = [(modal_depth(f), type(f) in sx._MODALITIES) for f in formulas]
+    for generators in (False, True):
+        e = FormulaEnumeration(a, b, fragment)
+        for d in range(int(generators), depth + 1 + generators):  # depth 0 is never open
+            (e.extend_generators if generators else e.extend_to_depth)(d)
+            n = sum(k < d or k == d and (modal or not generators) for k, modal in depths)
+            assert not e.truncated and e.depth == d and len(e) == n
+            assert set(map(tuple, np.hstack(e.level_vectors()).tolist())) == set(rows[:n])
+
+
+def test_the_core_connectives_close_the_classes():
+    assert all(op in (And, Implies) for op, _, _ in sx._CONNECTIVES)
+
+
+@pytest.mark.parametrize("algebra", ["boolean", "chain:3", "chain:5", "godel"])
+def test_seeded_pairs_have_the_classes_of_the_four_connective_closure(algebra):
+    alg = Algebra.from_spec(algebra)
+    rng = random.Random(f"iff-{algebra}")
+    pool = GODEL_ENUM_POOL if algebra == "godel" else None
+    for _ in range(4):
+        a, b = random_pair(rng, alg, 2, pool=pool)
+        for fragment in ("plus", "minus", "full"):
+            assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), 1)
+
+
+def test_path_pairs_have_the_classes_of_the_four_connective_closure():
+    for algebra, n1, n2, weight, end, depth in (
+        ("boolean", 5, 4, "1", "1", 2), ("chain:3", 4, 3, "0.5", "1", 1), ("godel", 3, 2, "0.7", "0.3", 1)
+    ):
+        a = path_model(algebra, n1, weight, end, "s")
+        b = path_model(algebra, n2, weight, end, "t")
+        for fragment in ("plus", "minus", "full"):
+            assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), depth)
+
+
+@pytest.mark.parametrize(
+    "name, depth",
+    [("crisp_pair", 3), ("fully_equivalent", 3), ("backward_only", 0), ("sim_showcase", 0)],
+)
+def test_bundled_pairs_have_the_classes_of_the_four_connective_closure(name, depth):
+    a, b = load_pair(name)
+    for fragment in ("plus", "minus", "full"):
+        assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), depth)
+
+
 def test_pairs_past_the_int64_bound_take_byte_keys_by_themselves():
     # 11 values over 10 + 9 worlds: a radix key would need 11**19 > 2**63
     alg = Algebra.godel()
@@ -668,13 +725,27 @@ def test_showcase_takes_the_dense_path_below_the_batch_bound(monkeypatch):
     a, b = showcase()
     dense = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
     assert dense.dense
-    # with a key table larger than BATCH the sorted-key fallback runs; its
-    # blocks are smaller, so the order may differ, but not the classes
+    # with a key table larger than BATCH the sorted-key fallback runs, in
+    # smaller chunks, to the same class list
     monkeypatch.setattr(levels, "BATCH", len(dense.values) ** 5)
     small = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
     assert not small.dense
-    rows = sorted(map(tuple, np.hstack(dense.level_vectors()).tolist()))
-    assert sorted(map(tuple, np.hstack(small.level_vectors()).tolist())) == rows
+    assert class_list(small) == class_list(dense)
+
+
+@pytest.mark.parametrize("kind", ["dense", "radix", "bytes"])
+def test_the_class_list_does_not_depend_on_the_memory_bound(monkeypatch, kind):
+    """A pass absorbs one connective over all its new rows before the
+    next, so the chunks that levels.BATCH cuts it into keep the order."""
+    a, b = showcase()
+    monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+    lists = []
+    for batch in (1 << 23, 1 << 12):
+        monkeypatch.setattr(levels, "BATCH", batch)
+        e = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(2)
+        assert e.dense == (kind == "dense") and len(e) == 950
+        lists.append(class_list(e))
+    assert lists[0] == lists[1]
 
 
 def test_budget_truncation_sets_flag():
