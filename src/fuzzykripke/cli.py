@@ -108,7 +108,10 @@ def cmd_weak(args) -> int:
         report = enumerated_weak(m1, m2, enum.extend_to_depth(args.depth))
 
     def human(out):
-        out.write(f"formulas: {report.formula_count}\n")
+        out.write(f"formulas: {report.formula_count}")
+        if report.truncated:
+            out.write(" (budget exhausted)")
+        out.write("\n")
         out.write("greatest weak presimulation:\n")
         _print_matrix(report.presimulation, report.row_worlds, report.col_worlds, out)
         out.write("greatest weak prebisimulation:\n")

@@ -450,8 +450,11 @@ def parse_corpus(text: str) -> list[Formula]:
 #
 # The class store is one growing (count, width) level matrix, width =
 # n1 + n2, and closing it under the binary connectives pairs every new row
-# against every known row.  Duplicates are found by key.  With L levels a
-# row has the exact mixed-radix key  sum_c row[c] * L**(width-1-c).
+# against every known row, save the pairs whose key the same pass forms
+# earlier: the converse -> of two new rows is a forward one, and the second
+# half of a large frontier skips its meets with the first (:func:`_pairings`).
+# Duplicates are found by key.  With L levels a row has the exact
+# mixed-radix key  sum_c row[c] * L**(width-1-c).
 #
 # When L**width is at most levels.BATCH, a dense boolean table
 # indexed by key marks the known rows, so membership is one gather.  The
@@ -492,6 +495,27 @@ BUDGET = 200_000
 _SMALL = 256
 """Arrays of at most this many entries cost less to compute outright than
 the numpy calls it takes to avoid them."""
+
+
+def _pairings(order: str, start: int, n_all: int) -> list:
+    """The blocks in which a closure pass pairs its new rows start..n_all-1
+    under a connective of ``order``: ``(first, stop, cols)`` pairs the new
+    rows first..stop-1 with the rows ``cols`` (a slice or an index array).
+
+    A skipped pair's key always occurs earlier in the pass, so it never
+    names a class first.  The converse pair (i, j) with j new is the
+    forward pair (j, i), which the forward row combined before, so the
+    converse row takes the rows older than the pass only, and none on the
+    first pass.  The meet is symmetric: a frontier whose halves would
+    repeat more than :data:`_SMALL` pairs is cut in two, and the second
+    half skips its pairs with the first, which the first half formed.
+    """
+    if order == "converse":
+        return [(start, n_all, slice(0, start))] if start else []
+    mid = start + (n_all - start) // 2
+    if order == "forward" or (mid - start) * (n_all - mid) <= _SMALL:
+        return [(start, n_all, slice(0, n_all))]
+    return [(start, mid, slice(0, n_all)), (mid, n_all, np.r_[0:start, mid:n_all])]
 
 
 def _row_keys(size: int, width: int) -> tuple[Optional[np.ndarray], bool]:
@@ -741,30 +765,37 @@ class FormulaEnumeration:
         Each pass pairs the newest rows against a snapshot of the whole
         store, one connective at a time over all of them, the pairs (new i,
         known j) in row-major order; rows born during a pass form the next
-        frontier, so every pair is eventually combined.  Chunks of new rows
-        bound peak memory, and do not change the order.
+        frontier, so every pair is eventually combined.  A pair whose key
+        occurs earlier in the pass is not formed (:func:`_pairings`), and
+        chunks of new rows bound peak memory; neither changes the order.
         """
         top = self.universe.top
         width = self._rows.shape[1]
         while start < self._count and not self.truncated:
             n_all = self._count
             all_rows = self._rows[:n_all].copy()
+            ids = np.arange(n_all)
             chunk = max(1, levels.BATCH // max(1, n_all * width))
             digits = self._digit_groups(all_rows) if self.dense and all_rows.size > _SMALL else None
             for c, (op, order, fn) in enumerate(_CONNECTIVES):
-                for base in range(start, n_all, chunk):
-                    lhs = all_rows[base : base + chunk]
-                    fresh = self._absorb(self._pair_keys(c, lhs, all_rows, digits))
-                    if fresh.size:
-                        i, j = base + fresh // n_all, fresh % n_all
-                        rows = fn(all_rows[i], all_rows[j], top)
-                        if order == "sorted":
-                            i, j = np.minimum(i, j), np.maximum(i, j)
-                        elif order == "converse":
-                            i, j = j, i
-                        self._append(rows, op, list(zip(i.tolist(), j.tolist())))
-                    if self.truncated:
-                        return
+                for first, stop, picked in _pairings(order, start, n_all):
+                    # the partners' rows and digits, and their row numbers
+                    partners = all_rows[picked]
+                    partner_digits = None if digits is None else (digits[0], digits[1][:, picked])
+                    cols = ids[picked]
+                    for base in range(first, stop, chunk):
+                        lhs = all_rows[base : min(base + chunk, stop)]
+                        fresh = self._absorb(self._pair_keys(c, lhs, partners, partner_digits))
+                        if fresh.size:
+                            i, j = base + fresh // len(cols), cols[fresh % len(cols)]
+                            rows = fn(all_rows[i], all_rows[j], top)
+                            if order == "sorted":
+                                i, j = np.minimum(i, j), np.maximum(i, j)
+                            elif order == "converse":
+                                i, j = j, i
+                            self._append(rows, op, list(zip(i.tolist(), j.tolist())))
+                        if self.truncated:
+                            return
             start = n_all
 
     def _close(self) -> None:

@@ -66,6 +66,7 @@ class WeakReport:
     presim_nonempty: bool
     prebisim_nonempty: bool
     equivalent: bool
+    truncated: bool  # a budget cut the enumerated set short of its depth
 
     @property
     def simulation_exists(self) -> bool:
@@ -76,7 +77,7 @@ class WeakReport:
         return self.prebisim_satisfies_condition1 and self.prebisim_nonempty
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "formula_count": self.formula_count,
             "row_worlds": list(self.row_worlds),
             "col_worlds": list(self.col_worlds),
@@ -88,6 +89,9 @@ class WeakReport:
             "bisimulation_exists": self.bisimulation_exists,
             "equivalent": self.equivalent,
         }
+        if self.truncated:
+            out["truncated"] = True
+        return out
 
 
 def _nonempty(formulas):
@@ -97,10 +101,10 @@ def _nonempty(formulas):
     return formulas
 
 
-def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
+def _weak_report(m1, m2, universe: Universe, lv1, lv2, truncated: bool = False) -> WeakReport:
     """The report for a formula set given by its level vectors: row A of
     ``lv1`` (``lv2``) is the vector of formula A over the worlds of ``m1``
-    (``m2``)."""
+    (``m2``); ``truncated`` tells that a budget cut the set short."""
     top = universe.top
     x1, x2 = lv1.T, lv2.T
     presim = residual_fold(x1, x2, top)
@@ -127,6 +131,7 @@ def _weak_report(m1, m2, universe: Universe, lv1, lv2) -> WeakReport:
         presim_nonempty=bool(presim.any()),
         prebisim_nonempty=bool(prebisim.any()),
         equivalent=psi_equivalent(prebisim_matrix),
+        truncated=truncated,
     )
 
 
@@ -147,12 +152,13 @@ def enumerated_weak(
 
     One representative per class gives the same folds as the whole class,
     because the formulae of a class have equal vectors on both models.
-    An enumeration over another pair is refused.
+    The report is ``truncated`` when the enumeration is.  An enumeration
+    over another pair is refused.
     """
     _nonempty(enum)
     if enum.models != (m1, m2):
         raise ValueError("the enumeration is over another model pair")
-    return _weak_report(m1, m2, enum.universe, *enum.level_vectors())
+    return _weak_report(m1, m2, enum.universe, *enum.level_vectors(), enum.truncated)
 
 
 def check_weak(
@@ -233,6 +239,7 @@ class DualityVerdict:
     holds: bool
     forward: FuzzyMat   # closed form on (m1, m2) for the fragment set
     reversed_: FuzzyMat  # closed form on the reversed models for the dual set
+    truncated: bool  # the budget cut the enumerated set short of ``depth``
 
     def __bool__(self):
         return self.holds
@@ -247,8 +254,9 @@ def duality_transfer(
 ) -> DualityVerdict:
     """Reversing both models while dualizing the formula set preserves the
     greatest weak prebisimulation; verified by direct evaluation."""
-    formulas = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth).formulas()
+    enum = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth)
+    formulas = enum.formulas()
     forward = greatest_weak(m1, m2, formulas).prebisimulation
     dual_formulas = [dual(f) for f in formulas]
     reversed_ = greatest_weak(m1.reverse(), m2.reverse(), dual_formulas).prebisimulation
-    return DualityVerdict(forward == reversed_, forward, reversed_)
+    return DualityVerdict(forward == reversed_, forward, reversed_, enum.truncated)

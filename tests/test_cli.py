@@ -167,6 +167,20 @@ def test_weak_text_reports_what_the_json_reports(capsys):
     ]
 
 
+def test_a_budget_cut_weak_run_says_so(capsys):
+    argv = ("weak", "--fragment", "full", "--depth", "2", A, B)
+    code, text, _ = run(capsys, *argv, "--budget", "50")
+    assert text.splitlines()[0] == "formulas: 50 (budget exhausted)"
+    assert (code, text.splitlines()[-1]) == (0, "equivalent: yes")
+    code, out, _ = run(capsys, *argv, "--budget", "50", "--format", "json")
+    assert json.loads(out)["truncated"] is True
+    # the whole set tells the models apart, and its report has no flag
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1 and "truncated" not in json.loads(out)
+    code, text, _ = run(capsys, *argv)
+    assert text.splitlines()[0] == f"formulas: {json.loads(out)['formula_count']}"
+
+
 def test_weak_negative_verdict_exits_1(capsys):
     code, out, _ = run(capsys, "weak", "--fragment", "plus", "--depth", "1", BA, BB, "--format", "json")
     assert code == 1

@@ -216,6 +216,21 @@ def test_enumerated_weak_refuses_an_enumeration_of_another_pair():
     assert enumerated_weak(*copies, enum).to_dict() == enumerated_weak(a, b, enum).to_dict()
 
 
+def test_a_budget_cut_weak_report_says_so():
+    # 50 classes of full/2 cannot tell sim_showcase's models apart; the whole set can
+    a, b = load_pair("sim_showcase")
+    cut = enumerated_weak(a, b, FormulaEnumeration(a, b, Fragment.FULL, 50).extend_to_depth(2))
+    assert cut.truncated and cut.formula_count == 50 and cut.equivalent
+    assert cut.to_dict()["truncated"] is True
+    whole = enumerated_weak(a, b, FormulaEnumeration(a, b, Fragment.FULL).extend_to_depth(2))
+    assert not whole.truncated and not whole.equivalent
+    corpus = greatest_weak(a, b, [parse("p")])
+    for report in (whole, corpus):
+        assert not report.truncated and "truncated" not in report.to_dict()
+    assert duality_transfer(a, b, Fragment.PLUS, depth=1, budget=50).truncated
+    assert not duality_transfer(a, b, Fragment.PLUS, depth=1).truncated
+
+
 def test_relation_checks_report_a_wrong_shape():
     a, b = load_pair("fully_equivalent")
     phi = ones(a.algebra, (2, 2))
