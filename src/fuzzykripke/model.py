@@ -237,11 +237,7 @@ class KripkeModel:
         raw_valuation = _require(data["valuation"], dict, "'valuation' must be an object")
         for name, entries in raw_valuation.items():
             valuation[name] = table.vector(entries, f"valuation of {name!r}")
-        relations, valuation = table.containers(relations, valuation)
-        try:
-            return cls(algebra, worlds, relations, valuation)
-        except ValueError as exc:
-            raise ModelError(str(exc)) from None
+        return cls(algebra, worlds, *table.containers(relations, valuation))
 
     def to_dict(self) -> dict:
         return {

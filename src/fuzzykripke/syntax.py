@@ -449,12 +449,23 @@ def parse_corpus(text: str) -> list[Formula]:
 # kernel of :mod:`.levels`; exact Fractions are recovered at the boundary.
 #
 # The class store is one growing (count, width) level matrix, width =
-# n1 + n2, and closing it under the binary connectives pairs every new row
-# against every known row, save the pairs whose key the same pass forms
-# earlier: the converse -> of two new rows is a forward one, and the second
-# half of a large frontier skips its meets with the first (:func:`_pairings`).
-# Duplicates are found by key.  With L levels a row has the exact
-# mixed-radix key  sum_c row[c] * L**(width-1-c).
+# n1 + n2.  Closing it under the binary connectives pairs each new row x
+# with the rows known when its pass starts: x & y only for the y not made
+# by &, and x -> g only for the generators g (constants, variables and
+# modal rows).  That gives every class of the full square, by pointwise
+# Heyting identities on a chain:
+#
+#   x & (u & z) = (x & u) & z           a meet with a meet splits;
+#   x -> (u & z) = (x -> u) & (x -> z)  so do implications into a meet
+#   x -> (u -> g) = (x & u) -> g        and into an implication.
+#
+# The one pair left, x -> m with x older than the generator m, is
+# /\_c (((m -> c) & x) -> c) over the constants c: each term is at least
+# x -> m, and where x > m the term at c = m is m.  Every row takes its
+# values among 0, 1 and the values the models use, all seeded as
+# constants, so the closure forms each term.  Duplicates are found by
+# key.  With L levels a row has the exact mixed-radix key
+# sum_c row[c] * L**(width-1-c).
 #
 # When L**width is at most levels.BATCH, a dense boolean table
 # indexed by key marks the known rows, so membership is one gather.  The
@@ -474,18 +485,12 @@ def _meet(x, y, top):
     return np.minimum(x, y)
 
 
-def _converse_residuum(x, y, top):
-    return levels.residuum(y, x, top)
-
-
-# the binary closure, in generation order: the constructor of the class,
-# whether the class of the pair (i, j) has args (i, j), (j, i) or the sorted
-# pair, and the level function of the connective on (row i, row j).  No <->:
-# (A -> B) & (B -> A) is a meet of two classes the closure holds
+# the binary closure, in generation order: the constructor of the class of
+# the pair (i, j), args (i, j), and the level function of the connective on
+# (row i, row j).  No <->: (A -> B) & (B -> A) is a meet the closure holds
 _CONNECTIVES = (
-    (And, "sorted", _meet),
-    (Implies, "forward", levels.residuum),
-    (Implies, "converse", _converse_residuum),
+    (And, _meet),
+    (Implies, levels.residuum),
 )
 
 
@@ -495,27 +500,6 @@ BUDGET = 200_000
 _SMALL = 256
 """Arrays of at most this many entries cost less to compute outright than
 the numpy calls it takes to avoid them."""
-
-
-def _pairings(order: str, start: int, n_all: int) -> list:
-    """The blocks in which a closure pass pairs its new rows start..n_all-1
-    under a connective of ``order``: ``(first, stop, cols)`` pairs the new
-    rows first..stop-1 with the rows ``cols`` (a slice or an index array).
-
-    A skipped pair's key always occurs earlier in the pass, so it never
-    names a class first.  The converse pair (i, j) with j new is the
-    forward pair (j, i), which the forward row combined before, so the
-    converse row takes the rows older than the pass only, and none on the
-    first pass.  The meet is symmetric: a frontier whose halves would
-    repeat more than :data:`_SMALL` pairs is cut in two, and the second
-    half skips its pairs with the first, which the first half formed.
-    """
-    if order == "converse":
-        return [(start, n_all, slice(0, start))] if start else []
-    mid = start + (n_all - start) // 2
-    if order == "forward" or (mid - start) * (n_all - mid) <= _SMALL:
-        return [(start, n_all, slice(0, n_all))]
-    return [(start, mid, slice(0, n_all)), (mid, n_all, np.r_[0:start, mid:n_all])]
 
 
 def _row_keys(size: int, width: int) -> tuple[Optional[np.ndarray], bool]:
@@ -605,6 +589,7 @@ class FormulaEnumeration:
         self._ops: list[Callable] = []
         self._args: list = []
         self._gen_rows: list[int] = []
+        self._non_meet_rows: list[int] = []  # the generators and the -> classes
         self._built: list[Formula] = []  # representatives of a prefix of the classes
 
         # the known rows: a dense table of radix keys, or a sorted key array
@@ -613,7 +598,7 @@ class FormulaEnumeration:
             self._seen = np.zeros(len(self.universe) ** width, dtype=bool)
             lv = np.arange(len(self.universe), dtype=self._dt)
             self._tables = np.stack(
-                [fn(lv[:, None], lv[None, :], self.universe.top) for _, _, fn in _CONNECTIVES]
+                [fn(lv[:, None], lv[None, :], self.universe.top) for _, fn in _CONNECTIVES]
             )
         else:
             self._row_bytes = np.dtype((np.void, width * self._dt.itemsize))
@@ -649,7 +634,7 @@ class FormulaEnumeration:
         the parts of :meth:`_pair_parts` at ``digits``, from :meth:`_digit_groups`.
         """
         if not self.dense:
-            fn = _CONNECTIVES[c][2]
+            fn = _CONNECTIVES[c][1]
             block = fn(lhs[:, None, :], rows[None, :, :], self.universe.top)
             return self._keys(block.reshape(-1, rows.shape[1]))
         if digits is None:
@@ -734,8 +719,11 @@ class FormulaEnumeration:
         self._rows[self._count : self._count + k] = rows
         self._ops.extend([op] * k)
         self._args.extend(args)
+        added = range(self._count, self._count + k)
+        if op is not And:
+            self._non_meet_rows.extend(added)
         if op not in (And, Implies):
-            self._gen_rows.extend(range(self._count, self._count + k))
+            self._gen_rows.extend(added)
         self._count += k
 
     def _absorb_block(self, block: np.ndarray, op: Callable, args_for) -> bool:
@@ -760,42 +748,35 @@ class FormulaEnumeration:
             self._absorb_block(block, Var, self.variables.__getitem__)
 
     def _saturate(self, start: int) -> None:
-        """Close rows[start:] under the binary connectives against everything.
+        """Close rows[start:] under the binary connectives.
 
-        Each pass pairs the newest rows against a snapshot of the whole
-        store, one connective at a time over all of them, the pairs (new i,
-        known j) in row-major order; rows born during a pass form the next
-        frontier, so every pair is eventually combined.  A pair whose key
-        occurs earlier in the pass is not formed (:func:`_pairings`), and
-        chunks of new rows bound peak memory; neither changes the order.
+        Each pass pairs its new rows with the rows known when it starts,
+        one connective at a time, the pairs (new i, partner j) in row-major
+        order: under & the partners are the rows not made by &, under ->
+        the generators (see the comment above :data:`_CONNECTIVES`).  Rows
+        born during a pass form the next frontier.  Chunks of new rows
+        bound peak memory and do not change the order.
         """
         top = self.universe.top
         width = self._rows.shape[1]
         while start < self._count and not self.truncated:
             n_all = self._count
-            all_rows = self._rows[:n_all].copy()
-            ids = np.arange(n_all)
-            chunk = max(1, levels.BATCH // max(1, n_all * width))
-            digits = self._digit_groups(all_rows) if self.dense and all_rows.size > _SMALL else None
-            for c, (op, order, fn) in enumerate(_CONNECTIVES):
-                for first, stop, picked in _pairings(order, start, n_all):
-                    # the partners' rows and digits, and their row numbers
-                    partners = all_rows[picked]
-                    partner_digits = None if digits is None else (digits[0], digits[1][:, picked])
-                    cols = ids[picked]
-                    for base in range(first, stop, chunk):
-                        lhs = all_rows[base : min(base + chunk, stop)]
-                        fresh = self._absorb(self._pair_keys(c, lhs, partners, partner_digits))
-                        if fresh.size:
-                            i, j = base + fresh // len(cols), cols[fresh % len(cols)]
-                            rows = fn(all_rows[i], all_rows[j], top)
-                            if order == "sorted":
-                                i, j = np.minimum(i, j), np.maximum(i, j)
-                            elif order == "converse":
-                                i, j = j, i
-                            self._append(rows, op, list(zip(i.tolist(), j.tolist())))
-                        if self.truncated:
-                            return
+            all_rows = self._rows[:n_all]
+            partners_of = (np.array(self._non_meet_rows), np.array(self._gen_rows))
+            for c, ((op, fn), cols) in enumerate(zip(_CONNECTIVES, partners_of)):
+                partners = all_rows[cols]
+                large = self.dense and partners.size > _SMALL
+                digits = self._digit_groups(partners) if large else None
+                chunk = max(1, levels.BATCH // (len(cols) * width))
+                for base in range(start, n_all, chunk):
+                    lhs = all_rows[base : min(base + chunk, n_all)]
+                    fresh = self._absorb(self._pair_keys(c, lhs, partners, digits))
+                    if fresh.size:
+                        i, j = base + fresh // len(cols), cols[fresh % len(cols)]
+                        rows = fn(all_rows[i], all_rows[j], top)
+                        self._append(rows, op, list(zip(i.tolist(), j.tolist())))
+                    if self.truncated:
+                        return
             start = n_all
 
     def _close(self) -> None:

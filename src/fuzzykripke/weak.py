@@ -253,10 +253,10 @@ def duality_transfer(
     budget: int = BUDGET,
 ) -> DualityVerdict:
     """Reversing both models while dualizing the formula set preserves the
-    greatest weak prebisimulation; verified by direct evaluation."""
+    greatest weak prebisimulation: the forward side is folded from the
+    class vectors, the dual side by evaluating the dual formulae."""
     enum = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth)
-    formulas = enum.formulas()
-    forward = greatest_weak(m1, m2, formulas).prebisimulation
-    dual_formulas = [dual(f) for f in formulas]
+    forward = enumerated_weak(m1, m2, enum).prebisimulation
+    dual_formulas = [dual(f) for f in enum.formulas()]
     reversed_ = greatest_weak(m1.reverse(), m2.reverse(), dual_formulas).prebisimulation
     return DualityVerdict(forward == reversed_, forward, reversed_, enum.truncated)

@@ -537,43 +537,67 @@ class _Full(Exception):
     pass
 
 
-def reference_class_list(a, b, fragment, depth, budget, iff=False, generators=False):
+def reference_class_list(a, b, fragment, depth, budget, square=False, iff=False,
+                         generators=False, origins=None):
     """The enumeration spelled out with Python loops and a set of rows.
 
-    Atoms (constants, then variables); then per pass, per connective, every
-    pair (new row i, known row j) in row-major order; then per depth the
-    modal rows of every class, index by index, and their closure.  A row
-    joins the first time it occurs, while the budget lasts.  With ``iff``
-    the closure also takes A <-> B, as the enumerator once did; with
-    ``generators`` the last depth is left open, as extend_generators leaves it.
+    Atoms (constants, then variables); then per pass, per connective, the
+    pairs (new row i, row j known at the pass start) in row-major order:
+    i & j for every j not made by &, then i -> j for every generator j
+    (constant, variable or modal row); then per depth the modal rows of
+    every class, index by index, and their closure.  A row joins the first
+    time it occurs, while the budget lasts.
+
+    With ``square`` each pass forms every pair (i, j) under &, -> and the
+    converse j -> i, and with ``iff`` under <-> too, as the enumerator once
+    did: the same classes in another order.  With ``generators`` the last
+    depth is left open, as extend_generators leaves it.  ``origins``, a
+    list, receives per class the (first row of its pass, connective) that
+    made it, or None.
     """
     e = FormulaEnumeration(a, b, fragment, budget=1)  # for its vocabulary only
     top = int(e.universe.top)
-    rows, formulas, seen = [], [], set()
+    rows, formulas, kinds, seen = [], [], [], set()
+    origins = [] if origins is None else origins
 
-    def add(row, formula):
+    def add(row, formula, kind="gen", origin=None):
         if row not in seen:
             if len(rows) >= budget:
                 raise _Full
             seen.add(row)
             rows.append(row)
             formulas.append(formula)
+            kinds.append(kind)
+            origins.append(origin)
 
-    connectives = (
-        (lambda x, y: min(x, y), lambda i, j: And(formulas[min(i, j)], formulas[max(i, j)])),
-        (lambda x, y: top if x <= y else y, lambda i, j: Implies(formulas[i], formulas[j])),
-        (lambda x, y: top if y <= x else x, lambda i, j: Implies(formulas[j], formulas[i])),
-        (lambda x, y: top if x == y else min(x, y),
-         lambda i, j: sx.iff(formulas[min(i, j)], formulas[max(i, j)])),
-    )[: 4 if iff else 3]
+    def residuum(x, y):
+        return top if x <= y else y
+
+    # (level function, class formula, kind of class, which partners; bool takes all)
+    if square:
+        connectives = (
+            (min, lambda i, j: And(formulas[min(i, j)], formulas[max(i, j)]), "&", bool),
+            (residuum, lambda i, j: Implies(formulas[i], formulas[j]), "->", bool),
+            (lambda x, y: residuum(y, x), lambda i, j: Implies(formulas[j], formulas[i]), "->",
+             bool),
+            (lambda x, y: top if x == y else min(x, y),
+             lambda i, j: sx.iff(formulas[min(i, j)], formulas[max(i, j)]), "&", bool),
+        )[: 4 if iff else 3]
+    else:
+        connectives = (
+            (min, lambda i, j: And(formulas[i], formulas[j]), "&", lambda kind: kind != "&"),
+            (residuum, lambda i, j: Implies(formulas[i], formulas[j]), "->",
+             lambda kind: kind == "gen"),
+        )
 
     def saturate(start):
         while start < len(rows):
             n_all = len(rows)
-            for op, node in connectives:
+            for c, (op, node, kind, partner) in enumerate(connectives):
+                partners = [j for j in range(n_all) if partner(kinds[j])]
                 for i in range(start, n_all):
-                    for j in range(n_all):
-                        add(tuple(map(op, rows[i], rows[j])), node(i, j))
+                    for j in partners:
+                        add(tuple(map(op, rows[i], rows[j])), node(i, j), kind, (start, c))
             start = n_all
 
     encode = e.universe.encode
@@ -649,60 +673,79 @@ def test_depth_three_matches_the_loop_reference_directly_and_staged(algebra, n1,
     assert grew  # depth 3 made classes that depth 2 did not
 
 
-def assert_the_classes_of_the_four_connective_closure(a, b, fragment, depth):
+def assert_the_classes_of_the_four_connective_closure(monkeypatch, a, b, fragment, depth):
     """Closed at every depth up to ``depth`` and open at every depth up to
-    ``depth + 1``, the enumeration has the class count and row set of the
-    closure that also takes <->: A <-> B is (A -> B) & (B -> A).
+    ``depth + 1``, under dense, radix and byte keys, the enumeration has
+    the class count and row set of the full square under &, ->, the
+    converse -> and <->: its & with the classes not made by & and its ->
+    into the generators lose no class.
 
     The reference lists the classes of each depth after those of the
     depths below, the modal ones first, so each stage is a prefix of it."""
     rows, formulas, truncated = reference_class_list(
-        a, b, fragment, depth + 1, sx.BUDGET, iff=True, generators=True
+        a, b, fragment, depth + 1, sx.BUDGET, square=True, iff=True, generators=True
     )
     assert not truncated
     depths = [(modal_depth(f), type(f) in sx._MODALITIES) for f in formulas]
-    for generators in (False, True):
-        e = FormulaEnumeration(a, b, fragment)
-        for d in range(int(generators), depth + 1 + generators):  # depth 0 is never open
-            (e.extend_generators if generators else e.extend_to_depth)(d)
-            n = sum(k < d or k == d and (modal or not generators) for k, modal in depths)
-            assert not e.truncated and e.depth == d and len(e) == n
-            assert set(map(tuple, np.hstack(e.level_vectors()).tolist())) == set(rows[:n])
+    for kind in ("dense", "radix", "bytes"):
+        monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+        for generators in (False, True):
+            e = FormulaEnumeration(a, b, fragment)
+            for d in range(int(generators), depth + 1 + generators):  # depth 0 is never open
+                (e.extend_generators if generators else e.extend_to_depth)(d)
+                n = sum(k < d or k == d and (modal or not generators) for k, modal in depths)
+                assert not e.truncated and e.depth == d and len(e) == n
+                assert e.dense == (kind == "dense")
+                assert set(map(tuple, np.hstack(e.level_vectors()).tolist())) == set(rows[:n])
+        monkeypatch.undo()
 
 
 def test_the_core_connectives_close_the_classes():
-    assert all(op in (And, Implies) for op, _, _ in sx._CONNECTIVES)
+    assert [op for op, _ in sx._CONNECTIVES] == [And, Implies]
 
 
 @pytest.mark.parametrize("algebra", ["boolean", "chain:3", "chain:5", "godel"])
-def test_seeded_pairs_have_the_classes_of_the_four_connective_closure(algebra):
+def test_seeded_pairs_have_the_classes_of_the_four_connective_closure(monkeypatch, algebra):
     alg = Algebra.from_spec(algebra)
     rng = random.Random(f"iff-{algebra}")
     pool = GODEL_ENUM_POOL if algebra == "godel" else None
     for _ in range(4):
         a, b = random_pair(rng, alg, 2, pool=pool)
         for fragment in ("plus", "minus", "full"):
-            assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), 1)
+            assert_the_classes_of_the_four_connective_closure(
+                monkeypatch, a, b, Fragment(fragment), 3)
 
 
-def test_path_pairs_have_the_classes_of_the_four_connective_closure():
-    for algebra, n1, n2, weight, end, depth in (
-        ("boolean", 5, 4, "1", "1", 2), ("chain:3", 4, 3, "0.5", "1", 1), ("godel", 3, 2, "0.7", "0.3", 1)
+def test_path_pairs_have_the_classes_of_the_four_connective_closure(monkeypatch):
+    # the loops of the full square are quadratic in the class count, so the
+    # pairs run to depth 4 in the fragments that keep it to a few hundred
+    weights = {"boolean": ("1", "1"), "chain:3": ("0.5", "1"), "godel": ("0.7", "0.3")}
+    for algebra, sizes, fragments in (
+        ("boolean", (3, 4, 5, 6), ("plus", "minus")),
+        ("boolean", (3, 4), ("full",)),
+        ("chain:3", (3, 4, 5), ("plus",)),
+        ("chain:3", (3, 4), ("minus",)),
+        ("chain:3", (3,), ("full",)),
+        ("godel", (3, 4), ("plus",)),
+        ("godel", (3,), ("minus",)),
     ):
-        a = path_model(algebra, n1, weight, end, "s")
-        b = path_model(algebra, n2, weight, end, "t")
-        for fragment in ("plus", "minus", "full"):
-            assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), depth)
+        for n in sizes:
+            a = path_model(algebra, n, *weights[algebra], "s")
+            b = path_model(algebra, n - 1, *weights[algebra], "t")
+            for fragment in fragments:
+                assert_the_classes_of_the_four_connective_closure(
+                    monkeypatch, a, b, Fragment(fragment), 4)
 
 
 @pytest.mark.parametrize(
     "name, depth",
     [("crisp_pair", 3), ("fully_equivalent", 3), ("backward_only", 0), ("sim_showcase", 0)],
 )
-def test_bundled_pairs_have_the_classes_of_the_four_connective_closure(name, depth):
+def test_bundled_pairs_have_the_classes_of_the_four_connective_closure(monkeypatch, name, depth):
     a, b = load_pair(name)
     for fragment in ("plus", "minus", "full"):
-        assert_the_classes_of_the_four_connective_closure(a, b, Fragment(fragment), depth)
+        assert_the_classes_of_the_four_connective_closure(
+            monkeypatch, a, b, Fragment(fragment), depth)
 
 
 def test_pairs_past_the_int64_bound_take_byte_keys_by_themselves():
@@ -748,91 +791,30 @@ def test_the_class_list_does_not_depend_on_the_memory_bound(monkeypatch, kind):
     assert lists[0] == lists[1]
 
 
-@pytest.mark.parametrize("start, n_all", [(0, 9), (0, 40), (7, 50), (12, 13), (20, 90)])
-def test_a_pass_skips_only_pairs_it_formed_before(start, n_all):
-    """The pairs of a pass, connective by connective in row-major order, are
-    the full square's with some left out; each left-out pair has the key of
-    a pair formed before it (the meet of (j, i), or the forward j -> i for
-    the converse pair (i, j)), so the first occurrence of every key stays."""
-    same = {"sorted": lambda i, j: ("&", min(i, j), max(i, j)),
-            "forward": lambda i, j: ("->", i, j), "converse": lambda i, j: ("->", j, i)}
-    full = [same[order](i, j) for _, order, _ in sx._CONNECTIVES
-            for i in range(start, n_all) for j in range(n_all)]
-    formed = [same[order](i, j) for _, order, _ in sx._CONNECTIVES
-              for first, stop, cols in sx._pairings(order, start, n_all)
-              for i in range(first, stop) for j in np.arange(n_all)[cols].tolist()]
-    seen, k = set(), 0
-    for pair in full:
-        if k < len(formed) and formed[k] == pair:
-            seen.add(pair)
-            k += 1
-        else:
-            assert pair in seen
-    assert k == len(formed) and seen == set(full)
-    assert len(formed) < len(full)
-
-
-def closure_origins(monkeypatch, a, b, fragment, depth):
-    """The uncut enumeration, and the classes its closure made in the second
-    half of a split meet frontier and in a converse block, as lists of
-    (pass, class index).
-
-    A pass over the frontier start..n_all-1 forms the pair (i, j) with i
-    new first in row-major order.  So a meet class (x, y), x < y, was
-    formed at row x if x is new, else at row y; a converse class x -> y
-    pairs the new row y with an older row x."""
-    passes = []  # (start, n_all, whether the meet frontier is split)
-    pairings = sx._pairings
-
-    def record(order, start, n_all):
-        blocks = pairings(order, start, n_all)
-        if order == "sorted":
-            passes.append((start, n_all, len(blocks) == 2))
-        return blocks
-
-    monkeypatch.setattr(sx, "_pairings", record)
-    e = FormulaEnumeration(a, b, fragment).extend_to_depth(depth)
-    monkeypatch.setattr(sx, "_pairings", pairings)
-    second, converse = [], []
-    for k, (op, args) in enumerate(zip(e._ops, e._args)):
-        if op not in (And, Implies):
-            continue
-        p = max(q for q, (_, n_all, _) in enumerate(passes) if n_all <= k)
-        start, n_all, split = passes[p]
-        x, y = args
-        if op is Implies and x < start:
-            converse.append((p, k))
-        elif op is And and split and (x if x >= start else y) >= start + (n_all - start) // 2:
-            second.append((p, k))
-    return e, second, converse
-
-
-def cuts_inside(made):
-    """Budgets that cut the closure strictly inside a block: at a class the
-    block made right after another one of the same pass."""
-    inside = [k for (p, k), (q, j) in zip(made[1:], made) if p == q and k == j + 1]
-    return inside[:: max(1, len(inside) // 3)]
-
-
-def test_the_halved_meet_and_the_old_row_converse_keep_the_class_list(monkeypatch):
-    """A pass forms no pair whose key it formed before: the converse -> only
-    against the rows older than the pass, and the second half of a large
-    meet frontier not against the first.  Under every key layout and two
-    memory bounds, the class list, cut by budgets inside those blocks, is
-    that of the full-square loops of the reference."""
+def test_budget_cuts_inside_the_meet_and_implication_blocks_keep_the_class_list(monkeypatch):
+    """A pass forms x & y for the y not made by &, then x -> g for the
+    generators g.  Under every key layout and two memory bounds, the class
+    list cut by budgets strictly inside a pass's & block and inside its ->
+    block is a prefix of that of the loops of the reference."""
     rng = random.Random("halves")
     cases = [(*load_pair("sim_showcase"), Fragment.FULL, 0),
              (*load_pair("sim_showcase"), Fragment.PLUS, 1),
              (*load_pair("backward_only"), Fragment.PLUS, 1)]
     cases += [(*random_pair(rng, Algebra.chain(5), 3), Fragment.PLUS, 1) for _ in range(2)]
-    cut_in = np.zeros(2, dtype=int)  # budgets inside a second meet half, inside a converse block
+    cut_in = np.zeros(2, dtype=int)  # budgets inside a & block, inside a -> block
     for a, b, fragment, depth in cases:
-        e, second, converse = closure_origins(monkeypatch, a, b, fragment, depth)
-        inside = cuts_inside(second), cuts_inside(converse)
-        cut_in += [len(budgets) for budgets in inside]
-        budgets = inside[0] + inside[1]
-        rows, formulas, truncated = reference_class_list(a, b, fragment, depth, sx.BUDGET)
-        assert not truncated and len(rows) == len(e)
+        origins = []
+        rows, formulas, truncated = reference_class_list(
+            a, b, fragment, depth, sx.BUDGET, origins=origins)
+        assert not truncated
+        budgets = []
+        for c in (0, 1):
+            # a budget k keeps class k - 1 and cuts class k, made by the same block
+            inside = [k for k in range(1, len(rows))
+                      if origins[k] is not None and origins[k] == origins[k - 1]
+                      and origins[k][1] == c]
+            budgets += inside[:: max(1, len(inside) // 3)]
+            cut_in[c] += len(inside) > 0
         for kind in ("dense", "radix", "bytes"):
             monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
             for batch in (1 << 23, 1 << 12):
@@ -847,11 +829,15 @@ def test_the_halved_meet_and_the_old_row_converse_keep_the_class_list(monkeypatc
     assert cut_in.all()
 
 
-@pytest.mark.parametrize("fragment, depth, most", [("full", 1, 2_521_653), ("plus", 2, 1_403_390)])
-def test_the_closure_forms_each_unordered_pair_once(monkeypatch, fragment, depth, most):
-    """The candidate keys the closure forms on the showcase pair: the full
+@pytest.mark.parametrize("fragment, depth, most", [("full", 1, 293_786), ("plus", 2, 175_327)])
+def test_the_closure_pairs_an_operand_only_with_what_it_cannot_be_split_into(
+    monkeypatch, fragment, depth, most
+):
+    """The candidate keys the closure forms on the showcase pair.  The full
     square of every pass, as the enumerator once formed it, gives 3,181,713
-    at full/1 and 1,641,744 at plus/2."""
+    at full/1 and 1,641,744 at plus/2; with each unordered pair once (the
+    converse -> against the older rows only, the & without its mirror),
+    2,521,292 and 1,401,947."""
     formed = []
     pair_keys = FormulaEnumeration._pair_keys
 
