@@ -791,18 +791,92 @@ def test_the_class_list_does_not_depend_on_the_memory_bound(monkeypatch, kind):
     assert lists[0] == lists[1]
 
 
-def test_budget_cuts_inside_the_meet_and_implication_blocks_keep_the_class_list(monkeypatch):
-    """A pass forms x & y for the y not made by &, then x -> g for the
-    generators g.  Under every key layout and two memory bounds, the class
-    list cut by budgets strictly inside a pass's & block and inside its ->
-    block is a prefix of that of the loops of the reference."""
+def halves_cases():
+    """Enumerations whose closures run several passes of & and -> blocks."""
     rng = random.Random("halves")
     cases = [(*load_pair("sim_showcase"), Fragment.FULL, 0),
              (*load_pair("sim_showcase"), Fragment.PLUS, 1),
              (*load_pair("backward_only"), Fragment.PLUS, 1)]
     cases += [(*random_pair(rng, Algebra.chain(5), 3), Fragment.PLUS, 1) for _ in range(2)]
+    return cases
+
+
+@pytest.mark.parametrize("start, n_all", [(0, 9), (0, 40), (7, 50), (12, 13), (20, 90)])
+def test_a_pass_skips_only_pairs_it_formed_before(monkeypatch, start, n_all):
+    """A pass over the new rows start..n_all-1 of a store forms, in
+    row-major order, x & y for the y not made by & and x -> g for the
+    generators g.  Every pair of the full square it leaves out has a
+    partner that the closure formed before from a pair of older classes:
+    a & class, or under -> also an -> class.
+
+    The store is the first n_all classes of the showcase pair, cut by the
+    budget; the pass runs under every key layout and two memory bounds."""
+    a, b = showcase()
+    for kind in ("dense", "radix", "bytes"):
+        monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+        for batch in (1 << 23, 1 << 12):
+            monkeypatch.setattr(levels, "BATCH", batch)
+            e = FormulaEnumeration(a, b, Fragment.FULL, budget=n_all)
+            assert e.truncated and len(e) == n_all and e.dense == (kind == "dense")
+            calls = []
+            pair_keys = FormulaEnumeration._pair_keys
+
+            def record(self, c, lhs, rows, digits, calls=calls, pair_keys=pair_keys):
+                calls.append((c, lhs.copy(), rows.copy()))
+                return pair_keys(self, c, lhs, rows, digits)
+
+            monkeypatch.setattr(FormulaEnumeration, "_pair_keys", record)
+            e.budget, e.truncated = sx.BUDGET, False
+            e._saturate(start)
+            monkeypatch.setattr(FormulaEnumeration, "_pair_keys", pair_keys)
+
+            index = {tuple(r): k for k, r in enumerate(np.hstack(e.level_vectors()).tolist())}
+            formed = [(c, index[tuple(x)], index[tuple(y)])
+                      for c, lhs, rows in calls for x in lhs.tolist() for y in rows.tolist()]
+            formed = [pair for pair in formed if pair[1] < n_all]  # the first pass only
+            ops, args = e._ops, e._args
+            made_by = (lambda j: ops[j] is And, lambda j: ops[j] in (And, Implies))
+            square = [(c, i, j) for c in (0, 1) for i in range(start, n_all) for j in range(n_all)]
+            assert formed == [(c, i, j) for c, i, j in square if not made_by[c](j)]
+            skipped = [(c, i, j) for c, i, j in square if made_by[c](j)]
+            assert all(max(args[j]) < j for _, _, j in skipped)
+            assert bool(skipped) == any(op in (And, Implies) for op in ops[:n_all])
+        monkeypatch.undo()
+
+
+def test_the_halved_meet_and_the_old_row_converse_keep_the_class_list(monkeypatch):
+    """The closure once also formed the meets of a large frontier's second
+    half with its first and the converse -> of each new row with the older
+    rows.  Those pairs add no class: under every key layout and two memory
+    bounds, the meet and both implications of any two enumerated classes
+    name an enumerated class, and the class count and row set are those of
+    the full-square loops of the reference."""
+    for a, b, fragment, depth in halves_cases():
+        square, _, truncated = reference_class_list(a, b, fragment, depth, sx.BUDGET, square=True)
+        assert not truncated
+        for kind in ("dense", "radix", "bytes"):
+            monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+            for batch in (1 << 23, 1 << 12):
+                monkeypatch.setattr(levels, "BATCH", batch)
+                e = FormulaEnumeration(a, b, fragment).extend_to_depth(depth)
+                assert not e.truncated and e.dense == (kind == "dense")
+                rows = np.hstack(e.level_vectors())
+                assert len(rows) == len(square) and set(map(tuple, rows.tolist())) == set(square)
+                known = e._keys(rows)
+                top = e.universe.top
+                for _, fn in sx._CONNECTIVES:  # -> of (j, i) is the converse of (i, j)
+                    block = fn(rows[:, None, :], rows[None, :, :], top)
+                    assert np.isin(e._keys(block.reshape(-1, rows.shape[1])), known).all()
+            monkeypatch.undo()
+
+
+def test_budget_cuts_inside_the_meet_and_implication_blocks_keep_the_class_list(monkeypatch):
+    """A pass forms x & y for the y not made by &, then x -> g for the
+    generators g.  Under every key layout and two memory bounds, the class
+    list cut by budgets strictly inside a pass's & block and inside its ->
+    block is a prefix of that of the loops of the reference."""
     cut_in = np.zeros(2, dtype=int)  # budgets inside a & block, inside a -> block
-    for a, b, fragment, depth in cases:
+    for a, b, fragment, depth in halves_cases():
         origins = []
         rows, formulas, truncated = reference_class_list(
             a, b, fragment, depth, sx.BUDGET, origins=origins)
