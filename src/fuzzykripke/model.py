@@ -458,6 +458,10 @@ def _render_json(node, indent: str = "") -> str:
         ]
         return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
     if isinstance(node, list):
+        try:  # a list of strings, such as a matrix row, in one pass
+            return "[" + ", ".join(map(encode_basestring_ascii, node)) + "]"
+        except TypeError:
+            pass
         if all(not isinstance(item, (dict, list)) for item in node):
             return json.dumps(node)
         inner = indent + "  "

@@ -726,26 +726,30 @@ class FormulaEnumeration:
             self._gen_rows.extend(added)
         self._count += k
 
-    def _absorb_block(self, block: np.ndarray, op: Callable, args_for) -> bool:
-        """Turn every new level row of ``block`` into a class of constructor ``op``.
+    def _absorb_rows(self, block: np.ndarray, segments: list) -> None:
+        """Turn every new level row of ``block`` into a class, in order, with
+        one :meth:`_absorb` over all its keys.
 
-        ``args_for`` maps a row position in ``block`` to the ``args`` of the
-        class it creates; it is called only for rows that are genuinely new.
-        Returns False once the budget is exhausted.
+        ``segments`` cuts the block into consecutive runs, each (length,
+        constructor, args_for): a new row at position k of a run becomes a
+        class of that constructor with args ``args_for(k)``.
         """
-        fresh = self._absorb(self._keys(block)).tolist()
-        self._append(block[fresh], op, list(map(args_for, fresh)))
-        return not self.truncated
+        fresh = self._absorb(self._keys(block))
+        lo = 0
+        for size, op, args_for in segments:
+            part = fresh[np.searchsorted(fresh, lo) : np.searchsorted(fresh, lo + size)]
+            if part.size:
+                self._append(block[part], op, [args_for(k - lo) for k in part.tolist()])
+            lo += size
 
     def _seed_atoms(self) -> None:
         width = self._n1 + self._n2
-        block = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
-        self._absorb_block(block, Const, self.constants.__getitem__)
-        if self.variables and not self.truncated:
-            block = np.array(
-                [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
-            )
-            self._absorb_block(block, Var, self.variables.__getitem__)
+        consts = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
+        variables = [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
+        self._absorb_rows(np.vstack([consts, *variables]), [
+            (len(self.constants), Const, self.constants.__getitem__),
+            (len(self.variables), Var, self.variables.__getitem__),
+        ])
 
     def _saturate(self, start: int) -> None:
         """Close rows[start:] under the binary connectives.
@@ -793,18 +797,22 @@ class FormulaEnumeration:
         The new depth stays propositionally open until :meth:`_close`.
         """
         children = self._rows[self._level : self._count]
-        vec1, vec2 = children[:, : self._n1].copy(), children[:, self._n1 :].copy()
+        n1, f = self._n1, len(children)
+        vec1, vec2 = children[:, :n1], children[:, n1:]
         base, top = self._level, self.universe.top
         self._level, self._closed = self._count, False
         self.depth += 1
-        for idx in self.indices:
-            for node in self._modalities:
-                m = _MODALITIES[node]
-                out1 = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
-                out2 = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
-                block = np.concatenate([out1, out2], axis=1)
-                if not self._absorb_block(block, node, lambda k, idx=idx: (idx, base + k)):
-                    return
+        # every index and modality in turn, deduplicated together
+        segments = [(idx, node) for idx in self.indices for node in self._modalities]
+        block = np.empty((len(segments) * f, children.shape[1]), dtype=self._dt)
+        for s, (idx, node) in enumerate(segments):
+            m = _MODALITIES[node]
+            rows = block[s * f : (s + 1) * f]
+            rows[:, :n1] = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
+            rows[:, n1:] = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
+        self._absorb_rows(
+            block, [(f, node, lambda k, idx=idx: (idx, base + k)) for idx, node in segments]
+        )
 
     def extend_generators(self, depth: int) -> "FormulaEnumeration":
         """Grow the class list until the modal classes of ``depth`` exist.

@@ -171,9 +171,10 @@ def test_a_budget_cut_weak_run_says_so(capsys):
     argv = ("weak", "--fragment", "full", "--depth", "2", A, B)
     code, text, _ = run(capsys, *argv, "--budget", "50")
     assert text.splitlines()[0] == "formulas: 50 (budget exhausted)"
-    assert (code, text.splitlines()[-1]) == (0, "equivalent: yes")
+    # the cut set cannot tell the models apart, but proves no equivalence
+    assert (code, text.splitlines()[-1]) == (1, "equivalent: yes")
     code, out, _ = run(capsys, *argv, "--budget", "50", "--format", "json")
-    assert json.loads(out)["truncated"] is True
+    assert code == 1 and json.loads(out)["truncated"] is True
     # the whole set tells the models apart, and its report has no flag
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1 and "truncated" not in json.loads(out)

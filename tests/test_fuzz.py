@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from fuzzykripke.algebra import AlgebraError
 from fuzzykripke.cli import main
-from fuzzykripke.model import KripkeModel, ModelError
+from fuzzykripke.model import KripkeModel, ModelError, _render_json
 from fuzzykripke.syntax import ParseError, parse, parse_corpus
 
 LIBRARY_ERRORS = (ModelError, AlgebraError, ParseError)
@@ -159,3 +159,49 @@ def test_every_cli_run_exits_0_1_or_2(workdir, pair, formula, relation, command)
         paths[name].write_text(text, encoding="utf-8")
     argv = [arg.format(formula=formula, **paths) for arg in command]
     assert run(argv) in (0, 1, 2)
+
+
+def ref_render_json(node, indent=""):
+    """The model writer as it tested each list for a leaf entry by entry."""
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = indent + "  "
+        parts = [f"{inner}{json.dumps(key)}: {ref_render_json(value, inner)}"
+                 for key, value in node.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + indent + "}"
+    if isinstance(node, list):
+        if all(not isinstance(item, (dict, list)) for item in node):
+            return json.dumps(node)
+        inner = indent + "  "
+        parts = [f"{inner}{ref_render_json(item, inner)}" for item in node]
+        return "[\n" + ",\n".join(parts) + "\n" + indent + "]"
+    return json.dumps(node)
+
+
+@FUZZ
+@given(documents())
+def test_the_model_writer_equals_the_entry_by_entry_writer(doc):
+    assert _render_json(doc) == ref_render_json(doc)
+    try:
+        model = KripkeModel.from_dict(doc)
+    except LIBRARY_ERRORS:
+        return
+    assert model.to_json() == ref_render_json(model.to_dict()) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [], {}, [[]], [[], ["0"]], {"indices": []}, {"indices": [0, 2, 3]}, [0, "1"], ["1", 0],
+    ["1", None, True], [["0.5", "1"], ["0", {"p": []}]], ["é", "w’", "\U0001f600", "\"\\"],
+    {"worlds": ["ü", "ω"], "indices": [], "relations": {}, "valuation": {}},
+])
+def test_the_model_writer_equals_the_entry_by_entry_writer_at_the_edges(doc):
+    assert _render_json(doc) == ref_render_json(doc)
+
+
+def test_a_model_with_non_ascii_worlds_and_no_valuation_is_written_as_before():
+    doc = {"algebra": "godel", "worlds": ["ü", "w’"], "indices": [0],
+           "relations": {"0": [["0.5", "1"], ["0", "1/3"]]}, "valuation": {}}
+    model = KripkeModel.from_dict(doc)
+    assert model.to_json() == ref_render_json(model.to_dict()) + "\n"
+    assert KripkeModel.from_json(model.to_json()) == model

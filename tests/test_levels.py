@@ -35,10 +35,27 @@ def random_levels(rng, size, shape):
 SIZES = (2, 5, 300)
 
 
+# (k, n, m): the output (k, m) and the contracted axis n; the first four
+# keep n innermost, the others have an output axis past the size rule,
+# first m (blocks (k, n, m)), then k (blocks (m, n, k)), among them an
+# empty n, which always takes the long-axis layout
+SHAPES = ((1, 1, 1), (2, 5, 3), (4, 7, 4), (6, 3, 1),
+          (2, 3, 40), (1, 0, 20), (3, 1, 20), (5, 2, 80),
+          (40, 3, 2), (3, 0, 2), (20, 1, 3), (80, 2, 5))
+
+
+def layout(k, n, m):
+    """The block layout :func:`levels._contract` takes for these shapes."""
+    if levels._LONG * n < max(k, m):
+        return "knm" if m >= k else "mnk"
+    return "kmn"
+
+
 def kernel_cases(rng, size):
-    """Stack lengths and shapes, with empty and one-long contracted axes."""
+    """Stack lengths and shapes, with empty and one-long contracted axes,
+    in every block layout."""
     for s in (1, 2, 4):
-        for k, n, m in ((1, 1, 1), (3, 0, 2), (2, 5, 3), (4, 7, 4), (6, 3, 1)):
+        for k, n, m in SHAPES:
             _, top, a = random_levels(rng, size, (s, k, n))
             b = random_levels(rng, size, (s, n, m))[2]
             yield top, a, b, random_levels(rng, size, (s, m, n))[2]
@@ -66,6 +83,8 @@ def test_stacked_calls_equal_the_per_slice_calls(size):
             np.testing.assert_array_equal(fold(a, y, top), want)
             np.testing.assert_array_equal(
                 fold(a, y[0], top), np.stack([fold(a[j], y[0], top) for j in slices]))
+            np.testing.assert_array_equal(
+                fold(a[0], y, top), np.stack([fold(a[0], y[j], top) for j in slices]))
             assert fold(a, y, top).dtype == a.dtype
 
 
@@ -82,6 +101,8 @@ def test_empty_contracted_axis_gives_the_empty_join_and_meet():
 def test_small_blocks_equal_the_default_blocks(monkeypatch, size):
     rng = np.random.default_rng(100 + size)
     cases = list(kernel_cases(rng, size))
+    assert [layout(a.shape[1], a.shape[2], y.shape[1]) for _, a, _, y in cases[:12]] == (
+        ["kmn"] * 4 + ["knm"] * 4 + ["mnk"] * 4)
     whole = [(compose(a, b), residual_fold(a, y, top), biimplication_fold(a, y, top))
              for top, a, b, y in cases]
     # one-element blocks, and blocks of a few entries of the contracted axis
@@ -110,16 +131,24 @@ def test_batch_bounds_each_stacked_broadcast(monkeypatch, size):
     # a stack of 8 slices of 12 x 12 results over a contracted axis of 400:
     # the whole broadcast holds 8 * 12 * 400 * 12 = 460,800 entries, a
     # block at most BATCH = 4,096 of them (3 entries of the contracted axis;
-    # 28 entries, 8 times more than allowed, if the stack were not counted)
+    # 28 entries, 8 times more than allowed, if the stack were not counted).
+    # Then an output axis of 100 past the size rule, last and then first:
+    # 38,400 entries in blocks of 3,200, one entry of the contracted axis
     rng = np.random.default_rng(size)
-    dtype, top, a = random_levels(rng, size, (8, 12, 400))
-    b = random_levels(rng, size, (8, 400, 12))[2]
-    y = random_levels(rng, size, (8, 12, 400))[2]
-    calls = ((compose, a, b), (residual_fold, a, y, top), (biimplication_fold, a, y, top))
-    whole = 8 * 12 * 400 * 12 * dtype.itemsize
+    cases = []
+    for s, k, n, m in ((8, 12, 400, 12), (2, 16, 12, 100), (2, 100, 12, 16)):
+        dtype, top, a = random_levels(rng, size, (s, k, n))
+        b = random_levels(rng, size, (s, n, m))[2]
+        y = random_levels(rng, size, (s, m, n))[2]
+        calls = ((compose, a, b), (residual_fold, a, y, top), (biimplication_fold, a, y, top))
+        cases.append((layout(k, n, m), s * k * n * m * dtype.itemsize, calls))
+    assert [case[0] for case in cases] == ["kmn", "knm", "mnk"]
     # with the default BATCH the broadcast is one block, and the measure sees it
-    assert all(peak_bytes(*call) >= whole for call in calls)
+    for _, whole, calls in cases:
+        assert all(peak_bytes(*call) >= whole for call in calls)
     monkeypatch.setattr(levels, "BATCH", 4096)
-    # a few block-sized temporaries (a mask, a selection, a partial result)
-    # and the interpreter's own small allocations: far below the whole
-    assert all(peak_bytes(*call) <= 8 * 4096 * dtype.itemsize for call in calls)
+    # a few block-sized temporaries (a mask, a selection, a partial result),
+    # the input-sized copy of the long operand and the interpreter's own
+    # small allocations: below the whole
+    for _, _, calls in cases:
+        assert all(peak_bytes(*call) <= 8 * 4096 * dtype.itemsize for call in calls)

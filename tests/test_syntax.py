@@ -553,7 +553,9 @@ def reference_class_list(a, b, fragment, depth, budget, square=False, iff=False,
     did: the same classes in another order.  With ``generators`` the last
     depth is left open, as extend_generators leaves it.  ``origins``, a
     list, receives per class the (first row of its pass, connective) that
-    made it, or None.
+    made it, (first row of its depth, "modal", segment) for the segment-th
+    (index, modality) of a modal step, or None.  The modal rows are
+    computed entry by entry, not by the level kernel.
     """
     e = FormulaEnumeration(a, b, fragment, budget=1)  # for its vocabulary only
     top = int(e.universe.top)
@@ -600,9 +602,21 @@ def reference_class_list(a, b, fragment, depth, budget, square=False, iff=False,
                         add(tuple(map(op, rows[i], rows[j])), node(i, j), kind, (start, c))
             start = n_all
 
+    def modal(rel, x, m):
+        """The modality ``m`` of the value row ``x``: per world u, the meet of
+        residua (box) or the join of meets (diamond) along row u of ``rel``,
+        or along column u when ``m`` is inverse."""
+        edges = [[rel[v][u] if m.inverse else rel[u][v] for v in range(len(x))]
+                 for u in range(len(x))]
+        if m.box:
+            return [min([residuum(r, z) for r, z in zip(row, x)], default=top) for row in edges]
+        return [max([min(r, z) for r, z in zip(row, x)], default=0) for row in edges]
+
     encode = e.universe.encode
     rel1, val1 = a.encoded(e.universe)
     rel2, val2 = b.encoded(e.universe)
+    rel1 = {idx: r.tolist() for idx, r in rel1.items()}
+    rel2 = {idx: r.tolist() for idx, r in rel2.items()}
     try:
         for c in e.constants:
             add((int(encode([c])[0]),) * (len(a.worlds) + len(b.worlds)), Const(c))
@@ -611,17 +625,15 @@ def reference_class_list(a, b, fragment, depth, budget, square=False, iff=False,
         saturate(0)
         for d in range(depth):
             snap = len(rows)
-            lv = np.array(rows, dtype=e.universe.dtype)
+            segment = 0
             for idx in e.indices:
                 for node in e._modalities:
                     m = sx._MODALITIES[node]
-                    top = e.universe.top
-                    out1 = levels.modal(rel1[idx], lv[:, : len(a.worlds)], top,
-                                        box=m.box, inverse=m.inverse)
-                    out2 = levels.modal(rel2[idx], lv[:, len(a.worlds) :], top,
-                                        box=m.box, inverse=m.inverse)
-                    for k, row in enumerate(np.hstack([out1, out2]).tolist()):
-                        add(tuple(row), node(idx, formulas[k]))
+                    for k in range(snap):
+                        row = tuple(modal(rel1[idx], rows[k][: len(a.worlds)], m)
+                                    + modal(rel2[idx], rows[k][len(a.worlds) :], m))
+                        add(row, node(idx, formulas[k]), origin=(snap, "modal", segment))
+                    segment += 1
             if not (generators and d == depth - 1):
                 saturate(snap)
     except _Full:
@@ -895,6 +907,46 @@ def test_budget_cuts_inside_the_meet_and_implication_blocks_keep_the_class_list(
                 monkeypatch.setattr(levels, "BATCH", batch)
                 for budget in budgets + [len(rows)]:
                     e = FormulaEnumeration(a, b, fragment, budget=budget).extend_to_depth(depth)
+                    got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
+                    assert e.dense == (kind == "dense")
+                    assert (got, e.formulas(), e.truncated) == (
+                        rows[:budget], formulas[:budget], budget < len(rows))
+            monkeypatch.undo()
+    assert cut_in.all()
+
+
+def test_budget_cuts_inside_a_modal_step_keep_the_class_list(monkeypatch):
+    """A modal step deduplicates the rows of every (index, modality) in one
+    call.  Under every key layout and two memory bounds, the class list
+    cut by budgets strictly inside the step's second and last (index,
+    modality) segment is a prefix of that of the loops of the reference,
+    whose modal rows do not come from the level kernel."""
+    cases = [(*load_pair("sim_showcase"), Fragment.FULL, 1),     # 4 segments
+             (*load_pair("sim_showcase"), Fragment.PLUS, 2),     # 2
+             (*load_pair("backward_only"), Fragment.PLUS, 2),    # 2 indices, 4
+             (*load_pair("backward_only"), Fragment.FULL, 1)]    # 8
+    cut_in = np.zeros(2, dtype=int)  # budgets inside a second, inside a last segment
+    for a, b, fragment, depth in cases:
+        origins = []
+        rows, formulas, truncated = reference_class_list(
+            a, b, fragment, depth, sx.BUDGET, generators=True, origins=origins)
+        assert not truncated
+        last = len(a.indices) * len(FormulaEnumeration(a, b, fragment, 1)._modalities) - 1
+        step = origins[-1][0]  # the first row of the last depth: the list ends in its step
+        budgets = []
+        for c, segment in enumerate((1, last)):
+            # a budget k keeps class k - 1 and cuts class k, of the same segment
+            inside = [k for k in range(1, len(rows))
+                      if origins[k] == origins[k - 1] == (step, "modal", segment)]
+            budgets += inside[:: max(1, len(inside) // 3)]
+            cut_in[c] += len(inside) > 0
+        for kind in ("dense", "radix", "bytes"):
+            monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+            for batch in (1 << 23, 1 << 12):
+                monkeypatch.setattr(levels, "BATCH", batch)
+                for budget in budgets + [len(rows)]:
+                    e = FormulaEnumeration(a, b, fragment, budget=budget)
+                    e.extend_generators(depth)
                     got = [tuple(r) for r in np.hstack(e.level_vectors()).tolist()]
                     assert e.dense == (kind == "dense")
                     assert (got, e.formulas(), e.truncated) == (
