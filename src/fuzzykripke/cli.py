@@ -105,7 +105,7 @@ def cmd_weak(args) -> int:
         report = greatest_weak(m1, m2, formulas)
     else:
         enum = FormulaEnumeration(m1, m2, Fragment(args.fragment), args.budget)
-        report = enumerated_weak(m1, m2, enum.extend_to_depth(args.depth))
+        report = enumerated_weak(enum.extend_to_depth(args.depth))
 
     def human(out):
         out.write(f"formulas: {report.formula_count}")

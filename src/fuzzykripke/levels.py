@@ -17,18 +17,19 @@ solutions of relational inequalities are meets of residua: the one
 residual update here, :func:`forward_update`, serves every direction of
 the -2 condition once :mod:`.bisim` has oriented its arguments.
 Composition, the folds and the update take an optional leading stack
-axis, so that one call serves every relation of a kind.  A broadcast of
-shape (s, k, m, n) is cut along the contracted axis n into blocks of at
-most :data:`BATCH` elements (more only when the stacked result itself is
-larger), so one that fits in a block is reduced in one call.
+axis, so that one call serves every relation of a kind.  They run one
+block loop: a broadcast of shape (s, k, m, n) is cut along the contracted
+axis n into blocks of at most :data:`BATCH` elements (more only when the
+stacked result itself is larger), so one that fits in a block is reduced
+in one call.
 
-The blocks are laid out (s, k, m, n), n innermost, unless an output axis
-is more than :data:`_LONG` times n, as when a modality is applied to
-many formula classes of a small model.  Then that axis goes innermost,
-(s, k, n, m) or (s, m, n, k), read from a contiguous copy of its operand
-(the size of the input, not of a block), and n is reduced at axis -2, so
-numpy runs a few loops of length m (or k), not k * m loops of length n.
-:data:`BATCH` bounds the blocks of both layouts alike.
+The loop has two layouts.  The blocks are (s, k, m, n), n innermost,
+unless an output axis is more than :data:`_LONG` times n, as when a
+modality is applied to many formula classes of a small model.  Then that
+axis goes innermost, (s, k, n, m) or, with the operands swapped, (s, m,
+n, k), read from a contiguous copy of its operand (the size of the input,
+not of a block), and n is reduced at axis -2, so numpy runs a few loops
+of length m (or k), not k * m loops of length n.
 """
 
 from __future__ import annotations
@@ -148,38 +149,27 @@ def biimplication(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
 
 def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``out(i, j) = reduce_v pair(x(i, v), y(j, v))``, and ``identity`` for
-    an empty v axis.  Either operand may carry a leading stack axis (both
-    the same one): the result is then the stack of the slices' results."""
+    an empty v axis, in blocks of either layout of the module docstring.
+    Either operand may carry a leading stack axis (both the same one): the
+    result is then the stack of the slices' results."""
     *_, k, n = x.shape
     m = y.shape[-2]
+    long = _LONG * n < max(k, m)
+    if long and m < k:
+        return _contract(lambda b, a: pair(a, b), reduce, identity, y, x).swapaxes(-1, -2)
     # elements of the broadcast per entry of the contracted axis
     size = max(math.prod(x.shape[:-2]), math.prod(y.shape[:-2])) * k * m
     step = max(1, BATCH // max(size, 1))
-    if _LONG * n < max(k, m):
-        return _contract_long(pair, reduce, identity, x, y, step)
+    if long:
+        y, axis = np.ascontiguousarray(y.swapaxes(-1, -2)), -2
+        blocks = lambda lo, hi: (x[..., lo:hi, None], y[..., None, lo:hi, :])
+    else:
+        axis = -1
+        blocks = lambda lo, hi: (x[..., None, lo:hi], y[..., None, :, lo:hi])
     out = None
     # one pass at least, so that an empty v axis still gives the identity
     for lo in range(0, max(n, 1), step):
-        block = pair(x[..., None, lo : lo + step], y[..., None, :, lo : lo + step])
-        part = reduce.reduce(block, axis=-1, initial=identity)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
-
-
-def _contract_long(
-    pair, reduce, identity, x: np.ndarray, y: np.ndarray, step: int
-) -> np.ndarray:
-    """:func:`_contract` with blocks (..., i, v, j), j contiguous in a copy
-    of ``y``; when i is the longer output axis, the transposed contraction."""
-    if y.shape[-2] < x.shape[-2]:
-        out = _contract_long(lambda b, a: pair(a, b), reduce, identity, y, x, step)
-        return out.swapaxes(-1, -2)
-    n = x.shape[-1]
-    x, y = x[..., None], np.ascontiguousarray(y.swapaxes(-1, -2))[..., None, :, :]
-    out = None
-    for lo in range(0, max(n, 1), step):
-        block = pair(x[..., lo : lo + step, :], y[..., lo : lo + step, :])
-        part = reduce.reduce(block, axis=-2, initial=identity)
+        part = reduce.reduce(pair(*blocks(lo, lo + step)), axis=axis, initial=identity)
         out = part if out is None else reduce(out, part, out=out)
     return out
 

@@ -463,21 +463,26 @@ def parse_corpus(text: str) -> list[Formula]:
 # /\_c (((m -> c) & x) -> c) over the constants c: each term is at least
 # x -> m, and where x > m the term at c = m is m.  Every row takes its
 # values among 0, 1 and the values the models use, all seeded as
-# constants, so the closure forms each term.  Duplicates are found by
-# key.  With L levels a row has the exact mixed-radix key
-# sum_c row[c] * L**(width-1-c).
+# constants, so the closure forms each term.
 #
-# When L**width is at most levels.BATCH, a dense boolean table
-# indexed by key marks the known rows, so membership is one gather.  The
-# key of combining rows i and j under a connective is then summed over the
-# columns from the connective's L x L level table at (row_i[c], row_j[c]),
-# a few columns per gather (:meth:`FormulaEnumeration._pair_parts`), so the
-# (pairs, width) candidate block is not formed (except while the known rows
-# are few, see _SMALL): only the new rows are, from their pair.
+# So the classes of depth <= d are exactly the level rows f with
+# f(p) & B(p, q) <= f(q) for all worlds p, q of both models, where
+# B(p, q) = /\_g (g(p) <-> g(q)) over the generators g of depth <= d.
+# Each generator is such a row, and & and -> keep the law (the Heyting
+# congruence law).  Conversely f = \/_p (f(p) & X_p) with the term
+# X_p = /\_g ((g -> g(p)) & (g(p) -> g)), values read as constants, and
+# x | y = ((x -> y) -> y) & ((y -> x) -> x): X_p(q) = B(p, q), so the
+# join at q is f(q), by the law and B(q, q) = 1.
 #
-# Above that bound the candidate rows are formed in blocks and keyed by
-# their radix integer (or by their raw bytes, when that would not fit in
-# an int64); the known keys are kept in a sorted array.  Either way only
+# Duplicates are found by key.  With L levels a row has the exact
+# mixed-radix key sum_c row[c] * L**(width-1-c).  When L**width is at most
+# levels.BATCH, a dense boolean table indexed by key marks the known rows,
+# so membership is one gather, and a candidate block past _SMALL levels
+# is keyed one column per gather from the connective's L x L level table
+# (FormulaEnumeration._pair_keys): only its new rows are formed.  Above
+# that bound the candidate rows are formed in blocks and keyed by their
+# radix integer (or by their raw bytes, when that would not fit in an
+# int64); the known keys are kept in a sorted array.  Either way only
 # genuinely new classes ever touch Python-level code, and both ways give
 # the same class list.
 
@@ -625,64 +630,23 @@ class FormulaEnumeration:
             return block.astype(self._radix.dtype) @ self._radix
         return np.ascontiguousarray(block).view(self._row_bytes).reshape(-1)
 
-    def _pair_keys(self, c: int, lhs: np.ndarray, rows: np.ndarray, digits) -> np.ndarray:
+    def _pair_keys(self, c: int, lhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The flat keys (a * len(rows) + b) of combining row ``lhs[a]`` with
         row ``rows[b]`` under connective ``c`` of ``_CONNECTIVES``.
 
-        The sorted-key fallback forms the candidate block.  The dense path
-        forms one when ``rows`` is small and ``digits`` None; else it sums
-        the parts of :meth:`_pair_parts` at ``digits``, from :meth:`_digit_groups`.
+        Without a dense table, or when ``rows`` holds at most :data:`_SMALL`
+        levels, the candidate block is formed and keyed.  Else entry (a,
+        column, level) of ``weighted`` is that column's part of the key of
+        ``lhs[a]`` with a row at that level there: one gather per column.
         """
-        if not self.dense:
-            fn = _CONNECTIVES[c][1]
-            block = fn(lhs[:, None, :], rows[None, :, :], self.universe.top)
+        if not self.dense or rows.size <= _SMALL:
+            block = _CONNECTIVES[c][1](lhs[:, None, :], rows[None, :, :], self.universe.top)
             return self._keys(block.reshape(-1, rows.shape[1]))
-        if digits is None:
-            return (self._tables[c][lhs[:, None, :], rows[None, :, :]] @ self._radix).reshape(-1)
-        groups, digits = digits
-        parts = self._pair_parts(self._tables[c][lhs], groups)
-        keys = np.take(parts[0], digits[0], axis=1)
-        for group, group_digits in zip(parts[1:], digits[1:]):
-            keys += np.take(group, group_digits, axis=1)
+        weighted = self._tables[c][lhs] * self._radix[:, None]
+        keys = np.take(weighted[:, 0], rows[:, 0], axis=1)
+        for col in range(1, rows.shape[1]):
+            keys += np.take(weighted[:, col], rows[:, col], axis=1)
         return keys.reshape(-1)
-
-    def _digit_groups(self, rows: np.ndarray) -> tuple[list, np.ndarray]:
-        """The column groups of :meth:`_pair_parts` for pairing with ``rows``,
-        and the digits every row spells on each group, shape (groups, rows).
-
-        A group has g columns, g as large as keeps L**g within a quarter of
-        len(rows), so building a group's parts costs less than gathering
-        from them, or within :data:`_SMALL`.
-        """
-        size, width = len(self.universe), rows.shape[1]
-        g = 1
-        while g < width and size ** (g + 1) <= max(len(rows) // 4, _SMALL):
-            g += 1
-        groups = [range(lo, min(lo + g, width)) for lo in range(0, width, g)]
-        place = np.zeros((len(groups), width), dtype=np.intp)
-        for k, cols in enumerate(groups):
-            place[k, cols] = size ** np.arange(len(cols) - 1, -1, -1)
-        return groups, place @ rows.T.astype(np.intp)
-
-    def _pair_parts(self, table_rows: np.ndarray, groups: list) -> list:
-        """Per column group, the key parts of combining ``lhs`` rows with rows
-        that spell each digit string on the group's columns.
-
-        ``table_rows`` is one connective's ``table[lhs]``.  Entry (a, s) of
-        a group's parts is the part of the radix key of ``table[lhs[a], row]``
-        that the group's columns contribute, for any row spelling s there.
-        The key of ``lhs[a]`` with row b is the sum over groups of the entry
-        at b's digits, so the (a, b, width) candidate block is never formed.
-        """
-        # (a, column, level): each column's weighted table row
-        weighted = table_rows * self._radix[:, None]
-        out = []
-        for cols in groups:
-            parts = weighted[:, cols[0]]
-            for c in cols[1:]:
-                parts = (parts[..., None] + weighted[:, c, None, :]).reshape(len(weighted), -1)
-            out.append(parts)
-        return out
 
     def _absorb(self, keys: np.ndarray) -> np.ndarray:
         """Positions of the keys that name new classes, in order; marks them known.
@@ -769,12 +733,10 @@ class FormulaEnumeration:
             partners_of = (np.array(self._non_meet_rows), np.array(self._gen_rows))
             for c, ((op, fn), cols) in enumerate(zip(_CONNECTIVES, partners_of)):
                 partners = all_rows[cols]
-                large = self.dense and partners.size > _SMALL
-                digits = self._digit_groups(partners) if large else None
                 chunk = max(1, levels.BATCH // (len(cols) * width))
                 for base in range(start, n_all, chunk):
                     lhs = all_rows[base : min(base + chunk, n_all)]
-                    fresh = self._absorb(self._pair_keys(c, lhs, partners, digits))
+                    fresh = self._absorb(self._pair_keys(c, lhs, partners))
                     if fresh.size:
                         i, j = base + fresh // len(cols), cols[fresh % len(cols)]
                         rows = fn(all_rows[i], all_rows[j], top)

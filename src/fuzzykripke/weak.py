@@ -144,21 +144,16 @@ def greatest_weak(
     return _weak_report(m1, m2, *formula_levels(m1, m2, formulas))
 
 
-def enumerated_weak(
-    m1: KripkeModel, m2: KripkeModel, enum: FormulaEnumeration
-) -> WeakReport:
-    """:func:`greatest_weak` for every formula class of an enumeration over
-    ``(m1, m2)``, folded from the class vectors.
+def enumerated_weak(enum: FormulaEnumeration) -> WeakReport:
+    """:func:`greatest_weak` for every formula class of an enumeration,
+    over the pair ``enum.models``, folded from the class vectors.
 
     One representative per class gives the same folds as the whole class,
     because the formulae of a class have equal vectors on both models.
-    The report is ``truncated`` when the enumeration is.  An enumeration
-    over another pair is refused.
+    The report is ``truncated`` when the enumeration is.
     """
     _nonempty(enum)
-    if enum.models != (m1, m2):
-        raise ValueError("the enumeration is over another model pair")
-    return _weak_report(m1, m2, enum.universe, *enum.level_vectors(), enum.truncated)
+    return _weak_report(*enum.models, enum.universe, *enum.level_vectors(), enum.truncated)
 
 
 def check_weak(
@@ -256,7 +251,7 @@ def duality_transfer(
     greatest weak prebisimulation: the forward side is folded from the
     class vectors, the dual side by evaluating the dual formulae."""
     enum = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth)
-    forward = enumerated_weak(m1, m2, enum).prebisimulation
+    forward = enumerated_weak(enum).prebisimulation
     dual_formulas = [dual(f) for f in enum.formulas()]
     reversed_ = greatest_weak(m1.reverse(), m2.reverse(), dual_formulas).prebisimulation
     return DualityVerdict(forward == reversed_, forward, reversed_, enum.truncated)

@@ -79,7 +79,7 @@ def test_first_mismatch_is_the_first_differing_entry():
 def fresh_fold(a, b, fragment, depth):
     """E_depth folded over every class of a fresh enumeration to ``depth``."""
     enum = FormulaEnumeration(a, b, fragment).extend_to_depth(depth)
-    return enumerated_weak(a, b, enum).prebisimulation
+    return enumerated_weak(enum).prebisimulation
 
 
 def test_depth_zero_equals_variable_fold():

@@ -17,6 +17,7 @@ import fuzzykripke.syntax as sx
 from fuzzykripke import levels
 from fuzzykripke.algebra import Algebra, AlgebraError, format_value
 from fuzzykripke.fixtures import load_pair
+from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel, ModelError, check_comparable, formula_constants
 from fuzzykripke.syntax import (
     And,
@@ -760,6 +761,122 @@ def test_bundled_pairs_have_the_classes_of_the_four_connective_closure(monkeypat
             monkeypatch, a, b, Fragment(fragment), depth)
 
 
+# A third oracle shares no code with the closure.  The classes of depth
+# <= d are the rows f with f(p) & B(p, q) <= f(q), for B the meet of the
+# generators' biimplications over the worlds of both models (see the
+# comment above syntax._CONNECTIVES), and those rows have a closed-form
+# count.  It costs O(worlds**2) per class, not the loop references'
+# O(classes**2), so it reaches pairs they cannot.
+
+
+def extensional_oracle(e):
+    """Whether every class row of ``e`` is extensional under B, and the
+    count of the extensional rows, C(P, 0, 0) over the worlds P of both
+    models: C(S, a, lo) = max(0, a - lo) + the product of C(S_k, a + 1,
+    max(lo, a)) over the blocks S_k of S at cut a + 1 (the classes of
+    B > a), and C = 1 past top."""
+    assert len(e.constants) == len(e.universe)  # every level is a seeded constant
+    rows, gens = np.hstack(e.level_vectors()), np.hstack(e.generator_vectors())
+    b, top = levels.biimplication_fold(gens.T, gens.T, e.universe.top), int(e.universe.top)
+    extensional = bool((np.minimum(rows[:, :, None], b) <= rows[:, None, :]).all())
+
+    def count(s, a, lo):
+        if a > top:
+            return 1
+        ways = 1
+        while s:
+            p, *s = s
+            ways *= count([p] + [q for q in s if b[p, q] > a], a + 1, max(lo, a))
+            s = [q for q in s if b[p, q] <= a]
+        return max(0, a - lo) + ways
+
+    return extensional, count(list(range(b.shape[0])), 0, 0)
+
+
+def oracle_cases():
+    """Bundled, seeded and path pairs with their fragments and depths."""
+    cases = [(*load_pair(name), fragment, depth)
+             for name in ("sim_showcase", "backward_only", "fully_equivalent", "crisp_pair")
+             for fragment in ("prop", "plus", "minus", "full") for depth in (0, 1, 2)]
+    rng = random.Random("oracle")
+    for algebra in ("boolean", "chain:3", "chain:5", "godel"):
+        pool = GODEL_ENUM_POOL if algebra == "godel" else None
+        for _ in range(4):
+            a, b = random_pair(rng, Algebra.from_spec(algebra), 3, pool=pool)
+            cases += [(a, b, fragment, depth)
+                      for fragment in ("plus", "full") for depth in (1, 2, 3)]
+    for n in (4, 5, 6):
+        a = path_model("godel", n, "0.7", "0.3", "s")
+        b = path_model("godel", n - 1, "0.7", "0.3", "t")
+        cases += [(a, b, fragment, depth)
+                  for fragment in ("plus", "minus", "full") for depth in (0, 1, 2, 3, 4)]
+    return cases
+
+
+def test_the_classes_are_the_extensional_rows_and_their_closed_form_count():
+    """A budget cut keeps budget many of them, and only a count past the
+    budget is cut."""
+    budget = 20_000
+    for a, b, fragment, depth in oracle_cases():
+        e = FormulaEnumeration(a, b, Fragment(fragment), budget).extend_to_depth(depth)
+        extensional, count = extensional_oracle(e)
+        assert extensional and len(e) == min(count, budget) and e.truncated == (count > budget)
+
+
+@pytest.mark.parametrize("narrowed", ["crisp", "dropped"])
+def test_a_closure_with_a_narrowed_implication_row_fails_the_oracle(monkeypatch, narrowed):
+    """With -> cut to its crisp part (top where x <= z, else 0) the
+    closure makes rows that are not extensional; with no -> row at all it
+    makes too few."""
+    crisp = (Implies, lambda x, z, top: np.multiply(x <= z, top, dtype=z.dtype))
+    rows = (sx._CONNECTIVES[0], crisp) if narrowed == "crisp" else sx._CONNECTIVES[:1]
+    monkeypatch.setattr(sx, "_CONNECTIVES", rows)
+    for a, b, fragment, depth in oracle_cases()[:12]:  # sim_showcase
+        e = FormulaEnumeration(a, b, Fragment(fragment)).extend_to_depth(depth)
+        extensional, count = extensional_oracle(e)
+        if narrowed == "crisp":
+            assert not extensional
+        else:
+            assert extensional and len(e) < count
+
+
+def one_world_pair(values):
+    """Two one-world Godel models whose variables take ``values``, the
+    first half on the left and the second on the right: width 2."""
+    alg = Algebra.godel()
+    half = len(values) // 2
+
+    def model(vals, world):
+        return KripkeModel(alg, [world], {1: FuzzyMat(alg, [[vals[0]]])},
+                           {f"p{k}": FuzzyVec(alg, [v]) for k, v in enumerate(vals)})
+
+    return model(values[:half], "s"), model(values[half:], "t")
+
+
+@pytest.mark.parametrize("kind", ["dense", "radix", "bytes"])
+def test_pair_keys_are_the_keys_of_the_formed_block(monkeypatch, kind):
+    """The candidate keys of every connective, summed column by column or
+    keyed from the formed block, are the keys of the formed block: on
+    partner sets on both sides of _SMALL levels and of one row, at width 6
+    (the showcase pair) and width 2, over a uint8 and a uint16 universe."""
+    monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+    rng = np.random.default_rng(21)
+    pairs = [showcase(), one_world_pair([Fraction(k, 5) for k in range(6)]),
+             one_world_pair([Fraction(k, 301) for k in range(300)])]
+    for a, b in pairs:
+        e = FormulaEnumeration(a, b, Fragment.FULL, budget=1)  # for its layout only
+        width, size = len(a.worlds) + len(b.worlds), len(e.universe)
+        assert e.dense == (kind == "dense") and (size > 256) == (e._dt == np.uint16)
+        for count in (1, sx._SMALL // width, sx._SMALL // width + 1, 3 * sx._SMALL):
+            rows = rng.integers(0, size, (count, width)).astype(e._dt)
+            for lhs_count in (1, 7):
+                lhs = rng.integers(0, size, (lhs_count, width)).astype(e._dt)
+                for c, (_, fn) in enumerate(sx._CONNECTIVES):
+                    block = fn(lhs[:, None, :], rows[None, :, :], e.universe.top)
+                    want = e._keys(block.reshape(-1, width))
+                    assert np.array_equal(e._pair_keys(c, lhs, rows), want)
+
+
 def test_pairs_past_the_int64_bound_take_byte_keys_by_themselves():
     # 11 values over 10 + 9 worlds: a radix key would need 11**19 > 2**63
     alg = Algebra.godel()
@@ -833,9 +950,9 @@ def test_a_pass_skips_only_pairs_it_formed_before(monkeypatch, start, n_all):
             calls = []
             pair_keys = FormulaEnumeration._pair_keys
 
-            def record(self, c, lhs, rows, digits, calls=calls, pair_keys=pair_keys):
+            def record(self, c, lhs, rows, calls=calls, pair_keys=pair_keys):
                 calls.append((c, lhs.copy(), rows.copy()))
-                return pair_keys(self, c, lhs, rows, digits)
+                return pair_keys(self, c, lhs, rows)
 
             monkeypatch.setattr(FormulaEnumeration, "_pair_keys", record)
             e.budget, e.truncated = sx.BUDGET, False
