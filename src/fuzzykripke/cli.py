@@ -96,6 +96,8 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_weak(args) -> int:
+    if args.corpus is not None and (args.depth, args.budget) != (None, None):
+        raise ValueError("--depth and --budget go with --fragment, not with --corpus")
     m1, m2 = map(KripkeModel.load, (args.model_a, args.model_b))
     if args.corpus is not None:
         with open(args.corpus, encoding="utf-8") as fh:
@@ -104,8 +106,9 @@ def cmd_weak(args) -> int:
             raise ModelError(f"corpus {args.corpus} contains no formulae")
         report = greatest_weak(m1, m2, formulas)
     else:
-        enum = FormulaEnumeration(m1, m2, Fragment(args.fragment), args.budget)
-        report = enumerated_weak(enum.extend_to_depth(args.depth))
+        budget = BUDGET if args.budget is None else args.budget
+        enum = FormulaEnumeration(m1, m2, Fragment(args.fragment), budget)
+        report = enumerated_weak(enum.extend_to_depth(1 if args.depth is None else args.depth))
 
     def human(out):
         out.write(f"formulas: {report.formula_count}")
@@ -234,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fragment", choices=[f.value for f in Fragment],
         help="enumerate this fragment instead of reading a corpus",
     )
-    p.add_argument("--depth", type=int, default=1, help="enumeration depth")
-    p.add_argument("--budget", type=int, default=BUDGET)
+    # no defaults here, so that either next to --corpus is refused
+    p.add_argument("--depth", type=int, help="enumeration depth (default 1)")
+    p.add_argument("--budget", type=int, help=f"class budget (default {BUDGET})")
 
     p = command("hm", cmd_hm, "expressivity probe: weak ladder vs strong matrix", *pair)
     p.add_argument("--fragment", required=True, choices=[f.value for f in THETA_FOR_FRAGMENT])

@@ -449,11 +449,13 @@ def parse_corpus(text: str) -> list[Formula]:
 # kernel of :mod:`.levels`; exact Fractions are recovered at the boundary.
 #
 # The class store is one growing (count, width) level matrix, width =
-# n1 + n2.  Closing it under the binary connectives pairs each new row x
-# with the rows known when its pass starts: x & y only for the y not made
-# by &, and x -> g only for the generators g (constants, variables and
-# modal rows).  That gives every class of the full square, by pointwise
-# Heyting identities on a chain:
+# n1 + n2, and beside it one (count, 3) build table: the code of the class's
+# constructor in _BUILD and two operands (see FormulaEnumeration).  Closing
+# the store under the binary connectives pairs each new row x with the rows
+# known when its pass starts: connective c pairs with the classes of code
+# > c, so x & y only for the y not made by &, and x -> g only for the
+# generators g (constants, variables and modal rows).  That gives every
+# class of the full square, by pointwise Heyting identities on a chain:
 #
 #   x & (u & z) = (x & u) & z           a meet with a meet splits;
 #   x -> (u & z) = (x -> u) & (x -> z)  so do implications into a meet
@@ -490,13 +492,18 @@ def _meet(x, y, top):
     return np.minimum(x, y)
 
 
-# the binary closure, in generation order: the constructor of the class of
-# the pair (i, j), args (i, j), and the level function of the connective on
-# (row i, row j).  No <->: (A -> B) & (B -> A) is a meet the closure holds
+# the binary closure, in generation order, connective c with build code c:
+# the constructor of the class of the pair (i, j), operands (i, j), and the
+# level function of the connective on (row i, row j).  No <->:
+# (A -> B) & (B -> A) is a meet the closure holds
 _CONNECTIVES = (
     (And, _meet),
     (Implies, levels.residuum),
 )
+
+# the build codes: the connectives, then the atoms, then the modalities
+_BUILD = (*(op for op, _ in _CONNECTIVES), Const, Var, *_MODALITIES)
+_ATOMS = len(_CONNECTIVES)  # the code of Const, and the first generator code
 
 
 BUDGET = 200_000
@@ -540,6 +547,12 @@ class FormulaEnumeration:
     When the class budget is exhausted, ``truncated`` flips to True and
     generation stops.  ``dense`` tells whether known rows are marked in a
     dense key table.  ``models`` is the pair ``(m1, m2)``.
+
+    Each class is stored as one level row and one build entry (code, a, b):
+    the code names its constructor in ``_BUILD``, and the operands are two
+    older classes (``&``, ``->``), the position of a constant or variable
+    (``a``, with ``b`` = 0), or the position of a relation index in
+    ``indices`` and a child class (a modality).
 
     ``depth`` is the modal depth the class list reaches.  The classes of
     that newest depth start at one cursor; :meth:`extend_generators` can
@@ -586,15 +599,11 @@ class FormulaEnumeration:
         self._rel1, self._val1 = m1.encoded(self.universe)
         self._rel2, self._val2 = m2.encoded(self.universe)
 
-        # one level row per class; the constructor of its representative
-        # and the constructor's args run parallel, for rebuilding
+        # one level row and one build entry per class
         width = self._n1 + self._n2
         self._rows = np.zeros((256, width), dtype=self._dt)
+        self._build = np.zeros((256, 3), dtype=np.intp)
         self._count = 0
-        self._ops: list[Callable] = []
-        self._args: list = []
-        self._gen_rows: list[int] = []
-        self._non_meet_rows: list[int] = []  # the generators and the -> classes
         self._built: list[Formula] = []  # representatives of a prefix of the classes
 
         # the known rows: a dense table of radix keys, or a sorted key array
@@ -613,16 +622,6 @@ class FormulaEnumeration:
         self._close()
 
     # -- construction internals -------------------------------------------
-
-    def _grow(self, need: int) -> None:
-        cap = self._rows.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        rows = np.zeros((cap, self._rows.shape[1]), dtype=self._dt)
-        rows[: self._count] = self._rows[: self._count]
-        self._rows = rows
 
     def _keys(self, block: np.ndarray) -> np.ndarray:
         """The key of every level row of ``block`` (m, width), shape (m,)."""
@@ -676,62 +675,51 @@ class FormulaEnumeration:
             self._known = np.sort(np.concatenate([self._known, keys[new]]))
         return new
 
-    def _append(self, rows: np.ndarray, op: Callable, args: list) -> None:
-        """Add one class of constructor ``op`` per level row of ``rows``."""
-        k = rows.shape[0]
-        self._grow(self._count + k)
-        self._rows[self._count : self._count + k] = rows
-        self._ops.extend([op] * k)
-        self._args.extend(args)
-        added = range(self._count, self._count + k)
-        if op is not And:
-            self._non_meet_rows.extend(added)
-        if op not in (And, Implies):
-            self._gen_rows.extend(added)
-        self._count += k
-
-    def _absorb_rows(self, block: np.ndarray, segments: list) -> None:
-        """Turn every new level row of ``block`` into a class, in order, with
-        one :meth:`_absorb` over all its keys.
-
-        ``segments`` cuts the block into consecutive runs, each (length,
-        constructor, args_for): a new row at position k of a run becomes a
-        class of that constructor with args ``args_for(k)``.
-        """
-        fresh = self._absorb(self._keys(block))
-        lo = 0
-        for size, op, args_for in segments:
-            part = fresh[np.searchsorted(fresh, lo) : np.searchsorted(fresh, lo + size)]
-            if part.size:
-                self._append(block[part], op, [args_for(k - lo) for k in part.tolist()])
-            lo += size
+    def _append(self, rows: np.ndarray, code, a, b) -> None:
+        """Add one class per level row of ``rows``, built as (code, a, b):
+        each an integer, or an array with one entry per row."""
+        lo, hi = self._count, self._count + rows.shape[0]
+        cap = self._rows.shape[0]
+        if hi > cap:
+            while cap < hi:
+                cap *= 2
+            self._rows, self._build = (
+                np.concatenate([x[:lo], np.zeros((cap - lo, x.shape[1]), x.dtype)])
+                for x in (self._rows, self._build)
+            )
+        self._rows[lo:hi] = rows
+        build = self._build[lo:hi]
+        build[:, 0], build[:, 1], build[:, 2] = code, a, b
+        self._count = hi
 
     def _seed_atoms(self) -> None:
         width = self._n1 + self._n2
         consts = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
         variables = [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
-        self._absorb_rows(np.vstack([consts, *variables]), [
-            (len(self.constants), Const, self.constants.__getitem__),
-            (len(self.variables), Var, self.variables.__getitem__),
-        ])
+        block = np.vstack([consts, *variables])
+        build = np.array([(_ATOMS, k, 0) for k in range(len(self.constants))]
+                         + [(_ATOMS + 1, k, 0) for k in range(len(self.variables))])
+        fresh = self._absorb(self._keys(block))
+        self._append(block[fresh], *build[fresh].T)
 
     def _saturate(self, start: int) -> None:
         """Close rows[start:] under the binary connectives.
 
         Each pass pairs its new rows with the rows known when it starts,
         one connective at a time, the pairs (new i, partner j) in row-major
-        order: under & the partners are the rows not made by &, under ->
-        the generators (see the comment above :data:`_CONNECTIVES`).  Rows
-        born during a pass form the next frontier.  Chunks of new rows
-        bound peak memory and do not change the order.
+        order: connective c pairs with the rows of code > c, so under & the
+        rows not made by &, under -> the generators (see the comment above
+        :data:`_CONNECTIVES`).  Rows born during a pass form the next
+        frontier.  Chunks of new rows bound peak memory and do not change
+        the order.
         """
         top = self.universe.top
         width = self._rows.shape[1]
         while start < self._count and not self.truncated:
             n_all = self._count
-            all_rows = self._rows[:n_all]
-            partners_of = (np.array(self._non_meet_rows), np.array(self._gen_rows))
-            for c, ((op, fn), cols) in enumerate(zip(_CONNECTIVES, partners_of)):
+            all_rows, codes = self._rows[:n_all], self._build[:n_all, 0]
+            for c, (_, fn) in enumerate(_CONNECTIVES):
+                cols = np.flatnonzero(codes > c)
                 partners = all_rows[cols]
                 chunk = max(1, levels.BATCH // (len(cols) * width))
                 for base in range(start, n_all, chunk):
@@ -739,8 +727,7 @@ class FormulaEnumeration:
                     fresh = self._absorb(self._pair_keys(c, lhs, partners))
                     if fresh.size:
                         i, j = base + fresh // len(cols), cols[fresh % len(cols)]
-                        rows = fn(all_rows[i], all_rows[j], top)
-                        self._append(rows, op, list(zip(i.tolist(), j.tolist())))
+                        self._append(fn(all_rows[i], all_rows[j], top), c, i, j)
                     if self.truncated:
                         return
             start = n_all
@@ -765,16 +752,18 @@ class FormulaEnumeration:
         self._level, self._closed = self._count, False
         self.depth += 1
         # every index and modality in turn, deduplicated together
-        segments = [(idx, node) for idx in self.indices for node in self._modalities]
+        segments = [(r, node) for r in range(len(self.indices)) for node in self._modalities]
         block = np.empty((len(segments) * f, children.shape[1]), dtype=self._dt)
-        for s, (idx, node) in enumerate(segments):
-            m = _MODALITIES[node]
+        build = np.empty((len(segments), f, 3), dtype=np.intp)
+        build[:, :, 2] = np.arange(base, base + f)
+        for s, (r, node) in enumerate(segments):
+            m, idx = _MODALITIES[node], self.indices[r]
             rows = block[s * f : (s + 1) * f]
             rows[:, :n1] = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
             rows[:, n1:] = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
-        self._absorb_rows(
-            block, [(f, node, lambda k, idx=idx: (idx, base + k)) for idx, node in segments]
-        )
+            build[s, :, :2] = _BUILD.index(node), r
+        fresh = self._absorb(self._keys(block))
+        self._append(block[fresh], *build.reshape(-1, 3)[fresh].T)
 
     def extend_generators(self, depth: int) -> "FormulaEnumeration":
         """Grow the class list until the modal classes of ``depth`` exist.
@@ -807,14 +796,16 @@ class FormulaEnumeration:
         """
         index = range(self._count)[index]
         built = self._built
-        for i in range(len(built), index + 1):
-            op, args = self._ops[i], self._args[i]
-            if op in (Const, Var):
-                built.append(op(args))
-            elif op in _MODALITIES:
-                built.append(op(args[0], built[args[1]]))
+        for code, a, b in self._build[len(built) : index + 1].tolist():
+            op = _BUILD[code]
+            if code < _ATOMS:
+                built.append(op(built[a], built[b]))
+            elif op is Const:
+                built.append(Const(self.constants[a]))
+            elif op is Var:
+                built.append(Var(self.variables[a]))
             else:
-                built.append(op(built[args[0]], built[args[1]]))
+                built.append(op(self.indices[a], built[b]))
         return built[index]
 
     def formulas(self) -> list[Formula]:
@@ -840,12 +831,11 @@ class FormulaEnumeration:
         classes.  Biimplication folds can skip the binary rows; residuum
         folds cannot (the law fails one-sidedly for implication).
         """
-        return tuple(self._gen_rows)
+        return tuple(np.flatnonzero(self._build[: self._count, 0] >= _ATOMS).tolist())
 
     def generator_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`level_vectors`, restricted to the generator classes."""
-        idx = np.asarray(self._gen_rows, dtype=np.intp)
-        rows = self._rows[idx]
+        rows = self._rows[: self._count][self._build[: self._count, 0] >= _ATOMS]
         return rows[:, : self._n1], rows[:, self._n1 :]
 
     def __len__(self):

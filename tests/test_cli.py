@@ -199,6 +199,16 @@ def test_weak_corpus_and_fragment_are_exclusive(tmp_path, capsys):
     assert exits.value.code == 2
 
 
+def test_weak_corpus_refuses_depth_and_budget(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("p\n")
+    error = "error: --depth and --budget go with --fragment, not with --corpus\n"
+    for extra in (["--depth", "1"], ["--depth", "-3"], ["--budget", "200000"],
+                  ["--budget", "-1"], ["--depth", "-3", "--budget", "-1"]):
+        code, out, err = run(capsys, "weak", "--corpus", str(corpus), *extra, A, B)
+        assert (code, out, err) == (2, "", error)
+
+
 def test_weak_empty_corpus_exits_2(tmp_path, capsys):
     corpus = tmp_path / "empty.txt"
     corpus.write_text("# nothing here\n")

@@ -1,11 +1,12 @@
-"""Every name a library module imports is used in that module, and every
-private name the library defines is used somewhere in it.
+"""Every name a library module imports is used in that module, every
+private name the library defines is used somewhere in it, and every
+private attribute it stores on ``self`` is read somewhere in it.
 
 ``ast`` checks, so they need no linter.  An imported name counts as used
 when the module loads it anywhere, names it inside a quoted annotation, or
-lists it in ``__all__`` (a re-export).  A private function, class, constant
-or method counts as used when any library module loads it, as a name or as
-an attribute.
+lists it in ``__all__`` (a re-export).  A private function, class, constant,
+method or stored attribute counts as used when any library module loads
+it, as a name or as an attribute.
 """
 
 import ast
@@ -139,3 +140,60 @@ def test_the_private_name_check_sees_attributes_and_skips_dunders():
     defined = private_definitions(tree)
     assert sorted(defined) == ["_Base", "_LIMIT", "_UNUSED", "_check", "_compose", "_helper"]
     assert [name for name in defined if name not in loaded(tree)] == ["_UNUSED", "_check"]
+
+
+def stored(tree: ast.Module) -> dict[str, int]:
+    """The private attributes the module stores on ``self`` (``self._x = ...``
+    in any assignment target, or ``object.__setattr__(self, "_x", ...)``),
+    with the line of the first store."""
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.setdefault(node.attr, node.lineno)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                and isinstance(node.args[1], ast.Constant)):
+            names.setdefault(node.args[1].value, node.lineno)
+    return {name: line for name, line in names.items() if private(name)}
+
+
+def unread_state(trees: dict[str, ast.Module]) -> list[str]:
+    used = set().union(*map(loaded, trees.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in stored(tree).items()
+        if name not in used
+    ]
+
+
+def test_every_stored_private_attribute_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    dead = unread_state(trees)
+    assert not dead, f"private attributes stored but read nowhere in the library: {', '.join(dead)}"
+
+
+def test_the_stored_attribute_check_sees_every_store_and_only_reads():
+    tree = ast.parse(
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self._rows, self._spare = [], []\n"
+        "        object.__setattr__(self, '_frozen', 1)\n"
+        "        self._count: int = 0\n"
+        "        self._count += 1\n"
+        "        self.public = 2\n"
+        "    def size(self):\n"
+        "        return len(self._rows) + self._frozen\n"
+    )
+    assert sorted(stored(tree)) == ["_count", "_frozen", "_rows", "_spare"]
+    assert sorted(unread_state({"box.py": tree})) == ["box.py line 3: _spare", "box.py line 5: _count"]
+
+
+def test_a_list_left_behind_in_the_enumerator_fails_the_stored_attribute_check():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    source = (Path(fuzzykripke.__file__).parent / "syntax.py").read_text(encoding="utf-8")
+    anchor = "        self._count = 0\n"
+    assert source.count(anchor) == 1
+    trees["syntax.py"] = ast.parse(source.replace(anchor, anchor + "        self._gen_rows = []\n"))
+    [dead] = unread_state(trees)
+    assert dead.startswith("syntax.py line ") and dead.endswith(": _gen_rows")

@@ -478,6 +478,46 @@ def test_generator_rows_are_exactly_the_non_binary_classes():
         assert (i in gens) == (not isinstance(f, (And, Implies)))
 
 
+@pytest.mark.parametrize("kind", ["dense", "radix", "bytes"])
+def test_the_build_table_names_each_constructor_and_older_operands(monkeypatch, kind):
+    """Each class's build entry (code, a, b) names the constructor of its
+    representative and operands it was built from: older classes, or a
+    constant, variable or relation index.  The representative evaluates to
+    the class's level rows on both models.  The closure's partners of
+    connective c, the classes of code > c, are the classes not made by &
+    (c = 0) and the generators (c = 1)."""
+    monkeypatch.setattr(sx, "_row_keys", fallback_keys(kind))
+    a, b = showcase()
+    back = load_pair("backward_only")
+    for e in (FormulaEnumeration(a, b, Fragment.FULL).extend_to_depth(1),
+              FormulaEnumeration(*back, Fragment.PLUS).extend_to_depth(1),
+              FormulaEnumeration(a, b, Fragment.FULL, budget=500).extend_to_depth(1)):
+        assert e.dense == (kind == "dense") and e.truncated == (e.budget == 500)
+        formulas = e.formulas()
+        codes = e._build[: len(e), 0]
+        lv1, lv2 = e.level_vectors()
+        m1, m2 = e.models
+        for k, (code, x, y) in enumerate(e._build[: len(e)].tolist()):
+            f = formulas[k]
+            assert list(m1.eval_vec(f).values) == e.universe.decode(lv1[k])
+            assert list(m2.eval_vec(f).values) == e.universe.decode(lv2[k])
+            assert type(f) is sx._BUILD[code]
+            if isinstance(f, (And, Implies)):
+                assert x < k and y < k and f == type(f)(formulas[x], formulas[y])
+            elif isinstance(f, Const):
+                assert f.value == e.constants[x]
+            elif isinstance(f, Var):
+                assert f.name == e.variables[x]
+            else:
+                assert y < k and f == type(f)(e.indices[x], formulas[y])
+        not_meets = [k for k, f in enumerate(formulas) if not isinstance(f, And)]
+        gens = [k for k, f in enumerate(formulas) if not isinstance(f, (And, Implies))]
+        assert list(e.generator_indices()) == gens
+        assert np.hstack(e.generator_vectors()).tolist() == np.hstack([lv1, lv2])[gens].tolist()
+        assert np.flatnonzero(codes > 0).tolist() == not_meets
+        assert np.flatnonzero(codes > 1).tolist() == gens
+
+
 # The known rows are kept either in a dense table of mixed-radix keys, with
 # candidate keys summed from the connective tables, or in a sorted array of
 # keys (radix integers, or row bytes when a key would not fit in an int64).
@@ -963,7 +1003,8 @@ def test_a_pass_skips_only_pairs_it_formed_before(monkeypatch, start, n_all):
             formed = [(c, index[tuple(x)], index[tuple(y)])
                       for c, lhs, rows in calls for x in lhs.tolist() for y in rows.tolist()]
             formed = [pair for pair in formed if pair[1] < n_all]  # the first pass only
-            ops, args = e._ops, e._args
+            ops = [sx._BUILD[code] for code in e._build[: len(e), 0].tolist()]
+            args = e._build[: len(e), 1:].tolist()
             made_by = (lambda j: ops[j] is And, lambda j: ops[j] in (And, Implies))
             square = [(c, i, j) for c in (0, 1) for i in range(start, n_all) for j in range(n_all)]
             assert formed == [(c, i, j) for c, i, j in square if not made_by[c](j)]
