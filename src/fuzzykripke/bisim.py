@@ -199,32 +199,36 @@ class _Side(NamedTuple):
     rp: np.ndarray
 
 
-def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type: SimType):
-    """The pair in levels of ``universe``: per model, the level vectors of
-    the variables in sorted order as the rows of one array; and the sides of
-    ``sim_type`` that have a -2 condition (a model with no relation index
-    has none), each with its (direction, index) pairs in condition order and
-    the stacks of their relations in forward orientation: transposed for
-    the bwd directions, and the right model's first on the swapped side."""
-    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
-    variables = sorted(m1.valuation)
-    valuations = tuple(
-        np.array([vals[v] for v in variables], universe.dtype).reshape(-1, len(m.worlds))
-        for m, vals in ((m1, vals1), (m2, vals2))
-    )
+def _sides(rels1: dict, rels2: dict, indices, tags) -> dict[bool, _Side]:
+    """The sides of the directions ``tags`` that have a -2 condition (with
+    no relation index there is none), for the relations ``rels1`` and
+    ``rels2`` (level arrays by index): each with its (direction, index)
+    pairs in condition order and the stacks of their relations in forward
+    orientation, transposed for the bwd directions, and the right model's
+    first on the swapped side."""
     sides = {}
     for swap in (False, True):
-        pairs = [
-            (tag, i) for tag in _THETA2[sim_type] if DIRECTIONS[tag].swap == swap
-            for i in m1.indices
-        ]
+        pairs = [(tag, i) for tag in tags if DIRECTIONS[tag].swap == swap for i in indices]
         if pairs:
             r, rp = (
                 np.array([rels[i].T if DIRECTIONS[tag].transpose else rels[i] for tag, i in pairs])
                 for rels in ((rels2, rels1) if swap else (rels1, rels2))
             )
             sides[swap] = _Side(pairs, r, rp)
-    return valuations, sides
+    return sides
+
+
+def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type: SimType):
+    """The pair in levels of ``universe``: per model, the level vectors of
+    the variables in sorted order as the rows of one array; and the
+    :func:`_sides` of ``sim_type``."""
+    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
+    variables = sorted(m1.valuation)
+    valuations = tuple(
+        np.array([vals[v] for v in variables], universe.dtype).reshape(-1, len(m.worlds))
+        for m, vals in ((m1, vals1), (m2, vals2))
+    )
+    return valuations, _sides(rels1, rels2, m1.indices, _THETA2[sim_type])
 
 
 def _check_relation(m1: KripkeModel, m2: KripkeModel, phi: FuzzyMat) -> None:
@@ -351,6 +355,22 @@ def _sweep_cap(m1: KripkeModel, m2: KripkeModel, universe: Universe) -> int:
     return 10 * len(m1.worlds) * len(m2.worlds) * len(universe) + 10
 
 
+def _sweeps(phi: np.ndarray, sides: dict[bool, _Side], top, most: int):
+    """Jacobi sweeps of the -2 updates of ``sides`` from the level matrix
+    ``phi``, each against the previous iterate, until one changes nothing
+    or ``most`` have run: the last iterate, the sweeps run (the one that
+    changed nothing among them), and whether it is the fixpoint."""
+    for sweep in range(1, most + 1):
+        new = phi
+        for swap, side in sides.items():
+            chi = RESIDUAL_UPDATES["fwd"](side.r, side.rp, phi.T if swap else phi, top)
+            new = np.minimum(new, chi.T if swap else chi)
+        if np.array_equal(new, phi):
+            return phi, sweep, True
+        phi = new
+    return phi, most, False
+
+
 def greatest_pre(
     m1: KripkeModel,
     m2: KripkeModel,
@@ -369,21 +389,13 @@ def greatest_pre(
     top = universe.top
     valuations, sides = _encode_pair(m1, m2, universe, sim_type)
     phi = _initial_relation(*valuations, top, sim_type)
-    iterations = 0
-    while True:
-        if iterations > cap:
-            raise RuntimeError(
-                f"fixpoint failed to stabilize within {cap} sweeps; "
-                "this indicates an internal error"
-            )
-        new = phi
-        for swap, side in sides.items():
-            chi = RESIDUAL_UPDATES["fwd"](side.r, side.rp, phi.T if swap else phi, top)
-            new = np.minimum(new, chi.T if swap else chi)
-        iterations += 1
-        if np.array_equal(new, phi):
-            break
-        phi = new
+    # one sweep past the cap, to find that the cap was reached
+    phi, iterations, stable = _sweeps(phi, sides, top, cap + 1)
+    if not stable:
+        raise RuntimeError(
+            f"fixpoint failed to stabilize within {cap} sweeps; "
+            "this indicates an internal error"
+        )
 
     matrix = FuzzyMat._from_levels(m1.algebra, phi, universe)
     conditions = _level_conditions(m1, m2, universe, valuations, sides, phi, sim_type)
@@ -400,3 +412,36 @@ def greatest_pre(
         exists=cond1 and nonempty,
         conditions=conditions,
     )
+
+
+def union_iterate(
+    m1: KripkeModel,
+    m2: KripkeModel,
+    universe: Universe,
+    sim_type: Optional[SimType],
+    sweeps: int,
+) -> np.ndarray:
+    """The iterate of :func:`greatest_pre` after ``sweeps`` Jacobi sweeps,
+    or its fixpoint if that comes sooner, for the disjoint union of the
+    comparable pair against itself: a level matrix of ``universe`` (which
+    must hold every value of both models) over the worlds of ``m1`` and then
+    of ``m2`` on both axes.  The union's relations are block-diagonal, so a
+    block of an update reads only the same block of the previous iterate:
+    the (m1, m2) block is the iterate of ``greatest_pre(m1, m2)``.  With no
+    ``sim_type``, no sweep runs and this is the biimplication fold of the
+    variables.  :mod:`.weak` reads the formula classes off it.
+    """
+    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
+    n1, n = len(m1.worlds), len(m1.worlds) + len(m2.worlds)
+    rels = {}
+    for i in m1.indices:
+        rels[i] = np.zeros((n, n), universe.dtype)
+        rels[i][:n1, :n1], rels[i][n1:, n1:] = rels1[i], rels2[i]
+    v = np.array(
+        [np.concatenate([vals1[p], vals2[p]]) for p in sorted(m1.valuation)], universe.dtype
+    ).reshape(-1, n)
+    phi = biimplication_fold(v.T, v.T, universe.top)
+    if sim_type is None:
+        return phi
+    sides = _sides(rels, rels, m1.indices, _THETA2[SimType(sim_type)])
+    return _sweeps(phi, sides, universe.top, sweeps)[0]

@@ -25,8 +25,8 @@ from .bisim import SimType, check_conditions, greatest_pre
 from .fuzzrel import FuzzyMat
 from .hm import DEPTH_CAP, THETA_FOR_FRAGMENT, hm_check
 from .model import KripkeModel, ModelError, _dump_json, _read_json, parse_matrix
-from .syntax import BUDGET, FormulaEnumeration, Fragment, parse, parse_corpus
-from .weak import enumerated_weak, greatest_weak
+from .syntax import BUDGET, Fragment, parse, parse_corpus
+from .weak import fragment_weak, greatest_weak
 
 
 def _load_relation(path: str, algebra) -> FuzzyMat:
@@ -106,9 +106,10 @@ def cmd_weak(args) -> int:
             raise ModelError(f"corpus {args.corpus} contains no formulae")
         report = greatest_weak(m1, m2, formulas)
     else:
-        budget = BUDGET if args.budget is None else args.budget
-        enum = FormulaEnumeration(m1, m2, Fragment(args.fragment), budget)
-        report = enumerated_weak(enum.extend_to_depth(1 if args.depth is None else args.depth))
+        report = fragment_weak(
+            m1, m2, Fragment(args.fragment), 1 if args.depth is None else args.depth,
+            BUDGET if args.budget is None else args.budget,
+        )
 
     def human(out):
         out.write(f"formulas: {report.formula_count}")

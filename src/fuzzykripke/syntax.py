@@ -474,7 +474,11 @@ def parse_corpus(text: str) -> list[Formula]:
 # congruence law).  Conversely f = \/_p (f(p) & X_p) with the term
 # X_p = /\_g ((g -> g(p)) & (g(p) -> g)), values read as constants, and
 # x | y = ((x -> y) -> y) & ((y -> x) -> x): X_p(q) = B(p, q), so the
-# join at q is f(q), by the law and B(q, q) = 1.
+# join at q is f(q), by the law and B(q, q) = 1.  B for depth d + 1 is one
+# Jacobi sweep of the matched bisimulation kind from B for depth d, on the
+# disjoint union of the models against itself: the proof of that modal
+# step, and the class count, are in the docstring of :mod:`.weak`, which
+# computes an uncut fragment's weak report from them.
 #
 # Duplicates are found by key.  With L levels a row has the exact
 # mixed-radix key sum_c row[c] * L**(width-1-c).  When L**width is at most
@@ -534,6 +538,17 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth must be nonnegative, got {depth}")
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+
+
+def seed_constants(m1: "KripkeModel", m2: "KripkeModel") -> tuple[Fraction, ...]:
+    """The constants an enumeration over the pair seeds, in increasing
+    order: 0, 1 and every value the models use."""
+    return tuple(sorted({ZERO, ONE, *m1.used_values(), *m2.used_values()}))
+
+
 class FormulaEnumeration:
     """Depth-layered, deduplicated formula enumeration over a model pair.
 
@@ -569,8 +584,7 @@ class FormulaEnumeration:
     ):
         from .model import check_comparable
 
-        if budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
+        _check_budget(budget)
         check_comparable(m1, m2)
         self.models = (m1, m2)
         self.algebra = m1.algebra
@@ -583,7 +597,7 @@ class FormulaEnumeration:
 
         self.variables = tuple(sorted(m1.valuation))
         self.indices = m1.indices
-        self.constants = tuple(sorted({ZERO, ONE, *m1.used_values(), *m2.used_values()}))
+        self.constants = seed_constants(m1, m2)
         self.universe = levels.union([m1.universe, m2.universe])
 
         # a modality is admitted by FULL and by the fragment of its direction
@@ -773,10 +787,17 @@ class FormulaEnumeration:
         rows determines) do not need it, and it is by far the most
         expensive part of a depth.  A later :meth:`extend_to_depth` call
         picks up exactly where this left off.
+
+        A depth that adds no class has no children for a deeper modal
+        step, so the class list is then final: ``depth`` jumps to the
+        target at once.
         """
         _check_depth(depth)
         while self.depth < depth and not self.truncated:
             self._close()
+            if self._level == self._count:
+                self.depth = depth
+                break
             self._modal_step()
         return self
 

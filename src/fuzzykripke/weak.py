@@ -24,6 +24,50 @@ models: they agree exactly when every row and every column contains 1.
 The closed forms are folds over the level vectors of the formulae
 (:mod:`.levels`); a set enumerated by :class:`FormulaEnumeration` is folded
 from its class vectors directly, without rebuilding any formula.
+
+The formulae of a fragment to a depth need no enumeration at all unless a
+budget cuts them (:func:`fragment_weak`).  Let P be the worlds of both
+models, R_i the block-diagonal relations of their disjoint union, and B_d
+the meet over the generators g of depth <= d (constants, variables and
+modal classes) of g(p) <-> g(q) on P x P.  The classes of depth <= d are
+the B_d-extensional rows f, those with f(p) /\\ B_d(p, q) <= f(q) (see the
+comment above ``syntax._CONNECTIVES``), so B_d is a min-transitive
+similarity and each cut B_d >= a an equivalence.  B_0 is the fold of the
+variables, and B_{d+1} is the Jacobi sweep of the matched kind (fb for
+plus, bb for minus, rb for full) from B_d: B_d met with the -2 updates of
+its directions (:func:`.bisim.union_iterate`).  The modal step, for fwd:
+a modal generator of depth d + 1 is a modality of a class f of depth <= d,
+and
+
+    fwd(B)(p, q) = min_v  R(p, v) -> max_v' (R(q, v') /\\ B(v, v')).
+
+Soundness: for f extensional under B = B_d, fwd(B)(p, q) <= <>f(p) ->
+<>f(q), since R(p, v) /\\ f(v) /\\ fwd(B)(p, q) <= max_v' R(q, v') /\\
+B(v, v') /\\ f(v) <= max_v' R(q, v') /\\ f(v') for every v.  Likewise
+fwd(B)(p, q) <= []f(q) -> []f(p): []f(q) /\\ R(q, v') <= f(v') and
+f(v') /\\ B(v', v) <= f(v) give []f(q) /\\ fwd(B)(p, q) /\\ R(p, v) <=
+f(v) for every v.  So fwd covers <> forth and [] back; fwd_inv, which is
+fwd at (q, p) since B is symmetric, covers the converse implications; and
+bwd and bwd_inv do the same for <>- and []- on the transposed relations.
+Hence the swept B_{d+1} is at most the meet over the new generators.
+Completeness: the row chi_v(q) = B(v, q) is extensional (B is
+min-transitive), so it is a class of depth <= d, and <>chi_v(p) >=
+R(p, v) /\\ B(v, v) = R(p, v) while <>chi_v(q) = max_v' R(q, v') /\\
+B(v, v').  As -> is antitone in its left argument, <>chi_v(p) <->
+<>chi_v(q) <= R(p, v) -> <>chi_v(q), and the meet over v is fwd(B)(p, q):
+the update is attained (<>-chi_v attains bwd).  The two halves give the
+equality by induction on d; Fan (IEEE TFS 23(6), 2015) takes the same
+graded step for Godel modal logic.
+
+So everything the report of an uncut enumeration holds is a function of
+the (m1, m2) block X of B_d and of the class count.  Both greatest weak
+relations are X: the class chi_p attains X(p, q), and every class f has
+f(p) -> f(q) >= X(p, q).  Condition -1 of the presimulation holds iff
+every row of X holds 1: a world q with X(p, q) = 1 has f(q) = f(p) for
+every class, and with none chi_p breaks the condition at p.  For the
+prebisimulation every column must hold 1 as well, which is also formula
+set equivalence.  The count is that of the B_d-extensional rows over the
+chain of seeded constants (:func:`class_count`).
 """
 
 from __future__ import annotations
@@ -31,16 +75,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bisim import DIRECTIONS, ConditionCheck, _check_relation, _vector_violations, _verdict
+import numpy as np
+
+from .bisim import (
+    DIRECTIONS, ConditionCheck, _check_relation, _vector_violations, _verdict, union_iterate,
+)
 from .fuzzrel import FuzzyMat
-from .levels import Universe, biimplication_fold, compose, residual_fold
+from .hm import THETA_FOR_FRAGMENT
+from .levels import Universe, biimplication_fold, compose, residual_fold, union
 from .model import KripkeModel, check_comparable, formula_levels
 from .syntax import (
     BUDGET,
     Formula,
     FormulaEnumeration,
     Fragment,
+    _check_budget,
+    _check_depth,
     dual,
+    seed_constants,
     to_text,
 )
 
@@ -154,6 +206,81 @@ def enumerated_weak(enum: FormulaEnumeration) -> WeakReport:
     """
     _nonempty(enum)
     return _weak_report(*enum.models, enum.universe, *enum.level_vectors(), enum.truncated)
+
+
+def class_count(b: np.ndarray, top: int, budget: int) -> int:
+    """The number of rows f of levels 0..``top`` over the worlds of ``b``
+    with f(p) /\\ b(p, q) <= f(q) for all worlds p and q, where ``b`` is a
+    min-transitive similarity on those levels (top on its diagonal); or
+    ``budget + 1`` as soon as the count is known to pass ``budget``.
+
+    The cuts b >= a are nested equivalences.  On a block S of the cut at
+    a, the count C(S, a) is 1 for a past top, and else [a > 0] + the
+    product of C(S_k, a + 1) over the blocks S_k of S at cut a + 1: below
+    a, f is one value on S; else it is at least a there, and blocks that
+    b keeps apart at a are free of each other.  The cuts change only at
+    the values of b, so the blocks are merged one value at a time, from
+    top down to 0; a block that merges with nothing over k levels gains
+    k.  Every count is at least 1, so the count of the whole passes the
+    budget once any block's count does.
+    """
+    firsts, counts = list(range(len(b))), [1] * len(b)  # the blocks past top
+    cut = top + 1
+    for value in np.unique(np.append(b, 0))[::-1].tolist():
+        first = (b >= value).argmax(axis=1).tolist()  # the first world of each block
+        grown = cut - value - 1
+        merged = {}
+        for world, count in zip(firsts, counts):
+            key = first[world]
+            merged[key] = merged.get(key, 1) * (count + grown)
+        firsts, counts = list(merged), [int(value > 0) + c for c in merged.values()]
+        if max(counts) > budget:
+            return budget + 1
+        cut = value
+    return counts[0]
+
+
+def fragment_weak(
+    m1: KripkeModel,
+    m2: KripkeModel,
+    fragment: Fragment,
+    depth: int,
+    budget: int = BUDGET,
+) -> WeakReport:
+    """The report of ``enumerated_weak(FormulaEnumeration(m1, m2,
+    fragment, budget).extend_to_depth(depth))``, in closed form from the
+    union iterate and the class count (see the module docstring).  Only
+    when the count passes ``budget`` is the enumeration run, because a
+    budget cut keeps a prefix of the class order."""
+    # refused in the order the enumeration refuses them
+    _check_budget(budget)
+    check_comparable(m1, m2)
+    universe = union([m1.universe, m2.universe])
+    _check_depth(depth)
+    fragment = Fragment(fragment)
+    b = union_iterate(m1, m2, universe, THETA_FOR_FRAGMENT.get(fragment), depth)
+    chain = universe.encode(seed_constants(m1, m2))
+    count = class_count(np.searchsorted(chain, b), len(chain) - 1, budget)
+    if count > budget:
+        return enumerated_weak(FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth))
+    x = b[: len(m1.worlds), len(m1.worlds) :]
+    matrix = FuzzyMat._from_levels(m1.algebra, x, universe)
+    rows = bool((x == universe.top).any(axis=1).all())
+    equivalent = psi_equivalent(matrix)
+    nonempty = bool(x.any())
+    return WeakReport(
+        formula_count=count,
+        row_worlds=m1.worlds,
+        col_worlds=m2.worlds,
+        presimulation=matrix,
+        prebisimulation=matrix,
+        presim_satisfies_condition1=rows,
+        prebisim_satisfies_condition1=equivalent,
+        presim_nonempty=nonempty,
+        prebisim_nonempty=nonempty,
+        equivalent=equivalent,
+        truncated=False,
+    )
 
 
 def check_weak(

@@ -22,6 +22,7 @@ from fuzzykripke import cli
 from fuzzykripke.cli import main
 from fuzzykripke.fixtures import PAIRS, fixture_path
 from fuzzykripke.model import KripkeModel, _dump_json
+from fuzzykripke.syntax import FormulaEnumeration
 
 A = str(fixture_path("sim_showcase_a.json"))
 B = str(fixture_path("sim_showcase_b.json"))
@@ -147,6 +148,28 @@ def test_weak_fragment_json_bytes_are_pinned(capsys, name, fragment, depth):
     argv = ("weak", "--fragment", fragment, "--depth", str(depth), *pair, "--format", "json")
     code, out, _ = run(capsys, *argv)
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == WEAK_FRAGMENT_DIGESTS[name, fragment, depth]
+
+
+def test_an_uncut_weak_fragment_run_enumerates_nothing(monkeypatch, capsys):
+    """The report of an uncut run is computed in closed form; only a run
+    whose class count passes the budget builds the enumeration it cuts."""
+    built = []
+    init = FormulaEnumeration.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormulaEnumeration, "__init__", counted)
+    for (name, fragment, depth), (want, _) in WEAK_FRAGMENT_DIGESTS.items():
+        pair = [str(fixture_path(f"{name}_{side}.json")) for side in "ab"]
+        code, _, _ = run(capsys, "weak", "--fragment", fragment, "--depth", str(depth), *pair,
+                         "--format", "json")
+        assert code == want
+    assert built == []
+    code, out, _ = run(capsys, "weak", "--fragment", "full", "--depth", "1", A, B,
+                       "--budget", "50", "--format", "json")
+    assert code == 1 and json.loads(out)["truncated"] is True and len(built) == 1
 
 
 def test_weak_text_reports_what_the_json_reports(capsys):

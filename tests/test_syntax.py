@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 import fuzzykripke.syntax as sx
 from fuzzykripke import levels
 from fuzzykripke.algebra import Algebra, AlgebraError, format_value
+from fuzzykripke.bisim import union_iterate
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
+from fuzzykripke.hm import THETA_FOR_FRAGMENT
 from fuzzykripke.model import KripkeModel, ModelError, check_comparable, formula_constants
 from fuzzykripke.syntax import (
     And,
@@ -38,6 +40,7 @@ from fuzzykripke.syntax import (
     parse_corpus,
     to_text,
 )
+from fuzzykripke.weak import class_count
 
 # -- parsing ------------------------------------------------------------------
 
@@ -809,6 +812,13 @@ def test_bundled_pairs_have_the_classes_of_the_four_connective_closure(monkeypat
 # O(classes**2), so it reaches pairs they cannot.
 
 
+def generator_fold(e):
+    """B over the worlds of both models: the meet of the biimplications
+    of the generator rows of ``e``."""
+    gens = np.hstack(e.generator_vectors())
+    return levels.biimplication_fold(gens.T, gens.T, e.universe.top)
+
+
 def extensional_oracle(e):
     """Whether every class row of ``e`` is extensional under B, and the
     count of the extensional rows, C(P, 0, 0) over the worlds P of both
@@ -816,8 +826,8 @@ def extensional_oracle(e):
     max(lo, a)) over the blocks S_k of S at cut a + 1 (the classes of
     B > a), and C = 1 past top."""
     assert len(e.constants) == len(e.universe)  # every level is a seeded constant
-    rows, gens = np.hstack(e.level_vectors()), np.hstack(e.generator_vectors())
-    b, top = levels.biimplication_fold(gens.T, gens.T, e.universe.top), int(e.universe.top)
+    rows, b = np.hstack(e.level_vectors()), generator_fold(e)
+    top = int(e.universe.top)
     extensional = bool((np.minimum(rows[:, :, None], b) <= rows[:, None, :]).all())
 
     def count(s, a, lo):
@@ -861,6 +871,45 @@ def test_the_classes_are_the_extensional_rows_and_their_closed_form_count():
         e = FormulaEnumeration(a, b, Fragment(fragment), budget).extend_to_depth(depth)
         extensional, count = extensional_oracle(e)
         assert extensional and len(e) == min(count, budget) and e.truncated == (count > budget)
+
+
+def test_the_union_iterates_are_the_generator_folds_and_their_count_is_the_oracles():
+    """The graded ladder on the worlds P of both models: B_d, the fold of
+    the generators of depth <= d over P x P, is the d-th Jacobi iterate
+    of the matched kind (none for prop) on the disjoint union against
+    itself, or its fixpoint.  The library's count of the B_d-extensional
+    rows is the oracle's, or budget + 1 past the budget.  The two runs
+    whose generators pass the budget (full, depth 4, on the two longest
+    path pairs) keep only the count, which is past the budget."""
+    budget = 20_000
+    compared = 0
+    for a, b, fragment, depth in oracle_cases():
+        e = FormulaEnumeration(a, b, Fragment(fragment), budget).extend_generators(depth)
+        kind = THETA_FOR_FRAGMENT.get(Fragment(fragment))
+        iterate = union_iterate(a, b, e.universe, kind, depth)
+        got = class_count(iterate, int(e.universe.top), budget)
+        if e.truncated:
+            assert got == budget + 1 and fragment == "full" and depth == 4
+            continue
+        assert np.array_equal(iterate, generator_fold(e)), (fragment, depth)
+        _, count = extensional_oracle(e)
+        assert got == min(count, budget + 1)
+        compared += 1
+    assert compared == len(oracle_cases()) - 2
+
+
+def test_the_class_count_runs_over_a_long_chain_and_stops_past_the_budget():
+    """No frame per level: 5,000 levels and two worlds apart only at the
+    level below top count the equal rows and the two rows that differ
+    there; a count past the budget reads budget + 1."""
+    top = 4_999
+    b = np.array([[top, top - 1], [top - 1, top]], dtype=np.uint16)
+    assert class_count(b, top, 10**6) == top + 1 + 2
+    assert class_count(b, top, top + 2) == top + 3
+    assert class_count(b, top, top + 1) == top + 2
+    apart = np.array([[top, 0], [0, top]], dtype=np.uint16)
+    assert class_count(apart, top, 10**9) == (top + 1) ** 2
+    assert class_count(apart, top, 10**6) == 10**6 + 1
 
 
 @pytest.mark.parametrize("narrowed", ["crisp", "dropped"])
@@ -1134,6 +1183,20 @@ def test_the_closure_pairs_an_operand_only_with_what_it_cannot_be_split_into(
     e = FormulaEnumeration(*showcase(), Fragment(fragment)).extend_to_depth(depth)
     assert not e.truncated and e.dense
     assert sum(formed) <= most
+
+
+def test_an_extension_past_the_last_new_class_takes_no_step_per_depth():
+    """Once a modal step adds no class no deeper one can, so the class list
+    of depth 10**9 is that of the depth where it stopped growing."""
+    a, b = load_pair("crisp_pair")
+    fixed = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    assert len(FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(2)) == len(fixed)
+    start = time.perf_counter()
+    deep = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(10**9)
+    assert time.perf_counter() - start < 1.0
+    assert deep.depth == 10**9 and class_list(deep) == class_list(fixed)
+    staged = FormulaEnumeration(a, b, Fragment.PLUS).extend_generators(10**9)
+    assert staged.depth == 10**9 and class_list(staged.extend_to_depth(10**9)) == class_list(fixed)
 
 
 def test_budget_truncation_sets_flag():

@@ -1,22 +1,26 @@
 """Weak (pre)simulations over given formula sets: closed forms and closure laws."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import grid, identity, ones, random_model, random_pair
+from conftest import GODEL_ENUM_POOL, grid, identity, ones, path_model, random_model, random_pair
+from fuzzykripke import cli
 from fuzzykripke.algebra import Algebra
 from fuzzykripke.bisim import SimType, check_conditions
 from fuzzykripke.fixtures import load_pair
-from fuzzykripke.fuzzrel import FuzzyMat
+from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel, ModelError
-from fuzzykripke.syntax import FormulaEnumeration, Fragment, parse
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse, seed_constants
 from fuzzykripke.weak import (
     check_composition_closed,
     check_union_closed,
     check_weak,
     duality_transfer,
     enumerated_weak,
+    fragment_weak,
     greatest_weak,
     psi_equivalent,
 )
@@ -289,3 +293,134 @@ def test_closure_checks_refuse_a_relation_that_is_not_weak():
         check_union_closed(a, b, formulas, full, weak)
     with pytest.raises(ValueError, match=r"^phi23 is not a weak simulation: "):
         check_composition_closed(a, b, a, formulas, weak, full.inverse(), bisimulation=False)
+
+
+# -- a fragment's report in closed form ------------------------------------------
+
+
+def enumerated(a, b, fragment, depth, budget=BUDGET):
+    """The report of every class of an enumeration: what ``fragment_weak``
+    must reproduce byte for byte."""
+    return enumerated_weak(FormulaEnumeration(a, b, Fragment(fragment), budget).extend_to_depth(depth))
+
+
+def cli_outputs(capsys, monkeypatch, paths, fragment, depth, budget, report=None):
+    """The exit code and stdout of ``weak --fragment`` in text and in JSON;
+    with ``report``, of the CLI printing that report instead of its own."""
+    out = []
+    with monkeypatch.context() as patch:
+        if report is not None:
+            patch.setattr(cli, "fragment_weak", lambda *args: report)
+        for fmt in ("text", "json"):
+            code = cli.main(["weak", "--fragment", fragment, "--depth", str(depth),
+                             "--budget", str(budget), *paths, "--format", fmt])
+            out.append((code, capsys.readouterr().out))
+    return out
+
+
+class ClosedFormOracle:
+    """Runs ``fragment_weak`` against the enumeration on one pair, in the
+    library and through the CLI, and tallies the cut runs."""
+
+    def __init__(self, tmp_path, capsys, monkeypatch):
+        self.tmp_path, self.capsys, self.monkeypatch = tmp_path, capsys, monkeypatch
+        self.runs = self.cut = 0
+
+    def check(self, a, b, fragments, depths, budget=BUDGET):
+        paths = []
+        for side, model in zip("ab", (a, b)):
+            path = self.tmp_path / f"pair{self.runs}_{side}.json"
+            path.write_text(model.to_json(), encoding="utf-8")
+            paths.append(str(path))
+        for fragment in fragments:
+            for depth in depths:
+                old = enumerated(a, b, fragment, depth, budget)
+                new = fragment_weak(a, b, Fragment(fragment), depth, budget)
+                assert new.to_dict() == old.to_dict(), (fragment, depth, budget)
+                args = (self.capsys, self.monkeypatch, paths, fragment, depth, budget)
+                assert cli_outputs(*args) == cli_outputs(*args, report=old)
+                self.runs += 1
+                self.cut += old.truncated
+
+
+def test_the_closed_form_weak_report_is_the_enumerations(tmp_path, capsys, monkeypatch):
+    """On the bundled pairs, seeded pairs of four algebras with one or two
+    variables and indices, and Godel path pairs to depth 5, the report and
+    both CLI outputs are the enumeration's; runs the budget cuts fall back
+    to it."""
+    oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
+    fragments = ("prop", "plus", "minus", "full")
+    for name in ("sim_showcase", "backward_only", "fully_equivalent", "crisp_pair"):
+        oracle.check(*load_pair(name), fragments, range(4))
+    rng = random.Random("closed form")
+    for algebra in ("boolean", "chain:3", "chain:5", "godel"):
+        for k in range(4):
+            a, b = random_pair(rng, Algebra.from_spec(algebra), 2 + k % 2,
+                               variables=("p", "q")[: 1 + k % 2], indices=(1, 2)[: 1 + k // 2],
+                               pool=GODEL_ENUM_POOL if algebra == "godel" else None)
+            oracle.check(a, b, fragments, range(4), 20_000)
+    for n in range(3, 7):
+        a = path_model("godel", n, "0.7", "0.3", "s")
+        b = path_model("godel", n - 1, "0.7", "0.3", "t")
+        oracle.check(a, b, fragments[1:], range(6), 20_000)
+    assert oracle.runs == 64 + 16 * 16 + 4 * 18 and oracle.cut > 0
+
+
+def test_the_class_count_runs_over_the_constants_not_the_universe(tmp_path, capsys, monkeypatch):
+    """A relation met with another keeps the other's values in its
+    universe: 1/2 is in the pair's universe, though no entry uses it, and
+    no class takes it.  A pair with no relation index has the classes of
+    its propositional closure at every depth."""
+    oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
+    a, b = load_pair("sim_showcase")
+    rel = b.relations[1]
+    half = FuzzyMat(GODEL, [[Fraction(1, 2) if v == 0 else Fraction(1) for v in row] for row in rel.rows])
+    met = KripkeModel(b.algebra, b.worlds, {1: rel.meet(half)}, b.valuation)
+    assert met == b and Fraction(1, 2) in met.universe.values
+    assert Fraction(1, 2) not in set(a.used_values()) | set(met.used_values())
+    oracle.check(a, met, ("prop", "plus", "full"), range(3))
+    bare = [KripkeModel(m.algebra, m.worlds, {}, m.valuation) for m in load_pair("fully_equivalent")]
+    oracle.check(*bare, ("prop", "plus", "minus", "full"), range(3))
+    counts = {fragment_weak(*bare, Fragment.FULL, d).formula_count for d in range(3)}
+    assert counts == {len(FormulaEnumeration(*bare, Fragment.PROPOSITIONAL))}
+
+
+def test_a_budget_cut_keeps_the_enumerations_bytes_and_a_budget_at_the_count_does_not_cut(
+        tmp_path, capsys, monkeypatch):
+    oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
+    a, b = load_pair("sim_showcase")
+    for budget in (1, 9, 50, 500):
+        oracle.check(a, b, ("plus", "full"), (0, 1, 2), budget)
+    count = fragment_weak(a, b, Fragment.PLUS, 1).formula_count
+    at = fragment_weak(a, b, Fragment.PLUS, 1, budget=count)
+    assert not at.truncated and at.formula_count == count
+    assert fragment_weak(a, b, Fragment.PLUS, 1, budget=count - 1).truncated
+    oracle.check(a, b, ("plus",), (1,), count)
+    oracle.check(a, b, ("plus",), (1,), count - 1)
+    assert oracle.cut >= 12
+
+
+def many_valued_path(n, prefix, values):
+    """A Godel path of ``n`` worlds along relation 1, with one variable per
+    value of ``values`` that holds it at every world, and p below 1 at the
+    last world only."""
+    rows = [[Fraction(int(j == i + 1)) for j in range(n)] for i in range(n)]
+    valuation = {f"c{k}": FuzzyVec(GODEL, [value] * n) for k, value in enumerate(values)}
+    valuation["p"] = FuzzyVec(GODEL, [values[-1] if i == n - 1 else Fraction(1) for i in range(n)])
+    return KripkeModel(GODEL, [f"{prefix}{i}" for i in range(n)], {1: FuzzyMat(GODEL, rows)}, valuation)
+
+
+def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level():
+    """3,012 values in a uint16 universe.  At depth 0 the worlds differ
+    only at the level below top, so the classes are the 3,012 constants
+    and the two rows that differ there, which the enumeration finds too;
+    at depth 1 the count passes the budget at once and the enumeration
+    cuts the constants it seeds."""
+    values = [Fraction(k, 3011) for k in range(1, 3011)]
+    a, b = many_valued_path(4, "s", values), many_valued_path(3, "t", values)
+    assert a.universe.dtype == np.uint16 and len(seed_constants(a, b)) == 3012
+    depth0 = fragment_weak(a, b, Fragment.PLUS, 0)
+    assert depth0.formula_count == 3012 + 2 and not depth0.truncated
+    assert depth0.to_dict() == enumerated(a, b, "plus", 0).to_dict()
+    cut = fragment_weak(a, b, Fragment.PLUS, 1, budget=1000)
+    assert cut.truncated and cut.to_dict() == enumerated(a, b, "plus", 1, 1000).to_dict()
