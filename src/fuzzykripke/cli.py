@@ -150,6 +150,8 @@ def cmd_hm(args) -> int:
             _print_matrix(step.matrix, report.strong.row_worlds, report.strong.col_worlds, out)
         if report.converged_at is not None:
             out.write(f"stabilized at depth {report.converged_at}\n")
+        elif report.steps[-1].truncated:
+            out.write(f"the budget cut the ladder at depth {report.steps[-1].depth}\n")
         else:
             out.write("not stabilized within the depth cap\n")
         out.write(f"match: {'yes' if report.match else 'no'}\n")

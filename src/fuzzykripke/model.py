@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -150,13 +150,6 @@ class KripkeModel:
             {i: universe.recode(rel.universe, rel.levels) for i, rel in self.relations.items()},
             {p: universe.recode(vec.universe, vec.levels) for p, vec in self.valuation.items()},
         )
-
-    def used_values(self) -> Iterator[Fraction]:
-        """The values the relations and the valuation hold, each at least
-        once: the tables may hold values no entry uses."""
-        for x in (*self.relations.values(), *self.valuation.values()):
-            values = x.universe.values
-            yield from (values[i] for i in np.unique(x.levels).tolist())
 
     # -- evaluation ----------------------------------------------------------
 

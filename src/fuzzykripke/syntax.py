@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Unio
 import numpy as np
 
 from . import levels
-from .algebra import ONE, VALUE_PATTERN, ZERO, AlgebraError, format_value, parse_value
+from .algebra import VALUE_PATTERN, ZERO, AlgebraError, format_value, parse_value
 
 if TYPE_CHECKING:
     from .model import KripkeModel
@@ -543,10 +543,11 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be positive, got {budget}")
 
 
-def seed_constants(m1: "KripkeModel", m2: "KripkeModel") -> tuple[Fraction, ...]:
-    """The constants an enumeration over the pair seeds, in increasing
-    order: 0, 1 and every value the models use."""
-    return tuple(sorted({ZERO, ONE, *m1.used_values(), *m2.used_values()}))
+def seed_levels(m1: "KripkeModel", m2: "KripkeModel", universe: levels.Universe) -> np.ndarray:
+    """The constants an enumeration over the pair seeds, as increasing levels
+    of ``universe``: 0, top and every level the models' entries hold."""
+    held = [x.ravel() for m in (m1, m2) for table in m.encoded(universe) for x in table.values()]
+    return np.unique(np.concatenate([np.array([0, universe.top], universe.dtype), *held]))
 
 
 class FormulaEnumeration:
@@ -555,7 +556,7 @@ class FormulaEnumeration:
     Layer d holds one representative per distinct pair of value vectors
     among all fragment formulae of modal depth <= d, over the variables and
     indices of a comparable pair (:func:`.model.check_comparable`) and the
-    constants 0, 1 and every value the models use; every modality of the
+    constants taken from the pair's levels (:func:`seed_levels`); every modality of the
     fragment is admitted.  The class list only ever grows when the depth
     is extended, and the generation order is deterministic, so a lower
     depth is always a prefix of a higher one.
@@ -597,8 +598,9 @@ class FormulaEnumeration:
 
         self.variables = tuple(sorted(m1.valuation))
         self.indices = m1.indices
-        self.constants = seed_constants(m1, m2)
         self.universe = levels.union([m1.universe, m2.universe])
+        seeds = seed_levels(m1, m2, self.universe)
+        self.constants = tuple(self.universe.decode(seeds))
 
         # a modality is admitted by FULL and by the fragment of its direction
         self._modalities = tuple(
@@ -632,7 +634,7 @@ class FormulaEnumeration:
             self._row_bytes = np.dtype((np.void, width * self._dt.itemsize))
             self._known = self._keys(self._rows[:0])
 
-        self._seed_atoms()
+        self._seed_atoms(seeds)
         self._close()
 
     # -- construction internals -------------------------------------------
@@ -706,9 +708,9 @@ class FormulaEnumeration:
         build[:, 0], build[:, 1], build[:, 2] = code, a, b
         self._count = hi
 
-    def _seed_atoms(self) -> None:
+    def _seed_atoms(self, seeds: np.ndarray) -> None:
         width = self._n1 + self._n2
-        consts = np.repeat(self.universe.encode(self.constants)[:, None], width, axis=1)
+        consts = np.repeat(seeds[:, None], width, axis=1)
         variables = [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
         block = np.vstack([consts, *variables])
         build = np.array([(_ATOMS, k, 0) for k in range(len(self.constants))]
@@ -723,27 +725,34 @@ class FormulaEnumeration:
         one connective at a time, the pairs (new i, partner j) in row-major
         order: connective c pairs with the rows of code > c, so under & the
         rows not made by &, under -> the generators (see the comment above
-        :data:`_CONNECTIVES`).  Rows born during a pass form the next
+        :data:`_CONNECTIVES`).  The constants, the first classes, are
+        closed under both connectives, so a constant pairs only with the
+        rows that are not constants.  Rows born during a pass form the next
         frontier.  Chunks of new rows bound peak memory and do not change
         the order.
         """
         top = self.universe.top
         width = self._rows.shape[1]
+        consts = len(self.constants)
         while start < self._count and not self.truncated:
             n_all = self._count
             all_rows, codes = self._rows[:n_all], self._build[:n_all, 0]
             for c, (_, fn) in enumerate(_CONNECTIVES):
-                cols = np.flatnonzero(codes > c)
-                partners = all_rows[cols]
-                chunk = max(1, levels.BATCH // (len(cols) * width))
-                for base in range(start, n_all, chunk):
-                    lhs = all_rows[base : min(base + chunk, n_all)]
-                    fresh = self._absorb(self._pair_keys(c, lhs, partners))
-                    if fresh.size:
-                        i, j = base + fresh // len(cols), cols[fresh % len(cols)]
-                        self._append(fn(all_rows[i], all_rows[j], top), c, i, j)
-                    if self.truncated:
-                        return
+                every = np.flatnonzero(codes > c)
+                chunk = max(1, levels.BATCH // (len(every) * width))
+                segments = [(max(start, consts), n_all, every)]
+                if start < consts:  # the first pass
+                    segments.insert(0, (start, consts, every[consts:]))
+                for lo, hi, cols in segments:
+                    partners = all_rows[cols]
+                    for base in range(lo, hi, chunk):
+                        lhs = all_rows[base : min(base + chunk, hi)]
+                        fresh = self._absorb(self._pair_keys(c, lhs, partners))
+                        if fresh.size:
+                            i, j = base + fresh // len(cols), cols[fresh % len(cols)]
+                            self._append(fn(all_rows[i], all_rows[j], top), c, i, j)
+                        if self.truncated:
+                            return
             start = n_all
 
     def _close(self) -> None:

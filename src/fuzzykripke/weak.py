@@ -92,7 +92,7 @@ from .syntax import (
     _check_budget,
     _check_depth,
     dual,
-    seed_constants,
+    seed_levels,
     to_text,
 )
 
@@ -153,6 +153,28 @@ def _nonempty(formulas):
     return formulas
 
 
+def _report(m1, m2, universe: Universe, presim, prebisim, formula_count: int,
+            presim_cond1: bool, prebisim_cond1: bool, truncated: bool) -> WeakReport:
+    """The one builder of a report: the greatest weak relations ``presim``
+    and ``prebisim`` as level matrices of ``universe``, and their -1 verdicts."""
+    presim_matrix, prebisim_matrix = (
+        FuzzyMat._from_levels(m1.algebra, x, universe) for x in (presim, prebisim)
+    )
+    return WeakReport(
+        formula_count=formula_count,
+        row_worlds=m1.worlds,
+        col_worlds=m2.worlds,
+        presimulation=presim_matrix,
+        prebisimulation=prebisim_matrix,
+        presim_satisfies_condition1=presim_cond1,
+        prebisim_satisfies_condition1=prebisim_cond1,
+        presim_nonempty=bool(presim.any()),
+        prebisim_nonempty=bool(prebisim.any()),
+        equivalent=psi_equivalent(prebisim_matrix),
+        truncated=truncated,
+    )
+
+
 def _weak_report(m1, m2, universe: Universe, lv1, lv2, truncated: bool = False) -> WeakReport:
     """The report for a formula set given by its level vectors: row A of
     ``lv1`` (``lv2``) is the vector of formula A over the worlds of ``m1``
@@ -168,23 +190,8 @@ def _weak_report(m1, m2, universe: Universe, lv1, lv2, truncated: bool = False) 
             return False
         return not both_sides or bool((x2 <= compose(phi.T, x1)).all())
 
-    def matrix(levels) -> FuzzyMat:
-        return FuzzyMat._from_levels(m1.algebra, levels, universe)
-
-    prebisim_matrix = matrix(prebisim)
-    return WeakReport(
-        formula_count=lv1.shape[0],
-        row_worlds=m1.worlds,
-        col_worlds=m2.worlds,
-        presimulation=matrix(presim),
-        prebisimulation=prebisim_matrix,
-        presim_satisfies_condition1=cond1(presim, False),
-        prebisim_satisfies_condition1=cond1(prebisim, True),
-        presim_nonempty=bool(presim.any()),
-        prebisim_nonempty=bool(prebisim.any()),
-        equivalent=psi_equivalent(prebisim_matrix),
-        truncated=truncated,
-    )
+    return _report(m1, m2, universe, presim, prebisim, lv1.shape[0],
+                   cond1(presim, False), cond1(prebisim, True), truncated)
 
 
 def greatest_weak(
@@ -259,28 +266,14 @@ def fragment_weak(
     _check_depth(depth)
     fragment = Fragment(fragment)
     b = union_iterate(m1, m2, universe, THETA_FOR_FRAGMENT.get(fragment), depth)
-    chain = universe.encode(seed_constants(m1, m2))
+    chain = seed_levels(m1, m2, universe)
     count = class_count(np.searchsorted(chain, b), len(chain) - 1, budget)
     if count > budget:
         return enumerated_weak(FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth))
     x = b[: len(m1.worlds), len(m1.worlds) :]
-    matrix = FuzzyMat._from_levels(m1.algebra, x, universe)
-    rows = bool((x == universe.top).any(axis=1).all())
-    equivalent = psi_equivalent(matrix)
-    nonempty = bool(x.any())
-    return WeakReport(
-        formula_count=count,
-        row_worlds=m1.worlds,
-        col_worlds=m2.worlds,
-        presimulation=matrix,
-        prebisimulation=matrix,
-        presim_satisfies_condition1=rows,
-        prebisim_satisfies_condition1=equivalent,
-        presim_nonempty=nonempty,
-        prebisim_nonempty=nonempty,
-        equivalent=equivalent,
-        truncated=False,
-    )
+    one = x == universe.top
+    rows = bool(one.any(axis=1).all())
+    return _report(m1, m2, universe, x, x, count, rows, rows and bool(one.any(axis=0).all()), False)
 
 
 def check_weak(

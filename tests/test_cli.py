@@ -289,6 +289,21 @@ def test_hm_truncation_is_inconclusive_and_exits_1(capsys):
     assert "match: no" in out
 
 
+def test_hm_text_names_what_stopped_the_ladder(capsys):
+    """A budget cut below the depth cap is blamed on the budget, at the
+    depth it cut; a ladder that reaches its cap is blamed on the cap."""
+    cut = ("hm", "--fragment", "full", "--depth-cap", "2", "--budget", "40", A, B)
+    code, out, _ = run(capsys, *cut)
+    assert code == 1 and "depth 0: 40 classes (budget exhausted)\n" in out
+    assert "the budget cut the ladder at depth 0\n" in out and "depth cap" not in out
+    code, out, _ = run(capsys, *cut, "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["converged_at"] is None and doc["match"] is False
+    assert [s["truncated"] for s in doc["steps"]] == [True]
+    code, out, _ = run(capsys, "hm", "--fragment", "full", "--depth-cap", "1", A, B)
+    assert code == 1 and "not stabilized within the depth cap\n" in out and "budget" not in out
+
+
 def test_hm_negative_depth_cap_and_budget_exit_2(capsys):
     code, out, err = run(capsys, "hm", "--fragment", "plus", "--depth-cap", "-1", A, B)
     assert (code, out, err) == (2, "", "error: depth must be nonnegative, got -1\n")

@@ -1023,7 +1023,8 @@ def halves_cases():
 def test_a_pass_skips_only_pairs_it_formed_before(monkeypatch, start, n_all):
     """A pass over the new rows start..n_all-1 of a store forms, in
     row-major order, x & y for the y not made by & and x -> g for the
-    generators g.  Every pair of the full square it leaves out has a
+    generators g, except when x and y are both constants, which are closed
+    under both.  Every other pair of the full square it leaves out has a
     partner that the closure formed before from a pair of older classes:
     a & class, or under -> also an -> class.
 
@@ -1056,7 +1057,10 @@ def test_a_pass_skips_only_pairs_it_formed_before(monkeypatch, start, n_all):
             args = e._build[: len(e), 1:].tolist()
             made_by = (lambda j: ops[j] is And, lambda j: ops[j] in (And, Implies))
             square = [(c, i, j) for c in (0, 1) for i in range(start, n_all) for j in range(n_all)]
-            assert formed == [(c, i, j) for c, i, j in square if not made_by[c](j)]
+            constants = {i for i, op in enumerate(ops) if op is Const}
+            assert constants == set(range(len(e.constants)))
+            assert formed == [(c, i, j) for c, i, j in square
+                              if not made_by[c](j) and not {i, j} <= constants]
             skipped = [(c, i, j) for c, i, j in square if made_by[c](j)]
             assert all(max(args[j]) < j for _, _, j in skipped)
             assert bool(skipped) == any(op in (And, Implies) for op in ops[:n_all])

@@ -1,20 +1,25 @@
 """Weak (pre)simulations over given formula sets: closed forms and closure laws."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import GODEL_ENUM_POOL, grid, identity, ones, path_model, random_model, random_pair
+from test_syntax import oracle_cases
 from fuzzykripke import cli
 from fuzzykripke.algebra import Algebra
-from fuzzykripke.bisim import SimType, check_conditions
+from fuzzykripke.bisim import SimType, check_conditions, union_iterate
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
+from fuzzykripke.hm import THETA_FOR_FRAGMENT
+from fuzzykripke.levels import union
 from fuzzykripke.model import KripkeModel, ModelError
-from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse, seed_constants
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse, seed_levels
 from fuzzykripke.weak import (
+    _weak_report,
     check_composition_closed,
     check_union_closed,
     check_weak,
@@ -366,20 +371,32 @@ def test_the_closed_form_weak_report_is_the_enumerations(tmp_path, capsys, monke
     assert oracle.runs == 64 + 16 * 16 + 4 * 18 and oracle.cut > 0
 
 
+def unused_value_pair():
+    """The showcase pair with its right relation met with a matrix of 1/2
+    and 1: the relation keeps 1/2 in its universe, though no entry uses it."""
+    a, b = load_pair("sim_showcase")
+    rel = b.relations[1]
+    half = FuzzyMat(GODEL, [[Fraction(1, 2) if v == 0 else Fraction(1) for v in row] for row in rel.rows])
+    met = KripkeModel(b.algebra, b.worlds, {1: rel.meet(half)}, b.valuation)
+    assert met == b and Fraction(1, 2) in met.universe.values
+    return a, met
+
+
+def no_index_pair():
+    return [KripkeModel(m.algebra, m.worlds, {}, m.valuation) for m in load_pair("fully_equivalent")]
+
+
 def test_the_class_count_runs_over_the_constants_not_the_universe(tmp_path, capsys, monkeypatch):
     """A relation met with another keeps the other's values in its
     universe: 1/2 is in the pair's universe, though no entry uses it, and
     no class takes it.  A pair with no relation index has the classes of
     its propositional closure at every depth."""
     oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
-    a, b = load_pair("sim_showcase")
-    rel = b.relations[1]
-    half = FuzzyMat(GODEL, [[Fraction(1, 2) if v == 0 else Fraction(1) for v in row] for row in rel.rows])
-    met = KripkeModel(b.algebra, b.worlds, {1: rel.meet(half)}, b.valuation)
-    assert met == b and Fraction(1, 2) in met.universe.values
-    assert Fraction(1, 2) not in set(a.used_values()) | set(met.used_values())
+    a, met = unused_value_pair()
+    universe = union([a.universe, met.universe])
+    assert Fraction(1, 2) not in universe.decode(seed_levels(a, met, universe))
     oracle.check(a, met, ("prop", "plus", "full"), range(3))
-    bare = [KripkeModel(m.algebra, m.worlds, {}, m.valuation) for m in load_pair("fully_equivalent")]
+    bare = no_index_pair()
     oracle.check(*bare, ("prop", "plus", "minus", "full"), range(3))
     counts = {fragment_weak(*bare, Fragment.FULL, d).formula_count for d in range(3)}
     assert counts == {len(FormulaEnumeration(*bare, Fragment.PROPOSITIONAL))}
@@ -410,17 +427,104 @@ def many_valued_path(n, prefix, values):
     return KripkeModel(GODEL, [f"{prefix}{i}" for i in range(n)], {1: FuzzyMat(GODEL, rows)}, valuation)
 
 
+def many_constants_pair():
+    """Godel paths of 4 and 3 worlds whose entries hold 3,012 values."""
+    values = [Fraction(k, 3011) for k in range(1, 3011)]
+    return many_valued_path(4, "s", values), many_valued_path(3, "t", values)
+
+
 def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level():
     """3,012 values in a uint16 universe.  At depth 0 the worlds differ
     only at the level below top, so the classes are the 3,012 constants
     and the two rows that differ there, which the enumeration finds too;
     at depth 1 the count passes the budget at once and the enumeration
     cuts the constants it seeds."""
-    values = [Fraction(k, 3011) for k in range(1, 3011)]
-    a, b = many_valued_path(4, "s", values), many_valued_path(3, "t", values)
-    assert a.universe.dtype == np.uint16 and len(seed_constants(a, b)) == 3012
+    a, b = many_constants_pair()
+    universe = union([a.universe, b.universe])
+    assert universe.dtype == np.uint16 and len(seed_levels(a, b, universe)) == 3012
     depth0 = fragment_weak(a, b, Fragment.PLUS, 0)
     assert depth0.formula_count == 3012 + 2 and not depth0.truncated
     assert depth0.to_dict() == enumerated(a, b, "plus", 0).to_dict()
     cut = fragment_weak(a, b, Fragment.PLUS, 1, budget=1000)
     assert cut.truncated and cut.to_dict() == enumerated(a, b, "plus", 1, 1000).to_dict()
+
+
+def test_the_constants_are_not_paired_with_each_other(monkeypatch):
+    """The first pass of the depth-0 closure of the 3,012-constant pair
+    pairs each constant only with the rows that are not constants: at
+    most constants x non-constants + non-constants x all candidate rows
+    per connective, not the square of the seeded rows."""
+    a, b = many_constants_pair()
+    calls = []
+    pair_keys = FormulaEnumeration._pair_keys
+
+    def record(self, c, lhs, rows):
+        calls.append((c, lhs, rows.shape[0]))
+        return pair_keys(self, c, lhs, rows)
+
+    monkeypatch.setattr(FormulaEnumeration, "_pair_keys", record)
+    e = FormulaEnumeration(a, b, Fragment.PLUS)
+    monkeypatch.undo()
+    consts, seeded = len(e.constants), len(e.generator_indices())
+    assert (consts, seeded, len(e)) == (3012, 3013, 3014)
+    rows = np.hstack(e.level_vectors())
+    first = {c: 0 for c in (0, 1)}
+    for c, lhs, partners in calls:
+        k = int(np.flatnonzero((rows == lhs[0]).all(axis=1))[0])
+        if k < seeded:  # a chunk of the first pass
+            first[c] += lhs.shape[0] * partners
+    bound = consts * (seeded - consts) + (seeded - consts) * seeded
+    assert first[0] > 0 and max(first.values()) <= bound
+
+
+def entry_values(m):
+    """The values the entries of a model hold, as Fractions."""
+    return ({v for rel in m.relations.values() for row in rel.rows for v in row}
+            | {v for vec in m.valuation.values() for v in vec.values})
+
+
+def test_the_closed_form_report_is_the_fold_over_the_rows_of_the_iterate():
+    """The rows chi_p of B_d are classes (see the docstring of weak), so
+    the folds over them give ``fragment_weak``'s report field for field
+    but the count: an oracle for the -1 verdicts that reads no row for a
+    top, on Godel path pairs of 8-20 worlds to the fixpoint and on seeded
+    pairs of 6-10 worlds, too large to enumerate.  The seeded constants
+    are 0, 1 and the values of the entries."""
+    runs = {}
+
+    def compare(a, b, fragments):
+        universe, n1 = union([a.universe, b.universe]), len(a.worlds)
+        for fragment in map(Fragment, fragments):
+            previous = None
+            for depth in range(10**6):
+                iterate = union_iterate(a, b, universe, THETA_FOR_FRAGMENT.get(fragment), depth)
+                got = fragment_weak(a, b, fragment, depth, budget=10**100)
+                want = _weak_report(a, b, universe, iterate[:, :n1], iterate[:, n1:])
+                assert replace(want, formula_count=got.formula_count) == got, (fragment, depth)
+                if previous is not None and np.array_equal(iterate, previous):
+                    break
+                previous = iterate
+            runs[fragment] = runs.get(fragment, 0) + depth + 1
+
+    for n in (8, 12, 16, 20):
+        a = path_model("godel", n, "0.7", "0.3", "s")
+        b = path_model("godel", n - 1, "0.7", "0.3", "t")
+        compare(a, b, ("plus", "minus", "full"))
+    rng = random.Random("chi basis")
+    for algebra in ("boolean", "chain:3", "chain:5", "godel"):
+        for k in range(3):
+            a, b = (random_model(rng, Algebra.from_spec(algebra), rng.randint(6, 10),
+                                 ("p", "q")[: 1 + k % 2], (1, 2)[: 1 + k // 2]) for _ in "ab")
+            b = KripkeModel(b.algebra, [f"t{w}" for w in range(len(b.worlds))], b.relations, b.valuation)
+            compare(a, b, ("prop", "plus", "minus", "full"))
+    assert runs[Fragment.FULL] > 4 * 20
+
+    pairs = [case[:2] for case in oracle_cases()]
+    pairs += [unused_value_pair(), no_index_pair(), many_constants_pair()]
+    assert len(pairs) == 189 + 3
+    for a, b in pairs:
+        universe = union([a.universe, b.universe])
+        seeds = seed_levels(a, b, universe)
+        assert seeds.dtype == universe.dtype
+        assert universe.decode(seeds) == sorted({0, 1} | entry_values(a) | entry_values(b))
+    assert universe.dtype == np.uint16 and len(seeds) == 3012
