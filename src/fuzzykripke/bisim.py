@@ -52,8 +52,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .fuzzrel import FuzzyMat, RESIDUAL_UPDATES
-from .levels import Universe, biimplication_fold, compose, residual_fold, union
-from .model import KripkeModel, check_comparable
+from .levels import Universe, biimplication_fold, compose, residual_fold
+from .model import KripkeModel, LevelPair, level_pair
 
 
 class SimType(str, Enum):
@@ -218,23 +218,8 @@ def _sides(rels1: dict, rels2: dict, indices, tags) -> dict[bool, _Side]:
     return sides
 
 
-def _encode_pair(m1: KripkeModel, m2: KripkeModel, universe: Universe, sim_type: SimType):
-    """The pair in levels of ``universe``: per model, the level vectors of
-    the variables in sorted order as the rows of one array; and the
-    :func:`_sides` of ``sim_type``."""
-    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
-    variables = sorted(m1.valuation)
-    valuations = tuple(
-        np.array([vals[v] for v in variables], universe.dtype).reshape(-1, len(m.worlds))
-        for m, vals in ((m1, vals1), (m2, vals2))
-    )
-    return valuations, _sides(rels1, rels2, m1.indices, _THETA2[sim_type])
-
-
 def _check_relation(m1: KripkeModel, m2: KripkeModel, phi: FuzzyMat) -> None:
-    """Reject a relation that does not fit between the worlds of a
-    comparable model pair."""
-    check_comparable(m1, m2)
+    """Reject a relation that does not fit between the worlds of the pair."""
     m1.algebra.check_same(phi.algebra)
     if phi.shape != (len(m1.worlds), len(m2.worlds)):
         raise ValueError(
@@ -253,26 +238,23 @@ def check_conditions(
     produced by :func:`greatest_pre` (or any externally supplied relation).
     """
     sim_type = SimType(sim_type)
+    pair = level_pair(m1, m2, phi.universe)
     _check_relation(m1, m2, phi)
-    universe = union([m1.universe, m2.universe, phi.universe])
-    return _level_conditions(
-        m1, m2, universe, *_encode_pair(m1, m2, universe, sim_type),
-        universe.recode(phi.universe, phi.levels), sim_type,
-    )
+    sides = _sides(*pair.relations, m1.indices, _THETA2[sim_type])
+    return _level_conditions(pair, sides, pair.universe.recode(phi.universe, phi.levels), sim_type)
 
 
 def _level_conditions(
-    m1: KripkeModel, m2: KripkeModel, universe: Universe, valuations: tuple,
-    sides: dict[bool, _Side], p: np.ndarray, sim_type: SimType,
+    pair: LevelPair, sides: dict[bool, _Side], p: np.ndarray, sim_type: SimType,
 ) -> list[ConditionCheck]:
-    """:func:`check_conditions` on levels: ``valuations`` and ``sides`` are
-    the pair in levels of ``universe`` (:func:`_encode_pair`), and ``p`` is
-    the level matrix of the relation.
+    """:func:`check_conditions` on levels: ``sides`` are the :func:`_sides`
+    of the relations of ``pair``, and ``p`` is the level matrix of the
+    relation in the pair's universe.
 
     Each family of conditions is one comparison per side, of stacks; only
     the violated conditions are searched for their first bad entry.
     """
-    v1, v2 = valuations
+    (m1, m2), universe, (v1, v2) = pair.models, pair.universe, pair.valuations
     variables = sorted(m1.valuation)
     tags = _THETA2[sim_type]
     kind = sim_type.value
@@ -383,12 +365,11 @@ def greatest_pre(
     whether a relation proper of this kind exists.
     """
     sim_type = SimType(sim_type)
-    check_comparable(m1, m2)
-    universe = union([m1.universe, m2.universe])
-    cap = _sweep_cap(m1, m2, universe)
-    top = universe.top
-    valuations, sides = _encode_pair(m1, m2, universe, sim_type)
-    phi = _initial_relation(*valuations, top, sim_type)
+    pair = level_pair(m1, m2)
+    cap = _sweep_cap(m1, m2, pair.universe)
+    top = pair.universe.top
+    sides = _sides(*pair.relations, m1.indices, _THETA2[sim_type])
+    phi = _initial_relation(*pair.valuations, top, sim_type)
     # one sweep past the cap, to find that the cap was reached
     phi, iterations, stable = _sweeps(phi, sides, top, cap + 1)
     if not stable:
@@ -397,8 +378,8 @@ def greatest_pre(
             "this indicates an internal error"
         )
 
-    matrix = FuzzyMat._from_levels(m1.algebra, phi, universe)
-    conditions = _level_conditions(m1, m2, universe, valuations, sides, phi, sim_type)
+    matrix = FuzzyMat._from_levels(m1.algebra, phi, pair.universe)
+    conditions = _level_conditions(pair, sides, phi, sim_type)
     cond1 = all(c.holds for c in conditions if "-1[" in c.name)
     nonempty = bool(phi.any())
     return SimReport(
@@ -414,32 +395,24 @@ def greatest_pre(
     )
 
 
-def union_iterate(
-    m1: KripkeModel,
-    m2: KripkeModel,
-    universe: Universe,
-    sim_type: Optional[SimType],
-    sweeps: int,
-) -> np.ndarray:
+def union_iterate(pair: LevelPair, sim_type: Optional[SimType], sweeps: int) -> np.ndarray:
     """The iterate of :func:`greatest_pre` after ``sweeps`` Jacobi sweeps,
     or its fixpoint if that comes sooner, for the disjoint union of the
-    comparable pair against itself: a level matrix of ``universe`` (which
-    must hold every value of both models) over the worlds of ``m1`` and then
-    of ``m2`` on both axes.  The union's relations are block-diagonal, so a
-    block of an update reads only the same block of the previous iterate:
-    the (m1, m2) block is the iterate of ``greatest_pre(m1, m2)``.  With no
-    ``sim_type``, no sweep runs and this is the biimplication fold of the
-    variables.  :mod:`.weak` reads the formula classes off it.
+    pair (m1, m2) against itself: a level matrix of the pair's universe
+    over the worlds of m1 and then of m2 on both axes.  The union's
+    relations are block-diagonal, so a block of an update reads only the
+    same block of the previous iterate: the (m1, m2) block is the iterate
+    of ``greatest_pre(m1, m2)``.  With no ``sim_type``, no sweep runs and
+    this is the biimplication fold of the variables.  :mod:`.weak` reads
+    the formula classes off it.
     """
-    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
+    (m1, m2), universe, (rels1, rels2) = pair.models, pair.universe, pair.relations
     n1, n = len(m1.worlds), len(m1.worlds) + len(m2.worlds)
     rels = {}
     for i in m1.indices:
         rels[i] = np.zeros((n, n), universe.dtype)
         rels[i][:n1, :n1], rels[i][n1:, n1:] = rels1[i], rels2[i]
-    v = np.array(
-        [np.concatenate([vals1[p], vals2[p]]) for p in sorted(m1.valuation)], universe.dtype
-    ).reshape(-1, n)
+    v = np.concatenate(pair.valuations, axis=1)
     phi = biimplication_fold(v.T, v.T, universe.top)
     if sim_type is None:
         return phi

@@ -7,9 +7,10 @@ the values in the sorted set of values that occur (the value universe,
 always holding 0 and 1).  Level arrays are small unsigned numpy integers;
 :class:`Universe` maps exact ``Fraction`` values to levels and back, and
 every vector and matrix carries its levels over a universe.  The
-universe of several operands is the :func:`union` of theirs, built from a
-few dozen table values, and :meth:`Universe.recode` moves a level array
-into it with one take; values are formatted once per universe.
+universe of several operands is the :func:`union` of theirs, and
+:meth:`Universe.recode` moves a level array into it: an encode of the
+source universe's values, then one take.  Values are formatted once per
+universe.
 
 On levels the residuum is top where ``x <= z`` and z elsewhere (``top``
 is the level of 1), composition is ``max`` over ``min``, and the greatest
@@ -106,7 +107,8 @@ class Universe:
 
     def recode(self, source: "Universe", levels: np.ndarray) -> np.ndarray:
         """A level array of ``source`` as levels of this universe, which must
-        hold every value of ``source``: one take through a table remap."""
+        hold every value of ``source``: an encode of the values of
+        ``source``, then one take through that remap."""
         if source is self:
             return levels
         return self.encode(source.values)[levels]

@@ -31,8 +31,9 @@ carrier once.  Every entry is still type-checked, and the first bad
 entry in document order is the one reported.  The table becomes the
 document's value universe, so every relation and valuation is a level
 array over it (one take through a table-to-level remap), and the model
-keeps that universe.  Evaluation runs on those level arrays
-(:mod:`.levels`), and output formats each universe value once.
+keeps that universe.  A model pair is put into the levels of one
+universe in one place, :func:`level_pair`.  Evaluation runs on level
+arrays (:mod:`.levels`), and output formats each universe value once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -145,10 +146,19 @@ class KripkeModel:
 
     def encoded(self, universe: Universe) -> tuple[dict, dict]:
         """The relations (by index) and the valuation (by variable) as level
-        arrays of ``universe``, which must hold every value of the model."""
+        arrays of ``universe``, which must hold every value of the model:
+        one remap per source universe, so the tables of a loaded model,
+        which share the document's, cost one take each."""
+        remaps = {}
+
+        def take(x):
+            if x.universe is not universe and x.universe not in remaps:
+                remaps[x.universe] = universe.encode(x.universe.values)
+            return remaps[x.universe][x.levels] if x.universe in remaps else x.levels
+
         return (
-            {i: universe.recode(rel.universe, rel.levels) for i, rel in self.relations.items()},
-            {p: universe.recode(vec.universe, vec.levels) for p, vec in self.valuation.items()},
+            {i: take(rel) for i, rel in self.relations.items()},
+            {p: take(vec) for p, vec in self.valuation.items()},
         )
 
     # -- evaluation ----------------------------------------------------------
@@ -512,6 +522,32 @@ def check_comparable(m1: KripkeModel, m2: KripkeModel) -> None:
         raise ModelError(
             f"variable sets differ: {sorted(m1.valuation)} vs {sorted(m2.valuation)}"
         )
+
+
+class LevelPair(NamedTuple):
+    """A comparable model pair in the levels of one universe."""
+
+    universe: Universe
+    relations: tuple[dict, dict]  # per model: the level matrices by index
+    valuations: tuple[np.ndarray, np.ndarray]  # per model: one row per variable, in sorted order
+    constants: np.ndarray  # increasing: 0, top and every level an entry holds
+    models: tuple[KripkeModel, KripkeModel]
+
+
+def level_pair(m1: KripkeModel, m2: KripkeModel, *extra: Universe) -> LevelPair:
+    """The pair in the levels of the union of its universes and ``extra``,
+    once :func:`check_comparable` accepts it: the one place a pair's tables
+    are encoded.  The constants are those an enumeration over the pair seeds."""
+    check_comparable(m1, m2)
+    universe = union([m1.universe, m2.universe, *extra])
+    (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
+    valuations = tuple(
+        np.array([vals[p] for p in sorted(m1.valuation)], universe.dtype).reshape(-1, len(m.worlds))
+        for m, vals in ((m1, vals1), (m2, vals2))
+    )
+    held = [x.ravel() for x in (*rels1.values(), *rels2.values(), *valuations)]
+    constants = np.unique(np.concatenate([np.array([0, universe.top], universe.dtype), *held]))
+    return LevelPair(universe, (rels1, rels2), valuations, constants, (m1, m2))
 
 
 @dataclass

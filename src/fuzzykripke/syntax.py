@@ -543,21 +543,14 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be positive, got {budget}")
 
 
-def seed_levels(m1: "KripkeModel", m2: "KripkeModel", universe: levels.Universe) -> np.ndarray:
-    """The constants an enumeration over the pair seeds, as increasing levels
-    of ``universe``: 0, top and every level the models' entries hold."""
-    held = [x.ravel() for m in (m1, m2) for table in m.encoded(universe) for x in table.values()]
-    return np.unique(np.concatenate([np.array([0, universe.top], universe.dtype), *held]))
-
-
 class FormulaEnumeration:
     """Depth-layered, deduplicated formula enumeration over a model pair.
 
     Layer d holds one representative per distinct pair of value vectors
     among all fragment formulae of modal depth <= d, over the variables and
-    indices of a comparable pair (:func:`.model.check_comparable`) and the
-    constants taken from the pair's levels (:func:`seed_levels`); every modality of the
-    fragment is admitted.  The class list only ever grows when the depth
+    indices of a comparable pair and the constants of its levels (both
+    from :func:`.model.level_pair`); every modality of the fragment is
+    admitted.  The class list only ever grows when the depth
     is extended, and the generation order is deterministic, so a lower
     depth is always a prefix of a higher one.
     When the class budget is exhausted, ``truncated`` flips to True and
@@ -583,11 +576,11 @@ class FormulaEnumeration:
         fragment: Fragment,
         budget: int = BUDGET,
     ):
-        from .model import check_comparable
+        from .model import level_pair
 
         _check_budget(budget)
-        check_comparable(m1, m2)
-        self.models = (m1, m2)
+        self._pair = pair = level_pair(m1, m2)
+        self.models = pair.models
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)
         self.budget = budget
@@ -598,9 +591,8 @@ class FormulaEnumeration:
 
         self.variables = tuple(sorted(m1.valuation))
         self.indices = m1.indices
-        self.universe = levels.union([m1.universe, m2.universe])
-        seeds = seed_levels(m1, m2, self.universe)
-        self.constants = tuple(self.universe.decode(seeds))
+        self.universe = pair.universe
+        self.constants = tuple(self.universe.decode(pair.constants))
 
         # a modality is admitted by FULL and by the fragment of its direction
         self._modalities = tuple(
@@ -611,12 +603,9 @@ class FormulaEnumeration:
         self.values: tuple[Fraction, ...] = self.universe.values
         self._dt = self.universe.dtype
         self._n1 = len(m1.worlds)
-        self._n2 = len(m2.worlds)
-        self._rel1, self._val1 = m1.encoded(self.universe)
-        self._rel2, self._val2 = m2.encoded(self.universe)
 
         # one level row and one build entry per class
-        width = self._n1 + self._n2
+        width = self._n1 + len(m2.worlds)
         self._rows = np.zeros((256, width), dtype=self._dt)
         self._build = np.zeros((256, 3), dtype=np.intp)
         self._count = 0
@@ -634,7 +623,7 @@ class FormulaEnumeration:
             self._row_bytes = np.dtype((np.void, width * self._dt.itemsize))
             self._known = self._keys(self._rows[:0])
 
-        self._seed_atoms(seeds)
+        self._seed_atoms()
         self._close()
 
     # -- construction internals -------------------------------------------
@@ -708,11 +697,9 @@ class FormulaEnumeration:
         build[:, 0], build[:, 1], build[:, 2] = code, a, b
         self._count = hi
 
-    def _seed_atoms(self, seeds: np.ndarray) -> None:
-        width = self._n1 + self._n2
-        consts = np.repeat(seeds[:, None], width, axis=1)
-        variables = [np.concatenate([self._val1[p], self._val2[p]]) for p in self.variables]
-        block = np.vstack([consts, *variables])
+    def _seed_atoms(self) -> None:
+        consts = np.repeat(self._pair.constants[:, None], self._rows.shape[1], axis=1)
+        block = np.vstack([consts, np.concatenate(self._pair.valuations, axis=1)])
         build = np.array([(_ATOMS, k, 0) for k in range(len(self.constants))]
                          + [(_ATOMS + 1, k, 0) for k in range(len(self.variables))])
         fresh = self._absorb(self._keys(block))
@@ -779,11 +766,12 @@ class FormulaEnumeration:
         block = np.empty((len(segments) * f, children.shape[1]), dtype=self._dt)
         build = np.empty((len(segments), f, 3), dtype=np.intp)
         build[:, :, 2] = np.arange(base, base + f)
+        rels1, rels2 = self._pair.relations
         for s, (r, node) in enumerate(segments):
             m, idx = _MODALITIES[node], self.indices[r]
             rows = block[s * f : (s + 1) * f]
-            rows[:, :n1] = levels.modal(self._rel1[idx], vec1, top, box=m.box, inverse=m.inverse)
-            rows[:, n1:] = levels.modal(self._rel2[idx], vec2, top, box=m.box, inverse=m.inverse)
+            rows[:, :n1] = levels.modal(rels1[idx], vec1, top, box=m.box, inverse=m.inverse)
+            rows[:, n1:] = levels.modal(rels2[idx], vec2, top, box=m.box, inverse=m.inverse)
             build[s, :, :2] = _BUILD.index(node), r
         fresh = self._absorb(self._keys(block))
         self._append(block[fresh], *build.reshape(-1, 3)[fresh].T)

@@ -35,7 +35,8 @@ comment above ``syntax._CONNECTIVES``), so B_d is a min-transitive
 similarity and each cut B_d >= a an equivalence.  B_0 is the fold of the
 variables, and B_{d+1} is the Jacobi sweep of the matched kind (fb for
 plus, bb for minus, rb for full) from B_d: B_d met with the -2 updates of
-its directions (:func:`.bisim.union_iterate`).  The modal step, for fwd:
+its directions (:func:`.bisim.union_iterate`, on the pair in levels from
+:func:`.model.level_pair`).  The modal step, for fwd:
 a modal generator of depth d + 1 is a modality of a class f of depth <= d,
 and
 
@@ -82,8 +83,8 @@ from .bisim import (
 )
 from .fuzzrel import FuzzyMat
 from .hm import THETA_FOR_FRAGMENT
-from .levels import Universe, biimplication_fold, compose, residual_fold, union
-from .model import KripkeModel, check_comparable, formula_levels
+from .levels import Universe, biimplication_fold, compose, residual_fold
+from .model import KripkeModel, check_comparable, formula_levels, level_pair
 from .syntax import (
     BUDGET,
     Formula,
@@ -92,7 +93,6 @@ from .syntax import (
     _check_budget,
     _check_depth,
     dual,
-    seed_levels,
     to_text,
 )
 
@@ -261,19 +261,18 @@ def fragment_weak(
     budget cut keeps a prefix of the class order."""
     # refused in the order the enumeration refuses them
     _check_budget(budget)
-    check_comparable(m1, m2)
-    universe = union([m1.universe, m2.universe])
+    pair = level_pair(m1, m2)
     _check_depth(depth)
     fragment = Fragment(fragment)
-    b = union_iterate(m1, m2, universe, THETA_FOR_FRAGMENT.get(fragment), depth)
-    chain = seed_levels(m1, m2, universe)
-    count = class_count(np.searchsorted(chain, b), len(chain) - 1, budget)
+    b = union_iterate(pair, THETA_FOR_FRAGMENT.get(fragment), depth)
+    count = class_count(np.searchsorted(pair.constants, b), len(pair.constants) - 1, budget)
     if count > budget:
         return enumerated_weak(FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth))
     x = b[: len(m1.worlds), len(m1.worlds) :]
-    one = x == universe.top
+    one = x == pair.universe.top
     rows = bool(one.any(axis=1).all())
-    return _report(m1, m2, universe, x, x, count, rows, rows and bool(one.any(axis=0).all()), False)
+    return _report(m1, m2, pair.universe, x, x, count, rows,
+                   rows and bool(one.any(axis=0).all()), False)
 
 
 def check_weak(
@@ -289,6 +288,7 @@ def check_weak(
     checked.  Each verdict carries the first violating entry, labelled with
     the offending formula.
     """
+    check_comparable(m1, m2)
     _check_relation(m1, m2, phi)
     formulas = _nonempty(list(formulas))
     kind = "wb" if bisimulation else "ws"

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private name the library defines is used somewhere in it, and every
-private attribute it stores on ``self`` is read somewhere in it.
+private attribute it stores on ``self`` is read somewhere in it.  A model
+pair is checked and encoded only where :data:`PAIR_CALLS` allows.
 
 ``ast`` checks, so they need no linter.  An imported name counts as used
 when the module loads it anywhere, names it inside a quoted annotation, or
@@ -197,3 +198,71 @@ def test_a_list_left_behind_in_the_enumerator_fails_the_stored_attribute_check()
     trees["syntax.py"] = ast.parse(source.replace(anchor, anchor + "        self._gen_rows = []\n"))
     [dead] = unread_state(trees)
     assert dead.startswith("syntax.py line ") and dead.endswith(": _gen_rows")
+
+
+# Where a model pair may be checked (``check_comparable``) and a model's
+# tables encoded (``encoded``): the pair builder ``model.level_pair`` does
+# both for every entry point that works on the pair in levels.  One model
+# is encoded to evaluate formulae (``eval_levels``), and the formula-set
+# entry points, which evaluate their formulae on each model through
+# ``model.formula_levels``, check the pair themselves.
+PAIR_CALLS = {
+    "check_comparable": {"level_pair", "phi_equivalent", "greatest_weak", "check_weak"},
+    "encoded": {"level_pair", "eval_levels"},
+}
+
+
+def pair_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """Each call of a name in :data:`PAIR_CALLS`, as a function or a
+    method, with the innermost function around it (None at module level)
+    and its line."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in PAIR_CALLS:
+                    found.append((name, function, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def stray_pair_calls(trees: dict[str, ast.Module]) -> list[str]:
+    return [
+        f"{module} line {line}: {name} in {function}"
+        for module, tree in trees.items()
+        for name, function, line in pair_calls(tree)
+        if function not in PAIR_CALLS[name]
+    ]
+
+
+def test_a_pair_is_checked_and_encoded_only_by_its_builder():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    stray = stray_pair_calls(trees)
+    assert not stray, f"a pair checked or encoded outside level_pair: {', '.join(stray)}"
+
+
+def test_the_pair_check_sees_functions_methods_and_module_level_calls():
+    tree = ast.parse(
+        "def level_pair(m1, m2, u):\n"
+        "    check_comparable(m1, m2)\n"
+        "    return m1.encoded(u), m2.encoded(u)\n"
+        "class Model:\n"
+        "    def eval_levels(self, u):\n"
+        "        return self.encoded(u)\n"
+        "def greatest_pre(m1, m2, u):\n"
+        "    model.check_comparable(m1, m2)\n"
+        "    def encode():\n"
+        "        return m1.encoded(u)\n"
+        "    return level_pair(m1, m2, u)\n"
+        "check_comparable(a, b)\n"
+    )
+    assert stray_pair_calls({"m.py": tree}) == [
+        "m.py line 8: check_comparable in greatest_pre",
+        "m.py line 10: encoded in encode",
+        "m.py line 12: check_comparable in None",
+    ]

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import fuzzykripke.syntax as sx
 from fuzzykripke import levels
 from fuzzykripke.algebra import Algebra, AlgebraError, format_value
-from fuzzykripke.bisim import union_iterate
+from fuzzykripke.bisim import SimType, union_iterate
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
-from fuzzykripke.hm import THETA_FOR_FRAGMENT
-from fuzzykripke.model import KripkeModel, ModelError, check_comparable, formula_constants
+from fuzzykripke.hm import THETA_FOR_FRAGMENT, hm_check, invariance_check
+from fuzzykripke.model import (
+    KripkeModel, ModelError, check_comparable, formula_constants, level_pair,
+)
 from fuzzykripke.syntax import (
     And,
     Box,
@@ -40,7 +42,7 @@ from fuzzykripke.syntax import (
     parse_corpus,
     to_text,
 )
-from fuzzykripke.weak import class_count
+from fuzzykripke.weak import class_count, fragment_weak
 
 # -- parsing ------------------------------------------------------------------
 
@@ -886,7 +888,7 @@ def test_the_union_iterates_are_the_generator_folds_and_their_count_is_the_oracl
     for a, b, fragment, depth in oracle_cases():
         e = FormulaEnumeration(a, b, Fragment(fragment), budget).extend_generators(depth)
         kind = THETA_FOR_FRAGMENT.get(Fragment(fragment))
-        iterate = union_iterate(a, b, e.universe, kind, depth)
+        iterate = union_iterate(level_pair(a, b), kind, depth)
         got = class_count(iterate, int(e.universe.top), budget)
         if e.truncated:
             assert got == budget + 1 and fragment == "full" and depth == 4
@@ -1262,3 +1264,23 @@ def test_an_incomparable_pair_is_refused_before_any_enumeration(monkeypatch):
                 check_comparable(*pair)
             with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
                 FormulaEnumeration(*pair, Fragment.FULL)
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda a, b: hm_check(a, b, "plus", budget=0), AlgebraError, "mixed algebras: godel vs boolean"),
+    (lambda a, b: fragment_weak(a, b, "plus", 1, budget=0), ValueError, "budget must be positive, got 0"),
+    (lambda a, b: fragment_weak(a, b, "plus", -1), AlgebraError, "mixed algebras: godel vs boolean"),
+    (lambda a, b: hm_check(a, b, "plus", max_depth=-1), ValueError, "depth must be nonnegative, got -1"),
+    (lambda a, b: invariance_check(a, b, SimType.FB, "plus", 1, budget=0), AlgebraError,
+     "mixed algebras: godel vs boolean"),
+], ids=["hm-budget", "weak-budget", "weak-depth", "hm-depth", "invariance-budget"])
+def test_each_entry_point_refuses_in_its_own_order(run, error, message):
+    """With an incomparable pair and a bad budget or depth, each entry
+    point names the first thing it checks: ``hm_check`` and
+    ``invariance_check`` the pair before the budget and ``hm_check`` the
+    depth before the pair; ``fragment_weak`` the budget, then the pair,
+    then the depth, as the enumeration does."""
+    a, _ = showcase()
+    crisp, _ = load_pair("crisp_pair")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run(a, crisp)

@@ -11,13 +11,13 @@ from conftest import GODEL_ENUM_POOL, grid, identity, ones, path_model, random_m
 from test_syntax import oracle_cases
 from fuzzykripke import cli
 from fuzzykripke.algebra import Algebra
-from fuzzykripke.bisim import SimType, check_conditions, union_iterate
+from fuzzykripke.bisim import SimType, check_conditions, greatest_pre, union_iterate
 from fuzzykripke.fixtures import load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
-from fuzzykripke.hm import THETA_FOR_FRAGMENT
-from fuzzykripke.levels import union
-from fuzzykripke.model import KripkeModel, ModelError
-from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse, seed_levels
+from fuzzykripke.hm import THETA_FOR_FRAGMENT, hm_check, invariance_check
+from fuzzykripke.levels import Universe
+from fuzzykripke.model import KripkeModel, ModelError, level_pair
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse
 from fuzzykripke.weak import (
     _weak_report,
     check_composition_closed,
@@ -393,8 +393,8 @@ def test_the_class_count_runs_over_the_constants_not_the_universe(tmp_path, caps
     its propositional closure at every depth."""
     oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
     a, met = unused_value_pair()
-    universe = union([a.universe, met.universe])
-    assert Fraction(1, 2) not in universe.decode(seed_levels(a, met, universe))
+    pair = level_pair(a, met)
+    assert Fraction(1, 2) not in pair.universe.decode(pair.constants)
     oracle.check(a, met, ("prop", "plus", "full"), range(3))
     bare = no_index_pair()
     oracle.check(*bare, ("prop", "plus", "minus", "full"), range(3))
@@ -433,20 +433,83 @@ def many_constants_pair():
     return many_valued_path(4, "s", values), many_valued_path(3, "t", values)
 
 
-def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level():
+def loaded(models, tmp_path):
+    """The models written with ``to_json`` and loaded back: each model's
+    tables then share the one universe of its document."""
+    paths = [tmp_path / f"m{k}.json" for k in range(len(models))]
+    for m, path in zip(models, paths):
+        path.write_text(m.to_json(), encoding="utf-8")
+    return [KripkeModel.load(path) for path in paths]
+
+
+def encodes(monkeypatch, run):
+    """The calls ``run()`` makes to ``KripkeModel.encoded``, per model (by
+    id), and to ``Universe.encode``."""
+    per_model, remaps = {}, []
+    encoded, encode = KripkeModel.encoded, Universe.encode
+
+    def count_encoded(self, universe):
+        per_model[id(self)] = per_model.get(id(self), 0) + 1
+        return encoded(self, universe)
+
+    def count_encode(self, values):
+        remaps.append(len(values))
+        return encode(self, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KripkeModel, "encoded", count_encoded)
+        patch.setattr(Universe, "encode", count_encode)
+        run()
+    return per_model, len(remaps)
+
+
+def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path):
     """3,012 values in a uint16 universe.  At depth 0 the worlds differ
     only at the level below top, so the classes are the 3,012 constants
     and the two rows that differ there, which the enumeration finds too;
     at depth 1 the count passes the budget at once and the enumeration
-    cuts the constants it seeds."""
+    cuts the constants it seeds.  The pair loaded back from JSON, whose
+    tables share one universe per model, gives the same reports."""
     a, b = many_constants_pair()
-    universe = union([a.universe, b.universe])
-    assert universe.dtype == np.uint16 and len(seed_levels(a, b, universe)) == 3012
+    pair = level_pair(a, b)
+    assert pair.universe.dtype == np.uint16 and len(pair.constants) == 3012
     depth0 = fragment_weak(a, b, Fragment.PLUS, 0)
     assert depth0.formula_count == 3012 + 2 and not depth0.truncated
     assert depth0.to_dict() == enumerated(a, b, "plus", 0).to_dict()
     cut = fragment_weak(a, b, Fragment.PLUS, 1, budget=1000)
     assert cut.truncated and cut.to_dict() == enumerated(a, b, "plus", 1, 1000).to_dict()
+    la, lb = loaded((a, b), tmp_path)
+    assert fragment_weak(la, lb, Fragment.PLUS, 0).to_dict() == depth0.to_dict()
+    assert fragment_weak(la, lb, Fragment.PLUS, 1, budget=1000).to_dict() == cut.to_dict()
+
+
+@pytest.mark.parametrize("name", ["sim_showcase", "many_constants_pair"])
+def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_path, monkeypatch):
+    """One build of the pair per public entry point: ``hm_check`` and
+    ``invariance_check`` build it in ``greatest_pre`` and in the
+    enumeration, and a budget-cut ``fragment_weak`` in its closed form and
+    in the enumeration it falls back to.  A build remaps each source
+    universe once, so on the loaded 3,012-table pair, whose models each
+    hold one, the calls to ``Universe.encode`` do not grow with the tables."""
+    if name == "sim_showcase":
+        (a, b), budget = load_pair(name), 9
+    else:
+        (a, b), budget = loaded(many_constants_pair(), tmp_path), 1000
+    phi = greatest_pre(a, b, SimType.FB).matrix
+    runs = {
+        "greatest_pre": (lambda: greatest_pre(a, b, SimType.FB), 1),
+        "check_conditions": (lambda: check_conditions(a, b, phi, SimType.FB), 1),
+        "FormulaEnumeration": (lambda: FormulaEnumeration(a, b, Fragment.PLUS, budget), 1),
+        "fragment_weak": (lambda: fragment_weak(a, b, Fragment.PLUS, 0), 1),
+        "fragment_weak cut": (lambda: fragment_weak(a, b, Fragment.PLUS, 1, budget), 2),
+        "hm_check": (lambda: hm_check(a, b, Fragment.PLUS, 0, budget), 2),
+        "invariance_check": (
+            lambda: invariance_check(a, b, SimType.FB, Fragment.PLUS, 0, budget), 2),
+    }
+    assert fragment_weak(a, b, Fragment.PLUS, 1, budget).truncated
+    for entry, (run, builds) in runs.items():
+        per_model, remaps = encodes(monkeypatch, run)
+        assert per_model == {id(a): builds, id(b): builds} and remaps <= 2 * builds, entry
 
 
 def test_the_constants_are_not_paired_with_each_other(monkeypatch):
@@ -493,11 +556,12 @@ def test_the_closed_form_report_is_the_fold_over_the_rows_of_the_iterate():
     runs = {}
 
     def compare(a, b, fragments):
-        universe, n1 = union([a.universe, b.universe]), len(a.worlds)
+        pair, n1 = level_pair(a, b), len(a.worlds)
+        universe = pair.universe
         for fragment in map(Fragment, fragments):
             previous = None
             for depth in range(10**6):
-                iterate = union_iterate(a, b, universe, THETA_FOR_FRAGMENT.get(fragment), depth)
+                iterate = union_iterate(pair, THETA_FOR_FRAGMENT.get(fragment), depth)
                 got = fragment_weak(a, b, fragment, depth, budget=10**100)
                 want = _weak_report(a, b, universe, iterate[:, :n1], iterate[:, n1:])
                 assert replace(want, formula_count=got.formula_count) == got, (fragment, depth)
@@ -523,8 +587,8 @@ def test_the_closed_form_report_is_the_fold_over_the_rows_of_the_iterate():
     pairs += [unused_value_pair(), no_index_pair(), many_constants_pair()]
     assert len(pairs) == 189 + 3
     for a, b in pairs:
-        universe = union([a.universe, b.universe])
-        seeds = seed_levels(a, b, universe)
+        pair = level_pair(a, b)
+        universe, seeds = pair.universe, pair.constants
         assert seeds.dtype == universe.dtype
         assert universe.decode(seeds) == sorted({0, 1} | entry_values(a) | entry_values(b))
     assert universe.dtype == np.uint16 and len(seeds) == 3012
