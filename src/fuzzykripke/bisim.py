@@ -395,6 +395,20 @@ def greatest_pre(
     )
 
 
+def _union(pair: LevelPair, sim_type: Optional[SimType]) -> tuple[np.ndarray, dict[bool, _Side]]:
+    """The start of :func:`union_iterate`: iterate 0, and the sides whose
+    :func:`_sweeps` give the next iterates (none with no ``sim_type``)."""
+    (m1, m2), universe, (rels1, rels2) = pair.models, pair.universe, pair.relations
+    n1, n = len(m1.worlds), len(m1.worlds) + len(m2.worlds)
+    rels = {}
+    for i in m1.indices:
+        rels[i] = np.zeros((n, n), universe.dtype)
+        rels[i][:n1, :n1], rels[i][n1:, n1:] = rels1[i], rels2[i]
+    v = np.concatenate(pair.valuations, axis=1)
+    tags = _THETA2[SimType(sim_type)] if sim_type else ()
+    return biimplication_fold(v.T, v.T, universe.top), _sides(rels, rels, m1.indices, tags)
+
+
 def union_iterate(pair: LevelPair, sim_type: Optional[SimType], sweeps: int) -> np.ndarray:
     """The iterate of :func:`greatest_pre` after ``sweeps`` Jacobi sweeps,
     or its fixpoint if that comes sooner, for the disjoint union of the
@@ -404,17 +418,8 @@ def union_iterate(pair: LevelPair, sim_type: Optional[SimType], sweeps: int) -> 
     same block of the previous iterate: the (m1, m2) block is the iterate
     of ``greatest_pre(m1, m2)``.  With no ``sim_type``, no sweep runs and
     this is the biimplication fold of the variables.  :mod:`.weak` reads
-    the formula classes off it.
+    the formula classes off it, and :mod:`.hm` steps it one sweep at a
+    time from :func:`_union`.
     """
-    (m1, m2), universe, (rels1, rels2) = pair.models, pair.universe, pair.relations
-    n1, n = len(m1.worlds), len(m1.worlds) + len(m2.worlds)
-    rels = {}
-    for i in m1.indices:
-        rels[i] = np.zeros((n, n), universe.dtype)
-        rels[i][:n1, :n1], rels[i][n1:, n1:] = rels1[i], rels2[i]
-    v = np.concatenate(pair.valuations, axis=1)
-    phi = biimplication_fold(v.T, v.T, universe.top)
-    if sim_type is None:
-        return phi
-    sides = _sides(rels, rels, m1.indices, _THETA2[SimType(sim_type)])
-    return _sweeps(phi, sides, universe.top, sweeps)[0]
+    phi, sides = _union(pair, sim_type)
+    return _sweeps(phi, sides, pair.universe.top, sweeps)[0]

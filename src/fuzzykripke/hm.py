@@ -15,6 +15,20 @@ E_d == phi* the run is an exact match and deeper formulae cannot change
 it.  A stabilized E_d above phi* is reported as a mismatch finding, never
 silently accepted.
 
+No formula is enumerated unless the budget cuts the ladder.  E_d is the
+fold of the generators of depth <= d, which is the (m1, m2) block of B_d,
+the d-th Jacobi iterate of the matched kind on the disjoint union of the
+two models (see :mod:`.weak`); the ladder steps it one sweep at a time.
+The class count of step d is what an enumeration extended to the modal
+classes of depth d holds: the classes of depth <= d - 1, which are the
+B_{d-1}-extensional rows over the seeded constants, and the images of
+those rows under the fragment's modalities that are not among them (for
+d = 0, the classes of depth 0).  The rows are formed by the walk that
+counts them (:func:`.syntax.class_rows`) and their images are counted by
+key.  When a step's count passes the budget the fragment is enumerated
+instead, since a budget cut keeps a prefix of the enumeration order, and
+the report is that of the cut enumeration.
+
 The analogous statement for simulations fails on non-Boolean chains:
 :func:`noninvariance_demo` realizes the standard three-valued witness (a
 two-world model pair and an implication formula violating weak-simulation
@@ -32,10 +46,10 @@ from typing import Optional
 import numpy as np
 
 from .algebra import Algebra, format_value
-from .bisim import SimReport, SimType, _violations, greatest_pre
+from .bisim import SimReport, SimType, _sweeps, _union, _violations, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
 from .levels import biimplication, biimplication_fold
-from .model import KripkeModel
+from .model import KripkeModel, LevelPair, level_pair
 from .syntax import (
     BUDGET,
     Const,
@@ -44,7 +58,11 @@ from .syntax import (
     Fragment,
     Implies,
     Var,
+    _check_budget,
     _check_depth,
+    _open_count,
+    class_count,
+    class_rows,
     to_text,
 )
 
@@ -60,6 +78,11 @@ DEPTH_CAP = 4
 
 @dataclass
 class DepthStep:
+    """One step of the ladder: E_d, and ``class_count``, the classes of
+    depth <= d - 1 and the modal classes of depth d (the classes of depth
+    0 at d = 0), at most the budget; ``truncated`` tells that the budget
+    cut the step, whose count is then the budget."""
+
     depth: int
     matrix: FuzzyMat
     class_count: int
@@ -111,6 +134,56 @@ def _finiteness(m1: KripkeModel, m2: KripkeModel) -> dict:
     return out
 
 
+def _iterated(pair: LevelPair, fragment: Fragment, budget: int):
+    """The uncut ladder, step d = 0, 1, ... as (E_d, class count, False):
+    E_d is the (m1, m2) block of the union iterate B_d, stepped one sweep
+    at a time.  A count past ``budget`` ends it with None."""
+    n1, top = len(pair.models[0].worlds), pair.universe.top
+    b, sides = _union(pair, THETA_FOR_FRAGMENT[fragment])
+    constants = pair.constants
+    last = len(constants) - 1
+    count = class_count(np.searchsorted(constants, b), last, budget)
+    while count <= budget:
+        yield b[:n1, n1:], count, False
+        rows = class_rows(np.searchsorted(constants, b).astype(b.dtype), last, budget)
+        b = _sweeps(b, sides, top, 1)[0]
+        count = budget + 1 if rows is None else _open_count(pair, fragment, constants[rows], budget)
+    yield None
+
+
+def _enumerated(pair: LevelPair, fragment: Fragment, budget: int):
+    """The ladder of a :class:`FormulaEnumeration` on ``pair``, step d as
+    (E_d, class count, truncated): E_d folds the generator classes only,
+    which never lowers it (see ``generator_indices``)."""
+    enum = FormulaEnumeration(*pair.models, fragment, budget, pair)
+    depth = 0
+    while True:
+        lv1, lv2 = enum.extend_generators(depth).generator_vectors()
+        yield biimplication_fold(lv1.T, lv2.T, pair.universe.top), len(enum), enum.truncated
+        depth += 1
+
+
+def _ladder(steps, max_depth: int, strong_lv: np.ndarray, pair: LevelPair):
+    """Run the ladder of ``steps`` until E_{d+1} == E_d, an exact match,
+    a truncated step or ``max_depth``: the steps, the depth it converged
+    at, whether it matched, and the last E_d; None when ``steps`` ends."""
+    out, previous = [], None
+    for depth, step in zip(range(max_depth + 1), steps):
+        if step is None:
+            return None
+        weak_lv, count, truncated = step
+        matrix = FuzzyMat._from_levels(pair.models[0].algebra, weak_lv, pair.universe)
+        out.append(DepthStep(depth, matrix, count, truncated))
+        if np.array_equal(weak_lv, strong_lv):
+            return out, depth, True, weak_lv
+        if truncated:
+            break
+        if previous is not None and np.array_equal(weak_lv, previous):
+            return out, depth - 1, False, weak_lv
+        previous = weak_lv
+    return out, None, False, weak_lv
+
+
 def hm_check(
     m1: KripkeModel,
     m2: KripkeModel,
@@ -123,7 +196,8 @@ def hm_check(
     Runs the depth ladder until E_{d+1} == E_d or ``max_depth``; stops early
     on an exact match with the strong matrix (sound because E can only
     decrease toward it).  ``match`` is False both for a stabilized mismatch
-    and for a ladder cut off by the depth cap or the class budget.
+    and for a ladder cut off by the depth cap or the class budget.  Only
+    a ladder that the budget cuts enumerates (see the module docstring).
     """
     fragment = Fragment(fragment)
     if fragment not in THETA_FOR_FRAGMENT:
@@ -134,30 +208,14 @@ def hm_check(
     _check_depth(max_depth)
     sim_type = THETA_FOR_FRAGMENT[fragment]
     strong = greatest_pre(m1, m2, sim_type)
-
-    enum = FormulaEnumeration(m1, m2, fragment, budget)
-    universe = enum.universe
+    _check_budget(budget)
+    pair = level_pair(m1, m2)
+    universe = pair.universe
     strong_lv = universe.recode(strong.matrix.universe, strong.matrix.levels)
-    steps: list[DepthStep] = []
-    converged_at = None
-    match = False
-    previous = None
-    for depth in range(max_depth + 1):
-        # E_d skips the binary rows, which never lower it (see generator_indices)
-        lv1, lv2 = enum.extend_generators(depth).generator_vectors()
-        weak_lv = biimplication_fold(lv1.T, lv2.T, universe.top)
-        matrix = FuzzyMat._from_levels(enum.algebra, weak_lv, universe)
-        steps.append(DepthStep(depth, matrix, len(enum), enum.truncated))
-        if np.array_equal(weak_lv, strong_lv):
-            converged_at = depth
-            match = True
-            break
-        if enum.truncated:
-            break
-        if previous is not None and np.array_equal(weak_lv, previous):
-            converged_at = depth - 1
-            break
-        previous = weak_lv
+    steps, converged_at, match, weak_lv = (
+        _ladder(_iterated(pair, fragment, budget), max_depth, strong_lv, pair)
+        or _ladder(_enumerated(pair, fragment, budget), max_depth, strong_lv, pair)
+    )
 
     mismatch = None
     if not match:

@@ -530,14 +530,23 @@ class LevelPair(NamedTuple):
     universe: Universe
     relations: tuple[dict, dict]  # per model: the level matrices by index
     valuations: tuple[np.ndarray, np.ndarray]  # per model: one row per variable, in sorted order
-    constants: np.ndarray  # increasing: 0, top and every level an entry holds
     models: tuple[KripkeModel, KripkeModel]
+
+    @property
+    def constants(self) -> np.ndarray:
+        """The constants a formula class over the pair takes, as levels:
+        0, top and every level an entry holds, increasing.  Computed on
+        each read, since only the class counts and the enumeration read
+        them."""
+        tables = (*self.relations[0].values(), *self.relations[1].values(), *self.valuations)
+        zero_top = np.array([0, self.universe.top], self.universe.dtype)
+        return np.unique(np.concatenate([zero_top, *(x.ravel() for x in tables)]))
 
 
 def level_pair(m1: KripkeModel, m2: KripkeModel, *extra: Universe) -> LevelPair:
     """The pair in the levels of the union of its universes and ``extra``,
     once :func:`check_comparable` accepts it: the one place a pair's tables
-    are encoded.  The constants are those an enumeration over the pair seeds."""
+    are encoded."""
     check_comparable(m1, m2)
     universe = union([m1.universe, m2.universe, *extra])
     (rels1, vals1), (rels2, vals2) = m1.encoded(universe), m2.encoded(universe)
@@ -545,9 +554,7 @@ def level_pair(m1: KripkeModel, m2: KripkeModel, *extra: Universe) -> LevelPair:
         np.array([vals[p] for p in sorted(m1.valuation)], universe.dtype).reshape(-1, len(m.worlds))
         for m, vals in ((m1, vals1), (m2, vals2))
     )
-    held = [x.ravel() for x in (*rels1.values(), *rels2.values(), *valuations)]
-    constants = np.unique(np.concatenate([np.array([0, universe.top], universe.dtype), *held]))
-    return LevelPair(universe, (rels1, rels2), valuations, constants, (m1, m2))
+    return LevelPair(universe, (rels1, rels2), valuations, (m1, m2))
 
 
 @dataclass

@@ -23,6 +23,7 @@ Corpus files hold one formula per line; '#' starts a comment.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +36,7 @@ from . import levels
 from .algebra import VALUE_PATTERN, ZERO, AlgebraError, format_value, parse_value
 
 if TYPE_CHECKING:
-    from .model import KripkeModel
+    from .model import KripkeModel, LevelPair
 
 
 # -- AST --------------------------------------------------------------------
@@ -533,6 +534,40 @@ def _row_keys(size: int, width: int) -> tuple[Optional[np.ndarray], bool]:
     return size ** np.arange(width - 1, -1, -1, dtype=dtype), size ** width <= levels.BATCH
 
 
+def _keys(block: np.ndarray, radix: Optional[np.ndarray]) -> np.ndarray:
+    """The key of every level row of ``block`` (m, width), shape (m,): its
+    radix key under the weights ``radix`` of :func:`_row_keys`, or its
+    bytes when they are None."""
+    if radix is not None:
+        return block.astype(radix.dtype) @ radix
+    row = np.dtype((np.void, block.shape[1] * block.dtype.itemsize))
+    return np.ascontiguousarray(block).view(row).reshape(-1)
+
+
+def _admitted(fragment: Fragment) -> tuple:
+    """The modalities of ``fragment``, in generation order: every one for
+    FULL, else those of its direction."""
+    return tuple(
+        node for node, m in _MODALITIES.items()
+        if fragment in (Fragment.FULL, Fragment.MINUS if m.inverse else Fragment.PLUS)
+    )
+
+
+def _modal_images(pair: "LevelPair", modalities: tuple, rows: np.ndarray) -> np.ndarray:
+    """Every modality of ``modalities`` at every index of ``pair``, applied
+    to every level row of ``rows`` (over the worlds of both models), per
+    model: one block of rows per (index, modality), indices outermost."""
+    (m1, _), top = pair.models, pair.universe.top
+    n1, f = len(m1.worlds), len(rows)
+    out = np.empty((len(m1.indices) * len(modalities) * f, rows.shape[1]), rows.dtype)
+    segments = [(i, node) for i in m1.indices for node in modalities]
+    for s, (i, node) in enumerate(segments):
+        m, block = _MODALITIES[node], out[s * f : (s + 1) * f]
+        for rel, lo, hi in ((pair.relations[0][i], 0, n1), (pair.relations[1][i], n1, None)):
+            block[:, lo:hi] = levels.modal(rel, rows[:, lo:hi], top, box=m.box, inverse=m.inverse)
+    return out
+
+
 def _check_depth(depth: int) -> None:
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -555,7 +590,9 @@ class FormulaEnumeration:
     depth is always a prefix of a higher one.
     When the class budget is exhausted, ``truncated`` flips to True and
     generation stops.  ``dense`` tells whether known rows are marked in a
-    dense key table.  ``models`` is the pair ``(m1, m2)``.
+    dense key table.  ``models`` is the pair ``(m1, m2)``; ``pair``, when
+    given, is that pair in levels from :func:`.model.level_pair`, which a
+    caller that has built it hands over instead of a second build.
 
     Each class is stored as one level row and one build entry (code, a, b):
     the code names its constructor in ``_BUILD``, and the operands are two
@@ -575,11 +612,12 @@ class FormulaEnumeration:
         m2: "KripkeModel",
         fragment: Fragment,
         budget: int = BUDGET,
+        pair: Optional["LevelPair"] = None,
     ):
         from .model import level_pair
 
         _check_budget(budget)
-        self._pair = pair = level_pair(m1, m2)
+        self._pair = pair = level_pair(m1, m2) if pair is None else pair
         self.models = pair.models
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)
@@ -592,13 +630,9 @@ class FormulaEnumeration:
         self.variables = tuple(sorted(m1.valuation))
         self.indices = m1.indices
         self.universe = pair.universe
-        self.constants = tuple(self.universe.decode(pair.constants))
-
-        # a modality is admitted by FULL and by the fragment of its direction
-        self._modalities = tuple(
-            node for node, m in _MODALITIES.items()
-            if self.fragment in (Fragment.FULL, Fragment.MINUS if m.inverse else Fragment.PLUS)
-        )
+        constants = pair.constants
+        self.constants = tuple(self.universe.decode(constants))
+        self._modalities = _admitted(self.fragment)
 
         self.values: tuple[Fraction, ...] = self.universe.values
         self._dt = self.universe.dtype
@@ -620,19 +654,16 @@ class FormulaEnumeration:
                 [fn(lv[:, None], lv[None, :], self.universe.top) for _, fn in _CONNECTIVES]
             )
         else:
-            self._row_bytes = np.dtype((np.void, width * self._dt.itemsize))
             self._known = self._keys(self._rows[:0])
 
-        self._seed_atoms()
+        self._seed_atoms(constants)
         self._close()
 
     # -- construction internals -------------------------------------------
 
     def _keys(self, block: np.ndarray) -> np.ndarray:
         """The key of every level row of ``block`` (m, width), shape (m,)."""
-        if self._radix is not None:
-            return block.astype(self._radix.dtype) @ self._radix
-        return np.ascontiguousarray(block).view(self._row_bytes).reshape(-1)
+        return _keys(block, self._radix)
 
     def _pair_keys(self, c: int, lhs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The flat keys (a * len(rows) + b) of combining row ``lhs[a]`` with
@@ -697,8 +728,8 @@ class FormulaEnumeration:
         build[:, 0], build[:, 1], build[:, 2] = code, a, b
         self._count = hi
 
-    def _seed_atoms(self) -> None:
-        consts = np.repeat(self._pair.constants[:, None], self._rows.shape[1], axis=1)
+    def _seed_atoms(self, constants: np.ndarray) -> None:
+        consts = np.repeat(constants[:, None], self._rows.shape[1], axis=1)
         block = np.vstack([consts, np.concatenate(self._pair.valuations, axis=1)])
         build = np.array([(_ATOMS, k, 0) for k in range(len(self.constants))]
                          + [(_ATOMS + 1, k, 0) for k in range(len(self.variables))])
@@ -756,23 +787,15 @@ class FormulaEnumeration:
         The new depth stays propositionally open until :meth:`_close`.
         """
         children = self._rows[self._level : self._count]
-        n1, f = self._n1, len(children)
-        vec1, vec2 = children[:, :n1], children[:, n1:]
-        base, top = self._level, self.universe.top
+        base, f = self._level, len(children)
         self._level, self._closed = self._count, False
         self.depth += 1
         # every index and modality in turn, deduplicated together
-        segments = [(r, node) for r in range(len(self.indices)) for node in self._modalities]
-        block = np.empty((len(segments) * f, children.shape[1]), dtype=self._dt)
-        build = np.empty((len(segments), f, 3), dtype=np.intp)
-        build[:, :, 2] = np.arange(base, base + f)
-        rels1, rels2 = self._pair.relations
-        for s, (r, node) in enumerate(segments):
-            m, idx = _MODALITIES[node], self.indices[r]
-            rows = block[s * f : (s + 1) * f]
-            rows[:, :n1] = levels.modal(rels1[idx], vec1, top, box=m.box, inverse=m.inverse)
-            rows[:, n1:] = levels.modal(rels2[idx], vec2, top, box=m.box, inverse=m.inverse)
-            build[s, :, :2] = _BUILD.index(node), r
+        block = _modal_images(self._pair, self._modalities, children)
+        build = np.empty((len(self.indices), len(self._modalities), f, 3), dtype=np.intp)
+        build[..., 0] = np.array([_BUILD.index(node) for node in self._modalities])[:, None]
+        build[..., 1] = np.arange(len(self.indices))[:, None, None]
+        build[..., 2] = np.arange(base, base + f)
         fresh = self._absorb(self._keys(block))
         self._append(block[fresh], *build.reshape(-1, 3)[fresh].T)
 
@@ -858,3 +881,99 @@ class FormulaEnumeration:
 
     def __len__(self):
         return self._count
+
+
+# -- the classes in closed form ----------------------------------------------
+#
+# The comment above _CONNECTIVES shows that the classes of depth <= d are the
+# level rows extensional under B_d, which :func:`.bisim.union_iterate`
+# computes; the docstring of :mod:`.weak` proves the modal step.  So the
+# classes need no enumeration: they are counted, and when their count fits a
+# budget formed, by one walk over the cuts of B_d.
+
+
+def _class_walk(b: np.ndarray, top: int, budget: int, rows: bool):
+    """The walk of :func:`class_count`: the count, or ``budget + 1`` past
+    the budget, and with ``rows`` the rows it counts (None past the
+    budget), as level rows of ``b``'s dtype, zero outside their block.
+
+    A block carries its rows next to its count: the constant rows it gains
+    over the levels it merges with nothing, the Cartesian product of its
+    parts' rows where it merges, and the constant row one level below the
+    cut.  The counts of a merge are taken before its rows, so no row set
+    past the budget is formed.
+    """
+    firsts, counts = list(range(len(b))), [1] * len(b)  # the blocks past top
+    held = [np.eye(1, len(b), p, b.dtype) * top for p in firsts] if rows else None
+    cut = top + 1
+    for value in np.unique(np.append(b, 0))[::-1].tolist():
+        above = b >= value
+        first = above.argmax(axis=1).tolist()  # the first world of each block
+        grown = cut - value - 1
+        merged: dict = {}
+        for k, world in enumerate(firsts):
+            merged.setdefault(first[world], []).append(k)
+        counts = [int(value > 0) + math.prod(counts[k] + grown for k in part)
+                  for part in merged.values()]
+        if max(counts) > budget:
+            return budget + 1, None
+        if rows:
+            if grown:
+                gained = np.arange(value, cut - 1, dtype=b.dtype)[:, None]
+                held = [np.vstack([x, gained * (b[p] >= cut)]) for x, p in zip(held, firsts)]
+            parts, held = held, []
+            for key, part in merged.items():
+                block = parts[part[0]]
+                for k in part[1:]:
+                    block = (block[:, None] + parts[k][None]).reshape(-1, len(b))
+                if value:
+                    block = np.vstack([block, np.multiply(above[key], value - 1, dtype=b.dtype)])
+                held.append(block)
+        firsts, cut = list(merged), value
+    return counts[0], held[0] if rows else None
+
+
+def class_count(b: np.ndarray, top: int, budget: int) -> int:
+    """The number of rows f of levels 0..``top`` over the worlds of ``b``
+    with f(p) /\\ b(p, q) <= f(q) for all worlds p and q, where ``b`` is a
+    min-transitive similarity on those levels (top on its diagonal); or
+    ``budget + 1`` as soon as the count is known to pass ``budget``.
+
+    The cuts b >= a are nested equivalences.  On a block S of the cut at
+    a, the count C(S, a) is 1 for a past top, and else [a > 0] + the
+    product of C(S_k, a + 1) over the blocks S_k of S at cut a + 1: below
+    a, f is one value on S; else it is at least a there, and blocks that
+    b keeps apart at a are free of each other.  The cuts change only at
+    the values of b, so the blocks are merged one value at a time, from
+    top down to 0; a block that merges with nothing over k levels gains
+    k.  Every count is at least 1, so the count of the whole passes the
+    budget once any block's count does.
+    """
+    return _class_walk(b, top, budget, False)[0]
+
+
+def class_rows(b: np.ndarray, top: int, budget: int) -> Optional[np.ndarray]:
+    """The rows that :func:`class_count` counts, one per row of the result
+    (in no set order, in ``b``'s dtype), from the same walk; or None when
+    their count passes ``budget``."""
+    return _class_walk(b, top, budget, True)[1]
+
+
+def _open_count(pair: "LevelPair", fragment: Fragment, classes: np.ndarray, budget: int) -> int:
+    """The level rows ``classes`` of ``pair`` together with their images
+    under every modality of ``fragment`` at every index, each distinct row
+    counted once; or ``budget + 1`` past ``budget``.  When ``classes`` are
+    the classes of depth <= d - 1, this is the count after
+    ``FormulaEnumeration.extend_generators(d)``: an image of a class is a
+    class of depth <= d, new or not.  The images are formed and keyed in
+    blocks of at most :data:`levels.BATCH` entries."""
+    modalities = _admitted(fragment)
+    width = classes.shape[1]
+    radix, _ = _row_keys(len(pair.universe), width)
+    segments = max(1, len(pair.models[0].indices) * len(modalities))
+    chunk = max(1, levels.BATCH // (segments * width))
+    keys = [_keys(classes, radix)]
+    for lo in range(0, len(classes), chunk):
+        images = _modal_images(pair, modalities, classes[lo : lo + chunk])
+        keys.append(np.unique(_keys(images, radix)))
+    return min(budget + 1, len(np.unique(np.concatenate(keys))))

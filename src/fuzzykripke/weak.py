@@ -68,7 +68,10 @@ every row of X holds 1: a world q with X(p, q) = 1 has f(q) = f(p) for
 every class, and with none chi_p breaks the condition at p.  For the
 prebisimulation every column must hold 1 as well, which is also formula
 set equivalence.  The count is that of the B_d-extensional rows over the
-chain of seeded constants (:func:`class_count`).
+chain of seeded constants (:func:`.syntax.class_count`).  The ladder of
+:mod:`.hm` reads its steps off the same iterates: each step is a block of
+B_d, and its count that of the B_{d-1}-extensional rows and their modal
+images (:func:`.syntax.class_rows`).
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ from .syntax import (
     Fragment,
     _check_budget,
     _check_depth,
+    class_count,
     dual,
     to_text,
 )
@@ -215,38 +219,6 @@ def enumerated_weak(enum: FormulaEnumeration) -> WeakReport:
     return _weak_report(*enum.models, enum.universe, *enum.level_vectors(), enum.truncated)
 
 
-def class_count(b: np.ndarray, top: int, budget: int) -> int:
-    """The number of rows f of levels 0..``top`` over the worlds of ``b``
-    with f(p) /\\ b(p, q) <= f(q) for all worlds p and q, where ``b`` is a
-    min-transitive similarity on those levels (top on its diagonal); or
-    ``budget + 1`` as soon as the count is known to pass ``budget``.
-
-    The cuts b >= a are nested equivalences.  On a block S of the cut at
-    a, the count C(S, a) is 1 for a past top, and else [a > 0] + the
-    product of C(S_k, a + 1) over the blocks S_k of S at cut a + 1: below
-    a, f is one value on S; else it is at least a there, and blocks that
-    b keeps apart at a are free of each other.  The cuts change only at
-    the values of b, so the blocks are merged one value at a time, from
-    top down to 0; a block that merges with nothing over k levels gains
-    k.  Every count is at least 1, so the count of the whole passes the
-    budget once any block's count does.
-    """
-    firsts, counts = list(range(len(b))), [1] * len(b)  # the blocks past top
-    cut = top + 1
-    for value in np.unique(np.append(b, 0))[::-1].tolist():
-        first = (b >= value).argmax(axis=1).tolist()  # the first world of each block
-        grown = cut - value - 1
-        merged = {}
-        for world, count in zip(firsts, counts):
-            key = first[world]
-            merged[key] = merged.get(key, 1) * (count + grown)
-        firsts, counts = list(merged), [int(value > 0) + c for c in merged.values()]
-        if max(counts) > budget:
-            return budget + 1
-        cut = value
-    return counts[0]
-
-
 def fragment_weak(
     m1: KripkeModel,
     m2: KripkeModel,
@@ -265,7 +237,8 @@ def fragment_weak(
     _check_depth(depth)
     fragment = Fragment(fragment)
     b = union_iterate(pair, THETA_FOR_FRAGMENT.get(fragment), depth)
-    count = class_count(np.searchsorted(pair.constants, b), len(pair.constants) - 1, budget)
+    constants = pair.constants
+    count = class_count(np.searchsorted(constants, b), len(constants) - 1, budget)
     if count > budget:
         return enumerated_weak(FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth))
     x = b[: len(m1.worlds), len(m1.worlds) :]

@@ -1,6 +1,7 @@
 """Depth-bounded expressivity harness: ladders, invariance, the counterexample."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,14 +148,18 @@ def ladder_against_iterates(monkeypatch, a, b, fragment, budget):
         calls.append(phi)
         return update(r, rp, phi, top)
 
+    # the iterates are recorded from greatest_pre alone: the ladder's own
+    # sweeps on the union of the pair run the same update
     monkeypatch.setitem(fuzzrel.RESIDUAL_UPDATES, "fwd", record)
-    rep = hm_check(a, b, fragment, max_depth=8, budget=budget)
+    strong = greatest_pre(a, b, THETA_FOR_FRAGMENT[fragment])
     monkeypatch.undo()
+    rep = hm_check(a, b, fragment, max_depth=8, budget=budget)
     # every matched kind updates both sides; a sweep takes the unswapped
     # side first, on the iterate itself
-    universe = rep.strong.matrix.universe
+    universe = strong.matrix.universe
     iterates = [FuzzyMat._from_levels(a.algebra, phi, universe) for phi in calls[::2]]
-    assert len(calls) == 2 * rep.strong.iterations and iterates[-1] == rep.strong.matrix
+    assert len(calls) == 2 * strong.iterations and iterates[-1] == strong.matrix
+    assert rep.strong.matrix == strong.matrix
     depths = [step.depth for step in rep.steps if not step.truncated]
     for step in rep.steps[: len(depths)]:
         want = iterates[min(step.depth, len(iterates) - 1)]
@@ -185,6 +190,80 @@ def test_the_ladder_steps_are_the_fixpoint_iterates(monkeypatch, rng):
         for fragment in FRAGMENTS:
             deepest = max(deepest, *ladder_against_iterates(monkeypatch, a, b, fragment, 5_000))
     assert deepest >= 3
+
+
+def enumeration_ladder(*args, **kwargs):
+    """``hm_check`` with the enumeration ladder that it keeps for a budget
+    cut, taken as if the first step's count passed the budget."""
+    import fuzzykripke.hm as hm
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hm, "_iterated", lambda *_: iter([None]))
+        return hm_check(*args, **kwargs)
+
+
+def same_ladders(rep, want):
+    assert [(s.depth, grid(s.matrix), s.class_count, s.truncated) for s in rep.steps] == [
+        (s.depth, grid(s.matrix), s.class_count, s.truncated) for s in want.steps]
+    assert (rep.converged_at, rep.match, rep.first_mismatch) == (
+        want.converged_at, want.match, want.first_mismatch)
+
+
+def test_the_iterate_ladder_is_the_enumeration_ladder():
+    """Read off the union iterates, every step has the matrix, the class
+    count and the flag of the enumeration's step, and the run converges,
+    matches and names its first mismatch as the enumeration's does.  The
+    modal images are keyed by radix or by bytes, and in blocks of one
+    class when the memory bound is small; a run that the budget cuts is
+    the enumeration's run itself."""
+    import fuzzykripke.syntax as sx
+    from fuzzykripke import levels
+
+    rng = random.Random("ladder")
+    uncut = 0
+    for k in range(100):
+        algebra = Algebra.from_spec(("boolean", "chain:3", "chain:5", "godel")[k % 4])
+        pool = GODEL_ENUM_POOL if algebra.kind == "godel" and k % 8 < 4 else None
+        a, b = random_pair(rng, algebra, 3, variables=("p", "q")[: 1 + k % 2],
+                           indices=(1, 2)[: 1 + k // 50], pool=pool)
+        with pytest.MonkeyPatch.context() as m:
+            if k % 3 == 1:
+                m.setattr(sx, "_row_keys", lambda size, width: (None, False))
+            elif k % 3 == 2:
+                m.setattr(levels, "BATCH", 16)
+            for fragment in FRAGMENTS:
+                rep = hm_check(a, b, fragment, max_depth=6, budget=2_000)
+                same_ladders(rep, enumeration_ladder(a, b, fragment, max_depth=6, budget=2_000))
+                uncut += not rep.steps[-1].truncated
+    assert uncut >= 250
+
+
+def test_an_uncut_ladder_enumerates_nothing(monkeypatch):
+    """Not one enumeration is built on the bundled pairs and on a path
+    pair whose full ladder reaches 68,452 classes; a cut run builds one."""
+    built = []
+    init = FormulaEnumeration.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FormulaEnumeration, "__init__", record)
+    path = path_model("godel", 4, "0.7", "0.3", "s"), path_model("godel", 5, "0.7", "0.3", "t")
+    for a, b in [*map(load_pair, PAIRS), path]:
+        for fragment in FRAGMENTS:
+            rep = hm_check(a, b, fragment, max_depth=20)
+            assert not any(step.truncated for step in rep.steps)
+    assert built == []
+    cut = hm_check(*path, Fragment.FULL, max_depth=20, budget=100)
+    assert cut.steps[-1].truncated and len(built) == 1
+
+
+def test_a_budget_cut_ladder_is_the_enumerations():
+    a, b = load_pair("sim_showcase")
+    rep = hm_check(a, b, Fragment.FULL, budget=150)
+    assert rep.steps[-1].truncated and not rep.match
+    assert rep.to_dict() == enumeration_ladder(a, b, Fragment.FULL, budget=150).to_dict()
 
 
 def test_invariance_on_bundled_pairs():

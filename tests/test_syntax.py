@@ -867,12 +867,30 @@ def oracle_cases():
 
 def test_the_classes_are_the_extensional_rows_and_their_closed_form_count():
     """A budget cut keeps budget many of them, and only a count past the
-    budget is cut."""
+    budget is cut.  The walk that counts the B_d-extensional rows also
+    forms them: as many rows as ``class_count`` gives, each extensional
+    under B_d, and as a set the classes of the enumeration; None past the
+    budget, as on the two longest path pairs at full depths 3 and 4."""
     budget = 20_000
+    formed = 0
     for a, b, fragment, depth in oracle_cases():
         e = FormulaEnumeration(a, b, Fragment(fragment), budget).extend_to_depth(depth)
         extensional, count = extensional_oracle(e)
         assert extensional and len(e) == min(count, budget) and e.truncated == (count > budget)
+        pair = level_pair(a, b)
+        iterate = union_iterate(pair, THETA_FOR_FRAGMENT.get(Fragment(fragment)), depth)
+        constants, top = pair.constants, len(pair.constants) - 1
+        cuts = np.searchsorted(constants, iterate).astype(iterate.dtype)
+        rows = sx.class_rows(cuts, top, budget)
+        if e.truncated:
+            assert rows is None
+            continue
+        assert rows.dtype == iterate.dtype and len(rows) == class_count(cuts, top, budget)
+        assert (np.minimum(rows[:, :, None], cuts) <= rows[:, None, :]).all()
+        classes = {r.tobytes() for r in constants[rows]}
+        assert classes == {r.tobytes() for r in np.hstack(e.level_vectors())}
+        formed += 1
+    assert formed == len(oracle_cases()) - 4
 
 
 def test_the_union_iterates_are_the_generator_folds_and_their_count_is_the_oracles():
@@ -909,6 +927,8 @@ def test_the_class_count_runs_over_a_long_chain_and_stops_past_the_budget():
     assert class_count(b, top, 10**6) == top + 1 + 2
     assert class_count(b, top, top + 2) == top + 3
     assert class_count(b, top, top + 1) == top + 2
+    rows = sx.class_rows(b, top, 10**6)
+    assert len({r.tobytes() for r in rows}) == top + 3 and sx.class_rows(b, top, top + 2) is None
     apart = np.array([[top, 0], [0, top]], dtype=np.uint16)
     assert class_count(apart, top, 10**9) == (top + 1) ** 2
     assert class_count(apart, top, 10**6) == 10**6 + 1
