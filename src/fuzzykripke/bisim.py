@@ -357,15 +357,17 @@ def greatest_pre(
     m1: KripkeModel,
     m2: KripkeModel,
     sim_type: SimType,
+    pair: Optional[LevelPair] = None,
 ) -> SimReport:
     """The greatest pre-simulation/bisimulation of the given kind.
 
     The returned matrix always satisfies the -2 and -3 conditions exactly;
     ``exists`` reports whether it is also nonempty and satisfies -1, i.e.
-    whether a relation proper of this kind exists.
+    whether a relation proper of this kind exists.  ``pair``, when given,
+    is (m1, m2) in levels from :func:`.model.level_pair`.
     """
     sim_type = SimType(sim_type)
-    pair = level_pair(m1, m2)
+    pair = level_pair(m1, m2) if pair is None else pair
     cap = _sweep_cap(m1, m2, pair.universe)
     top = pair.universe.top
     sides = _sides(*pair.relations, m1.indices, _THETA2[sim_type])

@@ -10,6 +10,10 @@ Subcommands:
     check    A B --type KIND --relation F       literal condition verdicts
     reverse  MODEL [-o OUT]                     transpose every relation
 
+A call is parsed by its subcommand's parser alone; only an argv that
+parser cannot take whole goes through the top-level parser, so usage
+errors read as they would from it.
+
 Exit status: 0 for success / exists / match, 1 for a negative verdict
 (no relation, not equivalent, mismatch, failed check), 2 for usage or
 validation errors.  All numeric output is exact decimal strings.
@@ -257,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "model", formats=False)
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
+    parser.subcommands = sub.choices  # name -> its parser, for _parse
     return parser
 
 
@@ -266,8 +271,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with a well-formed subcommand call
+    parsed by its own parser alone.  Any other argv, an empty one, one
+    not led by a subcommand or one that leaves arguments over, goes
+    through the whole parser, whose usage errors are the ones printed."""
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # ModelError, AlgebraError, ParseError among them

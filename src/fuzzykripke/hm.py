@@ -207,9 +207,9 @@ def hm_check(
         )
     _check_depth(max_depth)
     sim_type = THETA_FOR_FRAGMENT[fragment]
-    strong = greatest_pre(m1, m2, sim_type)
-    _check_budget(budget)
     pair = level_pair(m1, m2)
+    strong = greatest_pre(m1, m2, sim_type, pair=pair)
+    _check_budget(budget)
     universe = pair.universe
     strong_lv = universe.recode(strong.matrix.universe, strong.matrix.levels)
     steps, converged_at, match, weak_lv = (

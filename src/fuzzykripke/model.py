@@ -23,15 +23,15 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 ``valuation`` (map from variable to a vector of decimal strings).  Values
 are parsed exactly (JSON integers are exact too; JSON floats and booleans
 are rejected); everything is validated eagerly on load so that
-evaluation never revalidates.  The loader keeps one spelling table per
-document and reads each matrix as one flat list: each distinct spelling
-is parsed once and mapped straight to a table index, every other entry
-costs a dict lookup, and each distinct value is checked against the
-carrier once.  Every entry is still type-checked, and the first bad
-entry in document order is the one reported.  The table becomes the
-document's value universe, so every relation and valuation is a level
-array over it (one take through a table-to-level remap), and the model
-keeps that universe.  A model pair is put into the levels of one
+evaluation never revalidates.  The loader keeps one spelling map per
+document and reads each matrix, row after row, in one pass of lookups:
+a new spelling is parsed where the pass meets it and mapped straight to
+a table index, every other entry costs a dict lookup, and each distinct
+value is checked against the carrier once.  Every entry is still
+type-checked, and the first bad entry in document order is the one
+reported.  The table becomes the document's value universe, so every
+relation and valuation is a level array over it (one take through a
+table-to-level remap), and the model keeps that universe.  A model pair is put into the levels of one
 universe in one place, :func:`level_pair`.  Evaluation runs on level
 arrays (:mod:`.levels`), and output formats each universe value once.
 """
@@ -286,68 +286,75 @@ def _require(value, kind: type, message: str):
     return value
 
 
+class _Spellings(dict):
+    """Spelling -> table index, for the strings of one document.  A lookup
+    of a new spelling parses it in place and gives it the index of its
+    value, a new one when the value is new: equal values spelled
+    differently share an index.  Only strings are keys, and any other
+    lookup that misses raises :class:`TypeError`, so ``True`` or ``1.0``
+    never reads as a value and a JSON integer is looked up by its text."""
+
+    __slots__ = ("values", "by_value")
+
+    def __init__(self):
+        super().__init__()
+        self.values: list[Fraction] = []  # the distinct values, by table index
+        self.by_value: dict = {}  # (numerator, denominator) -> table index
+
+    def __missing__(self, text):
+        if type(text) is not str:
+            raise TypeError(f"{type(text).__name__} is not a spelling")
+        value = parse_value(text)
+        i = self[text] = self.by_value.setdefault(value.as_integer_ratio(), len(self.values))
+        if i == len(self.values):
+            self.values.append(value)
+        return i
+
+
 class _ValueTable:
     """The distinct values of one document, with every spelling parsed once.
 
     ``index`` maps each spelling seen to the table index of its value;
     ``values`` lists the distinct values by table index, in order of first
-    occurrence, and equal values spelled differently share an index.  A
-    matrix or vector is read as table indices and checked against the
-    carrier as a whole, before the next one is read, so errors come in
-    the order of a per-entry loader.
+    occurrence.  A matrix or vector is read as table indices and checked
+    against the carrier as a whole, before the next one is read, so errors
+    come in the order of a per-entry loader.
     """
 
     def __init__(self, algebra: Algebra):
         self.algebra = algebra
-        self.index: dict = {}
-        self.values: list[Fraction] = []
-        self._by_value: dict = {}
+        self.index = _Spellings()
+        self.values = self.index.values
+        self._by_value = self.index.by_value
         self._checked = 0
 
-    def _ids(self, entries: list, where: str, starts: Optional[list] = None) -> np.ndarray:
-        """Table indices of a flat list of decimal strings (or integers): the
-        values of ``where``, whose rows begin at the positions ``starts``
-        when it is a matrix.
+    def _ids(self, rows: list, where: str, lengths: Optional[list] = None) -> np.ndarray:
+        """Table indices of the entries of ``rows``, lists of decimal strings
+        (or integers) read one after the other: the values of ``where``, a
+        matrix whose rows have the ``lengths``, or a vector (one row) when
+        ``lengths`` is None.
 
-        ``index`` holds spellings only, so a list of known strings is one
-        lookup per entry.  On a miss the new spellings are parsed, each
-        once, in order of first occurrence, up to the first entry that is
+        Strings are read in one pass of lookups, which parse each new
+        spelling as they meet it.  The first entry that is not a string
+        ends that pass: then every entry up to the first one that is
         neither a string nor an integer by exact type (a JSON integer is
-        read as its text; ``true`` and ``1.0`` are not values).  So the
-        error raised is the one at the first bad entry of the list.
+        read as its text; ``true`` and ``1.0`` are not values) is turned
+        into text in one go and looked up in a second pass.  Either way
+        the error raised is the one at the first bad entry.
         """
-        index = self.index
         try:
-            return np.fromiter(map(index.__getitem__, entries), np.intp, len(entries))
-        except (KeyError, TypeError):
+            return _lookup(self.index, rows, where, lengths)
+        except TypeError:  # an entry that is not a string
             pass
-        texts, stop = entries, len(entries)
-        try:
-            distinct = dict.fromkeys(entries)
-        except TypeError:  # an unhashable entry
-            distinct = None
-        # no entry of another type equals a string, so when the distinct
-        # entries are all strings, every entry is
-        if distinct is None or set(map(type, distinct)) != {str}:
-            stop = _first_not(list(map(type, entries)), (str, int))
-            texts = list(map(str, entries[:stop]))
-            distinct = dict.fromkeys(texts)
-        for text in distinct:
-            if text in index:
-                continue
-            try:
-                value = parse_value(text)
-            except AlgebraError as exc:
-                raise AlgebraError(f"{_entry(where, starts, texts.index(text))}: {exc}") from None
-            i = index[text] = self._by_value.setdefault(value.as_integer_ratio(), len(self.values))
-            if i == len(self.values):
-                self.values.append(value)
+        entries = list(chain.from_iterable(rows))
+        stop = _first_not(list(map(type, entries)), (str, int))
+        ids = _lookup(self.index, [list(map(str, entries[:stop]))], where, lengths)
         if stop < len(entries):
             raise ModelError(
-                f"{_entry(where, starts, stop)}: {json.dumps(entries[stop])} is not an "
+                f"{_entry(where, lengths, stop)}: {json.dumps(entries[stop])} is not an "
                 'exact value; write it as a string such as "0.3"'
             )
-        return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
+        return ids
 
     def _check(self, where: str) -> None:
         """Check the values first seen since the last call, in order, and
@@ -373,9 +380,7 @@ class _ValueTable:
         _require(rows, list, f"{where} must be a list of rows")
         stop = _first_not(list(map(type, rows)), (list,))
         lengths = list(map(len, rows[:stop]))
-        ids = self._ids(
-            list(chain.from_iterable(rows[:stop])), where, list(accumulate(lengths, initial=0))
-        )
+        ids = self._ids(rows[:stop], where, lengths)
         if stop < len(rows):
             raise ModelError(f"{where}, row {stop} must be a list of values")
         self._check(where)
@@ -386,7 +391,7 @@ class _ValueTable:
 
     def vector(self, entries, where: str) -> np.ndarray:
         _require(entries, list, f"{where} must be a list of values")
-        ids = self._ids(entries, where)
+        ids = self._ids([entries], where)
         self._check(where)
         if not len(ids):
             raise ModelError(f"{where}: fuzzy vector must be nonempty")
@@ -411,10 +416,24 @@ def _first_not(kinds: list, allowed: tuple) -> int:
     return min(map(kinds.index, set(kinds).difference(allowed)), default=len(kinds))
 
 
-def _entry(where: str, starts: Optional[list], k: int) -> str:
-    """The name of entry ``k`` of a flat list whose rows begin at ``starts``."""
-    if starts is None:
+def _lookup(index: _Spellings, rows: list, where: str, lengths: Optional[list]) -> np.ndarray:
+    """``index[e]`` for every entry ``e`` of the lists ``rows``, in one pass;
+    a malformed spelling's :class:`AlgebraError` names its entry, the
+    first one that ``index`` does not hold."""
+    try:
+        return np.fromiter(
+            map(index.__getitem__, chain.from_iterable(rows)), np.intp, sum(map(len, rows))
+        )
+    except AlgebraError as exc:
+        k = next(k for k, entry in enumerate(chain.from_iterable(rows)) if entry not in index)
+        raise AlgebraError(f"{_entry(where, lengths, k)}: {exc}") from None
+
+
+def _entry(where: str, lengths: Optional[list], k: int) -> str:
+    """The name of entry ``k`` of a flat list whose rows have the ``lengths``."""
+    if lengths is None:
         return f"{where}, entry {k}"
+    starts = list(accumulate(lengths, initial=0))
     row = bisect_right(starts, k) - 1  # the last row to begin at k: empty rows hold nothing
     return f"{where}, row {row}, entry {k - starts[row]}"
 
@@ -473,6 +492,10 @@ def _render_json(node, indent: str = "") -> str:
     return json.dumps(node)
 
 
+# read only after an identity check, since 1 == True and 0 == False
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _dump_json(node, indent: str = "\n") -> str:
     """``json.dumps(node, indent=2)``, byte for byte, for a report: dicts
     with string keys, lists, tuples, strings, integers, booleans and None.
@@ -486,10 +509,18 @@ def _dump_json(node, indent: str = "\n") -> str:
         if not node:
             return "{}"
         inner = indent + "  "
-        items = [
-            f"{encode_basestring_ascii(key)}: {_dump_json(value, inner)}"
-            for key, value in node.items()
-        ]
+        items = []
+        for key, value in node.items():
+            # the scalars of a report inline, anything else by a call
+            if type(value) is str:
+                text = encode_basestring_ascii(value)
+            elif value is None or value is True or value is False:
+                text = _CONSTANTS[value]
+            elif type(value) is int:
+                text = int.__repr__(value)
+            else:
+                text = _dump_json(value, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if isinstance(node, (list, tuple)):
         if not node:
@@ -498,14 +529,13 @@ def _dump_json(node, indent: str = "\n") -> str:
         try:  # a list of strings, such as a matrix row, in one pass
             items = list(map(encode_basestring_ascii, node))
         except TypeError:
-            items = [_dump_json(item, inner) for item in node]
+            if set(map(type, node)) == {int}:  # a list of integers, also in one pass
+                items = list(map(int.__repr__, node))
+            else:
+                items = [_dump_json(item, inner) for item in node]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if node is None:
-        return "null"
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
+    if node is None or node is True or node is False:
+        return _CONSTANTS[node]
     if isinstance(node, int):
         return int.__repr__(node)
     raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -489,6 +490,100 @@ def test_repeated_main_calls_share_one_parser_and_leak_nothing(monkeypatch, caps
     assert len(built) == 1
 
 
+# -- dispatch ----------------------------------------------------------------------
+
+
+def dispatch_argvs(tmp_path):
+    """Every subcommand called well, asking for help, and going wrong, as
+    ``(argv, route)``: "run" for a well-formed call, "sub" for one whose
+    subcommand's parser exits (help or a usage error), "top" for one the
+    top-level parser must see (no subcommand, or arguments left over)."""
+    relation = tmp_path / "rel.json"
+    relation.write_text(json.dumps({"relation": [["1"] * 3] * 3}))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("p\n<>_1 p\n", encoding="utf-8")
+    rel = str(relation)
+    # subcommand -> its positionals, a well-formed call's options, bad option values
+    calls = {
+        "eval": ([A, "<>_1 p"], ["--world", "v"], [["--format", "xml"]]),
+        "bisim": ([A, B], ["--type", "fs"], [["--type", "xx"], ["--type", "fs", "--format", "xml"]]),
+        "weak": ([A, B], ["--fragment", "plus", "--depth", "1"],
+                 [["--fragment", "all"], ["--fragment", "plus", "--depth", "x"],
+                  ["--fragment", "plus", "--budget", "1.5"]]),
+        "hm": ([A, B], ["--fragment", "minus", "--depth-cap", "2"],
+               [["--fragment", "propositional"], ["--fragment", "plus", "--depth-cap", "x"],
+                ["--fragment", "plus", "--budget", "x"]]),
+        "check": ([A, B], ["--type", "rb", "--relation", rel], [["--type", "x", "--relation", rel]]),
+        "reverse": ([A], [], [["-o"]]),
+    }
+    argvs = []
+    for name, (positionals, options, bad_values) in calls.items():
+        valid = [name, *positionals, *options]
+        argvs += [
+            (valid, "run"),
+            (valid + (["-o", str(tmp_path / "out.json")] if name == "reverse" else ["--format", "json"]),
+             "run"),
+            ([name, "-h"], "sub"),
+            (valid + ["--help"], "sub"),
+            ([name, *positionals[:-1], *options], "sub"),  # a positional missing
+            *(([name, *positionals, *bad], "sub") for bad in bad_values),
+            (valid + ["--bogus"], "top"),
+            (valid + ["extra"], "top"),
+        ]
+    argvs += [
+        (["bisim", A, B], "sub"),  # --type missing
+        (["check", A, B, "--relation", rel], "sub"),  # --type missing
+        (["weak", A, B, "--corpus", str(corpus), "--fragment", "plus"], "sub"),
+        (["bisim", A, B, "--ty", "fs"], "run"),  # an abbreviation
+        (["weak", A, B, "--corpus", str(corpus)], "run"),
+        (["eval", "/nonexistent/model.json", "p"], "run"),  # an error after parsing
+        (["hm", A, B, "--fragment", "plus", "--budget", "0"], "run"),
+        (["eval", A, "--", "-p"], "run"),
+        ([], "top"), (["--help"], "top"), (["-h", "eval"], "top"), (["evaluate", A, "p"], "top"),
+        (["eval", A, "p", "--world"], "sub"),
+    ]
+    return argvs
+
+
+def outcome(capsys, argv):
+    """Exit code (or the SystemExit's), stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_dispatch_answers_as_the_top_level_parser(tmp_path, monkeypatch, capsys):
+    """``main`` hands a subcommand's argv to that subcommand's parser; its
+    exit code, stdout and stderr are those of the top-level
+    ``build_parser().parse_args`` route on every argv, and only an argv
+    that the subcommand's parser cannot take whole reaches the top-level
+    parser."""
+    parser = cli._parser()
+    top_level = []
+    parse_args = parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: top_level.append(argv) or parse_args(argv))
+    routes = Counter()
+    for argv, route in dispatch_argvs(tmp_path):
+        top_level.clear()
+        got = outcome(capsys, argv)
+        assert top_level == ([argv] if route == "top" else []), argv
+        if route == "run":
+            assert got[0] in (0, 1, 2), argv
+            assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+        else:
+            assert got[0] in (("exit", 0), ("exit", 2)) and (got[1] or got[2]), argv
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+            want = outcome(capsys, argv)
+        assert got == want, argv
+        routes[route, got[0]] += 1
+    assert routes["run", 0] and routes["run", 2] and routes["sub", ("exit", 0)]
+    assert routes["sub", ("exit", 2)] and routes["top", ("exit", 0)] and routes["top", ("exit", 2)]
+
+
 # -- the report writer ---------------------------------------------------------
 
 
@@ -542,13 +637,20 @@ def test_the_report_writer_is_json_dumps_with_indent_2(name, tmp_path, monkeypat
     {"worlds": ["\u00fc", "w\u00f6rld", "\u6f22", "\U0001f600", 'a"b\\c\n\t'], "n": -3},
     {"ü": {"nested": [1, True, False, None, "x", [2, "y"]]}, "world": "\u00fc\n"},
     [10**30, -0, 0, ("a", "b"), ()],
+    {"s": "x\u00fc", "t": True, "f": False, "n": None, "zero": 0, "big": 10**30, "neg": -10**30},
+    {"ints": [0, 1, -2, 10**30], "one": [7], "mixed": [1, True, None, "x"], "bools": [True, False]},
+    [[0, 1, 2], [3], [10**30, -1]],
+    {"finiteness": {"left": {"1": {"rows": [0, 2, 1], "cols": [1, 1, 0]}}}},
 ])
 def test_the_report_writer_on_edge_payloads(payload):
     assert _dump_json(payload) == json.dumps(payload, indent=2)
     assert "\\u00fc" in _dump_json(["\u00fc"])
 
 
-@pytest.mark.parametrize("payload", [0.5, [1, 0.5], {"a": {"b": 1.0}}, Fraction(1, 2), {"s": {1}}, object()])
+@pytest.mark.parametrize("payload", [
+    0.5, [1, 0.5], {"a": {"b": 1.0}}, {"a": 0.5}, {"a": "x", "b": 1.0}, {"a": [1, 2, 0.5]},
+    Fraction(1, 2), {"s": {1}}, object(),
+])
 def test_the_report_writer_refuses_floats_and_unknown_types(payload):
     with pytest.raises(TypeError):
         _dump_json(payload)

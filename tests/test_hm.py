@@ -409,7 +409,8 @@ def test_a_stabilized_ladder_above_the_strong_matrix_is_a_mismatch(monkeypatch):
     zeros = FuzzyMat.zeros(a.algebra, (len(a.worlds), len(b.worlds)))
     greatest = hm.greatest_pre
     monkeypatch.setattr(
-        hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(greatest(m1, m2, t), matrix=zeros)
+        hm, "greatest_pre",
+        lambda m1, m2, t, **kw: dataclasses.replace(greatest(m1, m2, t, **kw), matrix=zeros),
     )
     rep = hm_check(a, b, Fragment.PLUS)
     assert not rep.match

@@ -410,6 +410,54 @@ def test_loader_parses_each_spelling_once_and_checks_each_value_once(monkeypatch
     assert 0 < len(checks) <= sum(len(set(part)) for part in parts)
 
 
+def counting_parse(monkeypatch) -> Counter:
+    """The texts ``parse_value`` is called on, counted, while loading."""
+    parsed = Counter()
+    parse = model_module.parse_value
+    monkeypatch.setattr(
+        model_module, "parse_value", lambda text: parsed.update([text]) or parse(text)
+    )
+    return parsed
+
+
+def test_each_distinct_spelling_is_parsed_once_across_every_table(monkeypatch):
+    """One parse per distinct spelling of the document, wherever it first
+    occurs (a valuation, the second relation) and however often it
+    recurs; spellings of one value share one table entry."""
+    parsed = counting_parse(monkeypatch)
+    doc = {
+        "algebra": "godel", "worlds": ["a", "b", "c"], "indices": [1, 2],
+        "relations": {
+            "1": [["0.5", "1/2", "0"], ["0", "0", "0.5"], ["1", 1, "0.5"]],
+            "2": [[" 0.5", "0.25", 0], ["0.25", "1/4", "1/4"], [1, "1", "0.50"]],
+        },
+        "valuation": {"p": ["0.75", "0.5", 1], "q": ["0.75", "3/4", "0.125"]},
+    }
+    m = KripkeModel.from_dict(doc)
+    texts = [str(e) for rows in doc["relations"].values() for row in rows for e in row]
+    texts += [str(e) for vec in doc["valuation"].values() for e in vec]
+    assert parsed == Counter(set(texts))
+    assert len(parsed) == 11
+    assert [format_value(v) for v in m.universe.values] == ["0", "0.125", "0.25", "0.5", "0.75", "1"]
+    assert m == reference_from_dict(doc)
+
+
+def test_a_relation_of_json_integers_parses_each_integer_once(monkeypatch):
+    parsed = counting_parse(monkeypatch)
+    rng = random.Random(6)
+    n = 60
+    ints = [[rng.choice((0, 1)) for _ in range(n)] for _ in range(n)]
+    doc = {
+        "algebra": "godel", "worlds": [f"w{k}" for k in range(n)], "indices": [1],
+        "relations": {"1": ints}, "valuation": {"p": ["0.5"] * n},
+    }
+    got = KripkeModel.from_dict(json.loads(json.dumps(doc)))
+    assert parsed == Counter(["0", "1", "0.5"])
+    doc["relations"]["1"] = [list(map(str, row)) for row in ints]
+    twin = KripkeModel.from_dict(doc)
+    assert got == twin and got.to_json() == twin.to_json()
+
+
 def test_repeated_bad_spelling_is_reported_at_its_first_entry():
     def doc(relation, valuation):
         return {
@@ -468,7 +516,12 @@ def fraction_parse(text: str) -> Fraction:
 
 class PerEntryTable(model_module._ValueTable):
     """The loader table that reads each row entry by entry, with
-    :func:`fraction_parse`: the reference for the bulk table."""
+    :func:`fraction_parse`: the reference for the bulk table.  Its index
+    is a plain dict, so a lookup never parses."""
+
+    def __init__(self, algebra):
+        super().__init__(algebra)
+        self.index = {}
 
     def entries(self, entries, where, row=None):
         index = self.index
