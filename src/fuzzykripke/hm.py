@@ -15,19 +15,20 @@ E_d == phi* the run is an exact match and deeper formulae cannot change
 it.  A stabilized E_d above phi* is reported as a mismatch finding, never
 silently accepted.
 
-No formula is enumerated unless the budget cuts the ladder.  E_d is the
-fold of the generators of depth <= d, which is the (m1, m2) block of B_d,
-the d-th Jacobi iterate of the matched kind on the disjoint union of the
-two models (see :mod:`.weak`); the ladder steps it one sweep at a time.
-The class count of step d is what an enumeration extended to the modal
-classes of depth d holds: the classes of depth <= d - 1, which are the
-B_{d-1}-extensional rows over the seeded constants, and the images of
-those rows under the fragment's modalities that are not among them (for
-d = 0, the classes of depth 0).  The rows are formed by the walk that
-counts them (:func:`.syntax.class_rows`) and their images are counted by
-key.  When a step's count passes the budget the fragment is enumerated
-instead, since a budget cut keeps a prefix of the enumeration order, and
-the report is that of the cut enumeration.
+No formula is enumerated.  E_d is the fold of the generators of depth
+<= d, which is the (m1, m2) block of B_d, the d-th Jacobi iterate of the
+matched kind on the disjoint union of the two models (see :mod:`.weak`);
+the ladder steps it one sweep at a time.  The class count of step d is
+what an enumeration extended to the modal classes of depth d holds: the
+classes of depth <= d - 1, which are the B_{d-1}-extensional rows over the
+seeded constants, and the images of those rows under the fragment's
+modalities that are not among them (for d = 0, the classes of depth 0).
+The rows are formed by the walk that counts them
+(:func:`.syntax.class_rows`) and their images are counted by key.  The
+budget bounds only the count, and with it the rows the count forms: a
+step whose count passes it reports the budget as its count and is flagged
+``truncated``, and so is every later step, whose count is not taken.  The
+matrices, and every verdict read off them, stay exact.
 
 The analogous statement for simulations fails on non-Boolean chains:
 :func:`noninvariance_demo` realizes the standard three-valued witness (a
@@ -61,7 +62,6 @@ from .syntax import (
     _check_budget,
     _check_depth,
     _open_count,
-    class_count,
     class_rows,
     to_text,
 )
@@ -80,8 +80,8 @@ DEPTH_CAP = 4
 class DepthStep:
     """One step of the ladder: E_d, and ``class_count``, the classes of
     depth <= d - 1 and the modal classes of depth d (the classes of depth
-    0 at d = 0), at most the budget; ``truncated`` tells that the budget
-    cut the step, whose count is then the budget."""
+    0 at d = 0), at most the budget; ``truncated`` tells that the count
+    passed the budget, which it then reads.  E_d is exact either way."""
 
     depth: int
     matrix: FuzzyMat
@@ -134,53 +134,41 @@ def _finiteness(m1: KripkeModel, m2: KripkeModel) -> dict:
     return out
 
 
-def _iterated(pair: LevelPair, fragment: Fragment, budget: int):
-    """The uncut ladder, step d = 0, 1, ... as (E_d, class count, False):
-    E_d is the (m1, m2) block of the union iterate B_d, stepped one sweep
-    at a time.  A count past ``budget`` ends it with None."""
-    n1, top = len(pair.models[0].worlds), pair.universe.top
+def _ladder(pair: LevelPair, fragment: Fragment, max_depth: int, budget: int,
+            strong_lv: np.ndarray):
+    """Run the ladder until E_{d+1} == E_d, an exact match or ``max_depth``:
+    the steps, the depth it converged at, whether it matched, and the last
+    E_d.  E_d is the (m1, m2) block of the union iterate B_d, stepped one
+    sweep at a time; the budget bounds only the class counts."""
+    (m1, _), universe = pair.models, pair.universe
+    n1, constants = len(m1.worlds), pair.constants
     b, sides = _union(pair, THETA_FOR_FRAGMENT[fragment])
-    constants = pair.constants
-    last = len(constants) - 1
-    count = class_count(np.searchsorted(constants, b), last, budget)
-    while count <= budget:
-        yield b[:n1, n1:], count, False
-        rows = class_rows(np.searchsorted(constants, b).astype(b.dtype), last, budget)
-        b = _sweeps(b, sides, top, 1)[0]
-        count = budget + 1 if rows is None else _open_count(pair, fragment, constants[rows], budget)
-    yield None
 
+    def rows(b):  # the classes of depth <= d as rows, from B_d; None past the budget
+        return class_rows(np.searchsorted(constants, b).astype(b.dtype), len(constants) - 1, budget)
 
-def _enumerated(pair: LevelPair, fragment: Fragment, budget: int):
-    """The ladder of a :class:`FormulaEnumeration` on ``pair``, step d as
-    (E_d, class count, truncated): E_d folds the generator classes only,
-    which never lowers it (see ``generator_indices``)."""
-    enum = FormulaEnumeration(*pair.models, fragment, budget, pair)
-    depth = 0
-    while True:
-        lv1, lv2 = enum.extend_generators(depth).generator_vectors()
-        yield biimplication_fold(lv1.T, lv2.T, pair.universe.top), len(enum), enum.truncated
-        depth += 1
-
-
-def _ladder(steps, max_depth: int, strong_lv: np.ndarray, pair: LevelPair):
-    """Run the ladder of ``steps`` until E_{d+1} == E_d, an exact match,
-    a truncated step or ``max_depth``: the steps, the depth it converged
-    at, whether it matched, and the last E_d; None when ``steps`` ends."""
+    classes = rows(b)
+    count = budget + 1 if classes is None else len(classes)
     out, previous = [], None
-    for depth, step in zip(range(max_depth + 1), steps):
-        if step is None:
-            return None
-        weak_lv, count, truncated = step
-        matrix = FuzzyMat._from_levels(pair.models[0].algebra, weak_lv, pair.universe)
-        out.append(DepthStep(depth, matrix, count, truncated))
+    for depth in range(max_depth + 1):
+        weak_lv = b[:n1, n1:]
+        matrix = FuzzyMat._from_levels(m1.algebra, weak_lv, universe)
+        out.append(DepthStep(depth, matrix, min(count, budget), count > budget))
         if np.array_equal(weak_lv, strong_lv):
             return out, depth, True, weak_lv
-        if truncated:
-            break
         if previous is not None and np.array_equal(weak_lv, previous):
             return out, depth - 1, False, weak_lv
+        if depth == max_depth:
+            break
         previous = weak_lv
+        # step d + 1 counts the classes of depth <= d (step 0's at d = 0) and
+        # their modal images; counts only grow with depth, so once a step
+        # is cut every later one is, and is not counted
+        if count <= budget:
+            classes = classes if depth == 0 else rows(b)
+            count = budget + 1 if classes is None else _open_count(
+                pair, fragment, constants[classes], budget)
+        b = _sweeps(b, sides, universe.top, 1)[0]
     return out, None, False, weak_lv
 
 
@@ -196,8 +184,8 @@ def hm_check(
     Runs the depth ladder until E_{d+1} == E_d or ``max_depth``; stops early
     on an exact match with the strong matrix (sound because E can only
     decrease toward it).  ``match`` is False both for a stabilized mismatch
-    and for a ladder cut off by the depth cap or the class budget.  Only
-    a ladder that the budget cuts enumerates (see the module docstring).
+    and for a ladder cut off by the depth cap.  ``budget`` bounds only the
+    class counts, and the rows they form (see the module docstring).
     """
     fragment = Fragment(fragment)
     if fragment not in THETA_FOR_FRAGMENT:
@@ -212,10 +200,7 @@ def hm_check(
     _check_budget(budget)
     universe = pair.universe
     strong_lv = universe.recode(strong.matrix.universe, strong.matrix.levels)
-    steps, converged_at, match, weak_lv = (
-        _ladder(_iterated(pair, fragment, budget), max_depth, strong_lv, pair)
-        or _ladder(_enumerated(pair, fragment, budget), max_depth, strong_lv, pair)
-    )
+    steps, converged_at, match, weak_lv = _ladder(pair, fragment, max_depth, budget, strong_lv)
 
     mismatch = None
     if not match:

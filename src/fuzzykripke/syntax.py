@@ -589,10 +589,11 @@ class FormulaEnumeration:
     is extended, and the generation order is deterministic, so a lower
     depth is always a prefix of a higher one.
     When the class budget is exhausted, ``truncated`` flips to True and
-    generation stops.  ``dense`` tells whether known rows are marked in a
-    dense key table.  ``models`` is the pair ``(m1, m2)``; ``pair``, when
-    given, is that pair in levels from :func:`.model.level_pair`, which a
-    caller that has built it hands over instead of a second build.
+    generation stops, so the folds of a cut enumeration only over-approximate
+    those of the whole.  ``dense`` tells whether known rows are marked in a
+    dense key table.  ``models`` is the pair ``(m1, m2)``.  The ladder and
+    the fragment reports count their classes in closed form instead (see
+    :func:`class_count`); an enumeration gives the representatives.
 
     Each class is stored as one level row and one build entry (code, a, b):
     the code names its constructor in ``_BUILD``, and the operands are two
@@ -612,12 +613,11 @@ class FormulaEnumeration:
         m2: "KripkeModel",
         fragment: Fragment,
         budget: int = BUDGET,
-        pair: Optional["LevelPair"] = None,
     ):
         from .model import level_pair
 
         _check_budget(budget)
-        self._pair = pair = level_pair(m1, m2) if pair is None else pair
+        self._pair = pair = level_pair(m1, m2)
         self.models = pair.models
         self.algebra = m1.algebra
         self.fragment = Fragment(fragment)

@@ -25,11 +25,11 @@ The closed forms are folds over the level vectors of the formulae
 (:mod:`.levels`); a set enumerated by :class:`FormulaEnumeration` is folded
 from its class vectors directly, without rebuilding any formula.
 
-The formulae of a fragment to a depth need no enumeration at all unless a
-budget cuts them (:func:`fragment_weak`).  Let P be the worlds of both
-models, R_i the block-diagonal relations of their disjoint union, and B_d
-the meet over the generators g of depth <= d (constants, variables and
-modal classes) of g(p) <-> g(q) on P x P.  The classes of depth <= d are
+The formulae of a fragment to a depth need no enumeration at all
+(:func:`fragment_weak`).  Let P be the worlds of both models, R_i the
+block-diagonal relations of their disjoint union, and B_d the meet over
+the generators g of depth <= d (constants, variables and modal classes)
+of g(p) <-> g(q) on P x P.  The classes of depth <= d are
 the B_d-extensional rows f, those with f(p) /\\ B_d(p, q) <= f(q) (see the
 comment above ``syntax._CONNECTIVES``), so B_d is a min-transitive
 similarity and each cut B_d >= a an equivalence.  B_0 is the fold of the
@@ -68,7 +68,8 @@ every row of X holds 1: a world q with X(p, q) = 1 has f(q) = f(p) for
 every class, and with none chi_p breaks the condition at p.  For the
 prebisimulation every column must hold 1 as well, which is also formula
 set equivalence.  The count is that of the B_d-extensional rows over the
-chain of seeded constants (:func:`.syntax.class_count`).  The ladder of
+chain of seeded constants (:func:`.syntax.class_count`); a budget bounds
+only the count, which past it reads the budget.  The ladder of
 :mod:`.hm` reads its steps off the same iterates: each step is a block of
 B_d, and its count that of the B_{d-1}-extensional rows and their modal
 images (:func:`.syntax.class_rows`).
@@ -122,7 +123,7 @@ class WeakReport:
     presim_nonempty: bool
     prebisim_nonempty: bool
     equivalent: bool
-    truncated: bool  # a budget cut the enumerated set short of its depth
+    truncated: bool  # a budget cut the enumerated set, or only the count of fragment_weak
 
     @property
     def simulation_exists(self) -> bool:
@@ -227,11 +228,12 @@ def fragment_weak(
     budget: int = BUDGET,
 ) -> WeakReport:
     """The report of ``enumerated_weak(FormulaEnumeration(m1, m2,
-    fragment, budget).extend_to_depth(depth))``, in closed form from the
-    union iterate and the class count (see the module docstring).  Only
-    when the count passes ``budget`` is the enumeration run, because a
-    budget cut keeps a prefix of the class order."""
-    # refused in the order the enumeration refuses them
+    fragment, budget).extend_to_depth(depth))`` for a ``budget`` above the
+    class count, in closed form from the union iterate and the count (see
+    the module docstring).  ``budget`` bounds only the count: past it the
+    report is the same but for ``formula_count``, which reads the budget,
+    and ``truncated``."""
+    # refused in the order an enumeration refuses them
     _check_budget(budget)
     pair = level_pair(m1, m2)
     _check_depth(depth)
@@ -239,13 +241,11 @@ def fragment_weak(
     b = union_iterate(pair, THETA_FOR_FRAGMENT.get(fragment), depth)
     constants = pair.constants
     count = class_count(np.searchsorted(constants, b), len(constants) - 1, budget)
-    if count > budget:
-        return enumerated_weak(FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth))
     x = b[: len(m1.worlds), len(m1.worlds) :]
     one = x == pair.universe.top
     rows = bool(one.any(axis=1).all())
-    return _report(m1, m2, pair.universe, x, x, count, rows,
-                   rows and bool(one.any(axis=0).all()), False)
+    return _report(m1, m2, pair.universe, x, x, min(count, budget), rows,
+                   rows and bool(one.any(axis=0).all()), count > budget)
 
 
 def check_weak(

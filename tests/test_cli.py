@@ -152,8 +152,9 @@ def test_weak_fragment_json_bytes_are_pinned(capsys, name, fragment, depth):
 
 
 def test_an_uncut_weak_fragment_run_enumerates_nothing(monkeypatch, capsys):
-    """The report of an uncut run is computed in closed form; only a run
-    whose class count passes the budget builds the enumeration it cuts."""
+    """The report of a run is computed in closed form, and a run whose
+    class count passes the budget builds no enumeration either: it is the
+    uncut run's report, with the budget as its count."""
     built = []
     init = FormulaEnumeration.__init__
 
@@ -167,10 +168,12 @@ def test_an_uncut_weak_fragment_run_enumerates_nothing(monkeypatch, capsys):
         code, _, _ = run(capsys, "weak", "--fragment", fragment, "--depth", str(depth), *pair,
                          "--format", "json")
         assert code == want
+    argv = ("weak", "--fragment", "full", "--depth", "1", A, B, "--format", "json")
+    whole_code, whole, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--budget", "50")
+    assert code == whole_code and json.loads(out) == {
+        **json.loads(whole), "formula_count": 50, "truncated": True}
     assert built == []
-    code, out, _ = run(capsys, "weak", "--fragment", "full", "--depth", "1", A, B,
-                       "--budget", "50", "--format", "json")
-    assert code == 1 and json.loads(out)["truncated"] is True and len(built) == 1
 
 
 def test_weak_text_reports_what_the_json_reports(capsys):
@@ -192,18 +195,22 @@ def test_weak_text_reports_what_the_json_reports(capsys):
 
 
 def test_a_budget_cut_weak_run_says_so(capsys):
-    argv = ("weak", "--fragment", "full", "--depth", "2", A, B)
-    code, text, _ = run(capsys, *argv, "--budget", "50")
-    assert text.splitlines()[0] == "formulas: 50 (budget exhausted)"
-    # the cut set cannot tell the models apart, but proves no equivalence
-    assert (code, text.splitlines()[-1]) == (1, "equivalent: yes")
-    code, out, _ = run(capsys, *argv, "--budget", "50", "--format", "json")
-    assert code == 1 and json.loads(out)["truncated"] is True
-    # the whole set tells the models apart, and its report has no flag
-    code, out, _ = run(capsys, *argv, "--format", "json")
-    assert code == 1 and "truncated" not in json.loads(out)
-    code, text, _ = run(capsys, *argv)
-    assert text.splitlines()[0] == f"formulas: {json.loads(out)['formula_count']}"
+    """A cut run prints the budget as its count and says it was cut; its
+    matrices and verdicts are the whole set's, and it exits by them."""
+    for pair, want in (((A, B), 1), ((FA, FB), 0)):
+        argv = ("weak", "--fragment", "full", "--depth", "2", *pair)
+        code, text, _ = run(capsys, *argv, "--budget", "10")
+        whole_code, whole, _ = run(capsys, *argv)
+        assert code == whole_code == want
+        assert text.splitlines()[0] == "formulas: 10 (budget exhausted)"
+        assert text.splitlines()[1:] == whole.splitlines()[1:]
+        assert text.splitlines()[-1] == f"equivalent: {'no' if want else 'yes'}"
+        code, out, _ = run(capsys, *argv, "--budget", "10", "--format", "json")
+        assert code == want and json.loads(out)["truncated"] is True
+        # the whole set's report has no flag
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == want and "truncated" not in json.loads(out)
+        assert whole.splitlines()[0] == f"formulas: {json.loads(out)['formula_count']}"
 
 
 def test_weak_negative_verdict_exits_1(capsys):
@@ -284,25 +291,33 @@ def test_hm_text_reports_match(capsys):
     assert "match: yes" in out
 
 
-def test_hm_truncation_is_inconclusive_and_exits_1(capsys):
+def test_hm_truncation_is_exact_and_exits_by_the_match(capsys):
+    """A budget cut bounds the counts only: the run matches, and exits 0,
+    as the uncut run does."""
     code, out, _ = run(capsys, "hm", "--fragment", "full", "--depth-cap", "2", "--budget", "40", A, B)
-    assert code == 1
-    assert "match: no" in out
+    whole_code, whole, _ = run(capsys, "hm", "--fragment", "full", "--depth-cap", "2", A, B)
+    assert code == whole_code == 0
+    assert out.splitlines()[-2:] == whole.splitlines()[-2:] == ["stabilized at depth 2", "match: yes"]
 
 
 def test_hm_text_names_what_stopped_the_ladder(capsys):
-    """A budget cut below the depth cap is blamed on the budget, at the
-    depth it cut; a ladder that reaches its cap is blamed on the cap."""
+    """A ladder stops by stabilizing, by matching or at the depth cap, and
+    a budget cut is none of these: each cut step reads the budget and says
+    so, and the text and the verdicts are the uncut run's otherwise.  A
+    ladder that reaches its cap is blamed on the cap."""
     cut = ("hm", "--fragment", "full", "--depth-cap", "2", "--budget", "40", A, B)
     code, out, _ = run(capsys, *cut)
-    assert code == 1 and "depth 0: 40 classes (budget exhausted)\n" in out
-    assert "the budget cut the ladder at depth 0\n" in out and "depth cap" not in out
+    assert code == 0 and "depth 0: 40 classes (budget exhausted)\n" in out
+    assert "budget cut" not in out and "depth cap" not in out
+    whole = run(capsys, *cut[:5], A, B)[1]
+    assert re.sub(r"depth (\d): \d+ classes", r"depth \1: 40 classes (budget exhausted)", whole) == out
     code, out, _ = run(capsys, *cut, "--format", "json")
     doc = json.loads(out)
-    assert code == 1 and doc["converged_at"] is None and doc["match"] is False
-    assert [s["truncated"] for s in doc["steps"]] == [True]
-    code, out, _ = run(capsys, "hm", "--fragment", "full", "--depth-cap", "1", A, B)
-    assert code == 1 and "not stabilized within the depth cap\n" in out and "budget" not in out
+    assert code == 0 and doc["converged_at"] == 2 and doc["match"] is True
+    assert [s["truncated"] for s in doc["steps"]] == [True] * 3
+    for argv in (("hm", "--fragment", "full", "--depth-cap", "1", A, B), (*cut[:4], "1", *cut[5:])):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1 and "not stabilized within the depth cap\n" in out and "budget cut" not in out
 
 
 def test_hm_negative_depth_cap_and_budget_exit_2(capsys):

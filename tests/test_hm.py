@@ -18,7 +18,8 @@ from fuzzykripke.hm import (
     invariance_check,
     noninvariance_demo,
 )
-from fuzzykripke.syntax import FormulaEnumeration, Fragment
+from fuzzykripke.levels import biimplication_fold
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment
 from fuzzykripke.weak import enumerated_weak
 
 FRAGMENTS = (Fragment.PLUS, Fragment.MINUS, Fragment.FULL)
@@ -107,6 +108,7 @@ def test_small_budget_reports_truncation():
     a, b = load_pair("sim_showcase")
     rep = hm_check(a, b, Fragment.FULL, max_depth=3, budget=150)
     assert any(step.truncated for step in rep.steps)
+    same_answers(rep, hm_check(a, b, Fragment.FULL, max_depth=3), 150)
     # degree-finiteness profiles of both models ride along in the report
     assert rep.finiteness["left"]["1"] == {"rows": [3, 3, 3], "cols": [3, 3, 3]}
     assert rep.finiteness["right"]["1"] == {"rows": [3, 2, 3], "cols": [2, 3, 3]}
@@ -137,10 +139,10 @@ def test_random_pairs_match_across_linear_algebras(rng):
 
 
 def ladder_against_iterates(monkeypatch, a, b, fragment, budget):
-    """The depths d of the ``hm_check`` steps not cut by the budget, each
-    checked to have E_d equal to the d-th Jacobi iterate of the matched
-    ``greatest_pre``: iterate 0 is the initial relation, and past the
-    fixpoint the iterate is the fixpoint."""
+    """The depths d of the ``hm_check`` steps, each checked to have E_d
+    equal to the d-th Jacobi iterate of the matched ``greatest_pre``,
+    whether or not the budget cut its count: iterate 0 is the initial
+    relation, and past the fixpoint the iterate is the fixpoint."""
     calls = []
     update = fuzzrel.RESIDUAL_UPDATES["fwd"]
 
@@ -160,11 +162,10 @@ def ladder_against_iterates(monkeypatch, a, b, fragment, budget):
     iterates = [FuzzyMat._from_levels(a.algebra, phi, universe) for phi in calls[::2]]
     assert len(calls) == 2 * strong.iterations and iterates[-1] == strong.matrix
     assert rep.strong.matrix == strong.matrix
-    depths = [step.depth for step in rep.steps if not step.truncated]
-    for step in rep.steps[: len(depths)]:
+    for step in rep.steps:
         want = iterates[min(step.depth, len(iterates) - 1)]
         assert grid(step.matrix) == grid(want), (a, b, fragment.value, step.depth)
-    return depths
+    return [step.depth for step in rep.steps]
 
 
 def test_the_ladder_steps_are_the_fixpoint_iterates(monkeypatch, rng):
@@ -192,55 +193,77 @@ def test_the_ladder_steps_are_the_fixpoint_iterates(monkeypatch, rng):
     assert deepest >= 3
 
 
-def enumeration_ladder(*args, **kwargs):
-    """``hm_check`` with the enumeration ladder that it keeps for a budget
-    cut, taken as if the first step's count passed the budget."""
-    import fuzzykripke.hm as hm
+def enumeration_ladder(a, b, fragment, max_depth, budget):
+    """The matrix grid and the class count of each step of the ladder to
+    ``max_depth``, from one enumeration extended to each depth in turn, up
+    to the first depth whose count passes ``budget``: E_d folds the
+    generator classes (which never lowers it, see ``generator_indices``),
+    and step d counts every class."""
+    enum = FormulaEnumeration(a, b, fragment, budget)
+    universe = enum.universe
+    out = []
+    for depth in range(max_depth + 1):
+        lv1, lv2 = enum.extend_generators(depth).generator_vectors()
+        if enum.truncated:
+            break
+        fold = biimplication_fold(lv1.T, lv2.T, universe.top)
+        out.append((grid(FuzzyMat._from_levels(a.algebra, fold, universe)), len(enum)))
+    return out
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(hm, "_iterated", lambda *_: iter([None]))
-        return hm_check(*args, **kwargs)
 
-
-def same_ladders(rep, want):
+def same_answers(rep, whole, budget):
+    """``rep`` is the run ``whole``, which no budget cut, at ``budget``:
+    the same matrices and verdicts, and each count at most the budget,
+    flagged when the whole count passes it."""
+    assert not any(s.truncated for s in whole.steps)
     assert [(s.depth, grid(s.matrix), s.class_count, s.truncated) for s in rep.steps] == [
-        (s.depth, grid(s.matrix), s.class_count, s.truncated) for s in want.steps]
+        (s.depth, grid(s.matrix), min(s.class_count, budget), s.class_count > budget)
+        for s in whole.steps]
     assert (rep.converged_at, rep.match, rep.first_mismatch) == (
-        want.converged_at, want.match, want.first_mismatch)
+        whole.converged_at, whole.match, whole.first_mismatch)
 
 
 def test_the_iterate_ladder_is_the_enumeration_ladder():
-    """Read off the union iterates, every step has the matrix, the class
-    count and the flag of the enumeration's step, and the run converges,
-    matches and names its first mismatch as the enumeration's does.  The
-    modal images are keyed by radix or by bytes, and in blocks of one
-    class when the memory bound is small; a run that the budget cuts is
-    the enumeration's run itself."""
+    """Read off the union iterates, every step has the matrix and the
+    class count of an enumeration extended to its depth, for as long as
+    the count fits the budget, and a step past the budget is flagged.  A
+    run that the budget cuts is the run at the default budget, which cuts
+    none of these, but for its counts.  The modal images are keyed by
+    radix or by bytes, and in blocks of one class when the memory bound is
+    small."""
     import fuzzykripke.syntax as sx
     from fuzzykripke import levels
 
     rng = random.Random("ladder")
-    uncut = 0
+    uncut = cut = 0
     for k in range(100):
         algebra = Algebra.from_spec(("boolean", "chain:3", "chain:5", "godel")[k % 4])
         pool = GODEL_ENUM_POOL if algebra.kind == "godel" and k % 8 < 4 else None
         a, b = random_pair(rng, algebra, 3, variables=("p", "q")[: 1 + k % 2],
                            indices=(1, 2)[: 1 + k // 50], pool=pool)
+        wholes = [hm_check(a, b, fragment, max_depth=6) for fragment in FRAGMENTS]
         with pytest.MonkeyPatch.context() as m:
             if k % 3 == 1:
                 m.setattr(sx, "_row_keys", lambda size, width: (None, False))
             elif k % 3 == 2:
                 m.setattr(levels, "BATCH", 16)
-            for fragment in FRAGMENTS:
+            for fragment, whole in zip(FRAGMENTS, wholes):
                 rep = hm_check(a, b, fragment, max_depth=6, budget=2_000)
-                same_ladders(rep, enumeration_ladder(a, b, fragment, max_depth=6, budget=2_000))
+                same_answers(rep, whole, 2_000)
+                enumerated = enumeration_ladder(a, b, fragment, len(rep.steps) - 1, 2_000)
+                assert len(enumerated) == sum(not s.truncated for s in rep.steps)
+                assert enumerated == [(grid(s.matrix), s.class_count) for s in rep.steps[: len(enumerated)]]
                 uncut += not rep.steps[-1].truncated
-    assert uncut >= 250
+                cut += rep.steps[-1].truncated
+    assert uncut >= 250 and cut >= 20
 
 
 def test_an_uncut_ladder_enumerates_nothing(monkeypatch):
     """Not one enumeration is built on the bundled pairs and on a path
-    pair whose full ladder reaches 68,452 classes; a cut run builds one."""
+    pair whose full ladder reaches 68,452 classes, nor by a run that the
+    budget cuts: the path pair of 5 against 6 worlds passes the default
+    budget at step 5 and still matches there, and a cut step flags every
+    later one."""
     built = []
     init = FormulaEnumeration.__init__
 
@@ -254,16 +277,28 @@ def test_an_uncut_ladder_enumerates_nothing(monkeypatch):
         for fragment in FRAGMENTS:
             rep = hm_check(a, b, fragment, max_depth=20)
             assert not any(step.truncated for step in rep.steps)
+    whole = hm_check(*path, Fragment.FULL, max_depth=20)
+    same_answers(hm_check(*path, Fragment.FULL, max_depth=20, budget=100), whole, 100)
+    longer = path_model("godel", 5, "0.7", "0.3", "s"), path_model("godel", 6, "0.7", "0.3", "t")
+    rep = hm_check(*longer, Fragment.FULL, max_depth=20)
+    assert rep.match and rep.converged_at == 5
+    assert [(s.class_count, s.truncated) for s in rep.steps] == [
+        (16, False), (32, False), (328, False), (4_744, False), (71_368, False), (BUDGET, True)]
     assert built == []
-    cut = hm_check(*path, Fragment.FULL, max_depth=20, budget=100)
-    assert cut.steps[-1].truncated and len(built) == 1
 
 
-def test_a_budget_cut_ladder_is_the_enumerations():
+def test_a_budget_cut_ladder_is_the_uncut_ladder():
+    """A budget below every count of the run changes nothing but the
+    counts, which read the budget, and their flags, in the JSON too."""
     a, b = load_pair("sim_showcase")
     rep = hm_check(a, b, Fragment.FULL, budget=150)
-    assert rep.steps[-1].truncated and not rep.match
-    assert rep.to_dict() == enumeration_ladder(a, b, Fragment.FULL, budget=150).to_dict()
+    whole = hm_check(a, b, Fragment.FULL)
+    assert all(step.truncated for step in rep.steps) and rep.match
+    same_answers(rep, whole, 150)
+    doc = whole.to_dict()
+    for step in doc["steps"]:
+        step.update(class_count=150, truncated=True)
+    assert rep.to_dict() == doc
 
 
 def test_invariance_on_bundled_pairs():

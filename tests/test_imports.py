@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private name the library defines is used somewhere in it, and every
 private attribute it stores on ``self`` is read somewhere in it.  A model
-pair is checked and encoded only where :data:`PAIR_CALLS` allows.
+pair is checked, encoded and enumerated only where :data:`PAIR_CALLS`
+allows.
 
 ``ast`` checks, so they need no linter.  An imported name counts as used
 when the module loads it anywhere, names it inside a quoted annotation, or
@@ -205,10 +206,13 @@ def test_a_list_left_behind_in_the_enumerator_fails_the_stored_attribute_check()
 # both for every entry point that works on the pair in levels.  One model
 # is encoded to evaluate formulae (``eval_levels``), and the formula-set
 # entry points, which evaluate their formulae on each model through
-# ``model.formula_levels``, check the pair themselves.
+# ``model.formula_levels``, check the pair themselves.  Only the entry
+# points that need formulae build an enumeration (``FormulaEnumeration``):
+# the ladder and the fragment reports count their classes in closed form.
 PAIR_CALLS = {
     "check_comparable": {"level_pair", "phi_equivalent", "greatest_weak", "check_weak"},
     "encoded": {"level_pair", "eval_levels"},
+    "FormulaEnumeration": {"invariance_check", "duality_transfer"},
 }
 
 
@@ -243,7 +247,7 @@ def stray_pair_calls(trees: dict[str, ast.Module]) -> list[str]:
 def test_a_pair_is_checked_and_encoded_only_by_its_builder():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     stray = stray_pair_calls(trees)
-    assert not stray, f"a pair checked or encoded outside level_pair: {', '.join(stray)}"
+    assert not stray, f"a call that PAIR_CALLS does not allow: {', '.join(stray)}"
 
 
 def test_the_pair_check_sees_functions_methods_and_module_level_calls():
@@ -260,9 +264,14 @@ def test_the_pair_check_sees_functions_methods_and_module_level_calls():
         "        return m1.encoded(u)\n"
         "    return level_pair(m1, m2, u)\n"
         "check_comparable(a, b)\n"
+        "def hm_check(m1, m2, fragment):\n"
+        "    return syntax.FormulaEnumeration(m1, m2, fragment)\n"
+        "def invariance_check(m1, m2, fragment):\n"
+        "    return FormulaEnumeration(m1, m2, fragment)\n"
     )
     assert stray_pair_calls({"m.py": tree}) == [
         "m.py line 8: check_comparable in greatest_pre",
         "m.py line 10: encoded in encode",
         "m.py line 12: check_comparable in None",
+        "m.py line 14: FormulaEnumeration in hm_check",
     ]

@@ -309,6 +309,19 @@ def enumerated(a, b, fragment, depth, budget=BUDGET):
     return enumerated_weak(FormulaEnumeration(a, b, Fragment(fragment), budget).extend_to_depth(depth))
 
 
+def chi_fold(a, b, fragment, depth):
+    """The report folded over the rows chi_p of B_d, which are classes (see
+    the docstring of weak): ``fragment_weak``'s report field for field but
+    the count, at any count."""
+    pair, n1 = level_pair(a, b), len(a.worlds)
+    iterate = union_iterate(pair, THETA_FOR_FRAGMENT.get(Fragment(fragment)), depth)
+    return _weak_report(a, b, pair.universe, iterate[:, :n1], iterate[:, n1:])
+
+
+ENUMERABLE = 20_000
+"""The class count up to which a reference report is enumerated."""
+
+
 def cli_outputs(capsys, monkeypatch, paths, fragment, depth, budget, report=None):
     """The exit code and stdout of ``weak --fragment`` in text and in JSON;
     with ``report``, of the CLI printing that report instead of its own."""
@@ -324,8 +337,12 @@ def cli_outputs(capsys, monkeypatch, paths, fragment, depth, budget, report=None
 
 
 class ClosedFormOracle:
-    """Runs ``fragment_weak`` against the enumeration on one pair, in the
-    library and through the CLI, and tallies the cut runs."""
+    """Runs ``fragment_weak`` on one pair, in the library and through the
+    CLI, against the report of the whole class set: an enumeration's when
+    the count is at most ``ENUMERABLE`` or the budget, else the fold over
+    the rows chi_p.  A run whose count passes the budget must give that
+    report with the budget as its count and ``truncated`` set; the cut
+    runs are tallied."""
 
     def __init__(self, tmp_path, capsys, monkeypatch):
         self.tmp_path, self.capsys, self.monkeypatch = tmp_path, capsys, monkeypatch
@@ -339,20 +356,26 @@ class ClosedFormOracle:
             paths.append(str(path))
         for fragment in fragments:
             for depth in depths:
-                old = enumerated(a, b, fragment, depth, budget)
+                count = fragment_weak(a, b, Fragment(fragment), depth, 10**100).formula_count
+                if count <= max(budget, ENUMERABLE):
+                    whole = enumerated(a, b, fragment, depth, count)
+                    assert not whole.truncated
+                else:
+                    whole = replace(chi_fold(a, b, fragment, depth), formula_count=count)
+                want = whole if count <= budget else replace(whole, formula_count=budget, truncated=True)
                 new = fragment_weak(a, b, Fragment(fragment), depth, budget)
-                assert new.to_dict() == old.to_dict(), (fragment, depth, budget)
+                assert new.to_dict() == want.to_dict(), (fragment, depth, budget)
                 args = (self.capsys, self.monkeypatch, paths, fragment, depth, budget)
-                assert cli_outputs(*args) == cli_outputs(*args, report=old)
+                assert cli_outputs(*args) == cli_outputs(*args, report=want)
                 self.runs += 1
-                self.cut += old.truncated
+                self.cut += count > budget
 
 
 def test_the_closed_form_weak_report_is_the_enumerations(tmp_path, capsys, monkeypatch):
     """On the bundled pairs, seeded pairs of four algebras with one or two
     variables and indices, and Godel path pairs to depth 5, the report and
-    both CLI outputs are the enumeration's; runs the budget cuts fall back
-    to it."""
+    both CLI outputs are the enumeration's; a run the budget cuts is the
+    whole set's but for its count, and exits by its verdict."""
     oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
     fragments = ("prop", "plus", "minus", "full")
     for name in ("sim_showcase", "backward_only", "fully_equivalent", "crisp_pair"):
@@ -402,8 +425,10 @@ def test_the_class_count_runs_over_the_constants_not_the_universe(tmp_path, caps
     assert counts == {len(FormulaEnumeration(*bare, Fragment.PROPOSITIONAL))}
 
 
-def test_a_budget_cut_keeps_the_enumerations_bytes_and_a_budget_at_the_count_does_not_cut(
+def test_a_budget_cut_keeps_the_exact_report_and_a_budget_at_the_count_does_not_cut(
         tmp_path, capsys, monkeypatch):
+    """Budgets below, at and above the count: a cut report is the whole
+    set's, its matrices and verdicts exact, with the budget as its count."""
     oracle = ClosedFormOracle(tmp_path, capsys, monkeypatch)
     a, b = load_pair("sim_showcase")
     for budget in (1, 9, 50, 500):
@@ -411,7 +436,8 @@ def test_a_budget_cut_keeps_the_enumerations_bytes_and_a_budget_at_the_count_doe
     count = fragment_weak(a, b, Fragment.PLUS, 1).formula_count
     at = fragment_weak(a, b, Fragment.PLUS, 1, budget=count)
     assert not at.truncated and at.formula_count == count
-    assert fragment_weak(a, b, Fragment.PLUS, 1, budget=count - 1).truncated
+    below = fragment_weak(a, b, Fragment.PLUS, 1, budget=count - 1)
+    assert below == replace(at, formula_count=count - 1, truncated=True)
     oracle.check(a, b, ("plus",), (1,), count)
     oracle.check(a, b, ("plus",), (1,), count - 1)
     assert oracle.cut >= 12
@@ -467,9 +493,9 @@ def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path
     """3,012 values in a uint16 universe.  At depth 0 the worlds differ
     only at the level below top, so the classes are the 3,012 constants
     and the two rows that differ there, which the enumeration finds too;
-    at depth 1 the count passes the budget at once and the enumeration
-    cuts the constants it seeds.  The pair loaded back from JSON, whose
-    tables share one universe per model, gives the same reports."""
+    at depth 1 the count passes the budget at once, and the report is
+    still the fold over the rows chi_p.  The pair loaded back from JSON,
+    whose tables share one universe per model, gives the same reports."""
     a, b = many_constants_pair()
     pair = level_pair(a, b)
     assert pair.universe.dtype == np.uint16 and len(pair.constants) == 3012
@@ -477,7 +503,7 @@ def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path
     assert depth0.formula_count == 3012 + 2 and not depth0.truncated
     assert depth0.to_dict() == enumerated(a, b, "plus", 0).to_dict()
     cut = fragment_weak(a, b, Fragment.PLUS, 1, budget=1000)
-    assert cut.truncated and cut.to_dict() == enumerated(a, b, "plus", 1, 1000).to_dict()
+    assert cut == replace(chi_fold(a, b, "plus", 1), formula_count=1000, truncated=True)
     la, lb = loaded((a, b), tmp_path)
     assert fragment_weak(la, lb, Fragment.PLUS, 0).to_dict() == depth0.to_dict()
     assert fragment_weak(la, lb, Fragment.PLUS, 1, budget=1000).to_dict() == cut.to_dict()
@@ -486,10 +512,9 @@ def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path
 @pytest.mark.parametrize("name", ["sim_showcase", "many_constants_pair"])
 def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_path, monkeypatch):
     """One build of the pair per public entry point: ``hm_check`` builds
-    it once and hands it to ``greatest_pre`` and to any enumeration it
-    falls back to, ``invariance_check`` builds it in ``greatest_pre`` and
-    in the enumeration, and a budget-cut ``fragment_weak`` in its closed
-    form and in the enumeration it falls back to.  A build remaps each source
+    it once and hands it to ``greatest_pre``, ``invariance_check`` builds
+    it in ``greatest_pre`` and in the enumeration, and ``fragment_weak``
+    builds it once, cut by the budget or not.  A build remaps each source
     universe once, so on the loaded 3,012-table pair, whose models each
     hold one, the calls to ``Universe.encode`` do not grow with the tables."""
     if name == "sim_showcase":
@@ -502,7 +527,7 @@ def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_p
         "check_conditions": (lambda: check_conditions(a, b, phi, SimType.FB), 1),
         "FormulaEnumeration": (lambda: FormulaEnumeration(a, b, Fragment.PLUS, budget), 1),
         "fragment_weak": (lambda: fragment_weak(a, b, Fragment.PLUS, 0), 1),
-        "fragment_weak cut": (lambda: fragment_weak(a, b, Fragment.PLUS, 1, budget), 2),
+        "fragment_weak cut": (lambda: fragment_weak(a, b, Fragment.PLUS, 1, budget), 1),
         "hm_check": (lambda: hm_check(a, b, Fragment.PLUS, 0, budget), 1),
         "invariance_check": (
             lambda: invariance_check(a, b, SimType.FB, Fragment.PLUS, 0, budget), 2),
