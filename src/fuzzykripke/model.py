@@ -23,17 +23,20 @@ File format: a JSON object with keys ``algebra`` (descriptor string),
 ``valuation`` (map from variable to a vector of decimal strings).  Values
 are parsed exactly (JSON integers are exact too; JSON floats and booleans
 are rejected); everything is validated eagerly on load so that
-evaluation never revalidates.  The loader keeps one spelling map per
+evaluation never revalidates.  The loader keeps one spelling table per
 document and reads each matrix, row after row, in one pass of lookups:
 a new spelling is parsed where the pass meets it and mapped straight to
-a table index, every other entry costs a dict lookup, and each distinct
-value is checked against the carrier once.  Every entry is still
-type-checked, and the first bad entry in document order is the one
-reported.  The table becomes the document's value universe, so every
-relation and valuation is a level array over it (one take through a
-table-to-level remap), and the model keeps that universe.  A model pair is put into the levels of one
-universe in one place, :func:`level_pair`.  Evaluation runs on level
-arrays (:mod:`.levels`), and output formats each universe value once.
+a table index, a JSON integer is looked up in the same pass by its
+text, every other entry costs a dict lookup, and each distinct value is
+checked against the carrier once.  Every entry is still type-checked,
+and the first bad entry in document order is the one reported.  A
+repeated key in a JSON object and an index declared twice are errors.
+The table becomes the document's value universe, so every relation and
+valuation is a level array over it (one take through a table-to-level
+remap), and the model keeps that universe.  A model pair is put into
+the levels of one universe in one place, :func:`level_pair`.
+Evaluation runs on level arrays (:mod:`.levels`), and output formats
+each universe value once.
 """
 
 from __future__ import annotations
@@ -229,6 +232,8 @@ class KripkeModel:
             if not isinstance(i, int) or isinstance(i, bool):
                 raise ModelError(f"relation index {i!r} is not an integer")
             declared.append(i)
+        if len(set(declared)) < len(declared):
+            raise ModelError(f"relation index {_repeated(declared)} is declared twice")
         raw_relations = _require(data["relations"], dict, "'relations' must be an object")
         if set(map(str, declared)) != set(map(str, raw_relations)):
             raise ModelError("declared indices and relation keys do not match")
@@ -270,14 +275,28 @@ class KripkeModel:
 
 def _read_json(text: str, source: str = ""):
     """``json.loads(text)``, with its errors as :class:`ModelError`; a
-    ``source`` is named in the message."""
+    ``source`` is named in the message.  An object that repeats a key is
+    an error, not the last of its values."""
     where = f" in {source}" if source else ""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ModelError(f"invalid JSON{where}: {exc}") from None
     except RecursionError:
         raise ModelError(f"invalid JSON{where}: nested too deeply") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"repeated key {json.dumps(_repeated(key for key, _ in pairs))}")
+    return obj
+
+
+def _repeated(items: Iterable):
+    """The first item equal to an earlier one; there must be one."""
+    seen = set()
+    return next(x for x in items if x in seen or seen.add(x))
 
 
 def _require(value, kind: type, message: str):
@@ -286,22 +305,33 @@ def _require(value, kind: type, message: str):
     return value
 
 
-class _Spellings(dict):
-    """Spelling -> table index, for the strings of one document.  A lookup
-    of a new spelling parses it in place and gives it the index of its
-    value, a new one when the value is new: equal values spelled
-    differently share an index.  Only strings are keys, and any other
-    lookup that misses raises :class:`TypeError`, so ``True`` or ``1.0``
-    never reads as a value and a JSON integer is looked up by its text."""
+class _ValueTable(dict):
+    """Spelling -> table index, for the values of one document, with every
+    spelling parsed once.
 
-    __slots__ = ("values", "by_value")
+    A lookup of a new spelling parses it in place and gives it the index
+    of its value, a new one when the value is new: equal values spelled
+    differently share an index.  ``values`` lists the distinct values by
+    table index, in order of first occurrence.  Only strings are keys: a
+    JSON integer (exact type ``int``) is looked up by its text, and any
+    other lookup raises :class:`TypeError`, so ``True`` or ``1.0`` never
+    reads as a value.  A matrix or vector is read as table indices and
+    checked against the carrier as a whole, before the next one is read,
+    so errors come in the order of a per-entry loader.
+    """
 
-    def __init__(self):
+    __slots__ = ("algebra", "values", "by_value", "_checked")
+
+    def __init__(self, algebra: Algebra):
         super().__init__()
+        self.algebra = algebra
         self.values: list[Fraction] = []  # the distinct values, by table index
         self.by_value: dict = {}  # (numerator, denominator) -> table index
+        self._checked = 0
 
     def __missing__(self, text):
+        if type(text) is int:
+            return self[str(text)]
         if type(text) is not str:
             raise TypeError(f"{type(text).__name__} is not a spelling")
         value = parse_value(text)
@@ -310,51 +340,28 @@ class _Spellings(dict):
             self.values.append(value)
         return i
 
-
-class _ValueTable:
-    """The distinct values of one document, with every spelling parsed once.
-
-    ``index`` maps each spelling seen to the table index of its value;
-    ``values`` lists the distinct values by table index, in order of first
-    occurrence.  A matrix or vector is read as table indices and checked
-    against the carrier as a whole, before the next one is read, so errors
-    come in the order of a per-entry loader.
-    """
-
-    def __init__(self, algebra: Algebra):
-        self.algebra = algebra
-        self.index = _Spellings()
-        self.values = self.index.values
-        self._by_value = self.index.by_value
-        self._checked = 0
-
     def _ids(self, rows: list, where: str, lengths: Optional[list] = None) -> np.ndarray:
         """Table indices of the entries of ``rows``, lists of decimal strings
-        (or integers) read one after the other: the values of ``where``, a
-        matrix whose rows have the ``lengths``, or a vector (one row) when
-        ``lengths`` is None.
-
-        Strings are read in one pass of lookups, which parse each new
-        spelling as they meet it.  The first entry that is not a string
-        ends that pass: then every entry up to the first one that is
-        neither a string nor an integer by exact type (a JSON integer is
-        read as its text; ``true`` and ``1.0`` are not values) is turned
-        into text in one go and looked up in a second pass.  Either way
-        the error raised is the one at the first bad entry.
-        """
+        (or integers) read one after the other in one pass of lookups: the
+        values of ``where``, a matrix whose rows have the ``lengths``, or a
+        vector (one row) when ``lengths`` is None.  The error raised names
+        the first bad entry: one that is neither a string nor an integer by
+        exact type, or whose text does not parse."""
         try:
-            return _lookup(self.index, rows, where, lengths)
-        except TypeError:  # an entry that is not a string
-            pass
-        entries = list(chain.from_iterable(rows))
-        stop = _first_not(list(map(type, entries)), (str, int))
-        ids = _lookup(self.index, [list(map(str, entries[:stop]))], where, lengths)
-        if stop < len(entries):
-            raise ModelError(
-                f"{_entry(where, lengths, stop)}: {json.dumps(entries[stop])} is not an "
-                'exact value; write it as a string such as "0.3"'
+            return np.fromiter(
+                map(self.__getitem__, chain.from_iterable(rows)), np.intp, sum(map(len, rows))
             )
-        return ids
+        except (AlgebraError, TypeError) as exc:
+            k, entry = next(
+                (k, e) for k, e in enumerate(chain.from_iterable(rows))
+                if type(e) not in (str, int) or (str(e) if type(e) is int else e) not in self
+            )
+            if isinstance(exc, AlgebraError):
+                raise AlgebraError(f"{_entry(where, lengths, k)}: {exc}") from None
+            raise ModelError(
+                f"{_entry(where, lengths, k)}: {json.dumps(entry)} is not an "
+                'exact value; write it as a string such as "0.3"'
+            ) from None
 
     def _check(self, where: str) -> None:
         """Check the values first seen since the last call, in order, and
@@ -362,7 +369,7 @@ class _ValueTable:
         for value in self.values[self._checked:]:
             self.algebra.check_value(value)
         self._checked = len(self.values)
-        known = self._by_value  # every universe holds 0 and 1
+        known = self.by_value  # every universe holds 0 and 1
         size = len(self.values) + ((0, 1) not in known) + ((1, 1) not in known)
         if size > MAX_VALUES:
             raise ModelError(f"{where}: value universe of {size} values is too large")
@@ -378,7 +385,8 @@ class _ValueTable:
         so an earlier bad entry is reported before that row.
         """
         _require(rows, list, f"{where} must be a list of rows")
-        stop = _first_not(list(map(type, rows)), (list,))
+        kinds = list(map(type, rows))
+        stop = min(map(kinds.index, set(kinds) - {list}), default=len(rows))
         lengths = list(map(len, rows[:stop]))
         ids = self._ids(rows[:stop], where, lengths)
         if stop < len(rows):
@@ -408,25 +416,6 @@ class _ValueTable:
             {k: FuzzyVec._from_levels(self.algebra, remap[ids], universe)
              for k, ids in vectors.items()},
         )
-
-
-def _first_not(kinds: list, allowed: tuple) -> int:
-    """The first position of ``kinds`` holding a type not in ``allowed``,
-    or ``len(kinds)``."""
-    return min(map(kinds.index, set(kinds).difference(allowed)), default=len(kinds))
-
-
-def _lookup(index: _Spellings, rows: list, where: str, lengths: Optional[list]) -> np.ndarray:
-    """``index[e]`` for every entry ``e`` of the lists ``rows``, in one pass;
-    a malformed spelling's :class:`AlgebraError` names its entry, the
-    first one that ``index`` does not hold."""
-    try:
-        return np.fromiter(
-            map(index.__getitem__, chain.from_iterable(rows)), np.intp, sum(map(len, rows))
-        )
-    except AlgebraError as exc:
-        k = next(k for k, entry in enumerate(chain.from_iterable(rows)) if entry not in index)
-        raise AlgebraError(f"{_entry(where, lengths, k)}: {exc}") from None
 
 
 def _entry(where: str, lengths: Optional[list], k: int) -> str:

@@ -437,6 +437,14 @@ def test_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"algebra": "godel", "worlds": ["a", "a"]}))
     code, _, err = run(capsys, "eval", str(bad), "p")
     assert code == 2
+    bad.write_text('{"algebra": "godel", "worlds": ["a"], "worlds": ["b"]}')
+    code, _, err = run(capsys, "eval", str(bad), "p")
+    assert code == 2
+    assert err == 'error: invalid JSON: repeated key "worlds"\n'
+    bad.write_text('{"relation": [["1"]], "relation": [["0"]]}')
+    code, _, err = run(capsys, "check", A, B, "--type", "fs", "--relation", str(bad))
+    assert code == 2
+    assert err == f'error: invalid JSON in {bad}: repeated key "relation"\n'
 
 
 def test_exponent_spellings_are_refused_at_once(tmp_path, capsys):

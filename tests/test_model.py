@@ -516,15 +516,15 @@ def fraction_parse(text: str) -> Fraction:
 
 class PerEntryTable(model_module._ValueTable):
     """The loader table that reads each row entry by entry, with
-    :func:`fraction_parse`: the reference for the bulk table.  Its index
-    is a plain dict, so a lookup never parses."""
+    :func:`fraction_parse`: the reference for the bulk table.  It reads
+    through its own plain dict of spellings, so a lookup never parses."""
 
     def __init__(self, algebra):
         super().__init__(algebra)
-        self.index = {}
+        self.spellings = {}
 
     def entries(self, entries, where, row=None):
-        index = self.index
+        index = self.spellings
         if isinstance(entries, list):
             try:
                 return list(map(index.__getitem__, entries))
@@ -548,7 +548,7 @@ class PerEntryTable(model_module._ValueTable):
                     value = fraction_parse(text)
                 except AlgebraError as exc:
                     raise AlgebraError(f"{where}, entry {k}: {exc}") from None
-                i = index[text] = self._by_value.setdefault(
+                i = index[text] = self.by_value.setdefault(
                     value.as_integer_ratio(), len(self.values)
                 )
                 if i == len(self.values):
@@ -650,6 +650,17 @@ def test_parse_value_equals_fraction_of_the_text(parts):
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("text, key", [
+    ('"relations": {"1": [["0"]], "1": [["1"]]}, "valuation": {"p": ["1"]}', '"1"'),
+    ('"relations": {"1": [["0"]]}, "valuation": {"p": ["1"], "p": ["0"]}', '"p"'),
+    ('"relations": {"1": [["0"]]}, "valuation": {"p": ["1"]}, "algebra": "chain:3"', '"algebra"'),
+])
+def test_a_repeated_json_key_is_refused(text, key):
+    doc = '{"algebra": "godel", "worlds": ["a"], "indices": [1], ' + text + "}"
+    with pytest.raises(ModelError, match=f"^invalid JSON: repeated key {re.escape(key)}$"):
+        KripkeModel.from_json(doc)
+
+
 def test_too_deeply_nested_json_is_a_model_error():
     with pytest.raises(ModelError, match="nested too deeply"):
         KripkeModel.from_json("[" * 100_000 + "]" * 100_000)
@@ -693,6 +704,8 @@ def test_a_negative_or_boolean_relation_index_is_refused():
     }
     with pytest.raises(ModelError, match="^relation index -1 is negative"):
         KripkeModel.from_dict(doc)
+    with pytest.raises(ModelError, match="^relation index 2 is declared twice$"):
+        KripkeModel.from_dict({**doc, "indices": [2, 3, 2], "relations": {"2": [["0"]]}})
     with pytest.raises(ModelError, match="^relation index -3 is negative"):
         KripkeModel(GODEL, ["a"], {-3: FuzzyMat(GODEL, [[Fraction(1)]])}, {})
     # a formula would print index True as <>_True
