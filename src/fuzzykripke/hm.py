@@ -13,7 +13,8 @@ Every fragment formula is invariant under the matched prebisimulation, so
 phi* <= E_d holds throughout and E_d can only decrease toward phi*; when
 E_d == phi* the run is an exact match and deeper formulae cannot change
 it.  A stabilized E_d above phi* is reported as a mismatch finding, never
-silently accepted.
+silently accepted.  :func:`invariance_check` checks phi* <= E_d at one
+depth, with E_d the prebisimulation of :func:`.weak.fragment_weak`.
 
 No formula is enumerated.  E_d is the fold of the generators of depth
 <= d, which is the (m1, m2) block of B_d, the d-th Jacobi iterate of the
@@ -49,13 +50,11 @@ import numpy as np
 from .algebra import Algebra, format_value
 from .bisim import SimReport, SimType, _sweeps, _union, _violations, greatest_pre
 from .fuzzrel import FuzzyMat, FuzzyVec, nonzero_profile
-from .levels import biimplication, biimplication_fold
 from .model import KripkeModel, LevelPair, level_pair
 from .syntax import (
     BUDGET,
     Const,
     Formula,
-    FormulaEnumeration,
     Fragment,
     Implies,
     Var,
@@ -65,12 +64,7 @@ from .syntax import (
     class_rows,
     to_text,
 )
-
-THETA_FOR_FRAGMENT = {
-    Fragment.PLUS: SimType.FB,
-    Fragment.MINUS: SimType.BB,
-    Fragment.FULL: SimType.RB,
-}
+from .weak import THETA_FOR_FRAGMENT, fragment_weak
 
 DEPTH_CAP = 4
 """The default depth cap of the ladder."""
@@ -223,14 +217,17 @@ def hm_check(
 
 @dataclass
 class InvarianceReport:
-    """Fragment formulae against the matched prebisimulation bound."""
+    """Fragment formulae against the matched prebisimulation bound:
+    ``formulas_checked`` is the class count of the fragment to the depth,
+    at most the budget, and ``truncated`` tells that the count passed it;
+    the verdict is exact either way."""
 
     sim_type: SimType
     fragment: Fragment
     formulas_checked: int
-    truncated: bool  # the budget cut the enumeration short of ``depth``
+    truncated: bool
     holds: bool
-    violation: Optional[dict]
+    violation: Optional[dict]  # the first broken pair in row-major order
 
     def __bool__(self):
         return self.holds
@@ -247,10 +244,10 @@ def invariance_check(
     """Check phi*(w, w') <= V_A(w) <-> V'_A(w') for all formulae to ``depth``.
 
     The bound is the invariance half of the expressivity theorems; the
-    fragment must be the one matched to ``sim_type``.  Only the atomic and
-    modal classes are tested directly: the biimplication bound of a binary
-    combination dominates the meet of its parts' bounds, so it can neither
-    fail first nor fail alone.
+    fragment must be the one matched to ``sim_type``.  The meet of the
+    bounds over the fragment's formulae to ``depth`` is its greatest weak
+    prebisimulation (:func:`.weak.fragment_weak`), so the check is that
+    phi* lies below it.
     """
     sim_type = SimType(sim_type)
     fragment = Fragment(fragment)
@@ -259,29 +256,15 @@ def invariance_check(
             f"fragment {fragment.value!r} is not matched to {sim_type.value!r}"
         )
     strong = greatest_pre(m1, m2, sim_type).matrix
-    enum = FormulaEnumeration(m1, m2, fragment, budget=budget).extend_generators(depth)
-    universe = enum.universe
-    lv1, lv2 = enum.generator_vectors()
-    gens = enum.generator_indices()
-    strong_lv = universe.recode(strong.universe, strong.levels)
-    # the meet of the generators' bounds is E_depth, which the kernel folds
-    # within its memory bound; only when it is broken are they walked, in
-    # order, for the first violation in row-major order
-    if not (strong_lv <= biimplication_fold(lv1.T, lv2.T, universe.top)).all():
-        for k, index in enumerate(gens):
-            bound = biimplication(lv1[k, :, None], lv2[k, None, :], universe.top)
-            [broken] = _violations(strong_lv[None], bound[None], (m1.worlds, m2.worlds), universe)
-            if broken is not None:
-                return InvarianceReport(
-                    sim_type, fragment, len(gens), enum.truncated, False,
-                    {
-                        "formula": to_text(enum.formula(index)),
-                        "pair": broken["pair"],
-                        "relation": broken["lhs"],
-                        "bound": broken["rhs"],
-                    },
-                )
-    return InvarianceReport(sim_type, fragment, len(gens), enum.truncated, True, None)
+    weak = fragment_weak(m1, m2, fragment, depth, budget)
+    bound = weak.prebisimulation
+    universe = bound.universe
+    [broken] = _violations(universe.recode(strong.universe, strong.levels)[None],
+                           bound.levels[None], (m1.worlds, m2.worlds), universe)
+    violation = broken and {
+        "pair": broken["pair"], "relation": broken["lhs"], "bound": broken["rhs"]}
+    return InvarianceReport(sim_type, fragment, weak.formula_count, weak.truncated,
+                            broken is None, violation)
 
 
 @dataclass

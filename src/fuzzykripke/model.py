@@ -266,7 +266,11 @@ class KripkeModel:
     @classmethod
     def load(cls, path) -> "KripkeModel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            data = _read_json(fh.read(), path)
+        try:
+            return cls.from_dict(data)
+        except (ModelError, AlgebraError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -346,22 +350,23 @@ class _ValueTable(dict):
         values of ``where``, a matrix whose rows have the ``lengths``, or a
         vector (one row) when ``lengths`` is None.  The error raised names
         the first bad entry: one that is neither a string nor an integer by
-        exact type, or whose text does not parse."""
+        exact type, or whose text does not parse or is too long to form."""
         try:
             return np.fromiter(
                 map(self.__getitem__, chain.from_iterable(rows)), np.intp, sum(map(len, rows))
             )
-        except (AlgebraError, TypeError) as exc:
-            k, entry = next(
-                (k, e) for k, e in enumerate(chain.from_iterable(rows))
-                if type(e) not in (str, int) or (str(e) if type(e) is int else e) not in self
-            )
-            if isinstance(exc, AlgebraError):
-                raise AlgebraError(f"{_entry(where, lengths, k)}: {exc}") from None
-            raise ModelError(
-                f"{_entry(where, lengths, k)}: {json.dumps(entry)} is not an "
-                'exact value; write it as a string such as "0.3"'
-            ) from None
+        except (TypeError, ValueError):  # an AlgebraError, or an integer too long for str
+            for k, entry in enumerate(chain.from_iterable(rows)):
+                try:  # the entries before the bad one are in the table now
+                    self[entry]
+                except TypeError:
+                    raise ModelError(
+                        f"{_entry(where, lengths, k)}: {json.dumps(entry)} is not an "
+                        'exact value; write it as a string such as "0.3"'
+                    ) from None
+                except ValueError as exc:
+                    raise AlgebraError(f"{_entry(where, lengths, k)}: {exc}") from None
+            raise
 
     def _check(self, where: str) -> None:
         """Check the values first seen since the last call, in order, and

@@ -16,7 +16,8 @@ The greatest weak pre-relations have closed forms, entrywise over pairs:
 Weak bisimulations are closed under union and under composition along a
 chain of models; both closures are checkable here.  Reversing both models
 while dualizing Psi leaves the closed forms unchanged, which
-:func:`duality_transfer` verifies for fragment-generated sets.
+:func:`duality_transfer` verifies for a fragment to a depth against its
+dual fragment on the reversed models.
 
 A prebisimulation matrix also reads off formula-set equivalence of the two
 models: they agree exactly when every row and every column contains 1.
@@ -83,10 +84,10 @@ from typing import Iterable
 import numpy as np
 
 from .bisim import (
-    DIRECTIONS, ConditionCheck, _check_relation, _vector_violations, _verdict, union_iterate,
+    DIRECTIONS, ConditionCheck, SimType, _check_relation, _vector_violations, _verdict,
+    union_iterate,
 )
 from .fuzzrel import FuzzyMat
-from .hm import THETA_FOR_FRAGMENT
 from .levels import Universe, biimplication_fold, compose, residual_fold
 from .model import KripkeModel, check_comparable, formula_levels, level_pair
 from .syntax import (
@@ -97,9 +98,14 @@ from .syntax import (
     _check_budget,
     _check_depth,
     class_count,
-    dual,
     to_text,
 )
+
+THETA_FOR_FRAGMENT = {
+    Fragment.PLUS: SimType.FB,
+    Fragment.MINUS: SimType.BB,
+    Fragment.FULL: SimType.RB,
+}
 
 
 def psi_equivalent(prebisim: FuzzyMat) -> bool:
@@ -325,9 +331,9 @@ def check_composition_closed(
 @dataclass
 class DualityVerdict:
     holds: bool
-    forward: FuzzyMat   # closed form on (m1, m2) for the fragment set
-    reversed_: FuzzyMat  # closed form on the reversed models for the dual set
-    truncated: bool  # the budget cut the enumerated set short of ``depth``
+    forward: FuzzyMat   # greatest weak prebisimulation on (m1, m2) for the fragment
+    reversed_: FuzzyMat  # the same on the reversed models for the dual fragment
+    truncated: bool  # a class count passed the budget; the matrices are exact
 
     def __bool__(self):
         return self.holds
@@ -341,10 +347,10 @@ def duality_transfer(
     budget: int = BUDGET,
 ) -> DualityVerdict:
     """Reversing both models while dualizing the formula set preserves the
-    greatest weak prebisimulation: the forward side is folded from the
-    class vectors, the dual side by evaluating the dual formulae."""
-    enum = FormulaEnumeration(m1, m2, fragment, budget).extend_to_depth(depth)
-    forward = enumerated_weak(enum).prebisimulation
-    dual_formulas = [dual(f) for f in enum.formulas()]
-    reversed_ = greatest_weak(m1.reverse(), m2.reverse(), dual_formulas).prebisimulation
-    return DualityVerdict(forward == reversed_, forward, reversed_, enum.truncated)
+    greatest weak prebisimulation: the :func:`fragment_weak` reports of the
+    fragment and of its dual on the reversed models agree."""
+    forward = fragment_weak(m1, m2, fragment, depth, budget)
+    dual = {Fragment.PLUS: Fragment.MINUS, Fragment.MINUS: Fragment.PLUS}.get(fragment, fragment)
+    reversed_ = fragment_weak(m1.reverse(), m2.reverse(), dual, depth, budget)
+    x, y = forward.prebisimulation, reversed_.prebisimulation
+    return DualityVerdict(x == y, x, y, forward.truncated or reversed_.truncated)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from fuzzykripke.algebra import Algebra, format_value
+from fuzzykripke.fixtures import PAIRS, load_pair
 from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.model import KripkeModel
 
@@ -101,6 +102,20 @@ def random_pair(
         m2.valuation,
     )
     return m1, m2
+
+
+def differential_pairs() -> list:
+    """The bundled pairs and seeded Boolean, chain:3 and Godel pairs of one
+    and two variables and indices: the pairs on which a closed form is
+    checked against the enumeration it replaced."""
+    pairs = [load_pair(name) for name in PAIRS]
+    rng = random.Random("differential")
+    for algebra in ("boolean", "chain:3", "godel"):
+        for k in range(2):
+            pairs.append(random_pair(
+                rng, Algebra.from_spec(algebra), 3, ("p", "q")[: 1 + k], (1, 2)[: 1 + k],
+                GODEL_ENUM_POOL if algebra == "godel" else None))
+    return pairs
 
 
 def path_model(algebra, n, weight, end, prefix):

@@ -440,7 +440,20 @@ def test_malformed_model_exits_2(tmp_path, capsys):
     bad.write_text('{"algebra": "godel", "worlds": ["a"], "worlds": ["b"]}')
     code, _, err = run(capsys, "eval", str(bad), "p")
     assert code == 2
-    assert err == 'error: invalid JSON: repeated key "worlds"\n'
+    assert err == f'error: invalid JSON in {bad}: repeated key "worlds"\n'
+    # a pair names the file that fails: a repeated key in the first, a bad
+    # entry in the second
+    doc = json.loads(Path(A).read_text(encoding="utf-8"))
+    text = json.dumps(doc)
+    bad.write_text('{"algebra": "godel", ' + text[1:])
+    code, _, err = run(capsys, "bisim", str(bad), B, "--type", "fs")
+    assert code == 2
+    assert err == f'error: invalid JSON in {bad}: repeated key "algebra"\n'
+    doc["relations"]["1"][0][0] = "0.5x"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "bisim", A, str(bad), "--type", "fs")
+    assert code == 2
+    assert err == f"error: {bad}: relation 1, row 0, entry 0: malformed truth value '0.5x'\n"
     bad.write_text('{"relation": [["1"]], "relation": [["0"]]}')
     code, _, err = run(capsys, "check", A, B, "--type", "fs", "--relation", str(bad))
     assert code == 2
@@ -458,7 +471,7 @@ def test_exponent_spellings_are_refused_at_once(tmp_path, capsys):
     code, out, err = run(capsys, "eval", str(model), "p")
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert err == "error: valuation of 'p', entry 0: malformed truth value '1e-200000'\n"
+    assert err == f"error: {model}: valuation of 'p', entry 0: malformed truth value '1e-200000'\n"
 
 
 def test_deep_nesting_exits_2_with_one_error_line(tmp_path, capsys):

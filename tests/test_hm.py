@@ -6,21 +6,25 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GODEL_ENUM_POOL, expected, grid, path_model, random_pair
+from conftest import (
+    GODEL_ENUM_POOL, differential_pairs, expected, grid, ones, path_model, random_pair,
+)
+import fuzzykripke.hm as hm
 from fuzzykripke import fuzzrel
 from fuzzykripke.algebra import Algebra, format_value
-from fuzzykripke.bisim import SimType, greatest_pre
+from fuzzykripke.bisim import SimType, _violations, greatest_pre
 from fuzzykripke.fixtures import PAIRS, load_pair
 from fuzzykripke.fuzzrel import FuzzyMat
 from fuzzykripke.hm import (
     THETA_FOR_FRAGMENT,
+    InvarianceReport,
     hm_check,
     invariance_check,
     noninvariance_demo,
 )
-from fuzzykripke.levels import biimplication_fold
-from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment
-from fuzzykripke.weak import enumerated_weak
+from fuzzykripke.levels import biimplication, biimplication_fold
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, to_text
+from fuzzykripke.weak import enumerated_weak, fragment_weak
 
 FRAGMENTS = (Fragment.PLUS, Fragment.MINUS, Fragment.FULL)
 
@@ -312,13 +316,14 @@ def test_invariance_on_bundled_pairs():
 
 
 def test_invariance_reports_a_budget_cut():
-    # 50 classes stop the enumeration at depth 0: the bound holds on the 9
-    # generators it reached, but not every formula to depth 2 was checked
+    # the count is the class count of plus/2, that of the closed
+    # enumeration; a budget of 50 cuts only the count, not the verdict
     a, b = load_pair("sim_showcase")
-    cut = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=2, budget=50)
-    assert cut.holds and cut.truncated and cut.formulas_checked == 9
     whole = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=2)
-    assert whole.holds and not whole.truncated and whole.formulas_checked == 101
+    count = len(FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(2))
+    assert whole.holds and not whole.truncated and whole.formulas_checked == count == 950
+    cut = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=2, budget=50)
+    assert cut.holds and cut.truncated and cut.formulas_checked == 50
 
 
 def test_invariance_on_random_pairs(rng):
@@ -329,41 +334,99 @@ def test_invariance_on_random_pairs(rng):
             assert rep.holds, rep.violation
 
 
+def generator_invariance(a, b, sim_type, fragment, depth, budget=BUDGET):
+    """The invariance check as a walk over the generators of an
+    enumeration, the oracle of ``invariance_check``: its report, which
+    counts the generators and names the first violation in generator
+    order, then row-major order, and E_depth, the meet of the generators'
+    bounds, as a matrix."""
+    strong = hm.greatest_pre(a, b, sim_type).matrix
+    enum = FormulaEnumeration(a, b, fragment, budget=budget).extend_generators(depth)
+    universe = enum.universe
+    lv1, lv2 = enum.generator_vectors()
+    gens = enum.generator_indices()
+    strong_lv = universe.recode(strong.universe, strong.levels)
+    fold = biimplication_fold(lv1.T, lv2.T, universe.top)
+    violation = None
+    if not (strong_lv <= fold).all():
+        for k, index in enumerate(gens):
+            bound = biimplication(lv1[k, :, None], lv2[k, None, :], universe.top)
+            [broken] = _violations(strong_lv[None], bound[None], (a.worlds, b.worlds), universe)
+            if broken is not None:
+                violation = {"formula": to_text(enum.formula(index)), "pair": broken["pair"],
+                             "relation": broken["lhs"], "bound": broken["rhs"]}
+                break
+    report = InvarianceReport(sim_type, fragment, len(gens), enum.truncated,
+                              violation is None, violation)
+    return report, FuzzyMat._from_levels(a.algebra, fold, universe)
+
+
+def first_violation(a, b, relation, bound):
+    """The first pair in row-major order where ``relation`` exceeds
+    ``bound``, as an invariance report names it, or None."""
+    return next(
+        ({"pair": [a.worlds[w], b.worlds[wp]], "relation": format_value(relation.rows[w][wp]),
+          "bound": format_value(bound.rows[w][wp])}
+         for w in range(len(a.worlds))
+         for wp in range(len(b.worlds))
+         if relation.rows[w][wp] > bound.rows[w][wp]),
+        None,
+    )
+
+
+def test_invariance_check_equals_the_generator_walk(monkeypatch):
+    """On the bundled and seeded pairs, for each pairing and depths 0-2,
+    with the greatest prebisimulation and with the full relation in its
+    place: the verdict is the generator walk's, the bound its E_depth, the
+    first violation the first pair where the relation exceeds E_depth,
+    and the count that of the closed enumeration."""
+    pairs = differential_pairs()
+    verdicts = {False: [], True: []}
+    for forced in (False, True):
+        if forced:
+            real = hm.greatest_pre
+            monkeypatch.setattr(hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(
+                real(m1, m2, t), matrix=ones(m1.algebra, (len(m1.worlds), len(m2.worlds)))))
+        for a, b in pairs:
+            for fragment in FRAGMENTS:
+                sim_type = THETA_FOR_FRAGMENT[fragment]
+                for depth in range(3):
+                    old, fold = generator_invariance(a, b, sim_type, fragment, depth)
+                    rep = invariance_check(a, b, sim_type, fragment, depth)
+                    strong = hm.greatest_pre(a, b, sim_type).matrix
+                    assert not old.truncated and not rep.truncated and rep.holds is old.holds
+                    assert fragment_weak(a, b, fragment, depth).prebisimulation == fold
+                    assert rep.violation == first_violation(a, b, strong, fold)
+                    whole = FormulaEnumeration(a, b, fragment).extend_to_depth(depth)
+                    assert rep.formulas_checked == len(whole)
+                    verdicts[forced].append(old.holds)
+    assert all(verdicts[False]) and True in verdicts[True] and False in verdicts[True]
+
+
 def test_invariance_blocks_report_the_first_violation(monkeypatch):
-    # the full relation breaks the bound wherever a generator tells two
-    # worlds apart; blocks of generators must report the first such
-    # (generator, world, world) in row-major order, as one block does
-    import fuzzykripke.hm as hm
+    # the full relation breaks the bound wherever a formula tells two
+    # worlds apart; at every block size of the kernel the report names the
+    # first pair in row-major order where it exceeds E_1, the greatest weak
+    # prebisimulation of the closed enumeration to depth 1
     from fuzzykripke import levels
-    from fuzzykripke.algebra import ONE
-    from fuzzykripke.fuzzrel import FuzzyMat
-    from fuzzykripke.syntax import FormulaEnumeration, to_text
 
     a, b = load_pair("sim_showcase")
-    full = FuzzyMat(a.algebra, [[ONE] * len(b.worlds) for _ in a.worlds])
+    full = ones(a.algebra, (len(a.worlds), len(b.worlds)))
     real = hm.greatest_pre
     monkeypatch.setattr(
         hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(real(m1, m2, t), matrix=full)
     )
-    enum = FormulaEnumeration(a, b, Fragment.PLUS).extend_generators(1)
-    k, w, wp = next(
-        (k, w, wp)
-        for k in enum.generator_indices()
-        for w in range(len(a.worlds))
-        for wp in range(len(b.worlds))
-        if a.eval_vec(enum.formula(k)).values[w] != b.eval_vec(enum.formula(k)).values[wp]
-    )
-    assert k > 2  # the first blocks of three generators hold no violation
+    enum = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
+    want = first_violation(a, b, full, enumerated_weak(enum).prebisimulation)
+    assert want is not None
     reports = []
-    for batch in (levels.BATCH, 3 * len(full.rows) * len(b.worlds), 1):
+    for batch in (levels.BATCH, 3 * len(a.worlds) * len(b.worlds), 1):
         monkeypatch.setattr(levels, "BATCH", batch)
         rep = invariance_check(a, b, SimType.FB, Fragment.PLUS, depth=1)
         assert not rep.holds
         reports.append((rep.formulas_checked, rep.violation))
     assert reports[0] == reports[1] == reports[2]
-    violation = reports[0][1]
-    assert violation["formula"] == to_text(enum.formula(k))
-    assert violation["pair"] == [a.worlds[w], b.worlds[wp]]
+    assert reports[0][1] == want
 
 
 def test_invariance_rejects_mismatched_pairing():

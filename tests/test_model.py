@@ -541,7 +541,10 @@ class PerEntryTable(model_module._ValueTable):
                     f"{where}, entry {k}: {json.dumps(v)} is not an exact value; "
                     'write it as a string such as "0.3"'
                 )
-            text = str(v)
+            try:
+                text = str(v)
+            except ValueError as exc:  # more digits than Python converts to text
+                raise AlgebraError(f"{where}, entry {k}: {exc}") from None
             i = index.get(text)
             if i is None:
                 try:
@@ -621,6 +624,8 @@ def one_relation(rows, valuation=("1", "1")):
     (one_relation([["1", "0.x", 0.5], ["1"]]), "row 0, entry 1: malformed truth value"),
     (one_relation([["1", "1"], ["1", "1"]], ["1", 2.5]), "'p', entry 1: 2.5 is not an exact"),
     (one_relation([["1", "1"], ["1"]]), "rows must be nonempty and equally long"),
+    (one_relation([["1", "1"], ["1", 10**5000]]),
+     "row 1, entry 1: Exceeds the limit (4300 digits) for integer string conversion"),
 ])
 def test_malformed_documents_fail_as_the_per_entry_loader_fails(doc, error):
     got = load_outcome(doc)

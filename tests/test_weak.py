@@ -7,7 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import GODEL_ENUM_POOL, grid, identity, ones, path_model, random_model, random_pair
+from conftest import (
+    GODEL_ENUM_POOL, differential_pairs, grid, identity, ones, path_model, random_model,
+    random_pair,
+)
 from test_syntax import oracle_cases
 from fuzzykripke import cli
 from fuzzykripke.algebra import Algebra
@@ -17,8 +20,9 @@ from fuzzykripke.fuzzrel import FuzzyMat, FuzzyVec
 from fuzzykripke.hm import THETA_FOR_FRAGMENT, hm_check, invariance_check
 from fuzzykripke.levels import Universe
 from fuzzykripke.model import KripkeModel, ModelError, level_pair
-from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, parse
+from fuzzykripke.syntax import BUDGET, FormulaEnumeration, Fragment, dual, parse
 from fuzzykripke.weak import (
+    DualityVerdict,
     _weak_report,
     check_composition_closed,
     check_union_closed,
@@ -255,6 +259,30 @@ def test_duality_transfer_on_random_pairs(rng):
         a, b = random_pair(rng, Algebra.chain(3))
         verdict = duality_transfer(a, b, Fragment.PLUS, depth=1)
         assert verdict.holds
+
+
+def enumerated_duality(a, b, fragment, depth, budget=BUDGET):
+    """The duality check through an enumeration: the forward side folded
+    from its class vectors, the reversed side by evaluating the dual of
+    each class representative on the reversed models.  The oracle of
+    ``duality_transfer``."""
+    enum = FormulaEnumeration(a, b, fragment, budget).extend_to_depth(depth)
+    forward = enumerated_weak(enum).prebisimulation
+    dual_formulas = [dual(f) for f in enum.formulas()]
+    reversed_ = greatest_weak(a.reverse(), b.reverse(), dual_formulas).prebisimulation
+    return DualityVerdict(forward == reversed_, forward, reversed_, enum.truncated)
+
+
+def test_duality_transfer_equals_the_enumerated_duality():
+    """On the bundled and seeded pairs, for every fragment and depths 0-2:
+    the verdict and both matrices are the uncut enumeration's."""
+    for a, b in differential_pairs():
+        for fragment in Fragment:
+            for depth in range(3):
+                want = enumerated_duality(a, b, fragment, depth)
+                got = duality_transfer(a, b, fragment, depth)
+                assert not want.truncated and got.holds
+                assert got == want and grid(got.reversed_) == grid(want.reversed_)
 
 
 def test_enumerated_weak_matches_evaluating_every_representative(rng):
@@ -513,7 +541,7 @@ def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path
 def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_path, monkeypatch):
     """One build of the pair per public entry point: ``hm_check`` builds
     it once and hands it to ``greatest_pre``, ``invariance_check`` builds
-    it in ``greatest_pre`` and in the enumeration, and ``fragment_weak``
+    it in ``greatest_pre`` and in ``fragment_weak``, and ``fragment_weak``
     builds it once, cut by the budget or not.  A build remaps each source
     universe once, so on the loaded 3,012-table pair, whose models each
     hold one, the calls to ``Universe.encode`` do not grow with the tables."""
