@@ -26,16 +26,17 @@ A vector or matrix stores a ``uint8``/``uint16`` level array over a sorted
 value table, a :class:`levels.Universe` that may hold values the entries do
 not use.  ``values`` and ``rows`` decode to ``Fraction`` lazily, and
 equality and hashing are by value.  Built from values, each entry is
-type-checked and each distinct value is checked against the carrier once;
-inside the library they are built from levels whose values are already
-checked, with no pass over the entries.  Every operation runs in
+type-checked (an ``int`` becomes a ``Fraction``; a ``bool`` is refused,
+not read as 0 or 1) and each distinct value is checked against the
+carrier once, in one pass that hands the values to the universe; inside
+the library they are built from levels whose values are already checked,
+with no pass over the entries.  Every operation runs in
 :mod:`.levels` on the operands' levels in the union of their tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,46 +45,38 @@ from . import levels
 from .algebra import Algebra, ZERO
 
 
-def _encode_rows(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple[list, list]:
-    """The rows as lists of value indices, with the distinct values in order
-    of first occurrence.
-
-    Every entry is type-checked (integers become ``Fraction``), but
-    ``algebra.check_value`` runs once per distinct value, keyed by
-    ``as_integer_ratio()`` as in :class:`levels.Universe`; the first bad
-    entry in row-major order is still the one reported.
-    """
-    index = {}
-    values = []
-    out = []
+def _encode(algebra: Algebra, rows: Iterable[Iterable[Fraction]]) -> tuple:
+    """The levels of the entries of ``rows`` in row-major order, the row
+    lengths and the universe of the values.  Each entry is type-checked,
+    and each distinct value is checked against the carrier once, in order
+    of first occurrence, so the first bad entry is the one reported."""
+    values, lengths, seen = [], [], set()
     for row in rows:
-        ids = []
+        start = len(values)
         for v in row:
             if not isinstance(v, Fraction):
-                if not isinstance(v, int):
+                if not isinstance(v, int) or isinstance(v, bool):
                     raise TypeError(f"truth values must be Fraction, got {type(v).__name__}")
                 v = Fraction(v)
             key = v.as_integer_ratio()
-            i = index.get(key)
-            if i is None:
+            if key not in seen:
                 algebra.check_value(v)
-                i = index[key] = len(values)
-                values.append(v)
-            ids.append(i)
-        out.append(ids)
-    return out, values
+                seen.add(key)
+            values.append(v)
+        lengths.append(len(values) - start)
+    universe = levels.Universe(values)
+    return universe.encode(values), lengths, universe
 
 
 def _matrix_ids(flat, lengths: list) -> np.ndarray:
-    """Value indices, read row by row (a list or an array), as one array
-    of rows of the given ``lengths``, once they are known to be a
-    nonempty matrix."""
+    """An array of indices or levels, read row by row, as rows of the given
+    ``lengths`` (its dtype kept), once they are known to be a nonempty matrix."""
     if not lengths:
         raise ValueError("fuzzy matrix must have at least one row")
     width = lengths[0]
     if width == 0 or lengths.count(width) != len(lengths):
         raise ValueError("fuzzy matrix rows must be nonempty and equally long")
-    return np.asarray(flat, dtype=np.intp).reshape(len(lengths), width)
+    return flat.reshape(len(lengths), width)
 
 
 def _common(*operands) -> tuple:
@@ -104,10 +97,6 @@ class _Leveled:
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "_decoded", None)
-
-    def _init_from_ids(self, algebra: Algebra, ids, table: list) -> None:
-        universe = levels.Universe(table)
-        self._init(algebra, universe.encode(table)[ids], universe)
 
     @classmethod
     def _from_levels(cls, algebra: Algebra, lv: np.ndarray, universe: levels.Universe):
@@ -167,10 +156,10 @@ class FuzzyVec(_Leveled):
     __slots__ = ()
 
     def __init__(self, algebra: Algebra, values: Iterable[Fraction]):
-        (ids,), table = _encode_rows(algebra, (values,))
-        if not ids:
+        lv, _, universe = _encode(algebra, (values,))
+        if not len(lv):
             raise ValueError("fuzzy vector must be nonempty")
-        self._init_from_ids(algebra, ids, table)
+        self._init(algebra, lv, universe)
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -197,9 +186,8 @@ class FuzzyMat(_Leveled):
     __slots__ = ()
 
     def __init__(self, algebra: Algebra, rows: Iterable[Iterable[Fraction]]):
-        ids, table = _encode_rows(algebra, rows)
-        flat = list(chain.from_iterable(ids))
-        self._init_from_ids(algebra, _matrix_ids(flat, list(map(len, ids))), table)
+        lv, lengths, universe = _encode(algebra, rows)
+        self._init(algebra, _matrix_ids(lv, lengths), universe)
 
     @classmethod
     def constant(cls, algebra: Algebra, shape: tuple[int, int], value: Fraction) -> "FuzzyMat":

@@ -64,7 +64,7 @@ from .syntax import (
     class_rows,
     to_text,
 )
-from .weak import THETA_FOR_FRAGMENT, fragment_weak
+from .weak import THETA_FOR_FRAGMENT, _fragment_weak
 
 DEPTH_CAP = 4
 """The default depth cap of the ladder."""
@@ -193,7 +193,7 @@ def hm_check(
     strong = greatest_pre(m1, m2, sim_type, pair=pair)
     _check_budget(budget)
     universe = pair.universe
-    strong_lv = universe.recode(strong.matrix.universe, strong.matrix.levels)
+    strong_lv = strong.matrix.levels
     steps, converged_at, match, weak_lv = _ladder(pair, fragment, max_depth, budget, strong_lv)
 
     mismatch = None
@@ -255,12 +255,12 @@ def invariance_check(
         raise ValueError(
             f"fragment {fragment.value!r} is not matched to {sim_type.value!r}"
         )
-    strong = greatest_pre(m1, m2, sim_type).matrix
-    weak = fragment_weak(m1, m2, fragment, depth, budget)
-    bound = weak.prebisimulation
-    universe = bound.universe
-    [broken] = _violations(universe.recode(strong.universe, strong.levels)[None],
-                           bound.levels[None], (m1.worlds, m2.worlds), universe)
+    pair = level_pair(m1, m2)
+    strong = greatest_pre(m1, m2, sim_type, pair=pair).matrix
+    _check_budget(budget)
+    weak = _fragment_weak(pair, fragment, depth, budget)
+    [broken] = _violations(strong.levels[None], weak.prebisimulation.levels[None],
+                           (m1.worlds, m2.worlds), pair.universe)
     violation = broken and {
         "pair": broken["pair"], "relation": broken["lhs"], "bound": broken["rhs"]}
     return InvarianceReport(sim_type, fragment, weak.formula_count, weak.truncated,

@@ -73,6 +73,7 @@ class KripkeModel:
         valuation: Mapping[str, FuzzyVec],
     ):
         worlds = tuple(worlds)
+        _check_world_names(worlds)
         if not worlds:
             raise ModelError("a model needs at least one world")
         if len(set(worlds)) != len(worlds):
@@ -224,9 +225,7 @@ class KripkeModel:
                 raise ModelError(f"model document is missing {key!r}")
         algebra = Algebra.from_spec(str(data["algebra"]))
         worlds = _require(data["worlds"], list, "'worlds' must be a list of names")
-        for w in worlds:
-            if not isinstance(w, str):
-                raise ModelError(f"world name {json.dumps(w)} is not a string")
+        _check_world_names(worlds)
         declared = []
         for i in _require(data["indices"], list, "'indices' must be a list of integers"):
             if not isinstance(i, int) or isinstance(i, bool):
@@ -301,6 +300,12 @@ def _repeated(items: Iterable):
     """The first item equal to an earlier one; there must be one."""
     seen = set()
     return next(x for x in items if x in seen or seen.add(x))
+
+
+def _check_world_names(worlds) -> None:
+    for w in worlds:
+        if not isinstance(w, str):
+            raise ModelError(f"world name {json.dumps(w, default=repr)} is not a string")
 
 
 def _require(value, kind: type, message: str):

@@ -89,7 +89,7 @@ from .bisim import (
 )
 from .fuzzrel import FuzzyMat
 from .levels import Universe, biimplication_fold, compose, residual_fold
-from .model import KripkeModel, check_comparable, formula_levels, level_pair
+from .model import KripkeModel, LevelPair, check_comparable, formula_levels, level_pair
 from .syntax import (
     BUDGET,
     Formula,
@@ -241,9 +241,14 @@ def fragment_weak(
     and ``truncated``."""
     # refused in the order an enumeration refuses them
     _check_budget(budget)
-    pair = level_pair(m1, m2)
+    return _fragment_weak(level_pair(m1, m2), fragment, depth, budget)
+
+
+def _fragment_weak(pair: LevelPair, fragment: Fragment, depth: int, budget: int) -> WeakReport:
+    """:func:`fragment_weak` on a level pair, once the budget is checked."""
     _check_depth(depth)
     fragment = Fragment(fragment)
+    m1, m2 = pair.models
     b = union_iterate(pair, THETA_FOR_FRAGMENT.get(fragment), depth)
     constants = pair.constants
     count = class_count(np.searchsorted(constants, b), len(constants) - 1, budget)

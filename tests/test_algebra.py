@@ -214,3 +214,18 @@ def test_format_parse_round_trip(value):
 @settings(max_examples=400)
 def test_adjunction_property(x, y, z):
     assert adjunction_holds(GODEL, x, y, z)
+
+
+def test_malformed_algebras_and_the_godel_carrier_are_refused():
+    with pytest.raises(AlgebraError, match="^unknown algebra kind 'foo'$"):
+        Algebra("foo")
+    with pytest.raises(AlgebraError, match="^godel algebra takes no level count$"):
+        Algebra("godel", 3)
+    with pytest.raises(AlgebraError, match="^the godel carrier is infinite$"):
+        GODEL.carrier()
+
+
+def test_an_algebra_is_immutable():
+    with pytest.raises(AttributeError, match="^Algebra is immutable$"):
+        CHAIN5.levels = 3
+    assert CHAIN5 == Algebra.chain(5)

@@ -386,6 +386,15 @@ def test_check_bad_relation_shape_exits_2(tmp_path, capsys):
     assert err == f"error: {rel}: relation: fuzzy matrix must have at least one row\n"
 
 
+def test_check_relation_file_without_a_relation_exits_2(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    for doc in ({"matrix": [["1"]]}, [["1"]]):
+        rel.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--type", "rb", "--relation", str(rel), A, B)
+        assert (code, out) == (2, "")
+        assert err == f"error: {rel} must be a JSON object with a 'relation' key\n"
+
+
 def test_check_float_in_relation_exits_2(tmp_path, capsys):
     rel = tmp_path / "rel.json"
     rows = [["0.3", "0.3", "0.3"], ["0.3", 0.1 + 0.2, "0.3"], ["0.3", "0.3", "0.3"]]

@@ -335,6 +335,23 @@ def test_mixed_algebras_raise():
         a.compose(b)
 
 
+def test_empty_vectors_are_refused_and_entries_are_read_by_position():
+    with pytest.raises(ValueError, match="^fuzzy vector must be nonempty$"):
+        FuzzyVec(GODEL, [])
+    mat = FuzzyMat(GODEL, [[Fraction(1), Fraction(1, 2)], [Fraction(0), Fraction(1, 3)]])
+    assert [mat[i, j] for i in range(2) for j in range(2)] == [1, Fraction(1, 2), 0, Fraction(1, 3)]
+    assert mat.inverse()[0, 1] == 0 and mat[-1, -1] == Fraction(1, 3)
+
+
+def test_matrices_and_vectors_are_immutable():
+    mat = FuzzyMat(GODEL, [[Fraction(1, 2)]])
+    vec = FuzzyVec(GODEL, [Fraction(1, 2)])
+    for x, name in ((mat, "FuzzyMat"), (vec, "FuzzyVec")):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            x.levels = np.zeros(1, np.uint8)
+    assert mat.rows == ((Fraction(1, 2),),) and vec.values == (Fraction(1, 2),)
+
+
 def test_off_carrier_entries_rejected():
     with pytest.raises(AlgebraError):
         FuzzyMat(Algebra.chain(3), [[Fraction(1, 3)]])
@@ -388,3 +405,169 @@ def test_one_element_blocks_give_the_same_answers(monkeypatch):
     whole = answers()
     monkeypatch.setattr(levels, "BATCH", 1)
     assert answers() == whole
+
+
+# -- the constructors against the value table they replaced -------------------
+
+
+def encode_rows(algebra, rows):
+    """The constructors' own value table before they built through
+    ``levels.Universe``: the rows as value indices, with the distinct
+    values in order of first occurrence.  Every entry is type-checked
+    (integers, booleans among them, become ``Fraction``) and each distinct
+    value is checked against the carrier once."""
+    index, values, out = {}, [], []
+    for row in rows:
+        ids = []
+        for v in row:
+            if not isinstance(v, Fraction):
+                if not isinstance(v, int):
+                    raise TypeError(f"truth values must be Fraction, got {type(v).__name__}")
+                v = Fraction(v)
+            key = v.as_integer_ratio()
+            i = index.get(key)
+            if i is None:
+                algebra.check_value(v)
+                i = index[key] = len(values)
+                values.append(v)
+            ids.append(i)
+        out.append(ids)
+    return out, values
+
+
+def table_built(algebra, rows, vector: bool):
+    """The level array and universe that ``FuzzyVec`` (one row) or
+    ``FuzzyMat`` built through :func:`encode_rows`, refusing what they
+    refused in the order they refused it."""
+    ids, table = encode_rows(algebra, rows)
+    if vector:
+        [ids] = ids
+        if not ids:
+            raise ValueError("fuzzy vector must be nonempty")
+    else:
+        lengths = list(map(len, ids))
+        if not lengths:
+            raise ValueError("fuzzy matrix must have at least one row")
+        width = lengths[0]
+        if width == 0 or lengths.count(width) != len(lengths):
+            raise ValueError("fuzzy matrix rows must be nonempty and equally long")
+        flat = list(itertools.chain.from_iterable(ids))
+        ids = np.asarray(flat, dtype=np.intp).reshape(len(lengths), width)
+    universe = levels.Universe(table)
+    return universe.encode(table)[ids], universe
+
+
+def constructed(algebra, rows, vector: bool):
+    x = FuzzyVec(algebra, rows[0]) if vector else FuzzyMat(algebra, rows)
+    return x.levels, x.universe
+
+
+def outcome(build, *args):
+    """What a construction gives: its levels (values and dtype) and the
+    values of its universe, or its exception's type and message."""
+    try:
+        lv, universe = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return lv.tolist(), lv.dtype, universe.values
+
+
+class NotABool:
+    """An entry whose type is named ``bool`` but is not ``bool``: the value
+    table refused it like any other non-number, and the constructors now
+    refuse a real ``bool`` the same way."""
+
+
+NotABool.__name__ = "bool"
+
+
+def carrier_sample(algebra) -> list:
+    """Carrier values to draw entries from: some sevenths on Godel."""
+    return list(algebra.carrier()) if algebra.kind != "godel" else [Fraction(k, 7) for k in range(8)]
+
+
+def constructor_entry(rng, algebra):
+    """A carrier value, as a new ``Fraction`` object or as an ``int``, or,
+    now and then, an entry the constructors refuse or once read as 0 or 1."""
+    if rng.random() < 0.06:
+        return rng.choice([
+            Fraction(1, 4), Fraction(3, 2), Fraction(-1, 3), 0.5, 1.0, np.int64(1),
+            np.float64(0.5), np.uint8(0), "0.5", None, True, False,
+        ])
+    v = rng.choice(carrier_sample(algebra))
+    if v.denominator == 1 and rng.random() < 0.5:
+        return int(v)
+    return Fraction(v.numerator, v.denominator)
+
+
+def constructor_input(rng, algebra):
+    """Rows for a vector (one row) or a matrix: mostly small, sometimes
+    empty or ragged, sometimes 30 x 30 with one bad entry in the second
+    half, and sometimes of more than 256 distinct values."""
+    shape = rng.random()
+    if shape < 0.1 and algebra.kind == "godel":
+        many = [Fraction(k, 331) for k in range(332)]
+        rng.shuffle(many)
+        return [many] if rng.random() < 0.5 else [many[k:k + 83] for k in range(0, 332, 83)]
+    if shape < 0.2:
+        n = 30
+        rows = [[Fraction(v.numerator, v.denominator) for v in rng.choices(carrier_sample(algebra), k=n)]
+                for _ in range(n)]
+        bad = rng.choice([Fraction(3, 2), Fraction(-1, 4), 0.25, True])
+        rows[rng.randrange(n // 2, n)][rng.randrange(n)] = bad
+        return rows
+    k, m = rng.randint(0, 4), rng.randint(0, 4)
+    rows = [[constructor_entry(rng, algebra) for _ in range(m)] for _ in range(k)]
+    if rows and rng.random() < 0.15:
+        rows[rng.randrange(k)] = [constructor_entry(rng, algebra) for _ in range(rng.randint(0, 5))]
+    return rows
+
+
+def test_constructors_equal_the_value_table_they_replaced():
+    """On seeded inputs, ``FuzzyVec`` and ``FuzzyMat`` build the level
+    arrays (values and dtype) and universes of the old value table, and
+    raise its exceptions with its messages.  The one difference is a
+    ``bool`` entry: the table read it as 0 or 1; the constructors refuse
+    it as the table refused any other entry of a type named ``bool``."""
+    rng = random.Random("constructors")
+    seen, bools_read = set(), 0
+    for trial in range(2000):
+        algebra = Algebra.from_spec(rng.choice(["boolean", "chain:3", "chain:5", "godel"]))
+        rows = constructor_input(rng, algebra)
+        vector = rng.random() < 0.4
+        if vector:
+            rows = [list(itertools.chain.from_iterable(rows))]
+        refused = [[NotABool() if type(v) is bool else v for v in row] for row in rows]
+        new = outcome(constructed, algebra, rows, vector)
+        assert new == outcome(table_built, algebra, refused, vector), (trial, rows)
+        if refused != rows:
+            bools_read += outcome(table_built, algebra, rows, vector) != new
+        seen.add(new[0] if isinstance(new[0], type) else new[1].name)
+    assert seen == {TypeError, ValueError, AlgebraError, "uint8", "uint16"}
+    assert bools_read > 100
+
+
+def test_booleans_are_not_truth_values():
+    chain3 = Algebra.chain(3)
+    refused = [
+        lambda: FuzzyVec(GODEL, [True]),
+        lambda: FuzzyMat(GODEL, [[False]]),
+        lambda: FuzzyVec(chain3, [Fraction(1, 2), 1, np.bool_(True)]),
+        lambda: FuzzyMat(chain3, [[0, 1], [Fraction(1, 2), True]]),
+        lambda: FuzzyMat.constant(GODEL, (2, 2), False),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError, match="^truth values must be Fraction, got bool$"):
+            build()
+    # the first bad entry in row-major order is still the one reported
+    with pytest.raises(AlgebraError, match="value 1/4 is not in the chain:3 carrier"):
+        FuzzyMat(chain3, [[Fraction(1), Fraction(1, 4)], [True, 0]])
+    assert FuzzyVec(GODEL, [1, 0]).values == (Fraction(1), Fraction(0))
+
+
+def test_a_ragged_matrix_of_too_many_values_reports_the_universe_size_first():
+    # as the loader does: the values are checked and put in one universe
+    # before the rows are shaped into a matrix
+    many = [Fraction(1, k) for k in range(2, 65_537)]
+    with pytest.raises(levels.ModelError, match="^value universe of 65537 values is too large$"):
+        FuzzyMat(GODEL, [many[:2], many[2:]])

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -374,6 +375,21 @@ def first_violation(a, b, relation, bound):
     )
 
 
+def force_the_full_relation(monkeypatch):
+    """Make ``hm`` read the full relation as the greatest prebisimulation,
+    in the universe of the real matrix: that of the pair handed to
+    ``greatest_pre``, which ``invariance_check`` shares with its bound."""
+    real = hm.greatest_pre
+
+    def full(m1, m2, sim_type, pair=None):
+        report = real(m1, m2, sim_type, pair=pair)
+        universe = report.matrix.universe
+        top = np.full(report.matrix.shape, universe.top)
+        return dataclasses.replace(report, matrix=FuzzyMat._from_levels(m1.algebra, top, universe))
+
+    monkeypatch.setattr(hm, "greatest_pre", full)
+
+
 def test_invariance_check_equals_the_generator_walk(monkeypatch):
     """On the bundled and seeded pairs, for each pairing and depths 0-2,
     with the greatest prebisimulation and with the full relation in its
@@ -384,9 +400,7 @@ def test_invariance_check_equals_the_generator_walk(monkeypatch):
     verdicts = {False: [], True: []}
     for forced in (False, True):
         if forced:
-            real = hm.greatest_pre
-            monkeypatch.setattr(hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(
-                real(m1, m2, t), matrix=ones(m1.algebra, (len(m1.worlds), len(m2.worlds)))))
+            force_the_full_relation(monkeypatch)
         for a, b in pairs:
             for fragment in FRAGMENTS:
                 sim_type = THETA_FOR_FRAGMENT[fragment]
@@ -412,10 +426,7 @@ def test_invariance_blocks_report_the_first_violation(monkeypatch):
 
     a, b = load_pair("sim_showcase")
     full = ones(a.algebra, (len(a.worlds), len(b.worlds)))
-    real = hm.greatest_pre
-    monkeypatch.setattr(
-        hm, "greatest_pre", lambda m1, m2, t: dataclasses.replace(real(m1, m2, t), matrix=full)
-    )
+    force_the_full_relation(monkeypatch)
     enum = FormulaEnumeration(a, b, Fragment.PLUS).extend_to_depth(1)
     want = first_violation(a, b, full, enumerated_weak(enum).prebisimulation)
     assert want is not None

@@ -212,20 +212,25 @@ def test_a_list_left_behind_in_the_enumerator_fails_the_stored_attribute_check()
 # iterate and count their classes in closed form, so the enumeration is
 # left to users who want class representatives, and to the tests as their
 # oracle.  No library function calls the invariance or duality entry
-# points either, the CLI's commands included.
+# points either, the CLI's commands included.  A value universe
+# (``Universe``) is built only where values enter one: the union of
+# universes, the loader's table, a model's universe of no values, and the
+# one pass of the ``FuzzyVec``/``FuzzyMat`` constructors, so that no
+# second value table grows up beside it.
 PAIR_CALLS = {
     "check_comparable": {"level_pair", "phi_equivalent", "greatest_weak", "check_weak"},
-    "encoded": {"level_pair", "eval_levels"},
+    "encoded": {"level_pair", "KripkeModel.eval_levels"},
     "FormulaEnumeration": set(),
     "invariance_check": set(),
     "duality_transfer": set(),
+    "Universe": {"union", "_ValueTable.containers", "KripkeModel.__init__", "_encode"},
 }
 
 
 def pair_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
     """Each call of a name in :data:`PAIR_CALLS`, as a function or a
-    method, with the innermost function around it (None at module level)
-    and its line."""
+    method, with the innermost function around it (``Class.method`` for a
+    method, None at module level) and its line."""
     found = []
 
     def visit(node, function):
@@ -235,7 +240,10 @@ def pair_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 if name in PAIR_CALLS:
                     found.append((name, function, child.lineno))
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+            inner = function
+            if isinstance(child, ast.FunctionDef):
+                inner = f"{node.name}.{child.name}" if isinstance(node, ast.ClassDef) else child.name
+            visit(child, inner)
 
     visit(tree, None)
     return found
@@ -261,7 +269,7 @@ def test_the_pair_check_sees_functions_methods_and_module_level_calls():
         "def level_pair(m1, m2, u):\n"
         "    check_comparable(m1, m2)\n"
         "    return m1.encoded(u), m2.encoded(u)\n"
-        "class Model:\n"
+        "class KripkeModel:\n"
         "    def eval_levels(self, u):\n"
         "        return self.encoded(u)\n"
         "def greatest_pre(m1, m2, u):\n"
@@ -276,6 +284,16 @@ def test_the_pair_check_sees_functions_methods_and_module_level_calls():
         "    return FormulaEnumeration(m1, m2, fragment)\n"
         "def cmd_hm(args):\n"
         "    return hm.invariance_check(args.a, args.b, args.fragment)\n"
+        "class Model:\n"
+        "    def eval_levels(self, u):\n"
+        "        return self.encoded(u)\n"
+        "def _encode_rows(algebra, rows):\n"
+        "    return levels.Universe(table)\n"
+        "class FuzzyMat:\n"
+        "    def __init__(self, rows):\n"
+        "        self.universe = Universe(rows)\n"
+        "    def _encode(self, rows):\n"
+        "        return Universe(rows)\n"
     )
     assert stray_pair_calls({"m.py": tree}) == [
         "m.py line 8: check_comparable in greatest_pre",
@@ -284,4 +302,8 @@ def test_the_pair_check_sees_functions_methods_and_module_level_calls():
         "m.py line 14: FormulaEnumeration in hm_check",
         "m.py line 16: FormulaEnumeration in invariance_check",
         "m.py line 18: invariance_check in cmd_hm",
+        "m.py line 21: encoded in Model.eval_levels",
+        "m.py line 23: Universe in _encode_rows",
+        "m.py line 26: Universe in FuzzyMat.__init__",
+        "m.py line 28: Universe in FuzzyMat._encode",
     ]

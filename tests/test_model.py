@@ -718,7 +718,59 @@ def test_a_negative_or_boolean_relation_index_is_refused():
         KripkeModel(GODEL, ["a"], {True: FuzzyMat(GODEL, [[Fraction(1)]])}, {})
 
 
+def test_a_relation_index_spelled_as_a_string_is_refused():
+    # not read as index 1, although it names the relation key "1"
+    doc = {
+        "algebra": "godel", "worlds": ["a"], "indices": ["1"],
+        "relations": {"1": [["0"]]}, "valuation": {"p": ["1"]},
+    }
+    with pytest.raises(ModelError, match="^relation index '1' is not an integer$"):
+        KripkeModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("worlds, shown", [
+    ([1, 2], "1"), (["a", None], "null"), (["a", ["b"]], '["b"]'), (["a", 1.5], "1.5"),
+    (["a", b"b"], '"b\'b\'"'),
+])
+def test_a_world_name_that_is_not_a_string_is_refused(worlds, shown):
+    """By the constructor as by the loader, with the loader's message, so
+    that no model is made whose file cannot be read back."""
+    refused = f"^world name {re.escape(shown)} is not a string$"
+    relation = FuzzyMat.zeros(GODEL, (len(worlds), len(worlds)))
+    with pytest.raises(ModelError, match=refused):
+        KripkeModel(GODEL, worlds, {1: relation}, {})
+    doc = {"algebra": "godel", "worlds": worlds, "indices": ["1"], "relations": {}, "valuation": {}}
+    # the names are refused before the indices are read
+    with pytest.raises(ModelError, match=refused):
+        KripkeModel.from_dict(doc)
+
+
+def test_models_built_by_the_constructor_round_trip_through_json(rng):
+    names = ["s0", "a b", 'q"uote', "\u00e9", "\n", "", "1", "back\\slash"]
+    for _ in range(60):
+        algebra = Algebra.from_spec(rng.choice(["boolean", "chain:3", "chain:5", "godel"]))
+        n = rng.randint(1, 4)
+        m = random_model(rng, algebra, n, variables=("p", "q")[: rng.randint(0, 2)],
+                         indices=(1, 4)[: rng.randint(0, 2)])
+        m = KripkeModel(algebra, rng.sample(names, n), m.relations, m.valuation)
+        again = KripkeModel.from_json(m.to_json())
+        assert again == m and again.worlds == m.worlds and again.to_json() == m.to_json()
+
+
+def test_a_model_is_immutable():
+    a, _ = load_pair("sim_showcase")
+    with pytest.raises(AttributeError, match="^KripkeModel is immutable$"):
+        a.worlds = ("x",)
+    assert a.worlds == load_pair("sim_showcase")[0].worlds
+
+
 # -- pointwise formula-set equivalence ----------------------------------------------
+
+
+def test_phi_equivalent_refuses_an_empty_formula_set():
+    a, b = load_pair("sim_showcase")
+    with pytest.raises(ModelError, match="^equivalence over an empty formula set is undefined$"):
+        phi_equivalent(a, b, [])
 
 
 def test_phi_equivalent_finds_pairings():

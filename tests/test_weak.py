@@ -539,10 +539,10 @@ def test_a_chain_of_3000_constants_is_counted_without_a_frame_per_level(tmp_path
 
 @pytest.mark.parametrize("name", ["sim_showcase", "many_constants_pair"])
 def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_path, monkeypatch):
-    """One build of the pair per public entry point: ``hm_check`` builds
-    it once and hands it to ``greatest_pre``, ``invariance_check`` builds
-    it in ``greatest_pre`` and in ``fragment_weak``, and ``fragment_weak``
-    builds it once, cut by the budget or not.  A build remaps each source
+    """One build of the pair per public entry point: ``hm_check`` and
+    ``invariance_check`` build it once and hand it to ``greatest_pre`` (and
+    the latter to the fragment report), and ``fragment_weak`` builds it
+    once, cut by the budget or not.  A build remaps each source
     universe once, so on the loaded 3,012-table pair, whose models each
     hold one, the calls to ``Universe.encode`` do not grow with the tables."""
     if name == "sim_showcase":
@@ -558,7 +558,7 @@ def test_each_entry_point_encodes_each_model_once_per_pair_it_builds(name, tmp_p
         "fragment_weak cut": (lambda: fragment_weak(a, b, Fragment.PLUS, 1, budget), 1),
         "hm_check": (lambda: hm_check(a, b, Fragment.PLUS, 0, budget), 1),
         "invariance_check": (
-            lambda: invariance_check(a, b, SimType.FB, Fragment.PLUS, 0, budget), 2),
+            lambda: invariance_check(a, b, SimType.FB, Fragment.PLUS, 0, budget), 1),
     }
     assert fragment_weak(a, b, Fragment.PLUS, 1, budget).truncated
     for entry, (run, builds) in runs.items():
