@@ -17,20 +17,27 @@ is the level of 1), composition is ``max`` over ``min``, and the greatest
 solutions of relational inequalities are meets of residua: the one
 residual update here, :func:`forward_update`, serves every direction of
 the -2 condition once :mod:`.bisim` has oriented its arguments.
-Composition, the folds and the update take an optional leading stack
-axis, so that one call serves every relation of a kind.  They run one
-block loop: a broadcast of shape (s, k, m, n) is cut along the contracted
-axis n into blocks of at most :data:`BATCH` elements (more only when the
-stacked result itself is larger), so one that fits in a block is reduced
-in one call.
+Composition and the folds take an optional leading stack axis, and the
+update a stack, so that one call serves every relation of a kind.  All
+of them reduce through one block loop: a broadcast of shape (s, k, m, n)
+is cut along the contracted axis n into blocks of at most :data:`BATCH`
+elements (more only when the stacked result itself is larger), so one
+that fits in a block is reduced in one call.
 
-The loop has two layouts.  The blocks are (s, k, m, n), n innermost,
-unless an output axis is more than :data:`_LONG` times n, as when a
-modality is applied to many formula classes of a small model.  Then that
-axis goes innermost, (s, k, n, m) or, with the operands swapped, (s, m,
-n, k), read from a contiguous copy of its operand (the size of the input,
-not of a block), and n is reduced at axis -2, so numpy runs a few loops
-of length m (or k), not k * m loops of length n.
+Composition and the folds have two layouts.  The blocks are (s, k, m,
+n), n innermost, unless an output axis is more than :data:`_LONG` times
+n, as when a modality is applied to many formula classes of a small
+model.  Then that axis goes innermost, (s, k, n, m) or, with the
+operands swapped, (s, m, n, k), read from a contiguous copy of its
+operand (the size of the input, not of a block), and n is reduced at
+axis -2, so numpy runs a few loops of length m (or k), not k * m loops
+of length n.
+
+The update has a layout of its own, each contracted axis outermost:
+blocks (t, v, s, u') for its composition, which leave the intermediate
+in the layout its meet reads, and (v, s, u, u') for its meet of residua,
+reduced over v and the stack in one call.  Each reduction is then an
+elementwise pass over whole planes, so numpy runs no short inner loops.
 """
 
 from __future__ import annotations
@@ -149,6 +156,19 @@ def biimplication(x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
     return np.maximum(np.minimum(x, y), np.multiply(x == y, top, dtype=x.dtype))
 
 
+def _blocked(reduce, identity, axis, n: int, size: int, block) -> np.ndarray:
+    """``reduce`` over ``axis`` of a broadcast with ``size`` elements per
+    entry of its contracted axis of length ``n``, and ``identity`` for an
+    empty one.  ``block(lo, hi)`` forms the broadcast of entries lo:hi; a
+    block holds at most :data:`BATCH` elements, or one entry."""
+    step = max(1, BATCH // max(size, 1))
+    # the first block may be empty: then it gives the identity
+    out = reduce.reduce(block(0, step), axis=axis, initial=identity)
+    for lo in range(step, n, step):
+        reduce(out, reduce.reduce(block(lo, lo + step), axis=axis, initial=identity), out=out)
+    return out
+
+
 def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``out(i, j) = reduce_v pair(x(i, v), y(j, v))``, and ``identity`` for
     an empty v axis, in blocks of either layout of the module docstring.
@@ -159,21 +179,13 @@ def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarra
     long = _LONG * n < max(k, m)
     if long and m < k:
         return _contract(lambda b, a: pair(a, b), reduce, identity, y, x).swapaxes(-1, -2)
-    # elements of the broadcast per entry of the contracted axis
     size = max(math.prod(x.shape[:-2]), math.prod(y.shape[:-2])) * k * m
-    step = max(1, BATCH // max(size, 1))
     if long:
-        y, axis = np.ascontiguousarray(y.swapaxes(-1, -2)), -2
-        blocks = lambda lo, hi: (x[..., lo:hi, None], y[..., None, lo:hi, :])
-    else:
-        axis = -1
-        blocks = lambda lo, hi: (x[..., None, lo:hi], y[..., None, :, lo:hi])
-    out = None
-    # one pass at least, so that an empty v axis still gives the identity
-    for lo in range(0, max(n, 1), step):
-        part = reduce.reduce(pair(*blocks(lo, lo + step)), axis=axis, initial=identity)
-        out = part if out is None else reduce(out, part, out=out)
-    return out
+        y = np.ascontiguousarray(y.swapaxes(-1, -2))
+        block = lambda lo, hi: pair(x[..., lo:hi, None], y[..., None, lo:hi, :])
+        return _blocked(reduce, identity, -2, n, size, block)
+    block = lambda lo, hi: pair(x[..., None, lo:hi], y[..., None, :, lo:hi])
+    return _blocked(reduce, identity, -1, n, size, block)
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,6 +228,18 @@ def forward_update(r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.nd
     """Greatest chi with  ``(phi /\\ chi)^-1 o R_s  <=  R'_s o phi^-1``  for
     every slice s of the stacks ``r`` and ``rp``: the meet of the per-slice
     updates, each by adjunction ``chi(u, u') = min_v R(u, v) -> (R' o
-    phi^-1)(u', v)``.  The other -2 directions are this one on the
-    arguments that :mod:`.bisim` orients."""
-    return residual_fold(r, compose(rp, phi.T), top).min(axis=0)
+    phi^-1)(u', v)``, and top everywhere for an empty stack.  The other -2
+    directions are this one on the arguments that :mod:`.bisim` orients.
+
+    In the update's layout of the module docstring, ``B(v, s, u') = max_t
+    min(R'(s, u', t), phi(v, t))`` is reduced from blocks (t, v, s, u') and
+    chi from blocks (v, s, u, u'), both of s * n1 * n2 elements per entry
+    of the contracted axis, read from contiguous transposed copies of the
+    operands (the size of the input)."""
+    (n1, n2), size = phi.shape, len(r) * phi.size
+    rp_t = np.ascontiguousarray(rp.transpose(2, 0, 1))[:, None]
+    phi_t = np.ascontiguousarray(phi.T)[..., None, None]
+    b = _blocked(np.maximum, 0, 0, n2, size, lambda lo, hi: np.minimum(rp_t[lo:hi], phi_t[lo:hi]))
+    r_t, b = np.ascontiguousarray(r.transpose(2, 0, 1))[..., None], b[:, :, None]
+    meet = lambda lo, hi: residuum(r_t[lo:hi], b[lo:hi], top)
+    return _blocked(np.minimum, top, (0, 1), n1, size, meet)

@@ -203,12 +203,14 @@ def level_update(tag, rs, rps, phi) -> FuzzyMat:
     transpose, swap = DIRECTIONS[tag].transpose, DIRECTIONS[tag].swap
     universe = levels.union(x.universe for x in (*rs, *rps, phi))
 
-    def stack(mats):
-        lv = np.stack([universe.recode(x.universe, x.levels) for x in mats])
+    def stack(mats, n):
+        lv = np.array([universe.recode(x.universe, x.levels) for x in mats], universe.dtype)
+        lv = lv.reshape(-1, n, n)
         return lv.swapaxes(-1, -2) if transpose else lv
 
     lv = universe.recode(phi.universe, phi.levels)
-    r, rp = (stack(rps), stack(rs)) if swap else (stack(rs), stack(rps))
+    k, m = phi.shape
+    r, rp = (stack(rps, m), stack(rs, k)) if swap else (stack(rs, k), stack(rps, m))
     chi = RESIDUAL_UPDATES["fwd"](r, rp, lv.T if swap else lv, universe.top)
     return FuzzyMat(phi.algebra, universe.decode(chi.T if swap else chi))
 
@@ -241,20 +243,21 @@ def test_update_is_greatest_solution(update):
 @pytest.mark.parametrize("tag", list(UPDATES.values()))
 def test_update_of_a_stack_is_the_meet_of_its_slices(tag, rng):
     # one call on a stack of relation pairs gives the greatest chi meeting
-    # every slice's inequality: the meet of the one-slice updates
+    # every slice's inequality: the meet of the one-slice updates.  The
+    # empty stack meets no inequality, so its update is top everywhere
     for _ in range(60):
         k, m, s = rand_dims(rng, 1, 4), rand_dims(rng, 1, 4), rand_dims(rng, 1, 3)
-        rs = [rand_mat(rng, GODEL, k, k) for _ in range(s)]
-        rps = [rand_mat(rng, GODEL, m, m) for _ in range(s)]
+        stacks = tuple([rand_mat(rng, GODEL, n, n) for _ in range(s)] for n in (k, m))
         phi = rand_mat(rng, GODEL, k, m)
-        whole = level_update(tag, rs, rps, phi)
-        meet = level_update(tag, rs[:1], rps[:1], phi)
-        for r, rp in zip(rs[1:], rps[1:]):
-            meet = meet.meet(level_update(tag, [r], [rp], phi))
-        assert whole == meet
-        for chi in (whole, whole.join(phi)):
-            holds = all(constraint_holders(tag, r, rp, chi, phi) for r, rp in zip(rs, rps))
-            assert holds == chi.leq(whole)
+        for rs, rps in (stacks, ([], [])):
+            whole = level_update(tag, rs, rps, phi)
+            meet = FuzzyMat(GODEL, [[Fraction(1)] * m for _ in range(k)])
+            for r, rp in zip(rs, rps):
+                meet = meet.meet(level_update(tag, [r], [rp], phi))
+            assert whole == meet
+            for chi in (whole, whole.join(phi)):
+                holds = all(constraint_holders(tag, r, rp, chi, phi) for r, rp in zip(rs, rps))
+                assert holds == chi.leq(whole)
 
 
 # -- frozen worked results ------------------------------------------------------

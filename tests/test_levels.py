@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fuzzykripke import levels
-from fuzzykripke.levels import biimplication_fold, compose, residual_fold
+from fuzzykripke.levels import biimplication_fold, compose, forward_update, residual_fold
 
 
 def ref_compose(a, b):
@@ -115,6 +115,48 @@ def test_small_blocks_equal_the_default_blocks(monkeypatch, size):
                 np.testing.assert_array_equal(g, w)
 
 
+def two_call_update(r, rp, phi, top):
+    """The forward update as a fold of a composition, then a meet over the
+    stack: the two kernel calls it was before it was fused."""
+    return residual_fold(r, compose(rp, phi.T), top).min(axis=0)
+
+
+# (n1, n2): the worlds of phi's rows and columns, square and not, with one
+# world on either side and a model of more than 40 worlds
+UPDATE_SHAPES = ((1, 1), (1, 4), (4, 1), (2, 5), (5, 2), (6, 6), (7, 3), (41, 12), (3, 40))
+
+
+def update_cases(rng, size):
+    """Stacks of relation pairs and a phi, with mostly zero relations, a
+    world with no successor (row 0) and a hub with every world as a
+    successor (the last row)."""
+    for s in (1, 2, 4):
+        for n1, n2 in UPDATE_SHAPES:
+            _, top, phi = random_levels(rng, size, (n1, n2))
+            rels = []
+            for n in (n1, n2):
+                rel = random_levels(rng, size, (s, n, n))[2]
+                rel[rng.random(rel.shape) < 0.6] = 0
+                rel[:, 0] = 0
+                rel[:, -1] = rng.integers(1, size, (s, n))
+                rels.append(rel)
+            yield top, *rels, phi
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_forward_update_equals_the_two_call_update(monkeypatch, size):
+    cases = list(update_cases(np.random.default_rng(200 + size), size))
+    want = [two_call_update(r, rp, phi, top) for top, r, rp, phi in cases]
+    assert {w.dtype for w in want} == {np.dtype(np.uint8 if size <= 256 else np.uint16)}
+    # whole broadcasts, one-element blocks and blocks of a few entries
+    for batch in (levels.BATCH, 1, 24):
+        monkeypatch.setattr(levels, "BATCH", batch)
+        for (top, r, rp, phi), w in zip(cases, want):
+            got = forward_update(r, rp, phi, top)
+            assert got.dtype == w.dtype
+            np.testing.assert_array_equal(got, w)
+
+
 def peak_bytes(fn, *args) -> int:
     """The most memory held during ``fn(*args)`` beyond what was held before."""
     tracemalloc.start()
@@ -142,13 +184,22 @@ def test_batch_bounds_each_stacked_broadcast(monkeypatch, size):
         y = random_levels(rng, size, (s, m, n))[2]
         calls = ((compose, a, b), (residual_fold, a, y, top), (biimplication_fold, a, y, top))
         cases.append((layout(k, n, m), s * k * n * m * dtype.itemsize, calls))
-    assert [case[0] for case in cases] == ["kmn", "knm", "mnk"]
+    # the forward update on 8 relation pairs of 20 and 16 worlds: its
+    # composition and its meet of residua have 8 * 20 * 16 = 2,560 entries
+    # per entry of their contracted axes (16 and 20), so the meet's whole
+    # broadcast holds 51,200 entries and a block one entry of the axis
+    dtype, top, phi = random_levels(rng, size, (20, 16))
+    r, rp = (random_levels(rng, size, (8, n, n))[2] for n in (20, 16))
+    whole = 8 * 20 * 16 * 20 * dtype.itemsize
+    cases.append(("update", whole, ((forward_update, r, rp, phi, top),)))
+    assert [case[0] for case in cases] == ["kmn", "knm", "mnk", "update"]
     # with the default BATCH the broadcast is one block, and the measure sees it
     for _, whole, calls in cases:
         assert all(peak_bytes(*call) >= whole for call in calls)
     monkeypatch.setattr(levels, "BATCH", 4096)
     # a few block-sized temporaries (a mask, a selection, a partial result),
-    # the input-sized copy of the long operand and the interpreter's own
-    # small allocations: below the whole
+    # the input-sized copies of the long operand or of the update's
+    # relations, the update's composition and the interpreter's own small
+    # allocations: below the whole
     for _, _, calls in cases:
         assert all(peak_bytes(*call) <= 8 * 4096 * dtype.itemsize for call in calls)
