@@ -18,26 +18,17 @@ solutions of relational inequalities are meets of residua: the one
 residual update here, :func:`forward_update`, serves every direction of
 the -2 condition once :mod:`.bisim` has oriented its arguments.
 Composition and the folds take an optional leading stack axis, and the
-update a stack, so that one call serves every relation of a kind.  All
-of them reduce through one block loop: a broadcast of shape (s, k, m, n)
-is cut along the contracted axis n into blocks of at most :data:`BATCH`
-elements (more only when the stacked result itself is larger), so one
-that fits in a block is reduced in one call.
+update a stack, so that one call serves every relation of a kind.
 
-Composition and the folds have two layouts.  The blocks are (s, k, m,
-n), n innermost, unless an output axis is more than :data:`_LONG` times
-n, as when a modality is applied to many formula classes of a small
-model.  Then that axis goes innermost, (s, k, n, m) or, with the
-operands swapped, (s, m, n, k), read from a contiguous copy of its
-operand (the size of the input, not of a block), and n is reduced at
-axis -2, so numpy runs a few loops of length m (or k), not k * m loops
-of length n.
-
-The update has a layout of its own, each contracted axis outermost:
-blocks (t, v, s, u') for its composition, which leave the intermediate
-in the layout its meet reads, and (v, s, u, u') for its meet of residua,
-reduced over v and the stack in one call.  Each reduction is then an
-elementwise pass over whole planes, so numpy runs no short inner loops.
+Every reduction has its contracted axis outermost.  Composition and the
+folds reduce blocks (v, s, k, m) at axis 0, the update blocks (t, v, s,
+u') for its composition, which leave the intermediate in the layout its
+meet reads, and (v, s, u, u') for its meet of residua, reduced over v and
+the stack in one call.  Each reduction is then an elementwise pass over
+whole planes, so numpy runs no short inner loops.  All of them reduce
+through one block loop, which cuts the contracted axis into blocks of at
+most :data:`BATCH` elements (more only when the stacked result itself is
+larger), so a broadcast that fits in a block is reduced in one call.
 """
 
 from __future__ import annotations
@@ -54,13 +45,6 @@ from .algebra import ONE, ZERO, format_value
 
 BATCH = 1 << 23
 """Elements per broadcast block: bounds the memory of every (s, k, m, n) temporary."""
-
-_LONG = 8
-"""An output axis longer than this many times the contracted axis goes
-innermost in the broadcast blocks.  On a box and a diamond over F classes
-of a 3-world model (2-core Xeon, numpy 2.4.6), the long-axis layout breaks even near F = 24 (this
-rule's edge) and takes 0.6-0.7 of the time at F = 64, 0.09 at F = 1,072;
-below the edge its copy costs more than the longer loops save."""
 
 MAX_VALUES = 1 << 16
 """The most values a universe holds, so that its levels fit in ``uint16``."""
@@ -171,21 +155,22 @@ def _blocked(reduce, identity, axis, n: int, size: int, block) -> np.ndarray:
 
 def _contract(pair, reduce, identity, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``out(i, j) = reduce_v pair(x(i, v), y(j, v))``, and ``identity`` for
-    an empty v axis, in blocks of either layout of the module docstring.
-    Either operand may carry a leading stack axis (both the same one): the
-    result is then the stack of the slices' results."""
-    *_, k, n = x.shape
+    an empty v axis, reduced at axis 0 from blocks (v, s, k, m) of views of
+    the operands with v first.  Either operand may carry a leading stack
+    axis (both the same one): the result is then the stack of the slices'
+    results, and an operand without one gets a stack axis of 1 after v.
+
+    Each block copies its slices of the two views contiguous (at most a
+    block each): from strided views numpy would lay the block out in their
+    stride order, v inside, and reduce it in short loops."""
+    k, n = x.shape[-2:]
     m = y.shape[-2]
-    long = _LONG * n < max(k, m)
-    if long and m < k:
-        return _contract(lambda b, a: pair(a, b), reduce, identity, y, x).swapaxes(-1, -2)
     size = max(math.prod(x.shape[:-2]), math.prod(y.shape[:-2])) * k * m
-    if long:
-        y = np.ascontiguousarray(y.swapaxes(-1, -2))
-        block = lambda lo, hi: pair(x[..., lo:hi, None], y[..., None, lo:hi, :])
-        return _blocked(reduce, identity, -2, n, size, block)
-    block = lambda lo, hi: pair(x[..., None, lo:hi], y[..., None, :, lo:hi])
-    return _blocked(reduce, identity, -1, n, size, block)
+    stacked = x.ndim + y.ndim > 4
+    x = (x.transpose(2, 0, 1) if x.ndim == 3 else x.T[:, None] if stacked else x.T)[..., None]
+    y = (y.transpose(2, 0, 1) if y.ndim == 3 else y.T[:, None] if stacked else y.T)[..., None, :]
+    block = lambda lo, hi: pair(np.ascontiguousarray(x[lo:hi]), np.ascontiguousarray(y[lo:hi]))
+    return _blocked(reduce, identity, 0, n, size, block)
 
 
 def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,12 +201,15 @@ def modal(rel: np.ndarray, vecs: np.ndarray, top, *, box: bool, inverse: bool) -
     """One modality with relation ``rel`` applied to every row of ``vecs``:
     a box (meet of residua) or a diamond (join of meets), along ``rel`` or,
     when ``inverse``, along its converse.  Row f of the result is the value
-    vector of the modality applied to row f."""
+    vector of the modality applied to row f.
+
+    Both forms put the rows on the last output axis, innermost in every
+    block, and return the transpose of a (world, row) array."""
     if inverse:
         rel = rel.T
     if box:
         return residual_fold(rel, vecs, top).T
-    return compose(vecs, rel.T)
+    return compose(rel, vecs.T).T
 
 
 def forward_update(r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.ndarray:
@@ -231,11 +219,13 @@ def forward_update(r: np.ndarray, rp: np.ndarray, phi: np.ndarray, top) -> np.nd
     phi^-1)(u', v)``, and top everywhere for an empty stack.  The other -2
     directions are this one on the arguments that :mod:`.bisim` orients.
 
-    In the update's layout of the module docstring, ``B(v, s, u') = max_t
-    min(R'(s, u', t), phi(v, t))`` is reduced from blocks (t, v, s, u') and
-    chi from blocks (v, s, u, u'), both of s * n1 * n2 elements per entry
-    of the contracted axis, read from contiguous transposed copies of the
-    operands (the size of the input)."""
+    In the layout of the module docstring, ``B(v, s, u') = max_t min(R'(s,
+    u', t), phi(v, t))`` is reduced from blocks (t, v, s, u') and chi from
+    blocks (v, s, u, u'), both of s * n1 * n2 elements per entry of the
+    contracted axis, read from contiguous transposed copies of the
+    operands (the size of the input).  It does not go through
+    :func:`residual_fold`, so that B stays in the layout its meet reads and
+    the stack is met in the same reduction as v."""
     (n1, n2), size = phi.shape, len(r) * phi.size
     rp_t = np.ascontiguousarray(rp.transpose(2, 0, 1))[:, None]
     phi_t = np.ascontiguousarray(phi.T)[..., None, None]

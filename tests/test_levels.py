@@ -1,6 +1,7 @@
 """The level kernel: stacked calls and block sizes."""
 
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,25 +36,16 @@ def random_levels(rng, size, shape):
 SIZES = (2, 5, 300)
 
 
-# (k, n, m): the output (k, m) and the contracted axis n; the first four
-# keep n innermost, the others have an output axis past the size rule,
-# first m (blocks (k, n, m)), then k (blocks (m, n, k)), among them an
-# empty n, which always takes the long-axis layout
+# (k, n, m): the output (k, m) and the contracted axis n; square and
+# flat outputs, an output axis many times longer than n, first m and then
+# k, and empty and one-long contracted axes
 SHAPES = ((1, 1, 1), (2, 5, 3), (4, 7, 4), (6, 3, 1),
           (2, 3, 40), (1, 0, 20), (3, 1, 20), (5, 2, 80),
           (40, 3, 2), (3, 0, 2), (20, 1, 3), (80, 2, 5))
 
 
-def layout(k, n, m):
-    """The block layout :func:`levels._contract` takes for these shapes."""
-    if levels._LONG * n < max(k, m):
-        return "knm" if m >= k else "mnk"
-    return "kmn"
-
-
 def kernel_cases(rng, size):
-    """Stack lengths and shapes, with empty and one-long contracted axes,
-    in every block layout."""
+    """Stack lengths and shapes, with empty and one-long contracted axes."""
     for s in (1, 2, 4):
         for k, n, m in SHAPES:
             _, top, a = random_levels(rng, size, (s, k, n))
@@ -101,8 +93,6 @@ def test_empty_contracted_axis_gives_the_empty_join_and_meet():
 def test_small_blocks_equal_the_default_blocks(monkeypatch, size):
     rng = np.random.default_rng(100 + size)
     cases = list(kernel_cases(rng, size))
-    assert [layout(a.shape[1], a.shape[2], y.shape[1]) for _, a, _, y in cases[:12]] == (
-        ["kmn"] * 4 + ["knm"] * 4 + ["mnk"] * 4)
     whole = [(compose(a, b), residual_fold(a, y, top), biimplication_fold(a, y, top))
              for top, a, b, y in cases]
     # one-element blocks, and blocks of a few entries of the contracted axis
@@ -113,6 +103,46 @@ def test_small_blocks_equal_the_default_blocks(monkeypatch, size):
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
+
+
+def ref_modal(rel, vecs, top, *, box, inverse):
+    """One modality by a loop over the worlds: the value at world w of each
+    row f is the meet of ``rel(w, v) -> vecs(f, v)`` (box) or the join of
+    their meets (diamond) over v, with ``rel`` read as its converse when
+    ``inverse``."""
+    if inverse:
+        rel = rel.T
+    out = np.empty(vecs.shape, vecs.dtype)
+    for w in range(len(rel)):
+        if box:
+            out[:, w] = levels.residuum(rel[w], vecs, top).min(axis=1, initial=top)
+        else:
+            out[:, w] = np.minimum(rel[w], vecs).max(axis=1, initial=0)
+    return out
+
+
+@pytest.mark.parametrize("size", (5, 300))
+def test_modal_equals_the_per_world_loop(monkeypatch, size):
+    # one row, a few rows and many, on models of 1, 3 and 12 worlds; the
+    # rows are a column slice of a wider block, as the enumerator passes them
+    rng = np.random.default_rng(300 + size)
+    cases = []
+    for f in (1, 24, 25, 2000):
+        for n in (1, 3, 12):
+            _, top, rel = random_levels(rng, size, (n, n))
+            rel[rng.random(rel.shape) < 0.5] = 0
+            vecs = random_levels(rng, size, (f, n + 2))[2][:, 1:-1]
+            for box in (True, False):
+                for inverse in (True, False):
+                    want = ref_modal(rel, vecs, top, box=box, inverse=inverse)
+                    cases.append((rel, vecs, top, box, inverse, want))
+    # whole broadcasts, one-element blocks and blocks of a few entries
+    for batch in (levels.BATCH, 1, 24):
+        monkeypatch.setattr(levels, "BATCH", batch)
+        for rel, vecs, top, box, inverse, want in cases:
+            got = levels.modal(rel, vecs, top, box=box, inverse=inverse)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
 
 def two_call_update(r, rp, phi, top):
@@ -174,8 +204,8 @@ def test_batch_bounds_each_stacked_broadcast(monkeypatch, size):
     # the whole broadcast holds 8 * 12 * 400 * 12 = 460,800 entries, a
     # block at most BATCH = 4,096 of them (3 entries of the contracted axis;
     # 28 entries, 8 times more than allowed, if the stack were not counted).
-    # Then an output axis of 100 past the size rule, last and then first:
-    # 38,400 entries in blocks of 3,200, one entry of the contracted axis
+    # Then an output axis of 100, last and then first: 38,400 entries in
+    # blocks of 3,200, one entry of the contracted axis
     rng = np.random.default_rng(size)
     cases = []
     for s, k, n, m in ((8, 12, 400, 12), (2, 16, 12, 100), (2, 100, 12, 16)):
@@ -183,23 +213,26 @@ def test_batch_bounds_each_stacked_broadcast(monkeypatch, size):
         b = random_levels(rng, size, (s, n, m))[2]
         y = random_levels(rng, size, (s, m, n))[2]
         calls = ((compose, a, b), (residual_fold, a, y, top), (biimplication_fold, a, y, top))
-        cases.append((layout(k, n, m), s * k * n * m * dtype.itemsize, calls))
+        cases.append((s * k * n * m * dtype.itemsize, calls))
+    # a box and a diamond over 400 rows of a 12-world model: 12 * 12 * 400
+    # = 57,600 entries, in blocks of one entry of the contracted axis
+    rel, vecs = (random_levels(rng, size, shape)[2] for shape in ((12, 12), (400, 12)))
+    calls = [(partial(levels.modal, box=box, inverse=False), rel, vecs, top) for box in (True, False)]
+    cases.append((12 * 12 * 400 * dtype.itemsize, calls))
     # the forward update on 8 relation pairs of 20 and 16 worlds: its
     # composition and its meet of residua have 8 * 20 * 16 = 2,560 entries
     # per entry of their contracted axes (16 and 20), so the meet's whole
     # broadcast holds 51,200 entries and a block one entry of the axis
     dtype, top, phi = random_levels(rng, size, (20, 16))
     r, rp = (random_levels(rng, size, (8, n, n))[2] for n in (20, 16))
-    whole = 8 * 20 * 16 * 20 * dtype.itemsize
-    cases.append(("update", whole, ((forward_update, r, rp, phi, top),)))
-    assert [case[0] for case in cases] == ["kmn", "knm", "mnk", "update"]
+    cases.append((8 * 20 * 16 * 20 * dtype.itemsize, ((forward_update, r, rp, phi, top),)))
     # with the default BATCH the broadcast is one block, and the measure sees it
-    for _, whole, calls in cases:
+    for whole, calls in cases:
         assert all(peak_bytes(*call) >= whole for call in calls)
     monkeypatch.setattr(levels, "BATCH", 4096)
-    # a few block-sized temporaries (a mask, a selection, a partial result),
-    # the input-sized copies of the long operand or of the update's
-    # relations, the update's composition and the interpreter's own small
-    # allocations: below the whole
-    for _, _, calls in cases:
+    # a few block-sized temporaries (a mask, a selection, a partial result,
+    # each block's contiguous copies of its operand slices), the update's
+    # input-sized copies of its relations and its composition, and the
+    # interpreter's own small allocations: below the whole
+    for _, calls in cases:
         assert all(peak_bytes(*call) <= 8 * 4096 * dtype.itemsize for call in calls)
